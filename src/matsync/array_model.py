@@ -176,6 +176,21 @@ def complete_projector(q: int) -> np.ndarray:
     return np.eye(q) - np.ones((q, q)) / q
 
 
+def gamma_matrix(g: NetworkGraph) -> np.ndarray:
+    """Gamma: -1/q on each ordered edge (i, j), out-degree d_i/q on the diagonal.
+
+    Defined for every graph, directed or disconnected; normalized_laplacian
+    adds the checks its eigenvalue analysis needs.
+    """
+    q = g.q
+    gamma = np.zeros((q, q))
+    for (i, j) in g.edges:
+        gamma[i, j] = -1.0 / q
+    for i in range(q):
+        gamma[i, i] = g.degrees[i] / q
+    return gamma
+
+
 def normalized_laplacian(g: NetworkGraph, null_tol=NULL_TOL) -> NormalizedGraphLaplacian:
     """Assemble Gamma and locate its smallest nonzero eigenvalue.
 
@@ -186,11 +201,7 @@ def normalized_laplacian(g: NetworkGraph, null_tol=NULL_TOL) -> NormalizedGraphL
     if not g.undirected:
         raise NotSymmetric("normalized Laplacian requires an undirected graph")
     q = g.q
-    gamma = np.zeros((q, q))
-    for (i, j) in g.edges:
-        gamma[i, j] = -1.0 / q
-    for i in range(q):
-        gamma[i, i] = g.degrees[i] / q
+    gamma = gamma_matrix(g)
     if q == 1:
         # single vertex: trivially synchronized, treat as a complete graph
         return NormalizedGraphLaplacian(gamma=gamma, lambda2=1.0)

@@ -31,6 +31,7 @@ from .errors import (
     NotSymmetric,
     SpecParseError,
 )
+from .specdoc import _fmt
 from .spectral import NEUTRALLY_STABLE, STABLE, classify_stability, pbh_detectable
 
 EXIT_OK = 0
@@ -38,7 +39,7 @@ EXIT_IO = 1
 EXIT_HYPOTHESIS = 2
 EXIT_DIVERGED = 3
 
-MAX_TRACE_ROWS = 100_000
+CSV_CHUNK_CELLS = 16_384  # cells formatted per write of a trace
 
 
 def _env_tol():
@@ -52,11 +53,13 @@ def _env_tol():
 
 
 def _write(path, text):
+    """Write a string, or an iterable of strings, to path or to stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _read(path):
@@ -65,10 +68,6 @@ def _read(path):
             return fh.read()
     except OSError as e:
         raise SpecParseError(f"cannot read {path}: {e.strerror}")
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def _bool(b):
@@ -281,21 +280,22 @@ def cmd_gains(args):
     return EXIT_OK
 
 
-def _trace_text(trace, verdict):
+def _trace_csv(trace, verdict):
+    """The trace as CSV text in chunks of about CSV_CHUNK_CELLS cells.
+
+    Every kept row of the trace is printed; a cell is repr of the float,
+    as _fmt writes it.
+    """
     qn = trace.states.shape[1]
-    header = "t," + ",".join(f"x_{k + 1}" for k in range(qn)) + ",sync_error,disagreement"
-    stride = max(1, int(np.ceil(len(trace.times) / MAX_TRACE_ROWS)))
-    idx = list(range(0, len(trace.times), stride))
-    if idx[-1] != len(trace.times) - 1:
-        idx.append(len(trace.times) - 1)
-    rows = [header]
-    for k in idx:
-        cells = [_fmt(trace.times[k])]
-        cells += [_fmt(v) for v in trace.states[k]]
-        cells += [_fmt(trace.sync_error[k]), _fmt(trace.disagreement[k])]
-        rows.append(",".join(cells))
-    rows.append(f"# verdict {verdict}")
-    return "\n".join(rows) + "\n"
+    yield "t," + ",".join(f"x_{k + 1}" for k in range(qn)) + ",sync_error,disagreement\n"
+    step = max(1, CSV_CHUNK_CELLS // (qn + 3))
+    for a in range(0, len(trace.times), step):
+        block = np.column_stack((
+            trace.times[a:a + step], trace.states[a:a + step],
+            trace.sync_error[a:a + step], trace.disagreement[a:a + step],
+        ))
+        yield "".join([",".join(map(repr, row)) + "\n" for row in block.tolist()])
+    yield f"# verdict {verdict}\n"
 
 
 def cmd_simulate(args):
@@ -316,10 +316,10 @@ def cmd_simulate(args):
         else:
             trace = simulation.simulate_dt(cl, x0, K=max(1, int(round(args.horizon))))
     except Diverged as e:
-        _write(args.out, _trace_text(e.trace, "diverged"))
+        _write(args.out, _trace_csv(e.trace, "diverged"))
         return EXIT_DIVERGED
     verdict = trace.verdict()
-    _write(args.out, _trace_text(trace, verdict))
+    _write(args.out, _trace_csv(trace, verdict))
     return EXIT_DIVERGED if verdict == "diverged" else EXIT_OK
 
 

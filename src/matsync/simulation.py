@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .array_model import CONTINUOUS, ArraySpec, build_graph
+from .array_model import CONTINUOUS, ArraySpec, build_graph, gamma_matrix
 from .errors import DimensionMismatch, Diverged, EigenvectorMatchFailed
 from .gains import GainSet
 from .mwl import assemble_block_laplacian
@@ -24,11 +24,13 @@ CONVERGED_RATIO = 1e-4
 DIVERGED_RATIO = 10.0
 SYNC_ABS_FLOOR = 1e-9   # times ||x0||; absolute convergence for sync starts
 BOUND_CAP_FACTOR = 1e8  # times ||x0||
+MAX_TRACE_ROWS = 100_000  # a trace keeps at most this many rows, plus the last state
+METRIC_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
 class SimTrace:
-    times: np.ndarray        # (S,)
+    times: np.ndarray        # (S,) kept sample times, S <= MAX_TRACE_ROWS + 1
     states: np.ndarray       # (S, q*n)
     sync_error: np.ndarray   # (S,) max over pairs of ||x_i - x_j||
     disagreement: np.ndarray  # (S,) x' [Gamma (x) I] x
@@ -98,33 +100,33 @@ def closed_loop(spec: ArraySpec, gains, epsilon: float | None = None) -> ClosedL
         system = base - epsilon * coupling
         eps_used = float(epsilon)
 
-    g = build_graph(spec)
-    gamma = np.zeros((spec.q, spec.q))
-    for (i, j) in g.edges:
-        gamma[i, j] = -1.0 / spec.q
-    for i in range(spec.q):
-        gamma[i, i] = g.degrees[i] / spec.q
     return ClosedLoop(
-        system_matrix=system, spec=spec, gains=gmap, epsilon=eps_used, gamma=gamma
+        system_matrix=system, spec=spec, gains=gmap, epsilon=eps_used,
+        gamma=gamma_matrix(build_graph(spec)),
     )
 
 
-def _metrics(cl, times, states):
+def _metrics(cl, states):
     q, n = cl.spec.q, cl.spec.n
-    X = states.reshape(len(times), q, n)
-    sync = np.zeros(len(times))
-    for i in range(q):
-        for j in range(i + 1, q):
-            sync = np.maximum(sync, np.linalg.norm(X[:, i] - X[:, j], axis=1))
+    X = states.reshape(len(states), q, n)
+    sync = np.zeros(len(states))
+    # row blocks bound the pair differences' temporaries to ~METRIC_BLOCK_CELLS
+    # floats; the distances are per row, so blocking leaves them unchanged
+    per_block = max(1, METRIC_BLOCK_CELLS // (q * n))
+    for a in range(0, len(states), per_block):
+        block, out = X[a:a + per_block], sync[a:a + per_block]
+        for i in range(q - 1):
+            dist = np.linalg.norm(block[:, i + 1:] - block[:, i:i + 1], axis=2)
+            np.maximum(out, dist.max(axis=1), out=out)
     disagreement = np.einsum("sik,ij,sjk->s", X, cl.gamma, X)
     return sync, disagreement
 
 
 def _trace(cl, times, states, bounded):
-    sync, dis = _metrics(cl, np.asarray(times), np.asarray(states))
+    sync, dis = _metrics(cl, states)
     return SimTrace(
-        times=np.asarray(times, dtype=float),
-        states=np.asarray(states, dtype=float),
+        times=times,
+        states=states,
         sync_error=sync,
         disagreement=dis,
         bounded=bounded,
@@ -133,25 +135,65 @@ def _trace(cl, times, states, bounded):
     )
 
 
-def _iterate(cl, step_matrix, x0, times):
-    """Step x <- R x, recording every state; raises Diverged past the cap."""
+def _stride(points):
+    return max(1, -(-points // MAX_TRACE_ROWS))
+
+
+def _step(step_matrix, x0, points, cap_sq):
+    """Step x <- R x through `points` states, keeping every stride-th and the last.
+
+    Returns (indices, rows, k).  k is None when every state stays within the
+    cap.  Otherwise state k is the first past it, and the rows are those the
+    stride of `points` keeps among states 0..k-1, plus state k-1.
+    """
+    stride = _stride(points)
+    last = points - 1
+    indices = np.arange(0, points, stride)
+    if indices[-1] != last:
+        indices = np.append(indices, last)
+    rows = np.empty((len(indices), len(x0)))
+    rows[0] = x0
+    x, y = x0.copy(), np.empty_like(x0)
+    matmul = np.matmul
+    kept, keep_at = 1, min(stride, last)
+    for k in range(1, points):
+        matmul(step_matrix, x, out=y)
+        # nan or inf in y makes y @ y nan or inf, so this also catches them
+        if not (float(y @ y) <= cap_sq):
+            if (k - 1) % stride:
+                rows[kept] = x
+                indices[kept] = k - 1
+                kept += 1
+            return indices[:kept], rows[:kept], k
+        x, y = y, x
+        if k == keep_at:
+            rows[kept] = x
+            kept += 1
+            keep_at = min(keep_at + stride, last)
+    return indices, rows, None
+
+
+def _iterate(cl, step_matrix, x0, points, h):
+    """Step x <- R x from x0 for `points` states h apart; raises Diverged past the cap.
+
+    The trace keeps every stride-th state and the last, stride =
+    ceil(points / MAX_TRACE_ROWS), so memory is bounded for any horizon.  A
+    diverged trace keeps the states before the crossing by the same rule,
+    applied to their own count.
+    """
     x0 = np.asarray(x0, dtype=float).ravel()
     qn = cl.spec.q * cl.spec.n
     if x0.shape[0] != qn:
         raise DimensionMismatch(f"x0 has length {x0.shape[0]}, expected {qn}")
     cap_sq = (BOUND_CAP_FACTOR * max(np.linalg.norm(x0), 1e-300)) ** 2
-    states = np.empty((len(times), qn))
-    states[0] = x0
-    x = x0.copy()
-    for k in range(1, len(times)):
-        x = step_matrix @ x
-        if not np.isfinite(x).all() or float(x @ x) > cap_sq:
-            trace = _trace(cl, times[:k], states[:k], bounded=False)
-            raise Diverged(
-                f"state norm exceeded the divergence cap at t = {times[k]:g}", trace
-            )
-        states[k] = x
-    return _trace(cl, times, states, bounded=True)
+    indices, rows, k = _step(step_matrix, x0, points, cap_sq)
+    if k is None:
+        return _trace(cl, indices * h, rows, bounded=True)
+    if _stride(k) != _stride(points):
+        # the same products again, so the same states, kept at the shorter stride
+        indices, rows, _ = _step(step_matrix, x0, k, cap_sq)
+    trace = _trace(cl, indices * h, rows, bounded=False)
+    raise Diverged(f"state norm exceeded the divergence cap at t = {k * h:g}", trace)
 
 
 def rk4_step_matrix(system_matrix: np.ndarray, h: float) -> np.ndarray:
@@ -169,16 +211,14 @@ def simulate_ct(cl: ClosedLoop, x0, T: float = 100.0, h: float = 1e-3) -> SimTra
     if h <= 0.0 or T < h:
         raise ValueError(f"need 0 < h <= T, got h={h}, T={T}")
     steps = int(round(T / h))
-    times = np.arange(steps + 1) * h
-    return _iterate(cl, rk4_step_matrix(cl.system_matrix, h), x0, times)
+    return _iterate(cl, rk4_step_matrix(cl.system_matrix, h), x0, steps + 1, h)
 
 
 def simulate_dt(cl: ClosedLoop, x0, K: int) -> SimTrace:
     """Exact iteration x(k+1) = M x(k) of the discrete-time closed loop."""
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    times = np.arange(K + 1, dtype=float)
-    return _iterate(cl, cl.system_matrix, x0, times)
+    return _iterate(cl, cl.system_matrix, x0, K + 1, 1.0)
 
 
 def _remove_sync_eigenvalues(system, A, q, n, resid_tol):

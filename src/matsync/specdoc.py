@@ -21,6 +21,7 @@ spec.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,13 @@ def _floats(tokens):
         return None
 
 
+def _finite(vals, what, lineno):
+    """vals, or SpecParseError at lineno when one of them is nan or infinite."""
+    if not all(map(math.isfinite, vals)):
+        raise SpecParseError(f"{what} must be finite", lineno)
+    return vals
+
+
 class _Grids:
     """Collects matrix blocks: a header opens a grid, number rows fill it."""
 
@@ -89,6 +97,7 @@ class _Grids:
         if self._open is None:
             raise SpecParseError("numeric row outside a matrix block", lineno)
         rows = self.grids[self._open]
+        _finite(row, "numbers in a matrix block", lineno)
         if rows and len(rows[0]) != len(row):
             raise SpecParseError(
                 f"ragged matrix block {self._open}: row of length {len(row)}, "
@@ -135,6 +144,7 @@ def parse_spec_document(text: str) -> SpecDocument:
                 scalars[key] = _SPEC_SCALARS[key](tokens[1])
             except ValueError:
                 raise SpecParseError(f"bad value for {key}: {tokens[1]!r}", lineno)
+            _finite([scalars[key]], key, lineno)
         elif key == "time_domain":
             grids.close()
             if len(tokens) != 2 or tokens[1] not in (CONTINUOUS, DISCRETE):
@@ -164,7 +174,7 @@ def parse_spec_document(text: str) -> SpecDocument:
             vals = _floats(tokens[1:])
             if vals is None or not vals:
                 raise SpecParseError(f"bad {key} vector", lineno)
-            builder_args[key] = vals
+            builder_args[key] = _finite(vals, key, lineno)
         elif key == "coupling":
             grids.close()
             if "q" not in scalars:
@@ -173,7 +183,7 @@ def parse_spec_document(text: str) -> SpecDocument:
             vals = _floats(tokens[3:])
             if vals is None or not vals:
                 raise SpecParseError("coupling line needs edge values", lineno)
-            builder_args["coupling"][e] = vals
+            builder_args["coupling"][e] = _finite(vals, "coupling values", lineno)
         elif key == "variant":
             grids.close()
             if len(tokens) != 2 or tokens[1] not in ("raw", "transformed"):
@@ -284,6 +294,8 @@ def parse_gains_document(text: str) -> GainsDocument:
                 scalars[key] = _GAINS_SCALARS[key](tokens[1])
             except ValueError:
                 raise SpecParseError(f"bad value for {key}: {tokens[1]!r}", lineno)
+            if not key.startswith("cert_"):  # a certificate margin may be infinite
+                _finite([scalars[key]], key, lineno)
         elif key == "P" and len(tokens) == 1:
             grids.open("P", lineno)
         elif key == "gain":

@@ -7,13 +7,16 @@ from conftest import connected_edge_pairs
 from matsync import (
     ArraySpec,
     NotConnected,
+    NotSymmetric,
     build_graph,
     builtin_example,
+    closed_loop,
     complete_projector,
     is_connected,
     normalized_laplacian,
     validate_spec,
 )
+from matsync.array_model import gamma_matrix
 
 # frozen regression: lambda2 of the 5-chain, (2 - 2 cos(pi/5))/5
 CHAIN5_LAMBDA2 = 0.0763932022500210
@@ -147,6 +150,17 @@ class TestNormalizedLaplacian:
         oracle = jacobi_eigenvalues(ngl.gamma)[1]
         assert ngl.lambda2 == pytest.approx(oracle, rel=1e-10)
         assert ngl.lambda2 == pytest.approx(CHAIN5_LAMBDA2, abs=1e-12)
+
+    def test_gamma_of_directed_and_disconnected_graphs(self):
+        # one-sided edge 1 -> 2, vertex 3 isolated: normalized_laplacian
+        # refuses this graph, gamma_matrix and closed_loop still need it
+        spec = ArraySpec(q=3, n=1, A=np.zeros((1, 1)), C={(0, 1): [[1.0]]})
+        g = build_graph(spec)
+        expected = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) / 3
+        assert np.array_equal(gamma_matrix(g), expected)
+        assert np.array_equal(closed_loop(spec, {(0, 1): [[1.0]]}).gamma, expected)
+        with pytest.raises(NotSymmetric):
+            normalized_laplacian(g)
 
     def test_disconnected_raises(self):
         spec = ArraySpec(

@@ -78,6 +78,16 @@ class TestCheck:
         assert run("check", "--spec", str(bad)) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_finite_matrix_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "nan.spec"
+        bad.write_text(
+            "q 3\nn 2\nA\n0.0 nan\n-1.0 0.0\n"
+            "edge 1 2\n1.0 0.0\nedge 2 1\n1.0 0.0\n"
+            "edge 2 3\n0.0 1.0\nedge 3 2\n0.0 1.0\n"
+        )
+        assert run("check", "--spec", str(bad)) == 1
+        assert "line 4" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, tmp_path):
         assert run("check", "--spec", str(tmp_path / "nope.spec")) == 1
 

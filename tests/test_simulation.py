@@ -27,7 +27,13 @@ from matsync import (
     simulate_ct,
     simulate_dt,
 )
-from matsync.simulation import _remove_sync_eigenvalues, rk4_step_matrix
+from matsync import simulation
+from matsync.simulation import (
+    BOUND_CAP_FACTOR,
+    MAX_TRACE_ROWS,
+    _remove_sync_eigenvalues,
+    rk4_step_matrix,
+)
 
 
 def natural_gains(spec):
@@ -189,6 +195,84 @@ class TestSimulateDT:
             assert trace.states.shape[1] == 6
         except Diverged:
             pass
+
+
+def slow_ramp_loop(epsilon=0.5):
+    """x+ = 1.00015 x on the sync subspace of two coupled scalar agents."""
+    spec = ArraySpec(
+        q=2, n=1, A=[[1.00015]], C={(0, 1): [[1.0]], (1, 0): [[1.0]]},
+        time_domain="discrete",
+    )
+    return closed_loop(spec, natural_gains(spec), epsilon=epsilon)
+
+
+def kept_indices(points):
+    stride = -(-points // MAX_TRACE_ROWS)
+    idx = list(range(0, points, stride))
+    if idx[-1] != points - 1:
+        idx.append(points - 1)
+    return idx
+
+
+class TestKeptRows:
+    def test_diverged_trace_past_row_cap_matches_reference_loop(self):
+        cl = slow_ramp_loop()
+        x0 = np.array([1.0, 0.5])
+        K = 200_000
+        with pytest.raises(Diverged) as exc:
+            simulate_dt(cl, x0, K=K)
+        trace = exc.value.trace
+        # reference: every state x <- M x before the first one past the cap
+        M = cl.system_matrix
+        cap_sq = (BOUND_CAP_FACTOR * np.linalg.norm(x0)) ** 2
+        states, x = [x0], x0
+        while True:
+            x = M @ x
+            if not np.isfinite(x).all() or x @ x > cap_sq:
+                break
+            states.append(x)
+        k = len(states)
+        assert MAX_TRACE_ROWS < k < K + 1
+        idx = kept_indices(k)
+        assert idx[1] != kept_indices(K + 1)[1]  # the truncated run has its own stride
+        assert not trace.bounded
+        assert np.array_equal(trace.times, np.array(idx, dtype=float))
+        assert np.array_equal(trace.states, np.array(states)[idx])
+
+    def test_long_run_keeps_bounded_rows_ending_in_final_state(self):
+        th = 0.7
+        R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        spec = ArraySpec(
+            q=2, n=2, A=R, C={(0, 1): np.eye(2), (1, 0): np.eye(2)},
+            time_domain="discrete",
+        )
+        cl = closed_loop(spec, gains_dt_neutral(spec.A, spec))
+        x0 = np.array([1.0, -0.5, 0.25, 2.0])
+        K = 300_000
+        trace = simulate_dt(cl, x0, K=K)
+        x = x0
+        for _ in range(K):
+            x = cl.system_matrix @ x
+        assert len(trace.times) <= MAX_TRACE_ROWS + 1
+        assert np.array_equal(trace.times, np.array(kept_indices(K + 1), dtype=float))
+        assert np.array_equal(trace.states[0], x0)
+        assert np.array_equal(trace.states[-1], x)
+
+    @pytest.mark.parametrize("block_cells", [simulation.METRIC_BLOCK_CELLS, 40])
+    def test_metrics_equal_pairwise_loop(self, rng, monkeypatch, block_cells):
+        monkeypatch.setattr(simulation, "METRIC_BLOCK_CELLS", block_cells)
+        spec = random_symmetric_spec(rng, q=6, n=3)
+        cl = closed_loop(spec, natural_gains(spec))
+        trace = simulate_ct(cl, rng.standard_normal(18), T=0.5, h=1e-2)
+        X = trace.states.reshape(len(trace.times), 6, 3)
+        sync = np.zeros(len(trace.times))
+        for i in range(6):
+            for j in range(i + 1, 6):
+                sync = np.maximum(sync, np.linalg.norm(X[:, i] - X[:, j], axis=1))
+        assert np.array_equal(trace.sync_error, sync)
+        assert np.array_equal(
+            trace.disagreement, np.einsum("sik,ij,sjk->s", X, cl.gamma, X)
+        )
 
 
 class TestVerdicts:

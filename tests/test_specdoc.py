@@ -137,6 +137,38 @@ class TestParseErrors:
             parse_spec_document("q 2\ntime_domain sometimes\n")
 
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("q 2\nn 2\nA\n0.0 nan\n-1.0 0.0\n", 4),
+            ("q 2\nn 1\nA\n0.0\nedge 1 2\ninf\n", 6),
+            ("q 2\nn 1\nalpha -inf\nA\n0.0\n", 3),
+            ("q 2\nbuilder mass_spring\nmasses 1.0 nan\n", 3),
+            ("q 2\nbuilder lc\ncoupling 1 2 0.5 inf\n", 3),
+        ],
+    )
+    def test_non_finite_numbers_rejected_with_line(self, text, line):
+        with pytest.raises(SpecParseError, match="must be finite") as exc:
+            parse_spec_document(text)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("recipe alg1_ct\nq 2\nn 1\ngain 1 2\nnan\n", 5),
+            ("recipe alg2_dt\nq 2\nn 1\nepsilon nan\n", 4),
+        ],
+    )
+    def test_non_finite_gains_rejected_with_line(self, text, line):
+        with pytest.raises(SpecParseError, match="must be finite") as exc:
+            parse_gains_document(text)
+        assert exc.value.line == line
+
+    def test_infinite_certificate_margin_parses(self):
+        doc = parse_gains_document("recipe theorem1\nq 2\nn 1\ncert_eps inf\n")
+        assert doc.metadata["cert_eps"] == float("inf")
+
+
 class TestGainsDocuments:
     def test_round_trip(self, rng):
         gains = {
