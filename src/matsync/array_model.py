@@ -176,6 +176,16 @@ def complete_projector(q: int) -> np.ndarray:
     return np.eye(q) - np.ones((q, q)) / q
 
 
+def sync_complement_basis(q: int) -> np.ndarray:
+    """Q: a q x (q-1) orthonormal basis of the complement of 1_q, so QQ^T = J.
+
+    Empty (q x 0) for a single agent.
+    """
+    ones = np.full((q, 1), 1.0 / np.sqrt(q))
+    full, _ = np.linalg.qr(np.hstack([ones, np.eye(q)[:, :q - 1]]))
+    return full[:, 1:]
+
+
 def gamma_matrix(g: NetworkGraph) -> np.ndarray:
     """Gamma: -1/q on each ordered edge (i, j), out-degree d_i/q on the diagonal.
 

@@ -8,6 +8,7 @@ tolerance and the strict-inequality margin of the feasibility checks.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -42,14 +43,51 @@ EXIT_DIVERGED = 3
 CSV_CHUNK_CELLS = 16_384  # cells formatted per write of a trace
 
 
-def _env_tol():
+# float options: name -> whether it must also be > 0
+FLOAT_OPTIONS = {
+    "alpha": False, "epsilon": False, "horizon": True, "step": True,
+    "alpha_min": True, "alpha_max": True,
+}
+
+
+def _check_float_options(args):
+    """Reject a non-finite float option, or a non-positive one that must be > 0."""
+    for name, positive in FLOAT_OPTIONS.items():
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        if not math.isfinite(value) or (positive and value <= 0.0):
+            need = "finite and > 0" if positive else "finite"
+            flag = "--" + name.replace("_", "-")
+            raise SpecParseError(f"{flag} must be {need}, got {value!r}")
+
+
+def _tolerances():
+    """(strict_tol, edge_tol) from MATSYNC_TOL; strict_tol None keeps the default."""
     raw = os.environ.get("MATSYNC_TOL")
     if raw is None:
-        return None
+        return None, EDGE_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
         raise SpecParseError(f"MATSYNC_TOL={raw!r} is not a number")
+    return tol, tol
+
+
+def _cl_certificate(doc, tol, edge_tol):
+    """The CL-detectability certificate of the document's P, else of a searched P.
+
+    A failed search gives its least-violating certificate, which is infeasible.
+    """
+    spec = doc.spec
+    if doc.P is not None:
+        return gainsmod.verify_cl_detectability(
+            spec.A, spec, doc.P, strict_tol=tol, edge_tol=edge_tol
+        )
+    try:
+        return gainsmod.find_common_P(spec.A, spec, edge_tol=edge_tol)
+    except Infeasible as e:
+        return e.certificate
 
 
 def _write(path, text):
@@ -126,8 +164,7 @@ def _load_spec(path):
 def cmd_check(args):
     doc = _load_spec(args.spec)
     spec = doc.spec
-    tol = _env_tol()
-    edge_tol = tol if tol is not None else EDGE_TOL
+    tol, edge_tol = _tolerances()
 
     lines = [f"q {spec.q}", f"n {spec.n}", f"time_domain {spec.time_domain}"]
     report = validate_spec(spec)
@@ -174,15 +211,7 @@ def cmd_check(args):
                 pass
         cert = None
         if report.symmetric and connected:
-            if doc.P is not None:
-                cert = gainsmod.verify_cl_detectability(
-                    spec.A, spec, doc.P, strict_tol=tol, edge_tol=edge_tol
-                )
-            else:
-                try:
-                    cert = gainsmod.find_common_P(spec.A, spec, edge_tol=edge_tol)
-                except Infeasible as e:
-                    cert = e.certificate
+            cert = _cl_certificate(doc, tol, edge_tol)
         if cert is not None:
             lines.append(f"cl_feasible {_bool(cert.feasible)}")
             lines.append(f"eps {_fmt(cert.eps)}")
@@ -206,8 +235,7 @@ def cmd_check(args):
 def cmd_gains(args):
     doc = _load_spec(args.spec)
     spec = doc.spec
-    tol = _env_tol()
-    edge_tol = tol if tol is not None else EDGE_TOL
+    tol, edge_tol = _tolerances()
 
     if args.recipe == "theorem1":
         if spec.time_domain != CONTINUOUS:
@@ -221,21 +249,12 @@ def cmd_gains(args):
             if not is_connected(build_graph(spec, edge_tol)):
                 print("hypothesis failed: graph is not connected", file=sys.stderr)
                 return EXIT_HYPOTHESIS
-        if doc.P is not None:
-            P = doc.P
-            cert = gainsmod.verify_cl_detectability(
-                spec.A, spec, P, strict_tol=tol, edge_tol=edge_tol
-            )
-            if not cert.feasible and not args.force:
-                print("hypothesis failed: CL-detectability not established", file=sys.stderr)
-                return EXIT_HYPOTHESIS
-        else:
-            try:
-                cert = gainsmod.find_common_P(spec.A, spec, edge_tol=edge_tol)
-            except Infeasible:
-                print("hypothesis failed: CL-detectability not established", file=sys.stderr)
-                return EXIT_HYPOTHESIS
-            P = cert.P
+        cert = _cl_certificate(doc, tol, edge_tol)
+        # --force keeps an infeasible P from the document, never a failed search
+        if not cert.feasible and (doc.P is None or not args.force):
+            print("hypothesis failed: CL-detectability not established", file=sys.stderr)
+            return EXIT_HYPOTHESIS
+        P = doc.P if doc.P is not None else cert.P
         alpha = args.alpha if args.alpha is not None else doc.alpha
         gs = gainsmod.gains_theorem1(spec.A, spec, P, alpha, edge_tol=edge_tol)
         cert, c14 = gs.certificate
@@ -310,6 +329,10 @@ def cmd_simulate(args):
     cl = simulation.closed_loop(spec, gdoc.gain_set, epsilon=epsilon)
     rng = np.random.default_rng(args.seed)
     x0 = rng.standard_normal(spec.q * spec.n)
+    if spec.time_domain == CONTINUOUS and args.horizon < args.step:
+        raise SpecParseError(
+            f"--horizon {args.horizon!r} is shorter than --step {args.step!r}"
+        )
     try:
         if spec.time_domain == CONTINUOUS:
             trace = simulation.simulate_ct(cl, x0, T=args.horizon, h=args.step)
@@ -326,18 +349,7 @@ def cmd_simulate(args):
 def cmd_sweep(args):
     doc = _load_spec(args.spec)
     spec = doc.spec
-    tol = _env_tol()
-    edge_tol = tol if tol is not None else EDGE_TOL
-    if doc.P is not None:
-        cert = gainsmod.verify_cl_detectability(
-            spec.A, spec, doc.P, strict_tol=tol, edge_tol=edge_tol
-        )
-    else:
-        try:
-            cert = gainsmod.find_common_P(spec.A, spec, edge_tol=edge_tol)
-        except Infeasible:
-            print("hypothesis failed: CL-detectability certificate missing", file=sys.stderr)
-            return EXIT_HYPOTHESIS
+    cert = _cl_certificate(doc, *_tolerances())
     if not cert.feasible:
         print("hypothesis failed: CL-detectability certificate missing", file=sys.stderr)
         return EXIT_HYPOTHESIS
@@ -411,6 +423,7 @@ def make_parser():
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        _check_float_options(args)
         return args.func(args)
     except SpecParseError as e:
         print(f"error: {e}", file=sys.stderr)

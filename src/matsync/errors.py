@@ -57,10 +57,6 @@ class Diverged(MatsyncError):
         self.trace = trace
 
 
-class EigenvectorMatchFailed(MatsyncError):
-    pass
-
-
 class NonPositiveParameter(MatsyncError):
     pass
 

@@ -14,8 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .array_model import CONTINUOUS, ArraySpec, build_graph, gamma_matrix
-from .errors import DimensionMismatch, Diverged, EigenvectorMatchFailed
+from .array_model import (
+    CONTINUOUS,
+    ArraySpec,
+    build_graph,
+    gamma_matrix,
+    sync_complement_basis,
+)
+from .errors import DimensionMismatch, Diverged
 from .gains import GainSet
 from .mwl import assemble_block_laplacian
 from .spectral import neutral_split
@@ -221,63 +227,24 @@ def simulate_dt(cl: ClosedLoop, x0, K: int) -> SimTrace:
     return _iterate(cl, cl.system_matrix, x0, K + 1, 1.0)
 
 
-def _remove_sync_eigenvalues(system, A, q, n, resid_tol):
-    """Indices of the n closed-loop eigenvalues carried by the sync subspace.
+def rho_sweep(spec: ArraySpec, P: np.ndarray, alphas):
+    """max Re of the closed-loop spectrum off the sync subspace, per coupling alpha.
 
-    Fast path: eigenvectors whose projection residual onto the sync subspace
-    is below resid_tol.  When eigenvalue multiplicity blurs the eigenvectors
-    (e.g. the decoupled array), each eigenvalue of A is matched against the
-    span of the closed-loop eigenvectors clustered around it instead.
-    """
-    lam, V = np.linalg.eig(system)
-    ones = np.ones(q) / np.sqrt(q)
-    proj = np.kron(np.outer(ones, ones), np.eye(n))
-    resid = np.linalg.norm(V - proj @ V, axis=0)  # eigenvectors are unit norm
-    candidates = np.flatnonzero(resid < resid_tol)
-    if len(candidates) == n:
-        return lam, candidates
-
-    lamA, VA = np.linalg.eig(A)
-    scale = max(1.0, float(np.linalg.norm(A, 2)))
-    match_tol = 1e-6 * scale + 1e-9 * float(np.linalg.norm(system, 2))
-    used = []
-    for k in range(n):
-        sync_vec = np.kron(np.ones(q) / np.sqrt(q), VA[:, k])
-        cluster = [
-            idx for idx in range(len(lam))
-            if idx not in used and abs(lam[idx] - lamA[k]) <= match_tol
-        ]
-        if not cluster:
-            raise EigenvectorMatchFailed(
-                f"no closed-loop eigenvalue matches eig(A) = {lamA[k]:.6g}"
-            )
-        B = V[:, cluster]
-        coeff, *_ = np.linalg.lstsq(B, sync_vec, rcond=None)
-        if np.linalg.norm(B @ coeff - sync_vec) >= resid_tol:
-            raise EigenvectorMatchFailed(
-                f"sync eigenvector for eig(A) = {lamA[k]:.6g} not found in its cluster"
-            )
-        used.append(cluster[int(np.argmin(np.abs(lam[cluster] - lamA[k])))])
-    return lam, np.asarray(used)
-
-
-def rho_sweep(spec: ArraySpec, P: np.ndarray, alphas, resid_tol: float = 1e-6):
-    """max Re of the non-sync closed-loop spectrum for each coupling alpha.
-
-    Gains are alpha P^-1 C_ij^T.  Returns [(alpha, rho), ...] in input order.
+    Gains are alpha P^-1 C_ij^T.  The sync subspace 1 (x) R^n is invariant
+    under any such coupling, so the rest of the spectrum is exactly
+    eig(V' Psi V) with V = Q (x) I_n, Q from sync_complement_basis; rho is
+    -inf for a single agent.  Returns [(alpha, rho), ...] in input order.
     """
     P = np.asarray(P, dtype=float)
+    V = np.kron(sync_complement_basis(spec.q), np.eye(spec.n))
     out = []
     for alpha in alphas:
         gmap = {
             e: float(alpha) * np.linalg.solve(P, C.T) for e, C in spec.C.items()
         }
-        cl = closed_loop(spec, gmap)
-        lam, sync_idx = _remove_sync_eigenvalues(
-            cl.system_matrix, spec.A, spec.q, spec.n, resid_tol
-        )
-        rest = np.delete(lam, sync_idx)
-        out.append((float(alpha), float(rest.real.max())))
+        psi = closed_loop(spec, gmap).system_matrix
+        lam = np.linalg.eigvals(V.T @ psi @ V)
+        out.append((float(alpha), float(np.max(lam.real, initial=-np.inf))))
     return out
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.optimize import linear_sum_assignment
 
 from matsync import ArraySpec, pbh_detectable
 
@@ -115,6 +116,33 @@ def random_complete_cl_spec(rng, q, n):
             cmap[(i, j)] = C
             cmap[(j, i)] = C
     return ArraySpec(q=q, n=n, A=A, C=cmap, time_domain="continuous")
+
+
+def sweep_gains(spec, P, alpha):
+    """The gains alpha P^-1 C_ij' that `rho_sweep` and `matsync sweep` use."""
+    return {e: alpha * np.linalg.solve(P, C.T) for e, C in spec.C.items()}
+
+
+def multiset_gap(a, b):
+    """Largest |a_i - b_j| over the one-to-one matching of least total distance."""
+    cost = np.abs(np.subtract.outer(np.asarray(a), np.asarray(b)))
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max(initial=0.0))
+
+
+def off_sync_eigenvalues(system, q, n):
+    """eig(V' Psi V), V = N (x) I_n with N an orthonormal null-space basis of 1_q'."""
+    V = np.kron(sla.null_space(np.ones((1, q))), np.eye(n))
+    return np.linalg.eigvals(V.T @ system @ V)
+
+
+def spectrum_partition_gap(system, A, q):
+    """How far eig(Psi) is from the multiset eig(A) + eig(V' Psi V), relative to
+    max(1, ||Psi||_2)."""
+    n = A.shape[0]
+    parts = np.concatenate([np.linalg.eigvals(A), off_sync_eigenvalues(system, q, n)])
+    gap = multiset_gap(np.linalg.eigvals(system), parts)
+    return gap / max(1.0, np.linalg.norm(system, 2))
 
 
 def random_spd(rng, n, cond=10.0):

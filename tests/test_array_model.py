@@ -14,6 +14,7 @@ from matsync import (
     complete_projector,
     is_connected,
     normalized_laplacian,
+    sync_complement_basis,
     validate_spec,
 )
 from matsync.array_model import gamma_matrix
@@ -173,6 +174,15 @@ class TestNormalizedLaplacian:
         spec = ArraySpec(q=3, n=1, A=np.zeros((1, 1)), C={})
         with pytest.raises(NotConnected):
             normalized_laplacian(build_graph(spec))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 100])
+def test_sync_complement_basis(q):
+    Q = sync_complement_basis(q)
+    assert Q.shape == (q, q - 1)
+    assert np.allclose(Q.T @ Q, np.eye(q - 1), atol=1e-13)
+    assert np.allclose(Q.T @ np.ones(q), 0.0, atol=1e-13)
+    assert np.allclose(Q @ Q.T, complete_projector(q), atol=1e-13)
 
 
 def graph_from_pairs(q, pairs):

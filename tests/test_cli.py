@@ -4,6 +4,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import off_sync_eigenvalues, spectrum_partition_gap, sweep_gains
+from matsync import closed_loop, find_common_P
 from matsync.cli import main
 from matsync.specdoc import parse_gains_document, parse_spec_document
 
@@ -222,6 +224,59 @@ class TestSweep:
         run("sweep", "--spec", str(chain5_spec), "--points", "5", "--out", str(a))
         run("sweep", "--spec", str(chain5_spec), "--points", "5", "--out", str(b))
         assert read(a) == read(b)
+
+    @pytest.mark.parametrize("name", ["mass_spring_demo", "lc_demo"])
+    def test_neutral_demo_rows_are_off_sync_abscissae(self, name, tmp_path):
+        spec_path, out = tmp_path / f"{name}.spec", tmp_path / "sweep.txt"
+        run("example", name, "--out", str(spec_path))
+        assert run("sweep", "--spec", str(spec_path), "--points", "8", "--out", str(out)) == 0
+        spec = parse_spec_document(read(spec_path)).spec
+        P = find_common_P(spec.A, spec).P
+        lines = read(out).splitlines()
+        rows = [tuple(map(float, ln.split())) for ln in lines[:-1]]
+        assert len(rows) == 8
+        for alpha, rho in rows:
+            psi = closed_loop(spec, sweep_gains(spec, P, alpha)).system_matrix
+            assert spectrum_partition_gap(psi, spec.A, spec.q) <= 1e-8
+            want = off_sync_eigenvalues(psi, spec.q, spec.n).real.max()
+            assert abs(rho - want) <= 1e-11 * max(1.0, np.linalg.norm(psi, 2))
+        best = min(rows, key=lambda row: row[1])
+        assert lines[-1] == f"# min rho {best[1]!r} at alpha {best[0]!r}"
+
+
+# command, options after --spec (and --gains), the option the message names
+BAD_NUMBERS = [
+    ("simulate", ["--step", "nan"], "--step"),
+    ("simulate", ["--step", "0"], "--step"),
+    ("simulate", ["--step", "-1"], "--step"),
+    ("simulate", ["--horizon", "inf"], "--horizon"),
+    ("simulate", ["--horizon", "0"], "--horizon"),
+    ("simulate", ["--horizon", "1e-4"], "--horizon"),
+    ("simulate", ["--epsilon", "nan"], "--epsilon"),
+    ("sweep", ["--alpha-min", "0"], "--alpha-min"),
+    ("sweep", ["--alpha-min", "-1"], "--alpha-min"),
+    ("sweep", ["--alpha-max", "nan"], "--alpha-max"),
+    ("sweep", ["--alpha-min", "inf"], "--alpha-min"),
+    ("gains", ["--recipe", "theorem1", "--force", "--alpha", "nan"], "--alpha"),
+]
+
+
+@pytest.mark.parametrize("command,options,flag", BAD_NUMBERS)
+def test_bad_number_option_exits_1(
+    command, options, flag, ms_spec, chain5_spec, tmp_path, capsys
+):
+    out = tmp_path / "out.txt"
+    if command == "simulate":
+        gains = tmp_path / "g.gains"
+        run("gains", "--spec", str(ms_spec), "--recipe", "alg1", "--out", str(gains))
+        argv = ["simulate", "--spec", str(ms_spec), "--gains", str(gains)]
+    else:
+        argv = [command, "--spec", str(chain5_spec)]
+    capsys.readouterr()
+    assert run(*argv, *options, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not out.exists()
 
 
 def test_console_entry_point(tmp_path):

@@ -1,8 +1,15 @@
-"""Byte-for-byte regression gate on `simulate` outputs.
+"""Regression gate on CLI outputs.
 
-``tests/golden/simulate.json`` holds the exit code, byte count and sha256
-digest of each case below.  Regenerate it only for a change that alters the
-output on purpose, and say so in CHANGES.md:
+``tests/golden/simulate.json`` and ``tests/golden/commands.json`` hold the
+exit code, byte count and sha256 digest of each `simulate` case below, and
+of each `check`, `gains` and refused `sweep` case with its stderr text;
+these outputs must stay byte-identical.  ``tests/golden/sweep.json`` holds the
+parsed ``alpha rho`` rows of each `sweep` case.  A sweep is compared with a
+tolerance, because rho comes from an eigensolve whose last bits move with
+any change to the reduction: alphas must be equal, each rho within
+``SWEEP_RTOL * max(1, ||Psi(alpha)||_2)``, and the summary line must name
+the smallest printed row.  Regenerate a file only for a change that alters
+its output on purpose, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -12,14 +19,21 @@ import hashlib
 import io
 import json
 import os
-import sys
 import tempfile
 
+import numpy as np
 import pytest
 
+from conftest import sweep_gains
+from matsync import closed_loop, find_common_P, verify_cl_detectability
 from matsync.cli import main
+from matsync.specdoc import parse_spec_document
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "simulate.json")
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+GOLDEN = os.path.join(GOLDEN_DIR, "simulate.json")
+COMMANDS_GOLDEN = os.path.join(GOLDEN_DIR, "commands.json")
+SWEEP_GOLDEN = os.path.join(GOLDEN_DIR, "sweep.json")
+SWEEP_RTOL = 1e-11
 
 # x+ = 1.00015 x on the sync subspace: passes the divergence cap after ~1.2e5
 # steps, past the row cap, where the kept-row stride of the truncated run (2)
@@ -32,6 +46,16 @@ ROTATION_SPEC = (
     "0.7648421872844885 -0.644217687237691\n0.644217687237691 0.7648421872844885\n"
     "edge 1 2\n1.0 0.0\nedge 2 1\n1.0 0.0\nedge 2 3\n0.0 1.0\nedge 3 2\n0.0 1.0\n"
 )
+
+# harmonic oscillator whose P fails the CL-detectability check; P is not
+# symmetric, so a gains document that keeps it as written shows it
+BAD_P_SPEC = (
+    "q 2\nn 2\nA\n0.0 1.0\n-1.0 0.0\nedge 1 2\n1.0 0.0\nedge 2 1\n1.0 0.0\n"
+    "P\n1.0 0.1\n0.3 1.0\n"
+)
+
+# unstable drift with undetectable outputs: no common P exists
+NO_P_SPEC = "q 2\nn 2\nA\n1.0 0.0\n0.0 1.0\nedge 1 2\n1.0 0.0\nedge 2 1\n1.0 0.0\n"
 
 # name -> (bundled example or spec text, gains argv or gains text, simulate argv, to stdout)
 CASES = {
@@ -60,16 +84,61 @@ CASES = {
 }
 
 
+# name -> (bundled example or spec text, command argv after --spec, MATSYNC_TOL or None)
+COMMAND_CASES = {
+    **{
+        f"check_{ex}": (ex, ["check"], None)
+        for ex in ("chain5", "counterexample_asym", "mass_spring_demo", "lc_demo")
+    },
+    "check_chain5_env_tol": ("chain5", ["check"], "1e-3"),
+    "check_bad_P": (BAD_P_SPEC, ["check"], None),
+    "check_no_P": (NO_P_SPEC, ["check"], None),
+    "gains_chain5_theorem1": ("chain5", ["gains", "--recipe", "theorem1"], None),
+    "gains_chain5_theorem1_bad_env": ("chain5", ["gains", "--recipe", "theorem1"], "x"),
+    "gains_mass_spring_alg1": ("mass_spring_demo", ["gains", "--recipe", "alg1"], None),
+    "gains_lc_alg1": ("lc_demo", ["gains", "--recipe", "alg1"], None),
+    "gains_counterexample_alg1_force": (
+        "counterexample_asym", ["gains", "--recipe", "alg1", "--force"], None,
+    ),
+    "gains_counterexample_theorem1": (
+        "counterexample_asym", ["gains", "--recipe", "theorem1"], None,
+    ),
+    "gains_counterexample_theorem1_force": (
+        "counterexample_asym", ["gains", "--recipe", "theorem1", "--force"], None,
+    ),
+    "gains_rotation_ring_alg2": (ROTATION_SPEC, ["gains", "--recipe", "alg2"], None),
+    "gains_bad_P_theorem1": (BAD_P_SPEC, ["gains", "--recipe", "theorem1"], None),
+    "gains_bad_P_theorem1_force": (
+        BAD_P_SPEC, ["gains", "--recipe", "theorem1", "--force", "--alpha", "2"], None,
+    ),
+    "gains_no_P_theorem1": (NO_P_SPEC, ["gains", "--recipe", "theorem1"], None),
+    "gains_no_P_theorem1_force": (NO_P_SPEC, ["gains", "--recipe", "theorem1", "--force"], None),
+    "sweep_bad_P": (BAD_P_SPEC, ["sweep"], None),
+    "sweep_no_P": (NO_P_SPEC, ["sweep"], None),
+}
+
+# name -> (bundled example, sweep points)
+SWEEP_CASES = {
+    "chain5": ("chain5", 50),
+    "counterexample_asym": ("counterexample_asym", 5),
+}
+
+
+def write_spec(spec_src, path):
+    """Write spec text, or the bundled example of that name, to path."""
+    if "\n" in spec_src:
+        with open(path, "w") as fh:
+            fh.write(spec_src)
+    else:
+        assert main(["example", spec_src, "--out", path]) == 0
+
+
 def produce(name, directory):
     """(exit code, output bytes) of the case's `simulate` command."""
     spec_src, gains_src, sim_args, to_stdout = CASES[name]
     spec = os.path.join(directory, f"{name}.spec")
     gains = os.path.join(directory, f"{name}.gains")
-    if "\n" in spec_src:
-        with open(spec, "w") as fh:
-            fh.write(spec_src)
-    else:
-        assert main(["example", spec_src, "--out", spec]) == 0
+    write_spec(spec_src, spec)
     if isinstance(gains_src, str):
         with open(gains, "w") as fh:
             fh.write(gains_src)
@@ -87,22 +156,105 @@ def produce(name, directory):
         return rc, fh.read()
 
 
+@contextlib.contextmanager
+def env_tol(value):
+    saved = os.environ.pop("MATSYNC_TOL", None)
+    if value is not None:
+        os.environ["MATSYNC_TOL"] = value
+    try:
+        yield
+    finally:
+        os.environ.pop("MATSYNC_TOL", None)
+        if saved is not None:
+            os.environ["MATSYNC_TOL"] = saved
+
+
+def run_captured(argv, tol=None):
+    """(exit code, stdout bytes, stderr text) of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with env_tol(tol), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue().encode(), err.getvalue()
+
+
+def produce_command(name, directory):
+    spec_src, argv, tol = COMMAND_CASES[name]
+    spec = os.path.join(directory, f"{name}.spec")
+    write_spec(spec_src, spec)
+    rc, data, err = run_captured([argv[0], "--spec", spec, *argv[1:]], tol)
+    return {**record(rc, data), "stderr": err}
+
+
+def produce_sweep(name, directory):
+    """{"exit", "rows", "summary"} of the case's `sweep` command."""
+    example, points = SWEEP_CASES[name]
+    spec = os.path.join(directory, f"{name}.spec")
+    write_spec(example, spec)
+    rc, data, _ = run_captured(["sweep", "--spec", spec, "--points", str(points)])
+    lines = data.decode().splitlines()
+    rows = [[float(t) for t in ln.split()] for ln in lines if not ln.startswith("#")]
+    return {"exit": rc, "rows": rows, "summary": [ln for ln in lines if ln.startswith("#")]}
+
+
+def sweep_system_norms(spec_path, alphas):
+    """||Psi(alpha)||_2 for the P the sweep uses: the document's, else a searched one."""
+    with open(spec_path) as fh:
+        doc = parse_spec_document(fh.read())
+    spec = doc.spec
+    if doc.P is not None:
+        P = verify_cl_detectability(spec.A, spec, doc.P).P
+    else:
+        P = find_common_P(spec.A, spec).P
+    return [
+        np.linalg.norm(closed_loop(spec, sweep_gains(spec, P, alpha)).system_matrix, 2)
+        for alpha in alphas
+    ]
+
+
 def record(rc, data):
     return {"exit": rc, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
 
+def load(path, name):
+    with open(path) as fh:
+        return json.load(fh)[name]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_simulate_output_matches_golden(name, tmp_path):
-    with open(GOLDEN) as fh:
-        want = json.load(fh)[name]
-    assert record(*produce(name, str(tmp_path))) == want
+    assert record(*produce(name, str(tmp_path))) == load(GOLDEN, name)
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_CASES))
+def test_command_output_matches_golden(name, tmp_path):
+    assert produce_command(name, str(tmp_path)) == load(COMMANDS_GOLDEN, name)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_sweep_within_tolerance_of_golden(name, tmp_path):
+    want = load(SWEEP_GOLDEN, name)
+    got = produce_sweep(name, str(tmp_path))
+    assert got["exit"] == want["exit"] == 0
+    alphas = [a for a, _ in got["rows"]]
+    assert alphas == [a for a, _ in want["rows"]]
+    norms = sweep_system_norms(os.path.join(str(tmp_path), f"{name}.spec"), alphas)
+    for (alpha, rho), (_, rho_want), norm in zip(got["rows"], want["rows"], norms):
+        assert abs(rho - rho_want) <= SWEEP_RTOL * max(1.0, norm), alpha
+    best_alpha, best_rho = min(got["rows"], key=lambda row: row[1])
+    assert got["summary"] == [f"# min rho {best_rho!r} at alpha {best_alpha!r}"]
+
+
+def regenerate(path, produce_one, names):
+    with tempfile.TemporaryDirectory() as d:
+        golden = {name: produce_one(name, d) for name in sorted(names)}
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(golden, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as d:
-        golden = {name: record(*produce(name, d)) for name in sorted(CASES)}
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    with open(GOLDEN, "w") as fh:
-        json.dump(golden, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    json.dump(golden, sys.stdout, indent=1, sort_keys=True)
+    regenerate(GOLDEN, lambda name, d: record(*produce(name, d)), CASES)
+    regenerate(COMMANDS_GOLDEN, produce_command, COMMAND_CASES)
+    regenerate(SWEEP_GOLDEN, produce_sweep, SWEEP_CASES)
+    print(f"wrote {GOLDEN}, {COMMANDS_GOLDEN} and {SWEEP_GOLDEN}")

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    off_sync_eigenvalues,
     random_complete_cl_spec,
     random_neutrally_stable,
     random_symmetric_spec,
+    spectrum_partition_gap,
+    sweep_gains,
 )
 from matsync import (
     ArraySpec,
     DimensionMismatch,
     Diverged,
-    EigenvectorMatchFailed,
     asymptotic_anchor,
     build_mass_spring,
     builtin_example,
@@ -28,16 +32,20 @@ from matsync import (
     simulate_dt,
 )
 from matsync import simulation
-from matsync.simulation import (
-    BOUND_CAP_FACTOR,
-    MAX_TRACE_ROWS,
-    _remove_sync_eigenvalues,
-    rk4_step_matrix,
-)
+from matsync.builders import BUILTIN_NAMES
+from matsync.simulation import BOUND_CAP_FACTOR, MAX_TRACE_ROWS, rk4_step_matrix
+
+PARTITION_TOL = 1e-8  # times max(1, ||Psi||_2)
+RHO_TOL = 1e-11  # times max(1, ||Psi||_2): two orthonormal bases, one quotient
 
 
 def natural_gains(spec):
     return {e: C.T for e, C in spec.C.items()}
+
+
+def sweep_P(ex):
+    """The P `matsync sweep` uses on a bundled example."""
+    return ex.P if ex.P is not None else find_common_P(ex.spec.A, ex.spec).P
 
 
 class TestClosedLoop:
@@ -56,18 +64,31 @@ class TestClosedLoop:
         )
 
     def test_sync_modes_carry_drift_eigenvalues(self):
-        ex = builtin_example("chain5")
-        gs = gains_theorem1(ex.spec.A, ex.spec, ex.P, alpha=1.0)
-        cl = closed_loop(ex.spec, gs)
-        lam, sync_idx = _remove_sync_eigenvalues(
-            cl.system_matrix, ex.spec.A, ex.spec.q, ex.spec.n, resid_tol=1e-6
-        )
-        assert len(sync_idx) == 3
-        assert np.allclose(
-            np.sort_complex(lam[sync_idx]),
-            np.sort_complex(np.linalg.eigvals(ex.spec.A)),
-            atol=1e-6,
-        )
+        # eig(Psi) = eig(A) + eig(V' Psi V) as multisets, on every bundled
+        # example, with natural gains and with the sweep's gains
+        for name in BUILTIN_NAMES:
+            ex = builtin_example(name)
+            spec, P = ex.spec, sweep_P(ex)
+            for gmap in [natural_gains(spec)] + [
+                sweep_gains(spec, P, alpha) for alpha in (0.0, 0.1, 1.0, 10.0)
+            ]:
+                psi = closed_loop(spec, gmap).system_matrix
+                assert spectrum_partition_gap(psi, spec.A, spec.q) <= PARTITION_TOL, name
+
+    @given(
+        seed=st.integers(0, 2**32 - 1), q=st.integers(2, 6), n=st.integers(1, 4),
+        domain=st.sampled_from(["continuous", "discrete"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_spectrum_partition_any_gains(self, seed, q, n, domain):
+        # the sync subspace is invariant for any gains, symmetric or not
+        rng = np.random.default_rng(seed)
+        spec = random_symmetric_spec(rng, q=q, n=n, domain=domain)
+        gmap = {
+            e: rng.standard_normal((n, C.shape[0])) for e, C in spec.C.items()
+        }
+        psi = closed_loop(spec, gmap, epsilon=0.3).system_matrix
+        assert spectrum_partition_gap(psi, spec.A, q) <= PARTITION_TOL
 
     def test_theorem1_closed_loop_structure(self):
         # system matrix must be [I x A] - alpha [I x P^-1] L exactly
@@ -305,12 +326,18 @@ class TestRhoSweep:
         # simulation confirms decay of the disagreement
         assert trace.sync_error[-1] < trace.sync_error[0]
 
-    def test_match_failure_raises(self, rng):
-        # a generic matrix has no sync-subspace eigenstructure at all
-        A = rng.standard_normal((2, 2))
-        system = rng.standard_normal((6, 6))
-        with pytest.raises(EigenvectorMatchFailed):
-            _remove_sync_eigenvalues(system, A, q=3, n=2, resid_tol=1e-6)
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_rho_is_off_sync_abscissa(self, name):
+        ex = builtin_example(name)
+        P = sweep_P(ex)
+        for alpha, rho in rho_sweep(ex.spec, P, [0.1, 1.0, 10.0]):
+            psi = closed_loop(ex.spec, sweep_gains(ex.spec, P, alpha)).system_matrix
+            want = off_sync_eigenvalues(psi, ex.spec.q, ex.spec.n).real.max()
+            assert abs(rho - want) <= RHO_TOL * max(1.0, np.linalg.norm(psi, 2))
+
+    def test_single_agent_has_no_off_sync_modes(self):
+        spec = ArraySpec(q=1, n=2, A=np.diag([0.5, -1.0]), C={})
+        assert rho_sweep(spec, np.eye(2), [1.0, 2.0]) == [(1.0, -np.inf), (2.0, -np.inf)]
 
     def test_ordering_follows_input(self):
         ex = builtin_example("chain5")
