@@ -2,9 +2,17 @@
 
 Trajectories are integrated with the classical 4th-order Runge-Kutta
 method at a fixed step.  For the linear closed loop the RK4 update is the
-degree-4 Taylor polynomial of exp(h Psi), so the per-step matrix is formed
-once and iterated; this is bit-identical to stepping the stage equations
-and keeps long horizons cheap.
+degree-4 Taylor polynomial of exp(h Psi), so the step matrix R is formed
+once.  It equals stepping the stage equations in exact arithmetic only;
+the two round differently.
+
+A run steps in chunks.  The powers [R; R^2; ...; R^B] are stacked once per
+run, with B = max(1, POWER_TABLE_CELLS // qn^2), so B depends on the state
+size alone, and each chunk of B states is one matrix-vector product from
+the last state of the chunk before.  The states match those of one product
+per step to rounding, not bit for bit; at qn >= 182, B = 1 and the products
+are the same.  The divergence cap is tested on every state of a chunk, so
+the first state past it is found exactly.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ SYNC_ABS_FLOOR = 1e-9   # times ||x0||; absolute convergence for sync starts
 BOUND_CAP_FACTOR = 1e8  # times ||x0||
 MAX_TRACE_ROWS = 100_000  # a trace keeps at most this many rows, plus the last state
 METRIC_BLOCK_CELLS = 1 << 18
+POWER_TABLE_CELLS = 1 << 16  # floats in the stacked step-matrix powers, unless R is larger
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,7 @@ def _metrics(cl, states):
         for i in range(q - 1):
             dist = np.linalg.norm(block[:, i + 1:] - block[:, i:i + 1], axis=2)
             np.maximum(out, dist.max(axis=1), out=out)
-    disagreement = np.einsum("sik,ij,sjk->s", X, cl.gamma, X)
+    disagreement = np.einsum("sik,sik->s", X, cl.gamma @ X)
     return sync, disagreement
 
 
@@ -145,37 +154,62 @@ def _stride(points):
     return max(1, -(-points // MAX_TRACE_ROWS))
 
 
-def _step(step_matrix, x0, points, cap_sq):
+def _power_table(step_matrix):
+    """[R; R^2; ...; R^B] stacked into one (B*qn, qn) array, built by doubling.
+
+    B = max(1, POWER_TABLE_CELLS // qn^2) depends on the size of R only, never
+    on a horizon.  The table stops before the first power with a non-finite
+    entry, so inf * 0 in an overflowed power never reaches a state.
+    """
+    qn = len(step_matrix)
+    B = max(1, POWER_TABLE_CELLS // (qn * qn))
+    table = step_matrix
+    while len(table) < B * qn:
+        # R^(m+1) .. R^(m+j) = [R; ...; R^j] R^m, one GEMM per doubling
+        more = table[:B * qn - len(table)] @ table[-qn:]
+        finite = np.isfinite(more).reshape(-1, qn * qn).all(axis=1)
+        if not finite.all():
+            return np.concatenate((table, more[:finite.argmin() * qn]))
+        table = np.concatenate((table, more))
+    return table
+
+
+def _step(table, x0, points, cap_sq):
     """Step x <- R x through `points` states, keeping every stride-th and the last.
 
-    Returns (indices, rows, k).  k is None when every state stays within the
-    cap.  Otherwise state k is the first past it, and the rows are those the
-    stride of `points` keeps among states 0..k-1, plus state k-1.
+    `table` is _power_table(R): each chunk of B states is one product
+    table @ x from the last state of the chunk before.  Returns (indices,
+    rows, k).  k is None when every state stays within the cap.  Otherwise
+    state k is the first past it, and the rows are those the stride of
+    `points` keeps among states 0..k-1, plus state k-1.
     """
+    qn = len(x0)
     stride = _stride(points)
     last = points - 1
     indices = np.arange(0, points, stride)
     if indices[-1] != last:
         indices = np.append(indices, last)
-    rows = np.empty((len(indices), len(x0)))
+    rows = np.empty((len(indices), qn))
     rows[0] = x0
-    x, y = x0.copy(), np.empty_like(x0)
-    matmul = np.matmul
-    kept, keep_at = 1, min(stride, last)
-    for k in range(1, points):
-        matmul(step_matrix, x, out=y)
-        # nan or inf in y makes y @ y nan or inf, so this also catches them
-        if not (float(y @ y) <= cap_sq):
+    x, kept = x0, 1
+    for base in range(0, last, len(table) // qn):
+        # the whole table every time, so each state comes from the same
+        # product whatever the horizon; states past `last` are dropped
+        Y = (table @ x).reshape(-1, qn)[:last - base]
+        # nan or inf in a row makes its norm nan or inf, so this also catches them
+        within = np.einsum("ij,ij->i", Y, Y) <= cap_sq
+        end = len(Y) if within.all() else int(within.argmin())  # first row past the cap
+        stop = np.searchsorted(indices, base + end, side="right")
+        rows[kept:stop] = Y[indices[kept:stop] - base - 1]
+        kept = stop
+        if end < len(Y):
+            k = base + end + 1
             if (k - 1) % stride:
-                rows[kept] = x
+                rows[kept] = Y[end - 1] if end else x
                 indices[kept] = k - 1
                 kept += 1
             return indices[:kept], rows[:kept], k
-        x, y = y, x
-        if k == keep_at:
-            rows[kept] = x
-            kept += 1
-            keep_at = min(keep_at + stride, last)
+        x = Y[-1]
     return indices, rows, None
 
 
@@ -192,12 +226,14 @@ def _iterate(cl, step_matrix, x0, points, h):
     if x0.shape[0] != qn:
         raise DimensionMismatch(f"x0 has length {x0.shape[0]}, expected {qn}")
     cap_sq = (BOUND_CAP_FACTOR * max(np.linalg.norm(x0), 1e-300)) ** 2
-    indices, rows, k = _step(step_matrix, x0, points, cap_sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _power_table(step_matrix)
+        indices, rows, k = _step(table, x0, points, cap_sq)
+        if k is not None and _stride(k) != _stride(points):
+            # the same products again, so the same states, kept at the shorter stride
+            indices, rows, _ = _step(table, x0, k, cap_sq)
     if k is None:
         return _trace(cl, indices * h, rows, bounded=True)
-    if _stride(k) != _stride(points):
-        # the same products again, so the same states, kept at the shorter stride
-        indices, rows, _ = _step(step_matrix, x0, k, cap_sq)
     trace = _trace(cl, indices * h, rows, bounded=False)
     raise Diverged(f"state norm exceeded the divergence cap at t = {k * h:g}", trace)
 
@@ -205,9 +241,9 @@ def _iterate(cl, step_matrix, x0, points, h):
 def rk4_step_matrix(system_matrix: np.ndarray, h: float) -> np.ndarray:
     """I + h Psi + ... + (h Psi)^4 / 24, the classical RK4 update for x' = Psi x."""
     n = system_matrix.shape[0]
-    R = np.eye(n)
     hA = h * system_matrix
-    for k in (4, 3, 2, 1):
+    R = np.eye(n) + hA / 4
+    for k in (3, 2, 1):
         R = np.eye(n) + (hA / k) @ R
     return R
 
@@ -236,14 +272,16 @@ def rho_sweep(spec: ArraySpec, P: np.ndarray, alphas):
     -inf for a single agent.  Returns [(alpha, rho), ...] in input order.
     """
     P = np.asarray(P, dtype=float)
-    V = np.kron(sync_complement_basis(spec.q), np.eye(spec.n))
+    q, n = spec.q, spec.n
+    V = np.kron(sync_complement_basis(q), np.eye(n))
+    # Psi(alpha) = I (x) A - alpha L_W with W_ij = P^-1 C_ij' C_ij, so its
+    # quotient is one fixed matrix minus alpha times another
+    drift = V.T @ np.kron(np.eye(q), spec.A) @ V
+    weights = {e: np.linalg.solve(P, C.T) @ C for e, C in spec.C.items()}
+    coupling = V.T @ assemble_block_laplacian(weights, q, n) @ V
     out = []
     for alpha in alphas:
-        gmap = {
-            e: float(alpha) * np.linalg.solve(P, C.T) for e, C in spec.C.items()
-        }
-        psi = closed_loop(spec, gmap).system_matrix
-        lam = np.linalg.eigvals(V.T @ psi @ V)
+        lam = np.linalg.eigvals(drift - float(alpha) * coupling)
         out.append((float(alpha), float(np.max(lam.real, initial=-np.inf))))
     return out
 

@@ -6,6 +6,15 @@ from scipy.optimize import linear_sum_assignment
 from matsync import ArraySpec, pbh_detectable
 
 
+TRACE_RTOL = 1e-11  # simulated states, times ||x_row||_2, against another computation
+
+
+def row_deviation(got, want):
+    """max over rows of max |got - want| / ||want_row||_2."""
+    got, want = np.atleast_2d(got), np.atleast_2d(want)
+    return float(np.max(np.abs(got - want).max(axis=1) / np.linalg.norm(want, axis=1)))
+
+
 def random_orthogonal(rng, n):
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return Q

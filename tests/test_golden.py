@@ -1,15 +1,22 @@
 """Regression gate on CLI outputs.
 
-``tests/golden/simulate.json`` and ``tests/golden/commands.json`` hold the
-exit code, byte count and sha256 digest of each `simulate` case below, and
-of each `check`, `gains` and refused `sweep` case with its stderr text;
-these outputs must stay byte-identical.  ``tests/golden/sweep.json`` holds the
-parsed ``alpha rho`` rows of each `sweep` case.  A sweep is compared with a
-tolerance, because rho comes from an eigensolve whose last bits move with
-any change to the reduction: alphas must be equal, each rho within
-``SWEEP_RTOL * max(1, ||Psi(alpha)||_2)``, and the summary line must name
-the smallest printed row.  Regenerate a file only for a change that alters
-its output on purpose, and say so in CHANGES.md:
+``tests/golden/commands.json`` holds the exit code, byte count, sha256
+digest and stderr text of each `check`, `gains` and refused `sweep` case
+below; these outputs must stay byte-identical.
+
+``tests/golden/simulate.json`` holds each `simulate` case as a parsed trace,
+and ``tests/golden/sweep.json`` the parsed ``alpha rho`` rows of each `sweep`
+case.  Both are compared with a tolerance, because their numbers come from
+floating-point work whose last bits move with any change to its order.
+
+A trace must keep its exit code, row count, header, time column, initial
+state and verdict line exactly.  Its values are compared on TRACE_SAMPLES + 1
+evenly spread rows, the first and the last among them: states and
+sync_error within ``TRACE_RTOL * ||x_row||``, disagreement within
+``TRACE_RTOL * ||x_row||^2``.  A sweep must keep its alphas, each rho within
+``SWEEP_RTOL * max(1, ||Psi(alpha)||_2)``, and a summary line naming the
+smallest printed row.  Regenerate a file only for a change that alters its
+output on purpose, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -24,7 +31,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from conftest import sweep_gains
+from conftest import TRACE_RTOL, sweep_gains
 from matsync import closed_loop, find_common_P, verify_cl_detectability
 from matsync.cli import main
 from matsync.specdoc import parse_spec_document
@@ -34,6 +41,7 @@ GOLDEN = os.path.join(GOLDEN_DIR, "simulate.json")
 COMMANDS_GOLDEN = os.path.join(GOLDEN_DIR, "commands.json")
 SWEEP_GOLDEN = os.path.join(GOLDEN_DIR, "sweep.json")
 SWEEP_RTOL = 1e-11
+TRACE_SAMPLES = 64  # intervals between the sampled rows of a trace
 
 # x+ = 1.00015 x on the sync subspace: passes the divergence cap after ~1.2e5
 # steps, past the row cap, where the kept-row stride of the truncated run (2)
@@ -215,6 +223,35 @@ def record(rc, data):
     return {"exit": rc, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
 
+def sampled_rows(rows):
+    """TRACE_SAMPLES + 1 row indices spread evenly from the first row to the last."""
+    return sorted({round(i * (rows - 1) / TRACE_SAMPLES) for i in range(TRACE_SAMPLES + 1)})
+
+
+def trace_record(rc, data):
+    """The parts of a `simulate` output that the trace gate compares."""
+    header, *body, verdict = data.decode().splitlines()
+    times = "\n".join(line.split(",", 1)[0] for line in body)
+    return {
+        "exit": rc, "rows": len(body), "header": header,
+        "x0": body[0].rsplit(",", 2)[0],  # time and state of the first row
+        "verdict": verdict,
+        "times_sha256": hashlib.sha256(times.encode()).hexdigest(),
+        "sample": [body[i] for i in sampled_rows(len(body))],
+    }
+
+
+def assert_rows_close(got, want):
+    """Compare CSV rows t, x..., sync_error, disagreement within TRACE_RTOL."""
+    got = np.array([[float(v) for v in line.split(",")] for line in got])
+    want = np.array([[float(v) for v in line.split(",")] for line in want])
+    assert np.array_equal(got[:, 0], want[:, 0])
+    norm = np.linalg.norm(want[:, 1:-2], axis=1)
+    dev = np.abs(got - want)
+    assert (dev[:, 1:-1].max(axis=1) <= TRACE_RTOL * norm).all()
+    assert (dev[:, -1] <= TRACE_RTOL * norm**2).all()
+
+
 def load(path, name):
     with open(path) as fh:
         return json.load(fh)[name]
@@ -222,7 +259,11 @@ def load(path, name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_simulate_output_matches_golden(name, tmp_path):
-    assert record(*produce(name, str(tmp_path))) == load(GOLDEN, name)
+    want = load(GOLDEN, name)
+    got = trace_record(*produce(name, str(tmp_path)))
+    exact = ("exit", "rows", "header", "x0", "verdict", "times_sha256")
+    assert {k: got[k] for k in exact} == {k: want[k] for k in exact}
+    assert_rows_close(got["sample"], want["sample"])
 
 
 @pytest.mark.parametrize("name", sorted(COMMAND_CASES))
@@ -254,7 +295,7 @@ def regenerate(path, produce_one, names):
 
 
 if __name__ == "__main__":
-    regenerate(GOLDEN, lambda name, d: record(*produce(name, d)), CASES)
+    regenerate(GOLDEN, lambda name, d: trace_record(*produce(name, d)), CASES)
     regenerate(COMMANDS_GOLDEN, produce_command, COMMAND_CASES)
     regenerate(SWEEP_GOLDEN, produce_sweep, SWEEP_CASES)
     print(f"wrote {GOLDEN}, {COMMANDS_GOLDEN} and {SWEEP_GOLDEN}")

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    TRACE_RTOL,
     off_sync_eigenvalues,
     random_complete_cl_spec,
     random_neutrally_stable,
+    random_orthogonal,
     random_symmetric_spec,
+    row_deviation,
     spectrum_partition_gap,
     sweep_gains,
 )
@@ -227,12 +230,39 @@ def slow_ramp_loop(epsilon=0.5):
     return closed_loop(spec, natural_gains(spec), epsilon=epsilon)
 
 
-def kept_indices(points):
-    stride = -(-points // MAX_TRACE_ROWS)
+def kept_indices(points, max_rows=MAX_TRACE_ROWS):
+    stride = -(-points // max_rows)
     idx = list(range(0, points, stride))
     if idx[-1] != points - 1:
         idx.append(points - 1)
     return idx
+
+
+def scaled_rotation_loop(rng, qn, growth):
+    """x+ = growth * O x with O random orthogonal: ||x_k|| = growth^k ||x_0||."""
+    M = growth * random_orthogonal(rng, qn)
+    spec = ArraySpec(q=1, n=qn, A=M, C={}, time_domain="discrete")
+    return closed_loop(spec, {})
+
+
+def reference_run(M, x0, points):
+    """Every state of x <- M x, one product per step, and the first index past the cap."""
+    cap_sq = (BOUND_CAP_FACTOR * np.linalg.norm(x0)) ** 2
+    states, x = [x0], x0
+    for k in range(1, points):
+        x = M @ x
+        if not (x @ x <= cap_sq):
+            return np.array(states), k
+        states.append(x)
+    return np.array(states), None
+
+
+def run_dt(cl, x0, K):
+    """The trace of simulate_dt, whether it returns or raises Diverged."""
+    try:
+        return simulate_dt(cl, x0, K=K)
+    except Diverged as exc:
+        return exc.trace
 
 
 class TestKeptRows:
@@ -243,22 +273,14 @@ class TestKeptRows:
         with pytest.raises(Diverged) as exc:
             simulate_dt(cl, x0, K=K)
         trace = exc.value.trace
-        # reference: every state x <- M x before the first one past the cap
-        M = cl.system_matrix
-        cap_sq = (BOUND_CAP_FACTOR * np.linalg.norm(x0)) ** 2
-        states, x = [x0], x0
-        while True:
-            x = M @ x
-            if not np.isfinite(x).all() or x @ x > cap_sq:
-                break
-            states.append(x)
-        k = len(states)
-        assert MAX_TRACE_ROWS < k < K + 1
+        states, k = reference_run(cl.system_matrix, x0, K + 1)
+        assert k is not None and MAX_TRACE_ROWS < k < K + 1
         idx = kept_indices(k)
         assert idx[1] != kept_indices(K + 1)[1]  # the truncated run has its own stride
         assert not trace.bounded
         assert np.array_equal(trace.times, np.array(idx, dtype=float))
-        assert np.array_equal(trace.states, np.array(states)[idx])
+        # consecutive states differ by >= 1.5e-4 relative, so a shifted row fails
+        assert row_deviation(trace.states, states[idx]) <= TRACE_RTOL
 
     def test_long_run_keeps_bounded_rows_ending_in_final_state(self):
         th = 0.7
@@ -277,7 +299,7 @@ class TestKeptRows:
         assert len(trace.times) <= MAX_TRACE_ROWS + 1
         assert np.array_equal(trace.times, np.array(kept_indices(K + 1), dtype=float))
         assert np.array_equal(trace.states[0], x0)
-        assert np.array_equal(trace.states[-1], x)
+        assert row_deviation(trace.states[-1], x) <= TRACE_RTOL
 
     @pytest.mark.parametrize("block_cells", [simulation.METRIC_BLOCK_CELLS, 40])
     def test_metrics_equal_pairwise_loop(self, rng, monkeypatch, block_cells):
@@ -291,9 +313,87 @@ class TestKeptRows:
             for j in range(i + 1, 6):
                 sync = np.maximum(sync, np.linalg.norm(X[:, i] - X[:, j], axis=1))
         assert np.array_equal(trace.sync_error, sync)
-        assert np.array_equal(
-            trace.disagreement, np.einsum("sik,ij,sjk->s", X, cl.gamma, X)
+        dis = np.einsum("sik,ij,sjk->s", X, cl.gamma, X)
+        assert np.all(
+            np.abs(trace.disagreement - dis)
+            <= 1e-12 * np.linalg.norm(trace.states, axis=1) ** 2
         )
+
+
+class TestChunkedStepper:
+    """Chunks of B states from [R; ...; R^B] @ x against a one-product-per-step loop.
+
+    POWER_TABLE_CELLS sets B = cells // qn^2 and MAX_TRACE_ROWS the stride, so
+    small values put chunk edges and kept-row strides inside short runs.
+    """
+
+    @given(
+        seed=st.integers(0, 2**32 - 1), qn=st.integers(1, 5), B=st.integers(3, 8),
+        extra=st.sampled_from([-1, 0, 1, None]), max_rows=st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bounded_horizons_around_chunk_length(self, seed, qn, B, extra, max_rows):
+        # horizons of B-1, B, B+1 and 2B+1 states
+        points = 2 * B + 1 if extra is None else B + extra
+        rng = np.random.default_rng(seed)
+        cl = scaled_rotation_loop(rng, qn, rng.uniform(0.9, 1.0))
+        x0 = rng.standard_normal(qn)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "POWER_TABLE_CELLS", B * qn * qn)
+            mp.setattr(simulation, "MAX_TRACE_ROWS", max_rows)
+            trace = run_dt(cl, x0, points - 1)
+        states, k = reference_run(cl.system_matrix, x0, points)
+        assert k is None and trace.bounded
+        idx = kept_indices(points, max_rows)
+        assert np.array_equal(trace.times, np.array(idx, dtype=float))
+        assert np.array_equal(trace.states[0], x0)
+        assert row_deviation(trace.states, states[idx]) <= TRACE_RTOL
+
+    @given(
+        seed=st.integers(0, 2**32 - 1), qn=st.integers(1, 5), B=st.integers(3, 8),
+        chunks=st.integers(0, 3), row=st.sampled_from(["first", "middle", "last"]),
+        after=st.integers(0, 10), max_rows=st.integers(1, 6),
+    )
+    # state k-1 is not on the stride, so it is kept on its own: from the
+    # chunk (k = 5) and from the state the chunk started at (k = 10)
+    @example(seed=0, qn=2, B=3, chunks=1, row="middle", after=0, max_rows=2)
+    @example(seed=0, qn=2, B=3, chunks=3, row="first", after=0, max_rows=6)
+    @settings(max_examples=60, deadline=None)
+    def test_crossing_on_any_row_of_a_chunk(
+        self, seed, qn, B, chunks, row, after, max_rows
+    ):
+        # state k sits on row (k - 1) % B of its chunk
+        k = chunks * B + {"first": 0, "middle": B // 2, "last": B - 1}[row] + 1
+        rng = np.random.default_rng(seed)
+        # ||x_k|| / ||x_0|| = 10^(8k / (k - 1/2)): the cap 1e8 is first passed at k
+        cl = scaled_rotation_loop(rng, qn, 10.0 ** (8.0 / (k - 0.5)))
+        x0 = rng.standard_normal(qn)
+        points = k + 1 + after
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "POWER_TABLE_CELLS", B * qn * qn)
+            mp.setattr(simulation, "MAX_TRACE_ROWS", max_rows)
+            trace = run_dt(cl, x0, points - 1)
+        states, k_ref = reference_run(cl.system_matrix, x0, points)
+        assert k_ref == k and not trace.bounded
+        # the rows the stride of k points keeps among states 0..k-1
+        idx = kept_indices(k, max_rows)
+        assert np.array_equal(trace.times, np.array(idx, dtype=float))
+        assert row_deviation(trace.states, states[idx]) <= TRACE_RTOL
+
+    @pytest.mark.parametrize("x0", [[0.0, 1.0], [1.0, 1.0]])
+    def test_overflowing_powers_stay_out_of_the_table(self, x0):
+        # 3^647 overflows, so [R; ...; R^B] at B = 2^16 / 4 would hold inf, and
+        # inf * 0 = nan would end a run that never leaves the stable axis
+        spec = ArraySpec(q=1, n=2, A=np.diag([3.0, 0.9]), C={}, time_domain="discrete")
+        cl = closed_loop(spec, {})
+        x0 = np.array(x0)
+        K = 1000
+        trace = run_dt(cl, x0, K)
+        states, k = reference_run(cl.system_matrix, x0, K + 1)
+        assert trace.bounded == (k is None)
+        idx = kept_indices(K + 1 if k is None else k)
+        assert np.array_equal(trace.times, np.array(idx, dtype=float))
+        assert row_deviation(trace.states, states[idx]) <= TRACE_RTOL
 
 
 class TestVerdicts:
@@ -484,6 +584,25 @@ class TestAsymptoticAnchor:
         nominal_end = sla.expm(A_nom * T_end) @ v
         err = np.linalg.norm(xi[-1] - nominal_end)
         assert err <= 1e-4 * np.linalg.norm(xi[0])
+
+
+def rk4_horner_from_identity(psi, h):
+    """The Horner form of the RK4 polynomial with its first product against I."""
+    n = psi.shape[0]
+    R = np.eye(n)
+    for k in (4, 3, 2, 1):
+        R = np.eye(n) + (h * psi / k) @ R
+    return R
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_rk4_step_matrix_equals_horner_from_identity(name, rng):
+    spec = builtin_example(name).spec
+    psis = [closed_loop(spec, natural_gains(spec)).system_matrix]
+    psis += [rng.standard_normal((m, m)) for m in (1, 2, 5, 12)]
+    for psi in psis:
+        for h in (1e-3, 0.1, 2.0):
+            assert np.array_equal(rk4_step_matrix(psi, h), rk4_horner_from_identity(psi, h))
 
 
 def test_rk4_step_matrix_is_degree_four_taylor():
