@@ -8,6 +8,7 @@ tolerance and the strict-inequality margin of the feasibility checks.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -40,7 +41,15 @@ EXIT_IO = 1
 EXIT_HYPOTHESIS = 2
 EXIT_DIVERGED = 3
 
-CSV_CHUNK_CELLS = 16_384  # cells formatted per write of a trace
+# cells formatted per write of a trace; _format_rows takes 32 bytes a cell in
+# its largest array, so each array of a chunk stays under glibc's 128 KiB mmap
+# threshold and comes from the heap instead of freshly mapped pages
+CSV_CHUNK_CELLS = 3072
+FREXP_MIN, FREXP_MAX = -1073, 1024  # frexp exponents of finite nonzero doubles
+# one trace cell of _format_rows in 32 bytes: sign, first digit, '.', 16 digits
+# (words 1-4), 'e', exponent sign, 4 exponent digits (word 6), separator
+CELL = b" -0.0000000000000000e+  0000,   "
+KEEP = b"  ####################    ###   "
 
 
 # float options: name -> whether it must also be > 0
@@ -112,43 +121,34 @@ def _bool(b):
     return "true" if b else "false"
 
 
+# bundled builder examples: name -> (builder, its parameters)
+BUILDER_EXAMPLES = {
+    "mass_spring_demo": ("mass_spring", builders.MASS_SPRING_DEMO),
+    "lc_demo": ("lc", builders.LC_DEMO),
+}
+
+
 def cmd_example(args):
     ex = builders.builtin_example(args.name)
-    if ex.name == "mass_spring_demo":
-        p = builders.MASS_SPRING_DEMO
-        lines = [
-            f"# {ex.description}",
-            f"q {p['q']}",
-            f"time_domain {CONTINUOUS}",
-            "builder mass_spring",
-            "masses " + " ".join(_fmt(v) for v in p["masses"]),
-            "springs " + " ".join(_fmt(v) for v in p["springs"]),
-        ]
-        for (i, j), vals in sorted(p["damping"].items()):
-            lines.append(
-                f"coupling {i + 1} {j + 1} " + " ".join(_fmt(v) for v in vals)
-            )
-        lines.append("variant transformed")
-        _write(args.out, "\n".join(lines) + "\n")
-    elif ex.name == "lc_demo":
-        p = builders.LC_DEMO
-        lines = [
-            f"# {ex.description}",
-            f"q {p['q']}",
-            f"time_domain {CONTINUOUS}",
-            "builder lc",
-            "capacitances " + " ".join(_fmt(v) for v in p["capacitances"]),
-            "inductances " + " ".join(_fmt(v) for v in p["inductances"]),
-        ]
-        for (i, j), vals in sorted(p["conductances"].items()):
-            lines.append(
-                f"coupling {i + 1} {j + 1} " + " ".join(_fmt(v) for v in vals)
-            )
-        lines.append("variant transformed")
-        _write(args.out, "\n".join(lines) + "\n")
-    else:
+    if ex.name not in BUILDER_EXAMPLES:
         doc = specdoc.SpecDocument(spec=ex.spec, P=ex.P)
         _write(args.out, serialize_with_comment(doc, ex.description))
+        return EXIT_OK
+    builder, params = BUILDER_EXAMPLES[ex.name]
+    lines = [
+        f"# {ex.description}",
+        f"q {params['q']}",
+        f"time_domain {CONTINUOUS}",
+        f"builder {builder}",
+    ]
+    for key, value in params.items():
+        if isinstance(value, dict):  # edge -> coupling values
+            for (i, j), vals in sorted(value.items()):
+                lines.append(f"coupling {i + 1} {j + 1} " + " ".join(_fmt(v) for v in vals))
+        elif key != "q":
+            lines.append(f"{key} " + " ".join(_fmt(v) for v in value))
+    lines.append("variant transformed")
+    _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -299,21 +299,131 @@ def cmd_gains(args):
     return EXIT_OK
 
 
+def _double_double(num, den):
+    """(hi, lo): the double nearest num/den, and the double nearest the rest.
+
+    Python's int / int is correctly rounded, so both are exact to half an ulp.
+    """
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
+
+
+def _veltkamp(a):
+    """a = high + low, each with at most 26 significant bits (Dekker's split)."""
+    c = a * 134217729.0  # 2^27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+@functools.cache
+def _format_tables():
+    """The tables of _format_rows, built on the first trace written, never at import.
+
+    Returns (digits4, p0, scales).  digits4[v] is the four ASCII digits of
+    v < 10^4 as one uint32.  Column e - FREXP_MIN of p0 and scales belongs
+    to frexp exponent e: a finite |x| = f 2^e, 0.5 <= f < 1, has decimal
+    exponent p = p0 or p0 + 1, where p0 = floor(log10 2^(e-1)), and
+    scales[p - p0] holds hi, hi_high, hi_low, lo: the scale 2^e 10^(16-p) as
+    the double-double hi + lo, with hi = hi_high + hi_low its Veltkamp split.
+    """
+    digits4 = np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+    exps = np.arange(FREXP_MIN, FREXP_MAX + 1)
+    # exact: no nonzero (e - 1) log10(2) in this range lies within 1e-4 of an
+    # integer (tests check p0 in integer arithmetic)
+    p0 = np.floor((exps - 1) * np.log10(2.0)).astype(np.int64)
+    hi = np.empty((2, len(exps)))
+    lo = np.empty((2, len(exps)))
+    for i, (e, p) in enumerate(zip(exps.tolist(), p0.tolist())):
+        for up in (0, 1):
+            k = 16 - p - up  # the scale 2^e 10^k is num / den
+            num = 10 ** max(k, 0) << max(e, 0)
+            den = 10 ** max(-k, 0) << max(-e, 0)
+            hi[up, i], lo[up, i] = _double_double(num, den)
+    scales = np.stack((hi, *_veltkamp(hi), lo), axis=1)
+    return digits4.astype(np.uint8).view(np.uint32).ravel(), p0, scales
+
+
+def _round_scaled(f, index, up):
+    """(N, unsure) for cells |x| = f 2^e: N = round(|x| 10^(16-p)) as int64.
+
+    `index` is e - FREXP_MIN and p = p0 + up.  Dekker's two-product gives
+    f * hi exactly as ph + pl, and ph >= 2^53 is an integer, so N = ph +
+    rint(pl + f * lo).  That low part is off by less than 2^-46, so a cell
+    whose low part lies within 2^-40 of a half is `unsure`: its rounding is
+    too close to call this way.
+    """
+    hi, hi_high, hi_low, lo = _format_tables()[2][up].take(index, axis=1)
+    f_high, f_low = _veltkamp(f)
+    ph = f * hi
+    pl = ((f_high * hi_high - ph) + f_high * hi_low + f_low * hi_high) + f_low * hi_low
+    low = pl + f * lo
+    r = np.rint(low)
+    unsure = np.abs(np.abs(low - r) - 0.5) < 2.0**-40
+    return ph.astype(np.int64) + r.astype(np.int64), unsure
+
+
+def _format_rows(block):
+    """The rows of a 2-D float block as CSV lines, each cell exactly '%.16e' % x.
+
+    A cell is an optional '-', 17 significant digits and e+dd, or e+ddd when
+    the decimal exponent needs three digits; float() of it is the same
+    double, bit for bit.  The digits come from N = round(|x| 10^(16-p)) in
+    double-double arithmetic.  The few cells whose rounding that cannot
+    decide, exact decimal ties among them, take N and p from Python's '%.16e'.
+    """
+    x = block.ravel()
+    if not np.isfinite(x).all():
+        raise ValueError("a trace cell is not finite")
+    digits4, p0 = _format_tables()[:2]
+    f, e = np.frexp(np.abs(x))
+    index = e - FREXP_MIN
+    n, unsure = _round_scaled(f, index, 0)
+    up = np.flatnonzero(n >= 10**17)  # |x| >= 10^(p0+1), or it rounds up to that
+    n[up], unsure_up = _round_scaled(f[up], index[up], 1)
+    unsure[up] |= unsure_up  # an unsure first round may have chosen p wrongly
+    p = p0.take(index)
+    p[up] += 1
+    p[x == 0] = 0
+    for i in np.flatnonzero(unsure):
+        digits, exponent = ("%.16e" % abs(x[i])).split("e")
+        n[i], p[i] = int(digits.replace(".", "")), int(exponent)
+
+    # every cell starts as CELL and is filled in; KEEP marks the bytes always
+    # printed, and the sign and the exponent's hundreds digit are added per cell
+    words = np.empty((len(x), 8), dtype=np.uint32)
+    words[:] = np.frombuffer(CELL, dtype=np.uint32)
+    cells = words.view(np.uint8)
+    lead, rest = np.divmod(n, 10**16)
+    for word, half in zip((1, 3), np.divmod(rest, 10**8)):
+        high, low = np.divmod(half.astype(np.int32), 10**4)
+        words[:, word] = digits4.take(high)
+        words[:, word + 1] = digits4.take(low)
+    words[:, 6] = digits4.take(np.abs(p))
+    cells[:, 2] += lead.astype(np.uint8)
+    cells[:, 21] = np.where(p < 0, ord("-"), ord("+"))
+    cells[block.shape[1] - 1::block.shape[1], 28] = ord("\n")
+    keep = np.empty(cells.shape, dtype=bool)
+    keep[:] = np.frombuffer(KEEP, dtype=np.uint8) == ord("#")
+    keep[:, 1] = np.signbit(x)
+    keep[:, 25] = np.abs(p) >= 100
+    return cells[keep].tobytes().decode("ascii")
+
+
 def _trace_csv(trace, verdict):
     """The trace as CSV text in chunks of about CSV_CHUNK_CELLS cells.
 
-    Every kept row of the trace is printed; a cell is repr of the float,
-    as _fmt writes it.
+    Every kept row of the trace is printed; a cell is '%.16e' % x (see
+    _format_rows), which parses back to the same double.
     """
     qn = trace.states.shape[1]
     yield "t," + ",".join(f"x_{k + 1}" for k in range(qn)) + ",sync_error,disagreement\n"
     step = max(1, CSV_CHUNK_CELLS // (qn + 3))
     for a in range(0, len(trace.times), step):
-        block = np.column_stack((
+        yield _format_rows(np.column_stack((
             trace.times[a:a + step], trace.states[a:a + step],
             trace.sync_error[a:a + step], trace.disagreement[a:a + step],
-        ))
-        yield "".join([",".join(map(repr, row)) + "\n" for row in block.tolist()])
+        )))
     yield f"# verdict {verdict}\n"
 
 
@@ -325,19 +435,28 @@ def cmd_simulate(args):
         raise SpecParseError(
             f"gains are for q={gdoc.q}, n={gdoc.n}; spec has q={spec.q}, n={spec.n}"
         )
+    if args.seed < 0:
+        raise SpecParseError(f"--seed must be >= 0, got {args.seed}")
+    ct = spec.time_domain == CONTINUOUS
+    if ct and args.horizon < args.step:
+        raise SpecParseError(
+            f"--horizon {args.horizon!r} is shorter than --step {args.step!r}"
+        )
+    steps = args.horizon / args.step if ct else max(1, round(args.horizon))
+    if steps > simulation.MAX_STEPS:
+        raise SpecParseError(
+            f"--horizon {args.horizon!r} needs {steps:.3g} steps; "
+            f"at most {simulation.MAX_STEPS} fit"
+        )
     epsilon = args.epsilon if args.epsilon is not None else gdoc.epsilon
     cl = simulation.closed_loop(spec, gdoc.gain_set, epsilon=epsilon)
     rng = np.random.default_rng(args.seed)
     x0 = rng.standard_normal(spec.q * spec.n)
-    if spec.time_domain == CONTINUOUS and args.horizon < args.step:
-        raise SpecParseError(
-            f"--horizon {args.horizon!r} is shorter than --step {args.step!r}"
-        )
     try:
-        if spec.time_domain == CONTINUOUS:
+        if ct:
             trace = simulation.simulate_ct(cl, x0, T=args.horizon, h=args.step)
         else:
-            trace = simulation.simulate_dt(cl, x0, K=max(1, int(round(args.horizon))))
+            trace = simulation.simulate_dt(cl, x0, K=steps)
     except Diverged as e:
         _write(args.out, _trace_csv(e.trace, "diverged"))
         return EXIT_DIVERGED

@@ -39,6 +39,7 @@ DIVERGED_RATIO = 10.0
 SYNC_ABS_FLOOR = 1e-9   # times ||x0||; absolute convergence for sync starts
 BOUND_CAP_FACTOR = 1e8  # times ||x0||
 MAX_TRACE_ROWS = 100_000  # a trace keeps at most this many rows, plus the last state
+MAX_STEPS = 2**63 - 2  # steps of one run, so its steps + 1 state indices fit in int64
 METRIC_BLOCK_CELLS = 1 << 18
 POWER_TABLE_CELLS = 1 << 16  # floats in the stacked step-matrix powers, unless R is larger
 
@@ -252,14 +253,16 @@ def simulate_ct(cl: ClosedLoop, x0, T: float = 100.0, h: float = 1e-3) -> SimTra
     """Fixed-step RK4 integration of the continuous-time closed loop."""
     if h <= 0.0 or T < h:
         raise ValueError(f"need 0 < h <= T, got h={h}, T={T}")
+    if not T / h <= MAX_STEPS:
+        raise ValueError(f"need T / h <= {MAX_STEPS}, got {T / h}")
     steps = int(round(T / h))
     return _iterate(cl, rk4_step_matrix(cl.system_matrix, h), x0, steps + 1, h)
 
 
 def simulate_dt(cl: ClosedLoop, x0, K: int) -> SimTrace:
     """Exact iteration x(k+1) = M x(k) of the discrete-time closed loop."""
-    if K < 1:
-        raise ValueError(f"need K >= 1, got {K}")
+    if not 1 <= K <= MAX_STEPS:
+        raise ValueError(f"need 1 <= K <= {MAX_STEPS}, got {K}")
     return _iterate(cl, cl.system_matrix, x0, K + 1, 1.0)
 
 

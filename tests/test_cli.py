@@ -3,9 +3,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import off_sync_eigenvalues, spectrum_partition_gap, sweep_gains
-from matsync import closed_loop, find_common_P
+from matsync import Diverged, closed_loop, find_common_P, simulate_ct, simulate_dt
+from matsync import cli
 from matsync.cli import main
 from matsync.specdoc import parse_gains_document, parse_spec_document
 
@@ -114,13 +118,7 @@ class TestGains:
 
     def test_alg2_includes_eps_bar(self, tmp_path):
         spec = tmp_path / "rot.spec"
-        th = 0.7
-        c, s = float(np.cos(th)), float(np.sin(th))
-        spec.write_text(
-            "q 2\nn 2\ntime_domain discrete\nA\n"
-            f"{c!r} {-s!r}\n{s!r} {c!r}\n"
-            "edge 1 2\n1.0 0.0\n0.0 1.0\nedge 2 1\n1.0 0.0\n0.0 1.0\n"
-        )
+        spec.write_text(rotation_spec_text())
         out = tmp_path / "g.gains"
         assert run("gains", "--spec", str(spec), "--recipe", "alg2", "--out", str(out)) == 0
         doc = parse_gains_document(read(out))
@@ -141,6 +139,131 @@ class TestGains:
                 "--out", str(out))
             == 0
         )
+
+
+def rotation_spec_text(th=0.7):
+    c, s = float(np.cos(th)), float(np.sin(th))
+    return (
+        "q 2\nn 2\ntime_domain discrete\nA\n"
+        f"{c!r} {-s!r}\n{s!r} {c!r}\n"
+        "edge 1 2\n1.0 0.0\n0.0 1.0\nedge 2 1\n1.0 0.0\n0.0 1.0\n"
+    )
+
+
+def reference_rows(block):
+    return "".join(",".join("%.16e" % v for v in row) + "\n" for row in block.tolist())
+
+
+def trace_block(trace):
+    return np.column_stack((trace.times, trace.states, trace.sync_error, trace.disagreement))
+
+
+class TestTraceFormat:
+    @given(arrays(
+        np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_cells_are_percent_16e(self, block):
+        text = cli._format_rows(block)
+        assert text == reference_rows(block)
+        cells = [float(c) for line in text.splitlines() for c in line.split(",")]
+        assert np.array_equal(np.array(cells).view(np.uint64), block.ravel().view(np.uint64))
+
+    @pytest.mark.parametrize("x", [
+        0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e17, 9.999999999999999e16,
+        1 + 2**-17, 3 * 2**-24,  # exact decimal ties at the 18th digit
+        2.2250738585072014e-308, 1e-100, 9.999999999999999e-100, 1e22, 0.1,
+    ])
+    def test_edge_values(self, x):
+        block = np.array([[x, -x], [-x, x]])
+        assert cli._format_rows(block) == reference_rows(block)
+        assert [float(c) for c in cli._format_rows(block[:1, :1]).split(",")] == [x]
+
+    def test_near_ties(self):
+        # x = M 2^-(k+s) with M 5^k = 2^(s-1) +- 1 (mod 2^s), so x 10^k lies 2^-s
+        # from a half-integer: for s past ~48 closer than the double-double
+        # resolves, so these cells must take the exact path
+        values = []
+        for s in range(41, 53):
+            for k in range(10, 30):
+                inverse = pow(5**k, -1, 2**s)
+                for d in (-1, 1):
+                    M = (2 ** (s - 1) + d) * inverse % 2**s
+                    M += -(-(2**52 - M) // 2**s) * 2**s  # into [2^52, 2^52 + 2^s)
+                    if M < 2**53:
+                        values.append(M * 2.0 ** -(k + s))
+        block = np.array([values, [-v for v in values]])
+        assert cli._format_rows(block) == reference_rows(block)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_raises(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            cli._format_rows(np.array([[1.0, bad]]))
+
+    def test_decimal_exponent_table_is_exact(self):
+        p0 = cli._format_tables()[1]
+        for e, p in zip(range(cli.FREXP_MIN, cli.FREXP_MAX + 1), p0.tolist()):
+            # 10^p <= 2^(e-1) < 10^(p+1), in integers
+            assert 10 ** max(p, 0) << max(1 - e, 0) <= 10 ** max(-p, 0) << max(e - 1, 0)
+            assert 10 ** max(p + 1, 0) << max(1 - e, 0) > 10 ** max(-p - 1, 0) << max(e - 1, 0)
+
+    def test_tables_are_not_built_at_import(self):
+        code = "import matsync.cli as c; print(c._format_tables.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout.strip() == "0", proc.stderr
+
+    def test_chunks_write_the_bytes_of_one_call(self, monkeypatch):
+        spec = parse_spec_document(rotation_spec_text()).spec
+        cl = closed_loop(spec, parse_gains_document(
+            "recipe manual\nq 2\nn 2\nepsilon 0.25\ngain 1 2\n1.0 0.0\n0.0 1.0\n"
+            "gain 2 1\n1.0 0.0\n0.0 1.0\n"
+        ).gain_set, epsilon=0.25)
+        trace = simulate_dt(cl, np.random.default_rng(1).standard_normal(4), K=100)
+        monkeypatch.setattr(cli, "CSV_CHUNK_CELLS", 50)  # 7 rows of 7 cells per chunk
+        chunks = list(cli._trace_csv(trace, "converged"))
+        assert len(chunks) == 2 + 15
+        assert "".join(chunks[1:-1]) == cli._format_rows(trace_block(trace))
+
+
+# name -> (bundled example or spec text, gains argv, simulate argv, exit code)
+EXACT_CASES = {
+    "ct": ("mass_spring_demo", ["--recipe", "alg1"],
+           ["--seed", "3", "--horizon", "20", "--step", "0.01"], 0),
+    "dt": (rotation_spec_text(), ["--recipe", "alg2"], ["--seed", "4", "--horizon", "300"], 0),
+    "diverged": ("counterexample_asym", ["--recipe", "alg1", "--force"],
+                 ["--seed", "0", "--horizon", "10", "--step", "1e-3"], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CASES))
+def test_csv_holds_the_trace_exactly(name, tmp_path):
+    spec_src, gains_argv, sim_argv, want_rc = EXACT_CASES[name]
+    spec_path, gains_path, out = (tmp_path / f for f in ("s.spec", "g.gains", "t.csv"))
+    if "\n" in spec_src:
+        spec_path.write_text(spec_src)
+    else:
+        assert run("example", spec_src, "--out", str(spec_path)) == 0
+    assert run("gains", "--spec", str(spec_path), *gains_argv, "--out", str(gains_path)) == 0
+    rc = run("simulate", "--spec", str(spec_path), "--gains", str(gains_path), *sim_argv,
+             "--out", str(out))
+    assert rc == want_rc
+    table = np.array([[float(v) for v in line.split(",")] for line in read(out).splitlines()[1:-1]])
+
+    # the same call in memory
+    spec = parse_spec_document(read(spec_path)).spec
+    gdoc = parse_gains_document(read(gains_path))
+    cl = closed_loop(spec, gdoc.gain_set, epsilon=gdoc.epsilon)
+    options = dict(zip(sim_argv[::2], sim_argv[1::2]))
+    x0 = np.random.default_rng(int(options["--seed"])).standard_normal(spec.q * spec.n)
+    try:
+        if spec.time_domain == "continuous":
+            trace = simulate_ct(cl, x0, T=float(options["--horizon"]), h=float(options["--step"]))
+        else:
+            trace = simulate_dt(cl, x0, K=int(options["--horizon"]))
+    except Diverged as e:
+        trace = e.trace
+    assert np.array_equal(table, trace_block(trace))
 
 
 class TestSimulate:
@@ -258,6 +381,9 @@ BAD_NUMBERS = [
     ("sweep", ["--alpha-max", "nan"], "--alpha-max"),
     ("sweep", ["--alpha-min", "inf"], "--alpha-min"),
     ("gains", ["--recipe", "theorem1", "--force", "--alpha", "nan"], "--alpha"),
+    ("simulate", ["--seed", "-1"], "--seed"),
+    ("simulate", ["--horizon", "100", "--step", "1e-300"], "--horizon"),
+    ("simulate", ["--horizon", "1e300", "--step", "1e-300"], "--horizon"),
 ]
 
 
@@ -276,6 +402,18 @@ def test_bad_number_option_exits_1(
     assert run(*argv, *options, "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
+    assert not out.exists()
+
+
+def test_dt_step_count_beyond_int64_exits_1(tmp_path, capsys):
+    spec, gains, out = tmp_path / "rot.spec", tmp_path / "g.gains", tmp_path / "t.csv"
+    spec.write_text(rotation_spec_text())
+    assert run("gains", "--spec", str(spec), "--recipe", "alg2", "--out", str(gains)) == 0
+    capsys.readouterr()
+    argv = ["simulate", "--spec", str(spec), "--gains", str(gains), "--out", str(out)]
+    assert run(*argv, "--horizon", "1e300") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--horizon" in err
     assert not out.exists()
 
 

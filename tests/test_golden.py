@@ -1,17 +1,18 @@
 """Regression gate on CLI outputs.
 
 ``tests/golden/commands.json`` holds the exit code, byte count, sha256
-digest and stderr text of each `check`, `gains` and refused `sweep` case
-below; these outputs must stay byte-identical.
+digest and stderr text of each `example`, `check`, `gains` and refused
+`sweep` case below; these outputs must stay byte-identical.
 
 ``tests/golden/simulate.json`` holds each `simulate` case as a parsed trace,
 and ``tests/golden/sweep.json`` the parsed ``alpha rho`` rows of each `sweep`
 case.  Both are compared with a tolerance, because their numbers come from
 floating-point work whose last bits move with any change to its order.
 
-A trace must keep its exit code, row count, header, time column, initial
-state and verdict line exactly.  Its values are compared on TRACE_SAMPLES + 1
-evenly spread rows, the first and the last among them: states and
+A trace must keep its exit code, row count, header and verdict line exactly,
+and its time column and initial state as bit-equal floats: their cell text
+may change, their parsed values may not.  Its other values are compared on
+TRACE_SAMPLES + 1 evenly spread rows, the first and the last among them: states and
 sync_error within ``TRACE_RTOL * ||x_row||``, disagreement within
 ``TRACE_RTOL * ||x_row||^2``.  A sweep must keep its alphas, each rho within
 ``SWEEP_RTOL * max(1, ||Psi(alpha)||_2)``, and a summary line naming the
@@ -92,8 +93,13 @@ CASES = {
 }
 
 
-# name -> (bundled example or spec text, command argv after --spec, MATSYNC_TOL or None)
+# name -> (bundled example or spec text, command argv after --spec, MATSYNC_TOL or
+# None); a case whose spec is None runs its argv without --spec
 COMMAND_CASES = {
+    **{
+        f"example_{ex}": (None, ["example", ex], None)
+        for ex in ("chain5", "counterexample_asym", "mass_spring_demo", "lc_demo")
+    },
     **{
         f"check_{ex}": (ex, ["check"], None)
         for ex in ("chain5", "counterexample_asym", "mass_spring_demo", "lc_demo")
@@ -187,9 +193,11 @@ def run_captured(argv, tol=None):
 
 def produce_command(name, directory):
     spec_src, argv, tol = COMMAND_CASES[name]
-    spec = os.path.join(directory, f"{name}.spec")
-    write_spec(spec_src, spec)
-    rc, data, err = run_captured([argv[0], "--spec", spec, *argv[1:]], tol)
+    if spec_src is not None:
+        spec = os.path.join(directory, f"{name}.spec")
+        write_spec(spec_src, spec)
+        argv = [argv[0], "--spec", spec, *argv[1:]]
+    rc, data, err = run_captured(argv, tol)
     return {**record(rc, data), "stderr": err}
 
 
@@ -229,14 +237,18 @@ def sampled_rows(rows):
 
 
 def trace_record(rc, data):
-    """The parts of a `simulate` output that the trace gate compares."""
+    """The parts of a `simulate` output that the trace gate compares.
+
+    The first row's time and state are kept as floats, and the time column as
+    the sha256 of its float64 bytes, so both are compared as values.
+    """
     header, *body, verdict = data.decode().splitlines()
-    times = "\n".join(line.split(",", 1)[0] for line in body)
+    times = np.array([float(line.split(",", 1)[0]) for line in body], dtype="<f8")
     return {
         "exit": rc, "rows": len(body), "header": header,
-        "x0": body[0].rsplit(",", 2)[0],  # time and state of the first row
+        "x0": [float(v) for v in body[0].split(",")[:-2]],
         "verdict": verdict,
-        "times_sha256": hashlib.sha256(times.encode()).hexdigest(),
+        "times_sha256": hashlib.sha256(times.tobytes()).hexdigest(),
         "sample": [body[i] for i in sampled_rows(len(body))],
     }
 

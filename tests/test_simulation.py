@@ -174,6 +174,13 @@ class TestSimulateCT:
         factor = errs[0] / errs[1]
         assert 8.0 <= factor <= 32.0
 
+    @pytest.mark.parametrize("T,h", [(100.0, 1e-300), (1e300, 1e-300), (2.0**63, 1.0)])
+    def test_step_count_beyond_int64_rejected(self, T, h):
+        # checked before any step is taken
+        spec = ArraySpec(q=1, n=1, A=[[0.0]], C={})
+        with pytest.raises(ValueError, match="T / h"):
+            simulate_ct(closed_loop(spec, {}), [1.0], T=T, h=h)
+
     def test_divergence_truncates_and_flags(self):
         spec = ArraySpec(q=1, n=1, A=[[5.0]], C={})
         cl = closed_loop(spec, {})
@@ -190,6 +197,12 @@ class TestSimulateDT:
         spec = ArraySpec(q=2, n=1, A=[[1.0]], C={}, time_domain="discrete")
         trace = simulate_dt(closed_loop(spec, {}), [1.0, 2.0], K=10)
         assert np.allclose(trace.states, trace.states[0])
+
+    @pytest.mark.parametrize("K", [0, 2**63 - 1, 2**64])
+    def test_step_count_outside_int64_rejected(self, K):
+        spec = ArraySpec(q=2, n=1, A=[[1.0]], C={}, time_domain="discrete")
+        with pytest.raises(ValueError, match="K"):
+            simulate_dt(closed_loop(spec, {}), [1.0, 2.0], K=K)
 
     def test_rotation_pair_contracts(self, rng):
         th = 0.7
