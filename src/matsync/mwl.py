@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArraySpec, complete_projector
+from .array_model import ArraySpec, sync_complement_basis
 from .errors import DimensionMismatch
 
 PSD_TOL = 1e-9
@@ -113,5 +113,6 @@ def disagreement(lw: MatrixWeightedLaplacian, x: np.ndarray) -> float:
 
 def sync_projector(q: int, n: int) -> np.ndarray:
     """J (x) I_n: the orthogonal projector onto the complement of the
-    synchronization subspace."""
-    return np.kron(complete_projector(q), np.eye(n))
+    synchronization subspace, VV' with V = sync_complement_basis(q) (x) I_n."""
+    V = np.kron(sync_complement_basis(q), np.eye(n))
+    return V @ V.T

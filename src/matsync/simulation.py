@@ -13,6 +13,17 @@ the last state of the chunk before.  The states match those of one product
 per step to rounding, not bit for bit; at qn >= 182, B = 1 and the products
 are the same.  The divergence cap is tested on every state of a chunk, so
 the first state past it is found exactly.
+
+The trace metrics take the kept rows in blocks of about METRIC_BLOCK_CELLS
+floats, each copied agent-major to shape (q, n, rows) so that every
+operation runs along the contiguous rows axis.  sync_error keeps the largest
+squared pair distance and takes one square root at the end; the squares are
+summed over n in the order np.linalg.norm sums them for n < 8 (numpy sums
+8 or more terms pairwise), so it equals the row-wise pairwise norms bit for
+bit.  disagreement is Gamma times the block, dotted with it per row.  Each
+block's temporaries stay under glibc's 128 KiB mmap threshold, so they come
+from the heap rather than from freshly mapped pages, and no temporary of the
+trace's full size is made.
 """
 
 from __future__ import annotations
@@ -40,7 +51,10 @@ SYNC_ABS_FLOOR = 1e-9   # times ||x0||; absolute convergence for sync starts
 BOUND_CAP_FACTOR = 1e8  # times ||x0||
 MAX_TRACE_ROWS = 100_000  # a trace keeps at most this many rows, plus the last state
 MAX_STEPS = 2**63 - 2  # steps of one run, so its steps + 1 state indices fit in int64
-METRIC_BLOCK_CELLS = 1 << 18
+# floats in one agent-major row block of the trace metrics; each temporary of a
+# block stays under glibc's 128 KiB mmap threshold, so it is reused from the
+# heap instead of mapped afresh (16000 floats = 125 KiB)
+METRIC_BLOCK_CELLS = 16_000
 POWER_TABLE_CELLS = 1 << 16  # floats in the stacked step-matrix powers, unless R is larger
 
 
@@ -124,18 +138,18 @@ def closed_loop(spec: ArraySpec, gains, epsilon: float | None = None) -> ClosedL
 
 def _metrics(cl, states):
     q, n = cl.spec.q, cl.spec.n
-    X = states.reshape(len(states), q, n)
-    sync = np.zeros(len(states))
-    # row blocks bound the pair differences' temporaries to ~METRIC_BLOCK_CELLS
-    # floats; the distances are per row, so blocking leaves them unchanged
+    sync, disagreement = np.zeros(len(states)), np.empty(len(states))
     per_block = max(1, METRIC_BLOCK_CELLS // (q * n))
     for a in range(0, len(states), per_block):
-        block, out = X[a:a + per_block], sync[a:a + per_block]
+        T = np.ascontiguousarray(states[a:a + per_block].reshape(-1, q, n).transpose(1, 2, 0))
+        out = sync[a:a + per_block]
         for i in range(q - 1):
-            dist = np.linalg.norm(block[:, i + 1:] - block[:, i:i + 1], axis=2)
-            np.maximum(out, dist.max(axis=1), out=out)
-    disagreement = np.einsum("sik,sik->s", X, cl.gamma @ X)
-    return sync, disagreement
+            d = T[i + 1:] - T[i]
+            np.square(d, out=d)
+            np.maximum(out, d.sum(axis=1).max(axis=0), out=out)
+        G = (cl.gamma @ T.reshape(q, -1)).reshape(q * n, -1)
+        disagreement[a:a + per_block] = np.einsum("ks,ks->s", G, T.reshape(q * n, -1))
+    return np.sqrt(sync, out=sync), disagreement
 
 
 def _trace(cl, times, states, bounded):

@@ -16,10 +16,13 @@ TRACE_SAMPLES + 1 evenly spread rows, the first and the last among them: states 
 sync_error within ``TRACE_RTOL * ||x_row||``, disagreement within
 ``TRACE_RTOL * ||x_row||^2``.  A sweep must keep its alphas, each rho within
 ``SWEEP_RTOL * max(1, ||Psi(alpha)||_2)``, and a summary line naming the
-smallest printed row.  Regenerate a file only for a change that alters its
-output on purpose, and say so in CHANGES.md:
+smallest printed row.
 
-    PYTHONPATH=src python tests/test_golden.py
+Regenerate a gate only for a change that alters its output on purpose, and
+say so in CHANGES.md.  Name the gates to rewrite, from simulate, commands
+and sweep; the others' files are left as they are:
+
+    PYTHONPATH=src python tests/test_golden.py simulate
 """
 
 import contextlib
@@ -27,6 +30,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -38,9 +42,6 @@ from matsync.cli import main
 from matsync.specdoc import parse_spec_document
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-GOLDEN = os.path.join(GOLDEN_DIR, "simulate.json")
-COMMANDS_GOLDEN = os.path.join(GOLDEN_DIR, "commands.json")
-SWEEP_GOLDEN = os.path.join(GOLDEN_DIR, "sweep.json")
 SWEEP_RTOL = 1e-11
 TRACE_SAMPLES = 64  # intervals between the sampled rows of a trace
 
@@ -264,14 +265,18 @@ def assert_rows_close(got, want):
     assert (dev[:, -1] <= TRACE_RTOL * norm**2).all()
 
 
-def load(path, name):
-    with open(path) as fh:
+def golden_path(gate):
+    return os.path.join(GOLDEN_DIR, f"{gate}.json")
+
+
+def load(gate, name):
+    with open(golden_path(gate)) as fh:
         return json.load(fh)[name]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_simulate_output_matches_golden(name, tmp_path):
-    want = load(GOLDEN, name)
+    want = load("simulate", name)
     got = trace_record(*produce(name, str(tmp_path)))
     exact = ("exit", "rows", "header", "x0", "verdict", "times_sha256")
     assert {k: got[k] for k in exact} == {k: want[k] for k in exact}
@@ -280,12 +285,12 @@ def test_simulate_output_matches_golden(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(COMMAND_CASES))
 def test_command_output_matches_golden(name, tmp_path):
-    assert produce_command(name, str(tmp_path)) == load(COMMANDS_GOLDEN, name)
+    assert produce_command(name, str(tmp_path)) == load("commands", name)
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
 def test_sweep_within_tolerance_of_golden(name, tmp_path):
-    want = load(SWEEP_GOLDEN, name)
+    want = load("sweep", name)
     got = produce_sweep(name, str(tmp_path))
     assert got["exit"] == want["exit"] == 0
     alphas = [a for a, _ in got["rows"]]
@@ -297,17 +302,47 @@ def test_sweep_within_tolerance_of_golden(name, tmp_path):
     assert got["summary"] == [f"# min rho {best_rho!r} at alpha {best_alpha!r}"]
 
 
-def regenerate(path, produce_one, names):
-    with tempfile.TemporaryDirectory() as d:
-        golden = {name: produce_one(name, d) for name in sorted(names)}
+# gate -> (the case's golden record, cases); a gate's file is golden_path(gate)
+GATES = {
+    "simulate": (lambda name, d: trace_record(*produce(name, d)), CASES),
+    "commands": (produce_command, COMMAND_CASES),
+    "sweep": (produce_sweep, SWEEP_CASES),
+}
+
+
+def regenerate(gates):
+    """Rewrite the golden file of each named gate; 2 on a missing or unknown name."""
+    unknown = [g for g in gates if g not in GATES]
+    if not gates or unknown:
+        if unknown:
+            print(f"unknown gate: {', '.join(unknown)}", file=sys.stderr)
+        print(f"usage: python tests/test_golden.py GATE... (gates: {', '.join(GATES)})",
+              file=sys.stderr)
+        return 2
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(golden, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    for gate in gates:
+        produce_one, names = GATES[gate]
+        with tempfile.TemporaryDirectory() as d:
+            golden = {name: produce_one(name, d) for name in sorted(names)}
+        with open(golden_path(gate), "w") as fh:
+            json.dump(golden, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {golden_path(gate)}")
+    return 0
+
+
+def test_regenerate_writes_only_the_named_gate(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", str(tmp_path))
+    assert regenerate([]) == 2
+    assert "gates: simulate, commands, sweep" in capsys.readouterr().err
+    assert regenerate(["sweep", "golden"]) == 2
+    assert "unknown gate: golden" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    assert regenerate(["sweep"]) == 0
+    assert os.listdir(tmp_path) == ["sweep.json"]
+    with open(tmp_path / "sweep.json") as fh:
+        assert sorted(json.load(fh)) == sorted(SWEEP_CASES)
 
 
 if __name__ == "__main__":
-    regenerate(GOLDEN, lambda name, d: trace_record(*produce(name, d)), CASES)
-    regenerate(COMMANDS_GOLDEN, produce_command, COMMAND_CASES)
-    regenerate(SWEEP_GOLDEN, produce_sweep, SWEEP_CASES)
-    print(f"wrote {GOLDEN}, {COMMANDS_GOLDEN} and {SWEEP_GOLDEN}")
+    sys.exit(regenerate(sys.argv[1:]))

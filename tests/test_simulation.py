@@ -1,3 +1,6 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -314,7 +317,8 @@ class TestKeptRows:
         assert np.array_equal(trace.states[0], x0)
         assert row_deviation(trace.states[-1], x) <= TRACE_RTOL
 
-    @pytest.mark.parametrize("block_cells", [simulation.METRIC_BLOCK_CELLS, 40])
+    # one block for the whole trace, the module default, and many small blocks
+    @pytest.mark.parametrize("block_cells", [1 << 18, 16_000, 40])
     def test_metrics_equal_pairwise_loop(self, rng, monkeypatch, block_cells):
         monkeypatch.setattr(simulation, "METRIC_BLOCK_CELLS", block_cells)
         spec = random_symmetric_spec(rng, q=6, n=3)
@@ -331,6 +335,55 @@ class TestKeptRows:
             np.abs(trace.disagreement - dis)
             <= 1e-12 * np.linalg.norm(trace.states, axis=1) ** 2
         )
+
+
+def metric_loop(rng, q, n):
+    """What _metrics reads of a closed loop, with Gamma of a random directed graph."""
+    adjacency = rng.random((q, q)) < 0.5
+    np.fill_diagonal(adjacency, False)
+    gamma = (np.diag(adjacency.sum(axis=1)) - adjacency) / q
+    return SimpleNamespace(spec=SimpleNamespace(q=q, n=n), gamma=gamma)
+
+
+class TestMetrics:
+    @given(
+        seed=st.integers(0, 2**32 - 1), q=st.integers(1, 12), n=st.integers(1, 5),
+        S=st.integers(1, 300), block_cells=st.integers(1, 400),
+        log_scale=st.floats(-150, 150),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_metrics_against_brute_force(self, seed, q, n, S, block_cells, log_scale):
+        rng = np.random.default_rng(seed)
+        cl = metric_loop(rng, q, n)
+        # agents spread 1e-8 to 1 relative around a common state, each row at its own scale
+        spread = 10.0 ** rng.uniform(-8, 0, (S, 1, 1))
+        scale = 10.0 ** (log_scale + rng.uniform(-1, 1, (S, 1, 1)))
+        X = scale * (rng.standard_normal((S, 1, n)) + spread * rng.standard_normal((S, q, n)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "METRIC_BLOCK_CELLS", block_cells)
+            sync, dis = simulation._metrics(cl, X.reshape(S, q * n))
+        want = np.zeros(S)
+        for i in range(q):
+            for j in range(i + 1, q):
+                want = np.maximum(want, np.linalg.norm(X[:, i] - X[:, j], axis=1))
+        assert np.array_equal(sync, want)
+        want = np.einsum("sik,ij,sjk->s", X, cl.gamma, X)
+        assert np.all(np.abs(dis - want) <= 1e-12 * np.sum(X**2, axis=(1, 2)))
+
+    @pytest.mark.parametrize("S, q, n", [(100_001, 3, 4), (401, 100, 4)])
+    def test_metrics_make_no_trace_sized_temporary(self, S, q, n):
+        # numpy reports its array allocations to tracemalloc; one (S, q, n)
+        # temporary is already past the bound
+        rng = np.random.default_rng(7)
+        cl = metric_loop(rng, q, n)
+        states = rng.standard_normal((S, q * n))
+        tracemalloc.start()
+        try:
+            sync, dis = simulation._metrics(cl, states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sync.nbytes + dis.nbytes + 2**20
 
 
 class TestChunkedStepper:
