@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import NotConnected, NotSymmetric
 
-EDGE_TOL = 1e-12
-NULL_TOL = 1e-9
+EDGE_TOL = 1e-12  # C blocks of Frobenius norm at most this are absent; C_ij, C_ji this close are equal
+NULL_TOL = 1e-9  # lambda2 of Gamma below this * max(lambda_max, 1/q) is zero
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
@@ -95,7 +95,7 @@ class NormalizedGraphLaplacian:
     lambda2: float
 
 
-def validate_spec(spec: ArraySpec, atol=1e-12) -> ValidationReport:
+def validate_spec(spec: ArraySpec) -> ValidationReport:
     """Report dimension mismatches, nonzero diagonal outputs, and symmetry.
 
     Never raises: a malformed spec yields a report with violations, and a
@@ -112,7 +112,7 @@ def validate_spec(spec: ArraySpec, atol=1e-12) -> ValidationReport:
             violations.append(f"edge ({i + 1}, {j + 1}) is outside 1..{spec.q}")
             continue
         if i == j:
-            if np.linalg.norm(M) > atol:
+            if np.linalg.norm(M) > EDGE_TOL:
                 violations.append(f"C_{i + 1}{i + 1} must be absent or zero")
             continue
         if M.shape[1] != spec.n:
@@ -121,9 +121,9 @@ def validate_spec(spec: ArraySpec, atol=1e-12) -> ValidationReport:
             )
         other = spec.C.get((j, i))
         if other is None:
-            if np.linalg.norm(M) > atol:
+            if np.linalg.norm(M) > EDGE_TOL:
                 symmetric = False
-        elif other.shape != M.shape or not np.allclose(M, other, rtol=0.0, atol=atol):
+        elif other.shape != M.shape or not np.allclose(M, other, rtol=0.0, atol=EDGE_TOL):
             symmetric = False
     return ValidationReport(symmetric=symmetric, violations=tuple(violations))
 
@@ -201,7 +201,7 @@ def gamma_matrix(g: NetworkGraph) -> np.ndarray:
     return gamma
 
 
-def normalized_laplacian(g: NetworkGraph, null_tol=NULL_TOL) -> NormalizedGraphLaplacian:
+def normalized_laplacian(g: NetworkGraph) -> NormalizedGraphLaplacian:
     """Assemble Gamma and locate its smallest nonzero eigenvalue.
 
     Raises NotConnected when a second eigenvalue sits in the numerical null
@@ -217,7 +217,7 @@ def normalized_laplacian(g: NetworkGraph, null_tol=NULL_TOL) -> NormalizedGraphL
         return NormalizedGraphLaplacian(gamma=gamma, lambda2=1.0)
     eigs = np.linalg.eigvalsh(gamma)
     lam_max = max(eigs[-1], 0.0)
-    thresh = null_tol * max(lam_max, 1.0 / q)
+    thresh = NULL_TOL * max(lam_max, 1.0 / q)
     if eigs[1] <= thresh:
         raise NotConnected("graph is disconnected: zero eigenvalue has multiplicity > 1")
     return NormalizedGraphLaplacian(gamma=gamma, lambda2=float(eigs[1]))

@@ -49,6 +49,12 @@ RECIPE_THEOREM1 = "theorem1"
 RECIPE_ALG1_CT = "alg1_ct"
 RECIPE_ALG2_DT = "alg2_dt"
 
+# find_common_P: spectrum of P in [P_FLOOR, P_CEIL], step budget, restart seed
+P_FLOOR, P_CEIL = 1e-6, 1e6
+MAX_ITERS = 5000
+SEARCH_SEED = 0
+LAPLACIAN_SYM_TOL = 1e-9  # asymmetry eps_bar accepts, relative to ||L||_F
+
 
 @dataclass(frozen=True)
 class CLDetectabilityCertificate:
@@ -74,8 +80,6 @@ class NeutralCertificate:
 
     split: SpectralSplit
     n1: int
-    checked: bool
-    eps_bar: float | None = None
 
 
 @dataclass(frozen=True)
@@ -85,15 +89,6 @@ class GainSet:
     alpha: float | None = None
     eps_bar: float | None = None
     certificate: object | None = None
-
-
-@dataclass(frozen=True)
-class PSearchOptions:
-    p_floor: float = 1e-6
-    p_ceil: float = 1e6
-    max_iters: int = 5000
-    seed: int = 0
-    margin: float | None = None  # stop once f(P) < -margin; None picks a default
 
 
 def default_strict_tol(A, P):
@@ -148,27 +143,26 @@ def _violation(A, P, weights):
     return float(worst), grad
 
 
-def _project_spd(P, p_floor, p_ceil):
+def _project_spd(P):
     w, V = np.linalg.eigh(0.5 * (P + P.T))
-    return (V * np.clip(w, p_floor, p_ceil)) @ V.T
+    return (V * np.clip(w, P_FLOOR, P_CEIL)) @ V.T
 
 
 def find_common_P(
-    A: np.ndarray, spec: ArraySpec, opts: PSearchOptions | None = None,
-    edge_tol: float = EDGE_TOL,
+    A: np.ndarray, spec: ArraySpec, edge_tol: float = EDGE_TOL,
 ) -> CLDetectabilityCertificate:
     """Search for a common Lyapunov P by projected subgradient descent.
 
     Minimizes f(P) = max_edges lambda_max(A'P + PA - C_ij'C_ij) over
-    symmetric P with spectrum in [p_floor, p_ceil], warm-started from the
-    Lyapunov solution when A is Hurwitz, from scaled identities otherwise.
-    Stops once the margin target is met; the returned certificate is always
-    recomputed by verify_cl_detectability.  Raises Infeasible (carrying the
+    symmetric P with spectrum in [P_FLOOR, P_CEIL], warm-started from the
+    Lyapunov solution when A is Hurwitz, from scaled identities otherwise,
+    for at most MAX_ITERS steps with one restart seeded by SEARCH_SEED.
+    Stops once f(P) < -margin, margin = max(1e-7, min_e lambda_min(C_e'C_e)/4);
+    the returned certificate is always recomputed by verify_cl_detectability
+    with its default strict margin.  Raises Infeasible (carrying the
     least-violating certificate) when the budget runs out.
     """
     A = np.asarray(A, dtype=float)
-    if opts is None:
-        opts = PSearchOptions()
     weights = _edge_weights(spec, edge_tol)
     if not weights:
         raise Infeasible(
@@ -180,9 +174,7 @@ def find_common_P(
     # margin target: a fraction of what P -> 0 would achieve on full-rank
     # edges, or plain strictness when some edge weight is singular
     trivial = min(float(np.linalg.eigvalsh(Q)[0]) for Q in weights.values())
-    margin = opts.margin
-    if margin is None:
-        margin = max(1e-7, 0.25 * max(trivial, 0.0))
+    margin = max(1e-7, 0.25 * max(trivial, 0.0))
 
     candidates = []
     lam = np.linalg.eigvals(A)
@@ -196,7 +188,7 @@ def find_common_P(
 
     best_P, best_f = None, np.inf
     for P0 in candidates:
-        P0 = _project_spd(P0, opts.p_floor, opts.p_ceil)
+        P0 = _project_spd(P0)
         f0, _ = _violation(A, P0, weights)
         if f0 < best_f:
             best_P, best_f = P0, f0
@@ -205,11 +197,11 @@ def find_common_P(
             break
 
     if best_f >= -margin:
-        rng = np.random.default_rng(opts.seed)
+        rng = np.random.default_rng(SEARCH_SEED)
         P = best_P.copy()
         k = 0
         for attempt in range(2):
-            while k < opts.max_iters:
+            while k < MAX_ITERS:
                 fk, g = _violation(A, P, weights)
                 if fk < best_f:
                     best_f, best_P = fk, P.copy()
@@ -220,13 +212,13 @@ def find_common_P(
                     break
                 # Polyak-style step towards a receding target under best_f
                 target = best_f - max(0.01 * (1.0 + abs(best_f)), 1e-3) / (1.0 + k / 200.0)
-                P = _project_spd(P - ((fk - target) / gn2) * g, opts.p_floor, opts.p_ceil)
+                P = _project_spd(P - ((fk - target) / gn2) * g)
                 k += 1
-            if best_f < -margin or k >= opts.max_iters:
+            if best_f < -margin or k >= MAX_ITERS:
                 break
             # seeded restart from a random SPD point near the identity
             R = rng.standard_normal((n, n)) * 0.3
-            P = _project_spd(np.eye(n) + R @ R.T, opts.p_floor, opts.p_ceil)
+            P = _project_spd(np.eye(n) + R @ R.T)
 
     cert = verify_cl_detectability(A, spec, best_P, edge_tol=edge_tol)
     if not cert.feasible:
@@ -318,7 +310,7 @@ def gains_ct_neutral(
     return GainSet(
         gains=gains,
         recipe=RECIPE_ALG1_CT,
-        certificate=NeutralCertificate(split=split, n1=split.n1, checked=check),
+        certificate=NeutralCertificate(split=split, n1=split.n1),
     )
 
 
@@ -345,20 +337,18 @@ def gains_dt_neutral(
         gains=gains,
         recipe=RECIPE_ALG2_DT,
         eps_bar=float(ebar),
-        certificate=NeutralCertificate(
-            split=split, n1=split.n1, checked=check, eps_bar=float(ebar)
-        ),
+        certificate=NeutralCertificate(split=split, n1=split.n1),
     )
 
 
-def eps_bar(lw: MatrixWeightedLaplacian, sym_tol: float = 1e-9) -> float:
+def eps_bar(lw: MatrixWeightedLaplacian) -> float:
     """Largest eps with L >= eps L^2 for symmetric PSD L: 1/lambda_max(L).
 
     Returns +inf for the zero Laplacian (any step works).
     """
     L = lw.L
     scale = np.linalg.norm(L)
-    if np.linalg.norm(L - L.T) > sym_tol * max(scale, 1.0):
+    if np.linalg.norm(L - L.T) > LAPLACIAN_SYM_TOL * max(scale, 1.0):
         raise NotSymmetric("eps_bar requires a symmetric Laplacian")
     if scale == 0.0:
         return np.inf

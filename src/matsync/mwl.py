@@ -16,7 +16,7 @@ import numpy as np
 from .array_model import ArraySpec, sync_complement_basis
 from .errors import DimensionMismatch
 
-PSD_TOL = 1e-9
+RANK_TOL = 1e-9  # nullity(): singular values below RANK_TOL * sigma_max are zero
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,12 @@ class MatrixWeightedLaplacian:
     source: str  # "from_Q" | "from_C"
     blocks: dict
 
-    def nullity(self, rank_tol=1e-9) -> int:
-        """Null-space dimension via singular values below rank_tol * sigma_max."""
+    def nullity(self) -> int:
+        """Null-space dimension via singular values below RANK_TOL * sigma_max."""
         s = np.linalg.svd(self.L, compute_uv=False)
         if s.size == 0 or s[0] == 0.0:
             return self.L.shape[0]
-        return int(np.sum(s <= rank_tol * s[0]))
+        return int(np.sum(s <= RANK_TOL * s[0]))
 
 
 def assemble_block_laplacian(blocks: dict, q: int, n: int) -> np.ndarray:

@@ -85,12 +85,14 @@ class _Grids:
 
     def __init__(self):
         self.grids = {}
+        self.lines = {}  # key -> line of its header
         self._open = None
 
     def open(self, key, lineno):
         if key in self.grids:
             raise SpecParseError(f"duplicate matrix block {key}", lineno)
         self.grids[key] = []
+        self.lines[key] = lineno
         self._open = key
 
     def feed(self, row, lineno):
@@ -110,8 +112,13 @@ class _Grids:
         self._open = None
 
     def matrix(self, key):
+        """The block as an array, None when absent; an empty block is an error."""
         rows = self.grids.get(key)
-        return None if rows is None else np.asarray(rows, dtype=float)
+        if rows is None:
+            return None
+        if not rows:
+            raise SpecParseError("matrix block has no rows", self.lines[key])
+        return np.asarray(rows, dtype=float)
 
 
 _SPEC_SCALARS = {"q": int, "n": int, "alpha": float, "epsilon": float}
@@ -145,6 +152,8 @@ def parse_spec_document(text: str) -> SpecDocument:
             except ValueError:
                 raise SpecParseError(f"bad value for {key}: {tokens[1]!r}", lineno)
             _finite([scalars[key]], key, lineno)
+            if key == "q" and scalars[key] < 1:
+                raise SpecParseError(f"q must be >= 1, got {scalars[key]}", lineno)
         elif key == "time_domain":
             grids.close()
             if len(tokens) != 2 or tokens[1] not in (CONTINUOUS, DISCRETE):
@@ -210,15 +219,23 @@ def parse_spec_document(text: str) -> SpecDocument:
             raise SpecParseError("missing matrix A")
         n = scalars.get("n", A.shape[1])
         if A.shape != (n, n):
-            raise SpecParseError(f"A has shape {A.shape}, expected ({n}, {n})")
+            raise SpecParseError(f"A has shape {A.shape}, expected ({n}, {n})", grids.lines["A"])
         cmap = {e: grids.matrix(("edge", e)) for e in edge_headers}
+        for (i, j), C in cmap.items():
+            if C.shape[1] != n:
+                msg = f"edge {i + 1} {j + 1} has {C.shape[1]} columns, expected {n}"
+                raise SpecParseError(msg, grids.lines[("edge", (i, j))])
         spec = ArraySpec(q=q, n=n, A=A, C=cmap, time_domain=time_domain)
 
     if builder is not None and time_domain == DISCRETE:
         raise SpecParseError("builder arrays are continuous-time")
+    P = grids.matrix("P")
+    if P is not None and P.shape != (spec.n, spec.n):
+        msg = f"P has shape {P.shape}, expected ({spec.n}, {spec.n})"
+        raise SpecParseError(msg, grids.lines["P"])
     return SpecDocument(
         spec=spec,
-        P=grids.matrix("P"),
+        P=P,
         alpha=scalars.get("alpha"),
         epsilon=scalars.get("epsilon"),
     )

@@ -24,7 +24,13 @@ STABLE = "stable"
 NEUTRALLY_STABLE = "neutrally_stable"
 UNSTABLE = "unstable"
 
-COND_LIMIT = 1e8
+# relative to ||A||_2: marginal eigenvalues lie this close to the axis/circle,
+# a marginal cluster has this radius, and [A - lambda I; C] loses rank below it
+AXIS_TOL = 1e-8
+CLUSTER_TOL = 1e-6
+PBH_RANK_TOL = 1e-8
+COND_LIMIT = 1e8     # largest cond([U W]) neutral_split accepts
+SPD_SYM_TOL = 1e-10  # asymmetry spd_sqrt accepts, relative to ||M||_F
 
 
 @dataclass(frozen=True)
@@ -86,12 +92,7 @@ def _cluster(values, tol):
     return clusters
 
 
-def classify_stability(
-    A: np.ndarray,
-    domain: str = CONTINUOUS,
-    axis_tol: float | None = None,
-    cluster_tol: float | None = None,
-) -> StabilityClass:
+def classify_stability(A: np.ndarray, domain: str = CONTINUOUS) -> StabilityClass:
     """Classify A as stable, neutrally stable, or unstable.
 
     Neutral stability demands every axis/circle eigenvalue be semisimple;
@@ -101,10 +102,8 @@ def classify_stability(
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     norm = _spectral_norm(A)
-    if axis_tol is None:
-        axis_tol = 1e-8 * norm
-    if cluster_tol is None:
-        cluster_tol = 1e-6 * norm
+    axis_tol = AXIS_TOL * norm
+    cluster_tol = CLUSTER_TOL * norm
     lam = np.linalg.eigvals(A)
     marg = _marginal_mask(lam, domain, axis_tol)
     n1 = int(marg.sum())
@@ -125,42 +124,35 @@ def classify_stability(
     return StabilityClass(NEUTRALLY_STABLE, n1, n - n1, marginal)
 
 
-def _pbh(C, A, eigenvalues, rank_tol):
+def _pbh(C, A, eigenvalues):
     n = A.shape[0]
     norm = _spectral_norm(A)
     for lam in eigenvalues:
         M = np.vstack([A - lam * np.eye(n), C])
         smin = np.linalg.svd(M, compute_uv=False)[-1]
-        if smin <= rank_tol * norm:
+        if smin <= PBH_RANK_TOL * norm:
             return False
     return True
 
 
-def pbh_detectable(
-    C: np.ndarray,
-    A: np.ndarray,
-    domain: str = CONTINUOUS,
-    axis_tol: float | None = None,
-    rank_tol: float = 1e-8,
-) -> bool:
+def pbh_detectable(C: np.ndarray, A: np.ndarray, domain: str = CONTINUOUS) -> bool:
     """PBH rank test at every eigenvalue on or beyond the stability boundary."""
     A = np.asarray(A, dtype=float)
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    if axis_tol is None:
-        axis_tol = 1e-8 * _spectral_norm(A)
+    axis_tol = AXIS_TOL * _spectral_norm(A)
     lam = np.linalg.eigvals(A)
     if domain == CONTINUOUS:
         suspect = lam[lam.real >= -axis_tol]
     else:
         suspect = lam[np.abs(lam) >= 1.0 - axis_tol]
-    return _pbh(C, A, suspect, rank_tol)
+    return _pbh(C, A, suspect)
 
 
-def pbh_observable(H: np.ndarray, S: np.ndarray, rank_tol: float = 1e-8) -> bool:
+def pbh_observable(H: np.ndarray, S: np.ndarray) -> bool:
     """PBH rank test at every eigenvalue of S."""
     S = np.asarray(S, dtype=float)
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    return _pbh(H, S, np.linalg.eigvals(S), rank_tol)
+    return _pbh(H, S, np.linalg.eigvals(S))
 
 
 def _balanced_pair(w):
@@ -182,12 +174,7 @@ def _eigenspace_basis(A, center, dim):
     return vh.conj().T[:, np.argsort(s)[:dim]]
 
 
-def neutral_split(
-    A: np.ndarray,
-    domain: str = CONTINUOUS,
-    axis_tol: float | None = None,
-    cond_limit: float = COND_LIMIT,
-) -> SpectralSplit:
+def neutral_split(A: np.ndarray, domain: str = CONTINUOUS) -> SpectralSplit:
     """Compute the marginal/stable splitting of a neutrally stable matrix.
 
     Raises NotNeutrallyStable when the classification refuses A, and
@@ -196,9 +183,8 @@ def neutral_split(
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     norm = _spectral_norm(A)
-    if axis_tol is None:
-        axis_tol = 1e-8 * norm
-    cls = classify_stability(A, domain, axis_tol=axis_tol)
+    axis_tol = AXIS_TOL * norm
+    cls = classify_stability(A, domain)
     if cls.kind == UNSTABLE:
         raise NotNeutrallyStable(f"A is {cls.kind} in the {domain}-time sense")
     n1, n2 = cls.marginal_count, cls.stable_count
@@ -255,21 +241,21 @@ def neutral_split(
     F = T[:n2, :n2]
 
     B = np.hstack([U, W])
-    if np.linalg.cond(B) > cond_limit:
-        raise SplitIllConditioned(f"cond([U W]) exceeds {cond_limit:.1e}")
+    if np.linalg.cond(B) > COND_LIMIT:
+        raise SplitIllConditioned(f"cond([U W]) exceeds {COND_LIMIT:.1e}")
     Binv = np.linalg.inv(B)
     return SpectralSplit(
         U=U, W=W, U_dag=Binv[:n1], W_dag=Binv[n1:], marginal_block=S, F=F
     )
 
 
-def spd_sqrt(M: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
+def spd_sqrt(M: np.ndarray) -> np.ndarray:
     """Symmetric positive definite square root via eigendecomposition."""
     M = np.asarray(M, dtype=float)
     if M.shape[0] != M.shape[1]:
         raise NotSPD(f"matrix is not square: {M.shape}")
     scale = np.linalg.norm(M)
-    if np.linalg.norm(M - M.T) > sym_tol * max(scale, 1.0):
+    if np.linalg.norm(M - M.T) > SPD_SYM_TOL * max(scale, 1.0):
         raise NotSPD("matrix is not symmetric")
     w, V = np.linalg.eigh(0.5 * (M + M.T))
     if w[0] <= 0.0:

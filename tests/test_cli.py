@@ -438,3 +438,80 @@ def test_env_tolerance_override(tmp_path, monkeypatch):
     out2 = tmp_path / "r2.txt"
     run("check", "--spec", str(spec), "--out", str(out2))
     assert "connected true" in read(out2)
+
+
+def test_env_strict_margin_applies_to_searched_P(ms_spec, tmp_path, monkeypatch, capsys):
+    # the demo document has no P; the searched one has eps = 0.00267...
+    reports = {}
+    for tol in (None, "0.002", "0.003"):
+        if tol is not None:
+            monkeypatch.setenv("MATSYNC_TOL", tol)
+        out = tmp_path / f"report_{tol}.txt"
+        assert run("check", "--spec", str(ms_spec), "--out", str(out)) == 0
+        reports[tol] = read(out).splitlines()
+    eps = {tol: [ln for ln in r if ln.startswith("eps ")] for tol, r in reports.items()}
+    assert eps[None] == eps["0.002"] == eps["0.003"] == ["eps 0.0026736555832665857"]
+    assert "cl_feasible true" in reports["0.002"]
+    assert "cl_feasible false" in reports["0.003"]
+    assert "assumption_cl_detectability false" in reports["0.003"]
+    assert "assumption_neutral_ct true" in reports["0.003"]
+    assert run("sweep", "--spec", str(ms_spec), "--points", "2") == 2
+    assert run("gains", "--spec", str(ms_spec), "--recipe", "theorem1") == 2
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+def test_env_tolerance_must_be_finite_and_nonnegative(tol, ms_spec, monkeypatch, capsys):
+    # a negative margin would pass the least-violating P of a failed search
+    monkeypatch.setenv("MATSYNC_TOL", tol)
+    for argv in (["check"], ["sweep", "--points", "2"], ["gains", "--recipe", "theorem1"]):
+        assert run(argv[0], "--spec", str(ms_spec), *argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: MATSYNC_TOL must be finite and >= 0")
+
+
+# n = 2, skew drift, identity outputs; P = I is a common Lyapunov matrix
+A_BLOCK = "A\n0.0 1.0\n-1.0 0.0\n"
+EDGES = "edge 1 2\n1.0 0.0\n0.0 1.0\nedge 2 1\n1.0 0.0\n0.0 1.0\n"
+
+# name -> (document, line its error names)
+MALFORMED_SPECS = {
+    "empty_A": ("q 2\nn 2\nA\n" + EDGES, 3),
+    "empty_P": ("q 2\nn 2\n" + A_BLOCK + "P\n" + EDGES, 6),
+    "empty_edge": (
+        "q 2\nn 2\n" + A_BLOCK + "edge 1 2\nedge 2 1\n1.0 0.0\n0.0 1.0\n", 6,
+    ),
+    "edge_3_columns": (
+        "q 2\nn 2\n" + A_BLOCK
+        + "edge 1 2\n1.0 0.0 0.0\n0.0 1.0 0.0\nedge 2 1\n1.0 0.0 0.0\n0.0 1.0 0.0\n",
+        6,
+    ),
+    "q_0": ("q 0\nn 2\n" + A_BLOCK, 1),
+    "q_negative": ("# agents\nq -3\nn 2\n" + A_BLOCK, 2),
+    "P_1x2": ("q 2\nn 2\n" + A_BLOCK + EDGES + "P\n1.0 0.0\n", 12),
+}
+COMMANDS = {
+    "check": ["check"],
+    "gains_alg1": ["gains", "--recipe", "alg1"],
+    "gains_theorem1": ["gains", "--recipe", "theorem1"],
+    "sweep": ["sweep", "--points", "2"],
+}
+
+
+def test_malformed_spec_base_is_valid(tmp_path, capsys):
+    spec = tmp_path / "ok.spec"
+    spec.write_text("q 2\nn 2\n" + A_BLOCK + EDGES + "P\n1.0 0.0\n0.0 1.0\n")
+    for argv in COMMANDS.values():
+        assert run(argv[0], "--spec", str(spec), *argv[1:]) == 0
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
+def test_malformed_spec_exits_1_at_its_line(name, command, tmp_path, capsys):
+    text, line = MALFORMED_SPECS[name]
+    spec = tmp_path / f"{name}.spec"
+    spec.write_text(text)
+    argv = COMMANDS[command]
+    assert run(argv[0], "--spec", str(spec), *argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}:")
+    assert "Traceback" not in err
