@@ -23,7 +23,7 @@ from matsync import (
 
 def run_ct(name, seed, horizon):
     spec = builtin_example(name).spec
-    gs = gains_ct_neutral(spec.A, spec)
+    gs = gains_ct_neutral(spec)
     cl = closed_loop(spec, gs)
     rng = np.random.default_rng(seed)
     trace = simulate_ct(cl, rng.standard_normal(spec.q * spec.n), T=horizon, h=5e-3)
@@ -42,7 +42,7 @@ def run_dt_ring(seed, steps):
         C[(i, j)] = np.eye(2)
         C[(j, i)] = np.eye(2)
     spec = ArraySpec(q=3, n=2, A=A, C=C, time_domain="discrete")
-    gs = gains_dt_neutral(spec.A, spec)
+    gs = gains_dt_neutral(spec)
     cl = closed_loop(spec, gs)  # steps with eps = eps_bar
     rng = np.random.default_rng(seed)
     trace = simulate_dt(cl, rng.standard_normal(6), K=steps)

@@ -38,7 +38,7 @@ def asymmetric_counterexample():
 def chain_counterexample(points):
     print("=== 5-chain with CL-detectable outputs ===")
     ex = builtin_example("chain5")
-    cert = verify_cl_detectability(ex.spec.A, ex.spec, ex.P)
+    cert = verify_cl_detectability(ex.spec, ex.P)
     lam2 = normalized_laplacian(build_graph(ex.spec)).lambda2
     report = condition14(cert, lam2)
     abscissa = np.max(np.linalg.eigvals(ex.spec.A).real)

@@ -35,7 +35,7 @@ from .errors import (
     SpecParseError,
 )
 from .specdoc import _fmt
-from .spectral import NEUTRALLY_STABLE, STABLE, classify_stability, pbh_detectable
+from .spectral import NEUTRALLY_STABLE, STABLE, classify_stability, detectable_edges
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -95,10 +95,10 @@ def _cl_certificate(doc, tol, edge_tol):
     spec, P = doc.spec, doc.P
     if P is None:
         try:
-            P = gainsmod.find_common_P(spec.A, spec, edge_tol=edge_tol).P
+            P = gainsmod.find_common_P(spec, edge_tol=edge_tol).P
         except Infeasible as e:
             P = e.certificate.P
-    return gainsmod.verify_cl_detectability(spec.A, spec, P, strict_tol=tol, edge_tol=edge_tol)
+    return gainsmod.verify_cl_detectability(spec, P, strict_tol=tol, edge_tol=edge_tol)
 
 
 def _write(path, text):
@@ -181,16 +181,10 @@ def cmd_check(args):
     lines.append(f"stability {spec.time_domain} {cls.kind}")
     lines.append(f"marginal_count {cls.marginal_count}")
 
-    detectable_all = True
-    seen = set()
-    for (i, j) in spec.nonzero_edges(edge_tol):
-        pair = (min(i, j), max(i, j)) if report.symmetric else (i, j)
-        if pair in seen:
-            continue
-        seen.add(pair)
-        ok = pbh_detectable(spec.C[(i, j)], spec.A, spec.time_domain)
-        detectable_all = detectable_all and ok
-        lines.append(f"detectable {pair[0] + 1} {pair[1] + 1} {_bool(ok)}")
+    detectable = detectable_edges(spec, report.symmetric, edge_tol)
+    for (i, j), ok in detectable.items():
+        lines.append(f"detectable {i + 1} {j + 1} {_bool(ok)}")
+    detectable_all = all(detectable.values())
 
     neutrally_ok = cls.kind in (NEUTRALLY_STABLE, STABLE)
     assumption_neutral = (
@@ -254,7 +248,7 @@ def cmd_gains(args):
             return EXIT_HYPOTHESIS
         P = doc.P if doc.P is not None else cert.P
         alpha = args.alpha if args.alpha is not None else doc.alpha
-        gs = gainsmod.gains_theorem1(spec.A, spec, P, alpha, edge_tol=edge_tol)
+        gs = gainsmod.gains_theorem1(spec, P, alpha, edge_tol=edge_tol)
         cert, c14 = gs.certificate
         metadata = {
             "cert_eps": cert.eps,
@@ -277,7 +271,7 @@ def cmd_gains(args):
             return EXIT_HYPOTHESIS
         synth = gainsmod.gains_ct_neutral if ct else gainsmod.gains_dt_neutral
         try:
-            gs = synth(spec.A, spec, check=not args.force, edge_tol=edge_tol)
+            gs = synth(spec, check=not args.force, edge_tol=edge_tol)
         except MatsyncError as e:
             print(f"hypothesis failed: {e}", file=sys.stderr)
             return EXIT_HYPOTHESIS

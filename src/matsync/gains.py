@@ -39,10 +39,9 @@ from .mwl import MatrixWeightedLaplacian, laplacian_from_outputs
 from .spectral import (
     NEUTRALLY_STABLE,
     STABLE,
-    SpectralSplit,
     classify_stability,
+    detectable_edges,
     neutral_split,
-    pbh_detectable,
 )
 
 RECIPE_THEOREM1 = "theorem1"
@@ -75,20 +74,12 @@ class Condition14Report:
 
 
 @dataclass(frozen=True)
-class NeutralCertificate:
-    """Evidence attached to the neutral-stability recipes."""
-
-    split: SpectralSplit
-    n1: int
-
-
-@dataclass(frozen=True)
 class GainSet:
     gains: dict  # (i, j) -> n x m_ij array
     recipe: str
     alpha: float | None = None
     eps_bar: float | None = None
-    certificate: object | None = None
+    certificate: object | None = None  # (cert, Condition14Report) or the SpectralSplit
 
 
 def default_strict_tol(A, P):
@@ -96,22 +87,21 @@ def default_strict_tol(A, P):
 
 
 def verify_cl_detectability(
-    A: np.ndarray, spec: ArraySpec, P: np.ndarray, strict_tol: float | None = None,
+    spec: ArraySpec, P: np.ndarray, strict_tol: float | None = None,
     edge_tol: float = EDGE_TOL,
 ) -> CLDetectabilityCertificate:
-    """Check A'P + PA < C_ij' C_ij over all nonzero edges by eigensolves.
+    """Check A'P + PA < C_ij' C_ij over all nonzero edge weights by eigensolves.
 
     Infeasibility is reported in the certificate, never raised.
     """
-    A = np.asarray(A, dtype=float)
+    A = spec.A
     P = 0.5 * (np.asarray(P, dtype=float) + np.asarray(P, dtype=float).T)
     if strict_tol is None:
         strict_tol = default_strict_tol(A, P)
     X = A.T @ P + P @ A
     eps = np.inf
-    for (i, j) in spec.nonzero_edges(edge_tol):
-        C = spec.C[(i, j)]
-        eps = min(eps, float(np.linalg.eigvalsh(C.T @ C - X)[0]))
+    for Q in _edge_weights(spec, edge_tol):
+        eps = min(eps, float(np.linalg.eigvalsh(Q - X)[0]))
     sigma = float(np.linalg.eigvalsh(X)[-1])
     p_min = float(np.linalg.eigvalsh(P)[0])
     return CLDetectabilityCertificate(
@@ -124,16 +114,21 @@ def verify_cl_detectability(
 
 
 def _edge_weights(spec, edge_tol):
-    return {
-        e: spec.C[e].T @ spec.C[e] for e in spec.nonzero_edges(edge_tol)
-    }
+    """C_ij'C_ij of each nonzero edge, in edge order, leaving out an edge (i, j),
+    i > j, whose C_ij is bit-equal to C_ji: its weight repeats an earlier one."""
+    weights = []
+    for (i, j) in spec.nonzero_edges(edge_tol):
+        C = spec.C[(i, j)]
+        if not (i > j and np.array_equal(C, spec.C.get((j, i)))):
+            weights.append(C.T @ C)
+    return weights
 
 
 def _violation(A, P, weights):
     """f(P) = max over edges of lambda_max(A'P + PA - C'C) and one subgradient."""
     X = A.T @ P + P @ A
     worst, grad = -np.inf, None
-    for Q in weights.values():
+    for Q in weights:
         w, V = np.linalg.eigh(X - Q)
         if w[-1] > worst:
             worst = w[-1]
@@ -148,37 +143,34 @@ def _project_spd(P):
     return (V * np.clip(w, P_FLOOR, P_CEIL)) @ V.T
 
 
-def find_common_P(
-    A: np.ndarray, spec: ArraySpec, edge_tol: float = EDGE_TOL,
-) -> CLDetectabilityCertificate:
+def find_common_P(spec: ArraySpec, edge_tol: float = EDGE_TOL) -> CLDetectabilityCertificate:
     """Search for a common Lyapunov P by projected subgradient descent.
 
     Minimizes f(P) = max_edges lambda_max(A'P + PA - C_ij'C_ij) over
     symmetric P with spectrum in [P_FLOOR, P_CEIL], warm-started from the
-    Lyapunov solution when A is Hurwitz, from scaled identities otherwise,
+    Lyapunov solution when A is stable by the boundary rule of
+    classify_stability, from scaled identities otherwise,
     for at most MAX_ITERS steps with one restart seeded by SEARCH_SEED.
     Stops once f(P) < -margin, margin = max(1e-7, min_e lambda_min(C_e'C_e)/4);
     the returned certificate is always recomputed by verify_cl_detectability
     with its default strict margin.  Raises Infeasible (carrying the
     least-violating certificate) when the budget runs out.
     """
-    A = np.asarray(A, dtype=float)
+    A = spec.A
     weights = _edge_weights(spec, edge_tol)
     if not weights:
         raise Infeasible(
-            "spec has no nonzero edges",
-            verify_cl_detectability(A, spec, np.eye(spec.n)),
+            "spec has no nonzero edges", verify_cl_detectability(spec, np.eye(spec.n))
         )
     n = spec.n
 
     # margin target: a fraction of what P -> 0 would achieve on full-rank
     # edges, or plain strictness when some edge weight is singular
-    trivial = min(float(np.linalg.eigvalsh(Q)[0]) for Q in weights.values())
+    trivial = min(float(np.linalg.eigvalsh(Q)[0]) for Q in weights)
     margin = max(1e-7, 0.25 * max(trivial, 0.0))
 
     candidates = []
-    lam = np.linalg.eigvals(A)
-    if np.all(lam.real < 0.0):
+    if classify_stability(A, CONTINUOUS).kind == STABLE:
         # A'P + PA = -I
         candidates.append(sla.solve_continuous_lyapunov(A.T, -np.eye(n)))
     candidates.append(np.eye(n))
@@ -220,7 +212,7 @@ def find_common_P(
             R = rng.standard_normal((n, n)) * 0.3
             P = _project_spd(np.eye(n) + R @ R.T)
 
-    cert = verify_cl_detectability(A, spec, best_P, edge_tol=edge_tol)
+    cert = verify_cl_detectability(spec, best_P, edge_tol=edge_tol)
     if not cert.feasible:
         raise Infeasible(
             "no common Lyapunov P found within the iteration budget "
@@ -239,7 +231,6 @@ def condition14(cert: CLDetectabilityCertificate, lambda2: float) -> Condition14
 
 
 def gains_theorem1(
-    A: np.ndarray,
     spec: ArraySpec,
     P: np.ndarray,
     alpha: float | None = None,
@@ -250,7 +241,6 @@ def gains_theorem1(
     alpha defaults to max(1/(2q), 1); smaller values are allowed (the bound
     is sufficient, not necessary) but draw a warning.
     """
-    A = np.asarray(A, dtype=float)
     P = np.asarray(P, dtype=float)
     if alpha is None:
         alpha = max(1.0 / (2.0 * spec.q), 1.0)
@@ -265,7 +255,7 @@ def gains_theorem1(
         (i, j): alpha * np.linalg.solve(P, C.T)
         for (i, j), C in spec.C.items()
     }
-    cert = verify_cl_detectability(A, spec, P, edge_tol=edge_tol)
+    cert = verify_cl_detectability(spec, P, edge_tol=edge_tol)
     try:
         lam2 = normalized_laplacian(build_graph(spec, edge_tol)).lambda2
         report = condition14(cert, lam2)
@@ -279,53 +269,45 @@ def gains_theorem1(
     )
 
 
-def _check_neutral_assumptions(A, spec, domain, edge_tol):
-    report = validate_spec(spec)
-    if not report.symmetric:
+def _check_neutral_assumptions(spec, domain, edge_tol):
+    if not validate_spec(spec).symmetric:
         raise NotSymmetric("edge outputs are not symmetric (C_ij != C_ji)")
-    g = build_graph(spec, edge_tol)
-    if not is_connected(g):
+    if not is_connected(build_graph(spec, edge_tol)):
         raise NotConnected("network graph is not connected")
-    cls = classify_stability(A, domain)
+    cls = classify_stability(spec.A, domain)
     if cls.kind not in (NEUTRALLY_STABLE, STABLE):
         raise NotNeutrallyStable(f"A is {cls.kind} in the {domain}-time sense")
-    for (i, j) in spec.nonzero_edges(edge_tol):
-        if i < j and not pbh_detectable(spec.C[(i, j)], A, domain):
+    for (i, j), ok in detectable_edges(spec, symmetric=True, edge_tol=edge_tol).items():
+        if not ok:
             raise NotDetectable(i, j)
 
 
 def gains_ct_neutral(
-    A: np.ndarray, spec: ArraySpec, check: bool = True, edge_tol: float = EDGE_TOL
+    spec: ArraySpec, check: bool = True, edge_tol: float = EDGE_TOL
 ) -> GainSet:
     """Continuous-time neutral-stability recipe: G_ij = U U^T C_ij^T."""
-    A = np.asarray(A, dtype=float)
     if check:
-        _check_neutral_assumptions(A, spec, CONTINUOUS, edge_tol)
-    split = neutral_split(A, CONTINUOUS)
+        _check_neutral_assumptions(spec, CONTINUOUS, edge_tol)
+    split = neutral_split(spec.A, CONTINUOUS)
     if split.n1 == 0:
         gains = {e: np.zeros((spec.n, C.shape[0])) for e, C in spec.C.items()}
     else:
         M = split.U @ split.U.T
         gains = {e: M @ C.T for e, C in spec.C.items()}
-    return GainSet(
-        gains=gains,
-        recipe=RECIPE_ALG1_CT,
-        certificate=NeutralCertificate(split=split, n1=split.n1),
-    )
+    return GainSet(gains=gains, recipe=RECIPE_ALG1_CT, certificate=split)
 
 
 def gains_dt_neutral(
-    A: np.ndarray, spec: ArraySpec, check: bool = True, edge_tol: float = EDGE_TOL
+    spec: ArraySpec, check: bool = True, edge_tol: float = EDGE_TOL
 ) -> GainSet:
     """Discrete-time neutral-stability recipe: G_ij = U Q U^T C_ij^T.
 
     Also computes eps_bar from the Laplacian of the reduced weights
     H_ij = C_ij U, the largest coupling step the theorem licenses.
     """
-    A = np.asarray(A, dtype=float)
     if check:
-        _check_neutral_assumptions(A, spec, DISCRETE, edge_tol)
-    split = neutral_split(A, DISCRETE)
+        _check_neutral_assumptions(spec, DISCRETE, edge_tol)
+    split = neutral_split(spec.A, DISCRETE)
     if split.n1 == 0:
         gains = {e: np.zeros((spec.n, C.shape[0])) for e, C in spec.C.items()}
         ebar = np.inf
@@ -334,10 +316,7 @@ def gains_dt_neutral(
         gains = {e: M @ C.T for e, C in spec.C.items()}
         ebar = eps_bar(laplacian_from_outputs(spec, pre_transform=split.U))
     return GainSet(
-        gains=gains,
-        recipe=RECIPE_ALG2_DT,
-        eps_bar=float(ebar),
-        certificate=NeutralCertificate(split=split, n1=split.n1),
+        gains=gains, recipe=RECIPE_ALG2_DT, eps_bar=float(ebar), certificate=split
     )
 
 

@@ -89,13 +89,8 @@ class SimTrace:
 class ClosedLoop:
     system_matrix: np.ndarray  # qn x qn
     spec: ArraySpec
-    gains: dict
     epsilon: float | None      # discrete-time coupling step; None in CT
     gamma: np.ndarray          # q x q normalized graph Laplacian matrix
-
-
-def _gain_map(gains):
-    return gains.gains if isinstance(gains, GainSet) else dict(gains)
 
 
 def closed_loop(spec: ArraySpec, gains, epsilon: float | None = None) -> ClosedLoop:
@@ -105,7 +100,7 @@ def closed_loop(spec: ArraySpec, gains, epsilon: float | None = None) -> ClosedL
     time the coupling is scaled by ``epsilon``, defaulting to the gain set's
     eps_bar when it carries one.
     """
-    gmap = _gain_map(gains)
+    gmap = gains.gains if isinstance(gains, GainSet) else dict(gains)
     weights = {}
     for (i, j), C in spec.C.items():
         G = gmap.get((i, j))
@@ -131,7 +126,7 @@ def closed_loop(spec: ArraySpec, gains, epsilon: float | None = None) -> ClosedL
         eps_used = float(epsilon)
 
     return ClosedLoop(
-        system_matrix=system, spec=spec, gains=gmap, epsilon=eps_used,
+        system_matrix=system, spec=spec, epsilon=eps_used,
         gamma=gamma_matrix(build_graph(spec)),
     )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .array_model import CONTINUOUS, DISCRETE
+from .array_model import CONTINUOUS, EDGE_TOL, ArraySpec
 from .errors import NotNeutrallyStable, NotSPD, SplitIllConditioned
 
 STABLE = "stable"
@@ -65,16 +65,12 @@ def _spectral_norm(A):
     return float(np.linalg.norm(A, 2)) if A.size else 0.0
 
 
-def _marginal_mask(lam, domain, axis_tol):
-    if domain == CONTINUOUS:
-        return np.abs(lam.real) <= axis_tol
-    return np.abs(np.abs(lam) - 1.0) <= axis_tol
-
-
-def _unstable_mask(lam, domain, axis_tol):
-    if domain == CONTINUOUS:
-        return lam.real > axis_tol
-    return np.abs(lam) > 1.0 + axis_tol
+def _side(lam, domain, norm):
+    """-1 stable, 0 marginal, 1 unstable: where each eigenvalue lies against the
+    imaginary axis (continuous) or the unit circle (discrete), marginal within
+    AXIS_TOL * norm of it.  The one boundary rule of every test here."""
+    d = np.real(lam) if domain == CONTINUOUS else np.abs(lam) - 1.0
+    return np.where(np.abs(d) <= AXIS_TOL * norm, 0, np.sign(d))
 
 
 def _cluster(values, tol):
@@ -102,13 +98,13 @@ def classify_stability(A: np.ndarray, domain: str = CONTINUOUS) -> StabilityClas
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     norm = _spectral_norm(A)
-    axis_tol = AXIS_TOL * norm
     cluster_tol = CLUSTER_TOL * norm
     lam = np.linalg.eigvals(A)
-    marg = _marginal_mask(lam, domain, axis_tol)
+    side = _side(lam, domain, norm)
+    marg = side == 0
     n1 = int(marg.sum())
     marginal = tuple(lam[marg])
-    if np.any(_unstable_mask(lam, domain, axis_tol)):
+    if np.any(side > 0):
         return StabilityClass(UNSTABLE, n1, n - n1, marginal)
     if n1 == 0:
         return StabilityClass(STABLE, 0, n, marginal)
@@ -124,9 +120,9 @@ def classify_stability(A: np.ndarray, domain: str = CONTINUOUS) -> StabilityClas
     return StabilityClass(NEUTRALLY_STABLE, n1, n - n1, marginal)
 
 
-def _pbh(C, A, eigenvalues):
+def _pbh(C, A, eigenvalues, norm):
     n = A.shape[0]
-    norm = _spectral_norm(A)
+    C = np.atleast_2d(np.asarray(C, dtype=float))
     for lam in eigenvalues:
         M = np.vstack([A - lam * np.eye(n), C])
         smin = np.linalg.svd(M, compute_uv=False)[-1]
@@ -135,24 +131,36 @@ def _pbh(C, A, eigenvalues):
     return True
 
 
+def _pbh_all(Cs, A, domain):
+    """PBH rank test of each (C, A) at every eigenvalue on or beyond the boundary."""
+    A = np.asarray(A, dtype=float)
+    norm = _spectral_norm(A)
+    lam = np.linalg.eigvals(A)
+    suspect = lam[_side(lam, domain, norm) >= 0]
+    return [_pbh(C, A, suspect, norm) for C in Cs]
+
+
 def pbh_detectable(C: np.ndarray, A: np.ndarray, domain: str = CONTINUOUS) -> bool:
     """PBH rank test at every eigenvalue on or beyond the stability boundary."""
-    A = np.asarray(A, dtype=float)
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    axis_tol = AXIS_TOL * _spectral_norm(A)
-    lam = np.linalg.eigvals(A)
-    if domain == CONTINUOUS:
-        suspect = lam[lam.real >= -axis_tol]
-    else:
-        suspect = lam[np.abs(lam) >= 1.0 - axis_tol]
-    return _pbh(C, A, suspect)
+    return _pbh_all([C], A, domain)[0]
+
+
+def detectable_edges(spec: ArraySpec, symmetric: bool, edge_tol: float = EDGE_TOL) -> dict:
+    """{pair: whether (C_ij, A) is PBH detectable} over the nonzero edges.
+
+    A symmetric spec has one pair (i, j), i < j, per undirected edge; any
+    other spec has every ordered pair.  eig(A) is computed once.
+    """
+    Cs = {}
+    for (i, j) in spec.nonzero_edges(edge_tol):
+        Cs.setdefault((min(i, j), max(i, j)) if symmetric else (i, j), spec.C[(i, j)])
+    return dict(zip(Cs, _pbh_all(Cs.values(), spec.A, spec.time_domain)))
 
 
 def pbh_observable(H: np.ndarray, S: np.ndarray) -> bool:
     """PBH rank test at every eigenvalue of S."""
     S = np.asarray(S, dtype=float)
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    return _pbh(H, S, np.linalg.eigvals(S))
+    return _pbh(H, S, np.linalg.eigvals(S), _spectral_norm(S))
 
 
 def _balanced_pair(w):
@@ -183,7 +191,6 @@ def neutral_split(A: np.ndarray, domain: str = CONTINUOUS) -> SpectralSplit:
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     norm = _spectral_norm(A)
-    axis_tol = AXIS_TOL * norm
     cls = classify_stability(A, domain)
     if cls.kind == UNSTABLE:
         raise NotNeutrallyStable(f"A is {cls.kind} in the {domain}-time sense")
@@ -227,12 +234,9 @@ def neutral_split(A: np.ndarray, domain: str = CONTINUOUS) -> SpectralSplit:
         )
 
     # stable invariant subspace from a sorted real Schur form: A Z1 = Z1 T11
-    if domain == CONTINUOUS:
-        T, Z, sdim = sla.schur(A, output="real", sort=lambda re, im: re < -axis_tol)
-    else:
-        T, Z, sdim = sla.schur(
-            A, output="real", sort=lambda re, im: np.hypot(re, im) < 1.0 - axis_tol
-        )
+    T, Z, sdim = sla.schur(
+        A, output="real", sort=lambda re, im: _side(complex(re, im), domain, norm) < 0
+    )
     if sdim != n2:
         raise SplitIllConditioned(
             f"Schur sort found {sdim} stable eigenvalues, classification says {n2}"

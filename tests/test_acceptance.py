@@ -70,7 +70,7 @@ def test_criterion_2_chain5_certificate():
     assert worst <= -0.0047 + 1e-3
     abscissa = float(np.max(np.linalg.eigvals(ex.spec.A).real))
     assert abscissa == pytest.approx(0.9678, abs=1e-3)
-    cert = verify_cl_detectability(ex.spec.A, ex.spec, ex.P)
+    cert = verify_cl_detectability(ex.spec, ex.P)
     assert cert.feasible
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
@@ -104,8 +104,8 @@ def test_criterion_4_theorem1_complete_graphs():
         q = int(rng.integers(2, 6))
         n = int(rng.integers(1, 4))
         spec = random_complete_cl_spec(rng, q, n)
-        cert = find_common_P(spec.A, spec)
-        gs = gains_theorem1(spec.A, spec, cert.P, alpha=1.0 / (2.0 * q))
+        cert = find_common_P(spec)
+        gs = gains_theorem1(spec, cert.P, alpha=1.0 / (2.0 * q))
         _, report = gs.certificate
         assert report.holds  # complete graph: condition is automatic
         cl = closed_loop(spec, gs)
@@ -130,7 +130,7 @@ def test_criterion_5_alg1_random_neutral_ct():
         q = int(rng.integers(2, 6))
         n = int(rng.integers(2, 5))
         spec = random_symmetric_spec(rng, q, n)
-        gs = gains_ct_neutral(spec.A, spec)
+        gs = gains_ct_neutral(spec)
         cl = closed_loop(spec, gs)
         h = min(5e-3, 1.5 / np.linalg.norm(cl.system_matrix, 2))
         x0 = rng.standard_normal(q * n)
@@ -156,7 +156,7 @@ def test_criterion_6_alg2_random_neutral_dt():
         q = int(rng.integers(2, 6))
         n = int(rng.integers(2, 5))
         spec = random_symmetric_spec(rng, q, n, domain="discrete")
-        gs = gains_dt_neutral(spec.A, spec)
+        gs = gains_dt_neutral(spec)
         cl = closed_loop(spec, gs)  # epsilon defaults to eps_bar
         assert cl.epsilon == pytest.approx(gs.eps_bar)
         x0 = rng.standard_normal(q * n)

@@ -82,7 +82,7 @@ class TestMassSpring:
             q=3,
         )
         spec = built.transformed.spec
-        gs = gains_ct_neutral(spec.A, spec)
+        gs = gains_ct_neutral(spec)
         trace = simulate_ct(
             closed_loop(spec, gs), rng.standard_normal(12), T=300.0, h=5e-3
         )
@@ -132,7 +132,7 @@ class TestLC:
             q=3,
         )
         spec = built.transformed.spec
-        gs = gains_ct_neutral(spec.A, spec)
+        gs = gains_ct_neutral(spec)
         trace = simulate_ct(
             closed_loop(spec, gs), rng.standard_normal(12), T=300.0, h=5e-3
         )

@@ -1,17 +1,37 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from conftest import off_sync_eigenvalues, spectrum_partition_gap, sweep_gains
-from matsync import Diverged, closed_loop, find_common_P, simulate_ct, simulate_dt
+from conftest import (
+    off_sync_eigenvalues,
+    random_symmetric_spec,
+    spectrum_partition_gap,
+    sweep_gains,
+)
+from matsync import (
+    ArraySpec,
+    Diverged,
+    classify_stability,
+    closed_loop,
+    find_common_P,
+    simulate_ct,
+    simulate_dt,
+)
 from matsync import cli
 from matsync.cli import main
-from matsync.specdoc import parse_gains_document, parse_spec_document
+from matsync.specdoc import (
+    SpecDocument,
+    parse_gains_document,
+    parse_spec_document,
+    serialize_spec_document,
+)
 
 
 def run(*argv):
@@ -354,7 +374,7 @@ class TestSweep:
         run("example", name, "--out", str(spec_path))
         assert run("sweep", "--spec", str(spec_path), "--points", "8", "--out", str(out)) == 0
         spec = parse_spec_document(read(spec_path)).spec
-        P = find_common_P(spec.A, spec).P
+        P = find_common_P(spec).P
         lines = read(out).splitlines()
         rows = [tuple(map(float, ln.split())) for ln in lines[:-1]]
         assert len(rows) == 8
@@ -515,3 +535,47 @@ def test_malformed_spec_exits_1_at_its_line(name, command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {line}:")
     assert "Traceback" not in err
+
+
+def write_spec(path, spec):
+    path.write_text(serialize_spec_document(SpecDocument(spec=spec)))
+    return path
+
+
+def test_check_on_neutral_drift_that_rounds_stable_warns_nothing(tmp_path):
+    # every computed eigenvalue of this neutral A has a negative real part; a
+    # P search started from a Lyapunov solve then makes scipy warn that an
+    # eigenvalue pair sums to about zero
+    spec = random_symmetric_spec(np.random.default_rng(23), q=4, n=3)
+    assert np.all(np.linalg.eigvals(spec.A).real < 0.0)
+    assert classify_stability(spec.A).kind == "neutrally_stable"
+    path = write_spec(tmp_path / "neutral.spec", spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("check", "--spec", str(path), "--out", str(tmp_path / "report")) == 0
+
+
+def ring(q):
+    """CT ring of q agents: a rotation plus two stable modes, invertible outputs."""
+    A = sla.block_diag([[0.0, 1.0], [-1.0, 0.0]], [[-1.0, 0.5], [0.0, -2.0]])
+    C = np.diag([1.0, 2.0, 1.5, 1.0])
+    edges = {(i, (i + 1) % q): C for i in range(q)}
+    edges.update({(j, i): C for (i, j) in list(edges)})
+    return ArraySpec(q=q, n=4, A=A, C=edges)
+
+
+def test_eigvals_calls_do_not_grow_with_the_edge_count(tmp_path):
+    # one eig(A) per stage: the PBH tests of all edges share one
+    counts = {}
+    for q in (5, 50):
+        path = write_spec(tmp_path / f"ring{q}.spec", ring(q))
+        for argv in (["check"], ["gains", "--recipe", "alg1"]):
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(
+                    np.linalg, "eigvals", lambda a, f=np.linalg.eigvals: calls.append(a) or f(a)
+                )
+                out = str(tmp_path / "out")
+                assert run(argv[0], "--spec", str(path), *argv[1:], "--out", out) == 0
+            counts[argv[0], q] = len(calls)
+    assert len(set(counts.values())) == 1, counts

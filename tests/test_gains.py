@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     random_complete_cl_spec,
@@ -35,7 +37,7 @@ from matsync import (
 class TestVerifyCLDetectability:
     def test_chain5_printed_P(self):
         ex = builtin_example("chain5")
-        cert = verify_cl_detectability(ex.spec.A, ex.spec, ex.P)
+        cert = verify_cl_detectability(ex.spec, ex.P)
         assert cert.feasible
         # worst-edge margin quoted to 4 decimals in the source matrices
         assert -cert.eps <= -0.0047 + 1e-3
@@ -46,41 +48,41 @@ class TestVerifyCLDetectability:
         P = sla.solve_continuous_lyapunov(A.T, -np.eye(2))
         C = rng.standard_normal((1, 2))
         spec = ArraySpec(q=2, n=2, A=A, C={(0, 1): C, (1, 0): C})
-        cert = verify_cl_detectability(A, spec, P)
+        cert = verify_cl_detectability(spec, P)
         assert cert.feasible
         assert cert.eps >= 1.0 - 1e-9  # C'C + I >= I
         assert cert.sigma == pytest.approx(-1.0, abs=1e-12)
 
     def test_scalar_infeasible(self):
         spec = ArraySpec(q=2, n=1, A=[[1.0]], C={(0, 1): [[1.0]], (1, 0): [[1.0]]})
-        cert = verify_cl_detectability(spec.A, spec, np.eye(1))
+        cert = verify_cl_detectability(spec, np.eye(1))
         assert not cert.feasible  # 2 >= 1
 
     def test_no_edges_vacuous(self):
         spec = ArraySpec(q=2, n=1, A=[[1.0]], C={})
-        cert = verify_cl_detectability(spec.A, spec, np.eye(1))
+        cert = verify_cl_detectability(spec, np.eye(1))
         assert cert.eps == np.inf
 
 
 class TestFindCommonP:
     def test_chain5_search_feasible_and_reverified(self):
         spec = builtin_example("chain5").spec
-        cert = find_common_P(spec.A, spec)
+        cert = find_common_P(spec)
         assert cert.feasible
-        recheck = verify_cl_detectability(spec.A, spec, cert.P)
+        recheck = verify_cl_detectability(spec, cert.P)
         assert recheck.feasible
 
     def test_hurwitz_warm_start(self, rng):
         A = np.array([[-0.5, 1.0], [0.0, -1.5]])
         C = rng.standard_normal((1, 2))
         spec = ArraySpec(q=2, n=2, A=A, C={(0, 1): C, (1, 0): C})
-        cert = find_common_P(A, spec)
+        cert = find_common_P(spec)
         assert cert.feasible
 
     def test_scalar_unstable_interval(self):
         # 2p < 1 requires p in (0, 0.5)
         spec = ArraySpec(q=2, n=1, A=[[1.0]], C={(0, 1): [[1.0]], (1, 0): [[1.0]]})
-        cert = find_common_P(spec.A, spec)
+        cert = find_common_P(spec)
         p = cert.P[0, 0]
         assert 0.0 < p < 0.5
         assert cert.feasible
@@ -92,43 +94,43 @@ class TestFindCommonP:
             q=2, n=2, A=np.diag([1.0, 1.0]), C={(0, 1): C, (1, 0): C}
         )
         with pytest.raises(Infeasible) as exc:
-            find_common_P(spec.A, spec)
+            find_common_P(spec)
         assert exc.value.certificate is not None
         assert not exc.value.certificate.feasible
 
     def test_deterministic(self):
         spec = builtin_example("chain5").spec
-        P1 = find_common_P(spec.A, spec).P
-        P2 = find_common_P(spec.A, spec).P
+        P1 = find_common_P(spec).P
+        P2 = find_common_P(spec).P
         assert np.array_equal(P1, P2)
 
 
 class TestGainsTheorem1:
     def test_scalar_formula(self):
         spec = ArraySpec(q=2, n=1, A=[[0.0]], C={(0, 1): [[3.0]], (1, 0): [[3.0]]})
-        gs = gains_theorem1(spec.A, spec, P=[[2.0]], alpha=1.0)
+        gs = gains_theorem1(spec, P=[[2.0]], alpha=1.0)
         assert np.allclose(gs.gains[(0, 1)], [[1.5]])
 
     def test_alpha_scaling_is_exact(self):
         ex = builtin_example("chain5")
-        g1 = gains_theorem1(ex.spec.A, ex.spec, ex.P, alpha=1.0)
-        g2 = gains_theorem1(ex.spec.A, ex.spec, ex.P, alpha=2.0)
+        g1 = gains_theorem1(ex.spec, ex.P, alpha=1.0)
+        g2 = gains_theorem1(ex.spec, ex.P, alpha=2.0)
         for e in g1.gains:
             assert np.array_equal(2.0 * g1.gains[e], g2.gains[e])
 
     def test_small_alpha_warns(self):
         ex = builtin_example("chain5")
         with pytest.warns(UserWarning, match="below the 1/"):
-            gains_theorem1(ex.spec.A, ex.spec, ex.P, alpha=0.01)
+            gains_theorem1(ex.spec, ex.P, alpha=0.01)
 
     def test_singular_P_rejected(self):
         ex = builtin_example("chain5")
         with pytest.raises(SingularP):
-            gains_theorem1(ex.spec.A, ex.spec, np.zeros((3, 3)), alpha=1.0)
+            gains_theorem1(ex.spec, np.zeros((3, 3)), alpha=1.0)
 
     def test_condition14_attached(self):
         ex = builtin_example("chain5")
-        gs = gains_theorem1(ex.spec.A, ex.spec, ex.P, alpha=1.0)
+        gs = gains_theorem1(ex.spec, ex.P, alpha=1.0)
         cert, report = gs.certificate
         assert cert.feasible
         assert not report.holds  # chain connectivity is too weak
@@ -137,7 +139,7 @@ class TestGainsTheorem1:
 class TestCondition14:
     def test_complete_graph_automatic(self):
         ex = builtin_example("chain5")
-        cert = verify_cl_detectability(ex.spec.A, ex.spec, ex.P)
+        cert = verify_cl_detectability(ex.spec, ex.P)
         report = condition14(cert, 1.0)
         assert report.holds
         assert report.delta == pytest.approx(cert.eps)
@@ -154,13 +156,13 @@ class TestCondition14:
 
     def test_chain5_fails(self):
         ex = builtin_example("chain5")
-        cert = verify_cl_detectability(ex.spec.A, ex.spec, ex.P)
+        cert = verify_cl_detectability(ex.spec, ex.P)
         lam2 = normalized_laplacian(build_graph(ex.spec)).lambda2
         assert not condition14(cert, lam2).holds
 
     def test_rejects_bad_lambda2(self):
         ex = builtin_example("chain5")
-        cert = verify_cl_detectability(ex.spec.A, ex.spec, ex.P)
+        cert = verify_cl_detectability(ex.spec, ex.P)
         with pytest.raises(ValueError):
             condition14(cert, 0.0)
 
@@ -173,7 +175,7 @@ class TestGainsNeutralCT:
             A=[[0.0, 1.0], [-1.0, 0.0]],
             C={(0, 1): np.eye(2), (1, 0): np.eye(2)},
         )
-        gs = gains_ct_neutral(spec.A, spec)
+        gs = gains_ct_neutral(spec)
         # U U^T = I for a normal drift, so G = C^T
         assert np.allclose(gs.gains[(0, 1)], np.eye(2), atol=1e-10)
         assert gs.recipe == "alg1_ct"
@@ -183,16 +185,16 @@ class TestGainsNeutralCT:
         spec = ArraySpec(
             q=2, n=2, A=np.diag([-1.0, -2.0]), C={(0, 1): C, (1, 0): C}
         )
-        gs = gains_ct_neutral(spec.A, spec)
+        gs = gains_ct_neutral(spec)
         assert all(np.array_equal(G, np.zeros((2, 2))) for G in gs.gains.values())
         assert gs.certificate.n1 == 0
 
     def test_hypothesis_failures(self, rng):
         asym = builtin_example("counterexample_asym").spec
         with pytest.raises(NotSymmetric):
-            gains_ct_neutral(asym.A, asym)
+            gains_ct_neutral(asym)
         # forcing skips the symmetric check and yields natural unit gains
-        gs = gains_ct_neutral(asym.A, asym, check=False)
+        gs = gains_ct_neutral(asym, check=False)
         for e, C in asym.C.items():
             assert np.allclose(gs.gains[e], C.T, atol=1e-10)
 
@@ -201,7 +203,7 @@ class TestGainsNeutralCT:
             q=3, n=2, A=[[0.0, 1.0], [-1.0, 0.0]], C={(0, 1): C, (1, 0): C}
         )
         with pytest.raises(NotConnected):
-            gains_ct_neutral(disconnected.A, disconnected)
+            gains_ct_neutral(disconnected)
 
         undetectable = ArraySpec(
             q=2,
@@ -210,7 +212,7 @@ class TestGainsNeutralCT:
             C={(0, 1): [[1.0, 0.0]], (1, 0): [[1.0, 0.0]]},
         )
         with pytest.raises(NotDetectable):
-            gains_ct_neutral(undetectable.A, undetectable)
+            gains_ct_neutral(undetectable)
 
 
 class TestGainsNeutralDT:
@@ -224,7 +226,7 @@ class TestGainsNeutralDT:
             C={(0, 1): np.eye(2), (1, 0): np.eye(2)},
             time_domain="discrete",
         )
-        gs = gains_dt_neutral(spec.A, spec)
+        gs = gains_dt_neutral(spec)
         assert np.allclose(gs.gains[(0, 1)], R, atol=1e-10)
         assert gs.eps_bar == pytest.approx(0.5, abs=1e-10)
 
@@ -237,7 +239,7 @@ class TestGainsNeutralDT:
             C={(0, 1): C, (1, 0): C},
             time_domain="discrete",
         )
-        gs = gains_dt_neutral(spec.A, spec)
+        gs = gains_dt_neutral(spec)
         assert all(np.array_equal(G, np.zeros((2, 1))) for G in gs.gains.values())
         assert gs.eps_bar == np.inf
 
@@ -270,12 +272,12 @@ class TestProofProperties:
         # with theorem-1 gains and the connectivity condition holding,
         # V = x'(J x P)x decays at least at rate delta * x'(Gamma x I)x
         spec = random_complete_cl_spec(rng, q=3, n=2)
-        cert = find_common_P(spec.A, spec)
+        cert = find_common_P(spec)
         lam2 = normalized_laplacian(build_graph(spec)).lambda2
         report = condition14(cert, lam2)
         assert report.holds
         alpha = 1.0 / (2.0 * spec.q)
-        gs = gains_theorem1(spec.A, spec, cert.P, alpha=alpha)
+        gs = gains_theorem1(spec, cert.P, alpha=alpha)
         cl = closed_loop(spec, gs)
         h = min(1e-3, 0.5 / np.linalg.norm(cl.system_matrix, 2))
         x0 = rng.standard_normal(spec.q * spec.n)
@@ -343,7 +345,47 @@ def test_find_common_P_output_reverified_independently(rng):
     for seed in range(5):
         local = np.random.default_rng(seed)
         spec = random_complete_cl_spec(local, q=int(local.integers(2, 5)), n=2)
-        cert = find_common_P(spec.A, spec)
-        recheck = verify_cl_detectability(spec.A, spec, cert.P)
+        cert = find_common_P(spec)
+        recheck = verify_cl_detectability(spec, cert.P)
         assert recheck.feasible
         assert recheck.eps == pytest.approx(cert.eps, rel=1e-12)
+
+
+def test_verify_eigensolves_each_mirrored_edge_once(rng, monkeypatch):
+    spec = random_complete_cl_spec(rng, q=5, n=3)
+    edges = len(spec.nonzero_edges())
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    verify_cl_detectability(spec, random_spd(rng, 3))
+    assert len(calls) == edges // 2 + 2
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1), q=st.integers(2, 5), n=st.integers(1, 4),
+    near=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_certificate_equals_loop_over_all_ordered_edges(seed, q, n, near):
+    # exact mirrors C_ji = C_ij, or near ones with each entry of C_ji an ulp off
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    cmap = {}
+    for i in range(q):
+        for j in range(i + 1, q):
+            if rng.random() < 0.7:
+                C = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+                cmap[(i, j)] = cmap[(j, i)] = C
+                if near:
+                    away = np.where(rng.random(C.shape) < 0.5, -np.inf, np.inf)
+                    cmap[(j, i)] = np.nextafter(C, away)
+    spec = ArraySpec(q=q, n=n, A=A, C=cmap)
+    P = random_spd(rng, n)
+    cert = verify_cl_detectability(spec, P)
+    Ps = 0.5 * (P + P.T)
+    X = A.T @ Ps + Ps @ A
+    eps = min(
+        (float(np.linalg.eigvalsh(C.T @ C - X)[0]) for C in cmap.values()), default=np.inf
+    )
+    assert cert.eps == eps
+    assert cert.sigma == float(np.linalg.eigvalsh(X)[-1])

@@ -219,9 +219,9 @@ def sweep_system_norms(spec_path, alphas):
         doc = parse_spec_document(fh.read())
     spec = doc.spec
     if doc.P is not None:
-        P = verify_cl_detectability(spec.A, spec, doc.P).P
+        P = verify_cl_detectability(spec, doc.P).P
     else:
-        P = find_common_P(spec.A, spec).P
+        P = find_common_P(spec).P
     return [
         np.linalg.norm(closed_loop(spec, sweep_gains(spec, P, alpha)).system_matrix, 2)
         for alpha in alphas

@@ -51,7 +51,7 @@ def natural_gains(spec):
 
 def sweep_P(ex):
     """The P `matsync sweep` uses on a bundled example."""
-    return ex.P if ex.P is not None else find_common_P(ex.spec.A, ex.spec).P
+    return ex.P if ex.P is not None else find_common_P(ex.spec).P
 
 
 class TestClosedLoop:
@@ -100,7 +100,7 @@ class TestClosedLoop:
         # system matrix must be [I x A] - alpha [I x P^-1] L exactly
         ex = builtin_example("chain5")
         alpha = 1.7
-        gs = gains_theorem1(ex.spec.A, ex.spec, ex.P, alpha=alpha)
+        gs = gains_theorem1(ex.spec, ex.P, alpha=alpha)
         cl = closed_loop(ex.spec, gs)
         lw = laplacian_from_outputs(ex.spec)
         expected = np.kron(np.eye(5), ex.spec.A) - alpha * np.kron(
@@ -214,7 +214,7 @@ class TestSimulateDT:
             q=2, n=2, A=R, C={(0, 1): np.eye(2), (1, 0): np.eye(2)},
             time_domain="discrete",
         )
-        gs = gains_dt_neutral(spec.A, spec)
+        gs = gains_dt_neutral(spec)
         cl = closed_loop(spec, gs)
         # oracle: the closed loop restricted off the sync subspace is Schur
         Y = np.array([[1.0], [-1.0]]) / np.sqrt(2.0)
@@ -228,7 +228,7 @@ class TestSimulateDT:
     def test_oversized_step_runs_without_claims(self, rng):
         # outside the theorem hypotheses: no synchronization assertion
         spec = random_symmetric_spec(rng, q=3, n=2, domain="discrete")
-        gs = gains_dt_neutral(spec.A, spec)
+        gs = gains_dt_neutral(spec)
         cl = closed_loop(spec, gs, epsilon=2.0 * gs.eps_bar)
         try:
             trace = simulate_dt(cl, rng.standard_normal(6), K=500)
@@ -305,7 +305,7 @@ class TestKeptRows:
             q=2, n=2, A=R, C={(0, 1): np.eye(2), (1, 0): np.eye(2)},
             time_domain="discrete",
         )
-        cl = closed_loop(spec, gains_dt_neutral(spec.A, spec))
+        cl = closed_loop(spec, gains_dt_neutral(spec))
         x0 = np.array([1.0, -0.5, 0.25, 2.0])
         K = 300_000
         trace = simulate_dt(cl, x0, K=K)
@@ -482,10 +482,10 @@ class TestRhoSweep:
 
     def test_complete_graph_stabilizes(self, rng):
         spec = random_complete_cl_spec(rng, q=3, n=2)
-        cert = find_common_P(spec.A, spec)
+        cert = find_common_P(spec)
         (_, rho) = rho_sweep(spec, cert.P, [1.0])[0]
         assert rho < 0.0
-        gs = gains_theorem1(spec.A, spec, cert.P, alpha=1.0)
+        gs = gains_theorem1(spec, cert.P, alpha=1.0)
         cl = closed_loop(spec, gs)
         h = min(1e-3, 1.0 / np.linalg.norm(cl.system_matrix, 2))
         trace = simulate_ct(cl, rng.standard_normal(6), T=3000 * h, h=h)
@@ -536,7 +536,7 @@ class TestTheorem2EndToEnd:
             q = int(rng.integers(3, 6))
             n = int(rng.integers(2, 5))
             spec = random_symmetric_spec(rng, q=q, n=n)
-            gs = gains_ct_neutral(spec.A, spec)
+            gs = gains_ct_neutral(spec)
             cl = closed_loop(spec, gs)
             h = min(5e-3, 1.5 / np.linalg.norm(cl.system_matrix, 2))
             x0 = rng.standard_normal(q * n)
@@ -553,7 +553,7 @@ class TestTheorem4EndToEnd:
             q = int(rng.integers(3, 6))
             n = int(rng.integers(2, 5))
             spec = random_symmetric_spec(rng, q=q, n=n, domain="discrete")
-            gs = gains_dt_neutral(spec.A, spec)
+            gs = gains_dt_neutral(spec)
             cl = closed_loop(spec, gs)  # epsilon defaults to eps_bar
             x0 = rng.standard_normal(q * n)
             trace = simulate_dt(cl, x0, K=5000)
@@ -617,8 +617,8 @@ class TestAsymptoticAnchor:
         for e, C in built.transformed.spec.C.items():
             cmap[e] = np.hstack([C, np.zeros((C.shape[0], 1))])
         spec = ArraySpec(q=3, n=5, A=A, C=cmap)
-        gs = gains_ct_neutral(spec.A, spec)
-        split = gs.certificate.split
+        gs = gains_ct_neutral(spec)
+        split = gs.certificate
         cl = closed_loop(spec, gs)
         x0 = rng.standard_normal(15)
         T_end, h = 60.0, 2e-3
