@@ -51,10 +51,43 @@ class ArraySpec:
 
     def nonzero_edges(self, edge_tol=EDGE_TOL):
         """Ordered pairs whose output matrix is nonzero in Frobenius norm."""
-        return [
-            e for e, M in sorted(self.C.items())
-            if np.linalg.norm(M) > edge_tol
-        ]
+        edges = sorted(self.C)
+        norms = frobenius_norms([self.C[e] for e in edges])
+        return [e for e, v in zip(edges, norms) if v > edge_tol]
+
+
+def stacks(mats):
+    """[(positions, (E_s, *shape) stack)], one per shape among mats, each in
+    input order: a per-edge test runs as one batched numpy call per group."""
+    groups = {}
+    for k, M in enumerate(mats):
+        groups.setdefault(M.shape, []).append(k)
+    return [(idx, np.array([mats[k] for k in idx])) for idx in groups.values()]
+
+
+def frobenius_norms(mats):
+    """np.linalg.norm(M) of each matrix, bit for bit: the same dot product of
+    the flattened entries, batched."""
+    out = np.zeros(len(mats))
+    for idx, S in stacks(mats):
+        X = S.reshape(len(idx), 1, -1)
+        out[idx] = np.sqrt(X @ X.transpose(0, 2, 1)).ravel()
+    return out
+
+
+def pairs_close(Ms, Ns, atol):
+    """Whether each pair (M, N) has one shape and entries within atol, as
+    np.allclose(M, N, rtol=0, atol=atol) decides (equal infinities pass);
+    atol = 0 decides np.array_equal."""
+    out = np.zeros(len(Ms), dtype=bool)
+    same = [k for k in range(len(Ms)) if Ms[k].shape == Ns[k].shape]
+    for pos, X in stacks([Ms[k] for k in same]):
+        idx = [same[p] for p in pos]
+        Y = np.array([Ns[k] for k in idx])
+        with np.errstate(invalid="ignore"):
+            ok = (np.abs(X - Y) <= atol) | (X == Y)
+        out[idx] = ok.reshape(len(idx), -1).all(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -106,25 +139,28 @@ def validate_spec(spec: ArraySpec) -> ValidationReport:
         violations.append(f"agent count q={spec.q} must be >= 1")
     if spec.A.shape != (spec.n, spec.n):
         violations.append(f"A has shape {spec.A.shape}, expected ({spec.n}, {spec.n})")
+    edges = sorted(spec.C.items())
+    nonzero = frobenius_norms([M for _, M in edges]) > EDGE_TOL
     symmetric = True
-    for (i, j), M in sorted(spec.C.items()):
+    Ms, Ns = [], []  # each output and its mirror C_ji
+    for ((i, j), M), nz in zip(edges, nonzero):
         if not (0 <= i < spec.q and 0 <= j < spec.q):
             violations.append(f"edge ({i + 1}, {j + 1}) is outside 1..{spec.q}")
             continue
         if i == j:
-            if np.linalg.norm(M) > EDGE_TOL:
+            if nz:
                 violations.append(f"C_{i + 1}{i + 1} must be absent or zero")
             continue
         if M.shape[1] != spec.n:
             violations.append(
                 f"C_{i + 1}{j + 1} has {M.shape[1]} columns, expected {spec.n}"
             )
-        other = spec.C.get((j, i))
-        if other is None:
-            if np.linalg.norm(M) > EDGE_TOL:
-                symmetric = False
-        elif other.shape != M.shape or not np.allclose(M, other, rtol=0.0, atol=EDGE_TOL):
+        if (j, i) in spec.C:
+            Ms.append(M)
+            Ns.append(spec.C[(j, i)])
+        elif nz:
             symmetric = False
+    symmetric = symmetric and bool(pairs_close(Ms, Ns, EDGE_TOL).all())
     return ValidationReport(symmetric=symmetric, violations=tuple(violations))
 
 
@@ -132,10 +168,8 @@ def build_graph(spec: ArraySpec, edge_tol=EDGE_TOL) -> NetworkGraph:
     """Edges are the ordered pairs with ``||C_ij||_F > edge_tol``."""
     edges = set()
     degrees = [0] * spec.q
-    for (i, j), M in spec.C.items():
-        if i == j:
-            continue
-        if np.linalg.norm(M) > edge_tol:
+    for (i, j) in spec.nonzero_edges(edge_tol):
+        if i != j:
             edges.add((i, j))
             degrees[i] += 1
     undirected = all((j, i) in edges for (i, j) in edges)

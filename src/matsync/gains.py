@@ -25,6 +25,8 @@ from .array_model import (
     build_graph,
     is_connected,
     normalized_laplacian,
+    pairs_close,
+    stacks,
     validate_spec,
 )
 from .errors import (
@@ -35,7 +37,7 @@ from .errors import (
     NotSymmetric,
     SingularP,
 )
-from .mwl import MatrixWeightedLaplacian, laplacian_from_outputs
+from .mwl import MatrixWeightedLaplacian, laplacian_from_outputs, output_weights
 from .spectral import (
     NEUTRALLY_STABLE,
     STABLE,
@@ -99,9 +101,8 @@ def verify_cl_detectability(
     if strict_tol is None:
         strict_tol = default_strict_tol(A, P)
     X = A.T @ P + P @ A
-    eps = np.inf
-    for Q in _edge_weights(spec, edge_tol):
-        eps = min(eps, float(np.linalg.eigvalsh(Q - X)[0]))
+    lows = np.linalg.eigvalsh(_edge_weights(spec, edge_tol) - X)[:, 0]
+    eps = float(np.min(lows, initial=np.inf))
     sigma = float(np.linalg.eigvalsh(X)[-1])
     p_min = float(np.linalg.eigvalsh(P)[0])
     return CLDetectabilityCertificate(
@@ -114,28 +115,27 @@ def verify_cl_detectability(
 
 
 def _edge_weights(spec, edge_tol):
-    """C_ij'C_ij of each nonzero edge, in edge order, leaving out an edge (i, j),
-    i > j, whose C_ij is bit-equal to C_ji: its weight repeats an earlier one."""
-    weights = []
-    for (i, j) in spec.nonzero_edges(edge_tol):
-        C = spec.C[(i, j)]
-        if not (i > j and np.array_equal(C, spec.C.get((j, i)))):
-            weights.append(C.T @ C)
-    return weights
+    """(E, n, n) stack of C_ij'C_ij over the nonzero edges, in edge order,
+    leaving out an edge (i, j), i > j, whose C_ij is bit-equal to C_ji: its
+    weight repeats an earlier one."""
+    edges = spec.nonzero_edges(edge_tol)
+    lower = [(i, j) for (i, j) in edges if i > j and (j, i) in spec.C]
+    mirror = pairs_close(
+        [spec.C[e] for e in lower], [spec.C[(j, i)] for (i, j) in lower], 0.0
+    )
+    repeats = {e for e, same in zip(lower, mirror) if same}
+    return output_weights([spec.C[e] for e in edges if e not in repeats], spec.n)
 
 
 def _violation(A, P, weights):
-    """f(P) = max over edges of lambda_max(A'P + PA - C'C) and one subgradient."""
+    """f(P) = max over edges of lambda_max(A'P + PA - C'C) and one subgradient,
+    taken at the first edge that attains the max."""
     X = A.T @ P + P @ A
-    worst, grad = -np.inf, None
-    for Q in weights:
-        w, V = np.linalg.eigh(X - Q)
-        if w[-1] > worst:
-            worst = w[-1]
-            v = V[:, -1]
-            Av = A @ v
-            grad = np.outer(Av, v) + np.outer(v, Av)
-    return float(worst), grad
+    w, V = np.linalg.eigh(X - weights)
+    k = int(np.argmax(w[:, -1]))
+    v = V[k, :, -1]
+    Av = A @ v
+    return float(w[k, -1]), np.outer(Av, v) + np.outer(v, Av)
 
 
 def _project_spd(P):
@@ -158,7 +158,7 @@ def find_common_P(spec: ArraySpec, edge_tol: float = EDGE_TOL) -> CLDetectabilit
     """
     A = spec.A
     weights = _edge_weights(spec, edge_tol)
-    if not weights:
+    if not len(weights):
         raise Infeasible(
             "spec has no nonzero edges", verify_cl_detectability(spec, np.eye(spec.n))
         )
@@ -166,7 +166,7 @@ def find_common_P(spec: ArraySpec, edge_tol: float = EDGE_TOL) -> CLDetectabilit
 
     # margin target: a fraction of what P -> 0 would achieve on full-rank
     # edges, or plain strictness when some edge weight is singular
-    trivial = min(float(np.linalg.eigvalsh(Q)[0]) for Q in weights)
+    trivial = float(np.linalg.eigvalsh(weights)[:, 0].min())
     margin = max(1e-7, 0.25 * max(trivial, 0.0))
 
     candidates = []
@@ -251,10 +251,13 @@ def gains_theorem1(
         )
     if np.linalg.cond(P) > 1e14:
         raise SingularP("P is singular to working precision")
-    gains = {
-        (i, j): alpha * np.linalg.solve(P, C.T)
-        for (i, j), C in spec.C.items()
-    }
+    # one batched solve per shape group, scattered back into spec.C order
+    edges = list(spec.C)
+    G = [None] * len(edges)
+    for idx, S in stacks([spec.C[e] for e in edges]):
+        for k, Gk in zip(idx, alpha * np.linalg.solve(P, S.transpose(0, 2, 1))):
+            G[k] = Gk
+    gains = dict(zip(edges, G))
     cert = verify_cl_detectability(spec, P, edge_tol=edge_tol)
     try:
         lam2 = normalized_laplacian(build_graph(spec, edge_tol)).lambda2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArraySpec, sync_complement_basis
+from .array_model import ArraySpec, stacks, sync_complement_basis
 from .errors import DimensionMismatch
 
 RANK_TOL = 1e-9  # nullity(): singular values below RANK_TOL * sigma_max are zero
@@ -83,6 +83,20 @@ def build_laplacian(Q: dict, q: int, n: int | None = None) -> MatrixWeightedLapl
     )
 
 
+def output_weights(Cs, n, pre_transform=None) -> np.ndarray:
+    """(E, k, k) stack of the weights H'H, H = C or C @ pre_transform, in the
+    order of Cs: one batched matmul per shape group, bit-equal to H.T @ H."""
+    k = n if pre_transform is None else pre_transform.shape[1]
+    out = np.empty((len(Cs), k, k))
+    for idx, H in stacks(Cs):
+        if H.shape[2] != n:
+            raise DimensionMismatch(f"output matrix has {H.shape[2]} columns, expected {n}")
+        if pre_transform is not None:
+            H = H @ pre_transform
+        out[idx] = H.transpose(0, 2, 1) @ H
+    return out
+
+
 def laplacian_from_outputs(
     spec: ArraySpec, pre_transform: np.ndarray | None = None
 ) -> MatrixWeightedLaplacian:
@@ -91,10 +105,7 @@ def laplacian_from_outputs(
     The pre-transform hook covers the reduced Laplacian built from
     H_ij = C_ij U on the marginal subspace basis U.
     """
-    Q = {}
-    for (i, j), C in spec.C.items():
-        H = C if pre_transform is None else C @ pre_transform
-        Q[(i, j)] = H.T @ H
+    Q = dict(zip(spec.C, output_weights(list(spec.C.values()), spec.n, pre_transform)))
     n = spec.n if pre_transform is None else pre_transform.shape[1]
     lw = build_laplacian(Q, spec.q, n=n)
     return MatrixWeightedLaplacian(

@@ -55,8 +55,9 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_matrix(M) -> str:
+    # tolist() gives Python floats, whose repr is _fmt's text
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    return "\n".join(" ".join(_fmt(v) for v in row) for row in M)
+    return "\n".join(" ".join(map(repr, row)) for row in M.tolist())
 
 
 def _lines(text):
@@ -141,7 +142,8 @@ def parse_spec_document(text: str) -> SpecDocument:
     builder = None
     builder_args = {"coupling": {}}
     grids = _Grids()
-    edge_headers = []
+    edge_headers = []  # in document order, which is the order of spec.C
+    seen_edges = set()
 
     for lineno, tokens in _lines(text):
         key = tokens[0]
@@ -167,10 +169,11 @@ def parse_spec_document(text: str) -> SpecDocument:
             if "q" not in scalars:
                 raise SpecParseError("q must appear before the first edge", lineno)
             e = _edge_key(tokens[1:], lineno, scalars["q"])
-            if e in edge_headers:
+            if e in seen_edges:
                 raise SpecParseError(
                     f"duplicate edge ({e[0] + 1}, {e[1] + 1})", lineno
                 )
+            seen_edges.add(e)
             edge_headers.append(e)
             grids.open(("edge", e), lineno)
         elif key == "builder":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .array_model import CONTINUOUS, EDGE_TOL, ArraySpec
+from .array_model import CONTINUOUS, EDGE_TOL, ArraySpec, stacks
 from .errors import NotNeutrallyStable, NotSPD, SplitIllConditioned
 
 STABLE = "stable"
@@ -120,15 +120,21 @@ def classify_stability(A: np.ndarray, domain: str = CONTINUOUS) -> StabilityClas
     return StabilityClass(NEUTRALLY_STABLE, n1, n - n1, marginal)
 
 
-def _pbh(C, A, eigenvalues, norm):
+def _pbh(Cs, A, eigenvalues, norm):
+    """Whether [A - lam I; C] has full column rank at every given lam, for each
+    C in Cs: one singular-value call per (shape group, lam) on the stacked
+    matrices, each bit-equal to the call on that matrix alone."""
     n = A.shape[0]
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    for lam in eigenvalues:
-        M = np.vstack([A - lam * np.eye(n), C])
-        smin = np.linalg.svd(M, compute_uv=False)[-1]
-        if smin <= PBH_RANK_TOL * norm:
-            return False
-    return True
+    tol = PBH_RANK_TOL * norm
+    Cs = [np.atleast_2d(np.asarray(C, dtype=float)) for C in Cs]
+    ok = np.ones(len(Cs), dtype=bool)
+    for idx, S in stacks(Cs):
+        M = np.empty((len(idx), n + S.shape[1], n), dtype=np.result_type(A, eigenvalues))
+        M[:, n:] = S
+        for lam in eigenvalues:
+            M[:, :n] = A - lam * np.eye(n)
+            ok[idx] &= np.linalg.svd(M, compute_uv=False)[:, -1] > tol
+    return ok.tolist()
 
 
 def _pbh_all(Cs, A, domain):
@@ -136,8 +142,7 @@ def _pbh_all(Cs, A, domain):
     A = np.asarray(A, dtype=float)
     norm = _spectral_norm(A)
     lam = np.linalg.eigvals(A)
-    suspect = lam[_side(lam, domain, norm) >= 0]
-    return [_pbh(C, A, suspect, norm) for C in Cs]
+    return _pbh(Cs, A, lam[_side(lam, domain, norm) >= 0], norm)
 
 
 def pbh_detectable(C: np.ndarray, A: np.ndarray, domain: str = CONTINUOUS) -> bool:
@@ -154,13 +159,13 @@ def detectable_edges(spec: ArraySpec, symmetric: bool, edge_tol: float = EDGE_TO
     Cs = {}
     for (i, j) in spec.nonzero_edges(edge_tol):
         Cs.setdefault((min(i, j), max(i, j)) if symmetric else (i, j), spec.C[(i, j)])
-    return dict(zip(Cs, _pbh_all(Cs.values(), spec.A, spec.time_domain)))
+    return dict(zip(Cs, _pbh_all(list(Cs.values()), spec.A, spec.time_domain)))
 
 
 def pbh_observable(H: np.ndarray, S: np.ndarray) -> bool:
     """PBH rank test at every eigenvalue of S."""
     S = np.asarray(S, dtype=float)
-    return _pbh(H, S, np.linalg.eigvals(S), _spectral_norm(S))
+    return _pbh([H], S, np.linalg.eigvals(S), _spectral_norm(S))[0]
 
 
 def _balanced_pair(w):

@@ -17,7 +17,7 @@ from matsync import (
     sync_complement_basis,
     validate_spec,
 )
-from matsync.array_model import gamma_matrix
+from matsync.array_model import EDGE_TOL, gamma_matrix
 
 # frozen regression: lambda2 of the 5-chain, (2 - 2 cos(pi/5))/5
 CHAIN5_LAMBDA2 = 0.0763932022500210
@@ -233,3 +233,79 @@ def test_build_graph_symmetric_for_symmetric_specs(seed):
     assert g.undirected
     for (i, j) in g.edges:
         assert (j, i) in g.edges
+
+
+def symmetric_loop(spec):
+    """Reference: the per-edge np.allclose rule of validate_spec."""
+    for (i, j), M in spec.C.items():
+        if i == j or not (0 <= i < spec.q and 0 <= j < spec.q):
+            continue
+        other = spec.C.get((j, i))
+        if other is None:
+            if np.linalg.norm(M) > EDGE_TOL:
+                return False
+        elif other.shape != M.shape or not np.allclose(M, other, rtol=0.0, atol=EDGE_TOL):
+            return False
+    return True
+
+
+MIRRORS = ("equal", "tol", "past_tol", "rows", "missing", "inf", "inf_one_side", "nan")
+
+
+def mirror_of(rng, C, kind):
+    """C_ji for C_ij = C: equal, off by exactly +-EDGE_TOL or by one ulp more
+    on its zero entries, of another row count, absent, or with infinities."""
+    D = C.copy()
+    zeros = C == 0.0
+    sign = np.where(rng.random(C.shape) < 0.5, -1.0, 1.0)
+    if kind == "tol":
+        D[zeros] = (sign * EDGE_TOL)[zeros]
+    elif kind == "past_tol":
+        D[zeros] = (sign * np.nextafter(EDGE_TOL, np.inf))[zeros]
+    elif kind == "rows":
+        D = np.vstack([C, C[:1]])
+    elif kind == "missing":
+        return None
+    elif kind == "inf_one_side":
+        D[0, 0] = np.inf
+    elif kind == "nan":
+        D[0, 0] = np.nan
+    return D
+
+
+@given(seed=st.integers(0, 2**32 - 1), kinds=st.lists(st.sampled_from(MIRRORS), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_batched_symmetry_equals_allclose_loop(seed, kinds):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    cmap = {}
+    for k, kind in enumerate(kinds):
+        C = rng.standard_normal((int(rng.integers(1, 4)), n))
+        C[rng.random(C.shape) < 0.4] = 0.0
+        if rng.random() < 0.2:
+            C = np.zeros_like(C)
+        if kind == "inf":
+            C[0, 0] = rng.choice([-np.inf, np.inf])
+        D = mirror_of(rng, C, kind)
+        cmap[(k, k + 1)] = C
+        if D is not None:
+            cmap[(k + 1, k)] = D
+    spec = ArraySpec(q=len(kinds) + 1, n=n, A=np.zeros((n, n)), C=cmap)
+    assert validate_spec(spec).symmetric == symmetric_loop(spec)
+
+
+@given(seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([0.0, EDGE_TOL, 1e-3]))
+@settings(max_examples=100, deadline=None)
+def test_nonzero_edges_equals_norm_loop(seed, tol):
+    # some outputs scaled to within a few ulps of the tolerance
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    cmap = {}
+    for e in rng.permutation(12)[: int(rng.integers(0, 12))]:
+        C = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+        if rng.random() < 0.5:
+            C = C / np.linalg.norm(C) * tol * (1.0 + rng.integers(-3, 4) * 2.0**-52)
+        cmap[(int(e) // 4, int(e) % 4)] = C
+    spec = ArraySpec(q=4, n=n, A=np.zeros((n, n)), C=cmap)
+    want = [e for e in sorted(spec.C) if np.linalg.norm(spec.C[e]) > tol]
+    assert spec.nonzero_edges(tol) == want

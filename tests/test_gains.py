@@ -10,6 +10,8 @@ from conftest import (
     random_symmetric_spec,
     random_spd,
 )
+import matsync.gains as gains_module
+from matsync.spectral import detectable_edges
 from matsync import (
     ArraySpec,
     Infeasible,
@@ -354,11 +356,61 @@ def test_find_common_P_output_reverified_independently(rng):
 def test_verify_eigensolves_each_mirrored_edge_once(rng, monkeypatch):
     spec = random_complete_cl_spec(rng, q=5, n=3)
     edges = len(spec.nonzero_edges())
-    calls = []
+    solved = []
     eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh",
+        lambda a: solved.append(a.shape[0] if a.ndim == 3 else 1) or eigvalsh(a),
+    )
     verify_cl_detectability(spec, random_spd(rng, 3))
-    assert len(calls) == edges // 2 + 2
+    assert sum(solved) == edges // 2 + 2
+
+
+class _FirstViolation(Exception):
+    pass
+
+
+def _solver_calls(monkeypatch, run):
+    """eigvalsh, eigh and svd calls made by run(), stopping find_common_P after
+    its first evaluation of the violation."""
+    calls = []
+    with monkeypatch.context() as m:
+        for name in ("eigvalsh", "eigh", "svd"):
+            fn = getattr(np.linalg, name)
+            m.setattr(np.linalg, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+        first = gains_module._violation
+
+        def stop(*args):
+            first(*args)
+            raise _FirstViolation
+
+        m.setattr(gains_module, "_violation", stop)
+        try:
+            run()
+        except _FirstViolation:
+            pass
+    return len(calls)
+
+
+def test_edge_tests_make_one_solver_call_per_shape_group(rng, monkeypatch):
+    # the same drift at q = 5 and q = 20 (10 and 190 distinct edge weights),
+    # with a marginal pair for the PBH test to check
+    A = random_neutrally_stable(rng, 4, n1=2)
+    C = random_complete_cl_spec(rng, q=20, n=4).C
+    small, big = (
+        ArraySpec(q=q, n=4, A=A, C={(i, j): M for (i, j), M in C.items() if max(i, j) < q})
+        for q in (5, 20)
+    )
+    P = random_spd(rng, 4)
+    counts = {
+        spec.q: [
+            _solver_calls(monkeypatch, lambda: verify_cl_detectability(spec, P)),
+            _solver_calls(monkeypatch, lambda: find_common_P(spec)),
+            _solver_calls(monkeypatch, lambda: detectable_edges(spec, symmetric=True)),
+        ]
+        for spec in (small, big)
+    }
+    assert counts[5] == counts[20]
 
 
 @given(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import random_neutrally_stable, random_symmetric_spec
 from matsync import (
+    ArraySpec,
     NotNeutrallyStable,
     NotSPD,
     builtin_example,
@@ -15,6 +16,7 @@ from matsync import (
     pbh_observable,
     spd_sqrt,
 )
+from matsync.spectral import AXIS_TOL, PBH_RANK_TOL, detectable_edges
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -218,3 +220,54 @@ class TestSpdSqrt:
             spd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(NotSPD):
             spd_sqrt(np.diag([1.0, -1.0]))
+
+
+def pbh_loop(C, A, eigenvalues):
+    """Reference: one SVD of [A - lam I; C] per eigenvalue, per edge."""
+    n = A.shape[0]
+    tol = PBH_RANK_TOL * np.linalg.norm(A, 2)
+    return all(
+        np.linalg.svd(np.vstack([A - lam * np.eye(n), C]), compute_uv=False)[-1] > tol
+        for lam in eigenvalues
+    )
+
+
+def hidden_output(rng, A, domain, m):
+    """m x n output whose rows are orthogonal to one eigenvector of A on the
+    boundary (both parts of a complex one), so that (C, A) is not detectable."""
+    n = A.shape[0]
+    lam, V = np.linalg.eig(A)
+    d = lam.real if domain == "continuous" else np.abs(lam) - 1.0
+    v = V[:, rng.choice(np.flatnonzero(np.abs(d) <= AXIS_TOL * np.linalg.norm(A, 2)))]
+    Q, _ = np.linalg.qr(np.column_stack([v.real, v.imag] if np.any(v.imag) else [v.real]))
+    return rng.standard_normal((m, n)) @ (np.eye(n) - Q @ Q.T)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 6),
+    domain=st.sampled_from(["continuous", "discrete"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_batched_pbh_equals_per_edge_loop(seed, n, domain):
+    # n >= 3 leaves a nonzero output orthogonal to a complex eigenvector
+    rng = np.random.default_rng(seed)
+    A = random_neutrally_stable(rng, n, domain, n1=int(rng.integers(2, n + 1)))
+    lam = np.linalg.eigvals(A)
+    d = lam.real if domain == "continuous" else np.abs(lam) - 1.0
+    suspect = lam[d >= -AXIS_TOL * np.linalg.norm(A, 2)]
+    Cs = []
+    for _ in range(int(rng.integers(2, 9))):
+        m = int(rng.integers(1, n + 1))
+        Cs.append(rng.standard_normal((m, n)))
+        Cs.append(hidden_output(rng, A, domain, m))
+    order = rng.permutation(len(Cs))
+    spec = ArraySpec(
+        q=len(Cs) + 1, n=n, A=A, time_domain=domain,
+        C={(0, k + 1): Cs[p] for k, p in enumerate(order)},
+    )
+    want = {(0, k + 1): pbh_loop(Cs[p], A, suspect) for k, p in enumerate(order)}
+    assert set(want.values()) == {True, False}
+    assert detectable_edges(spec, symmetric=False) == want
+    assert [pbh_detectable(C, A, domain) for C in Cs] == [pbh_loop(C, A, suspect) for C in Cs]
+    assert [pbh_observable(C, A) for C in Cs] == [pbh_loop(C, A, lam) for C in Cs]
