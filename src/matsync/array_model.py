@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotConnected, NotSymmetric
 
-EDGE_TOL = 1e-12  # C blocks of Frobenius norm at most this are absent; C_ij, C_ji this close are equal
+EDGE_TOL = 1e-12  # default edge_tol: C blocks of Frobenius norm at most this are absent; C_ij, C_ji this close are equal
 NULL_TOL = 1e-9  # lambda2 of Gamma below this * max(lambda_max, 1/q) is zero
 
 CONTINUOUS = "continuous"
@@ -31,6 +31,9 @@ class ArraySpec:
     map may be asymmetric (``C_ij != C_ji``); such specs are accepted and
     flagged by :func:`validate_spec` rather than rejected, since the
     asymmetric counterexample has to be representable.
+
+    ``edges``, set once on construction and read by every layer, holds the
+    sorted ordered pairs whose output has Frobenius norm above ``edge_tol``.
     """
 
     q: int
@@ -38,6 +41,8 @@ class ArraySpec:
     A: np.ndarray
     C: dict = field(default_factory=dict)
     time_domain: str = CONTINUOUS
+    edge_tol: float = EDGE_TOL
+    edges: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
@@ -48,12 +53,10 @@ class ArraySpec:
         object.__setattr__(self, "C", cmap)
         if self.time_domain not in (CONTINUOUS, DISCRETE):
             raise ValueError(f"unknown time domain {self.time_domain!r}")
-
-    def nonzero_edges(self, edge_tol=EDGE_TOL):
-        """Ordered pairs whose output matrix is nonzero in Frobenius norm."""
-        edges = sorted(self.C)
-        norms = frobenius_norms([self.C[e] for e in edges])
-        return [e for e, v in zip(edges, norms) if v > edge_tol]
+        pairs = sorted(cmap)
+        norms = frobenius_norms([cmap[e] for e in pairs])
+        edges = tuple(e for e, v in zip(pairs, norms) if v > self.edge_tol)
+        object.__setattr__(self, "edges", edges)
 
 
 def stacks(mats):
@@ -129,7 +132,9 @@ class NormalizedGraphLaplacian:
 
 
 def validate_spec(spec: ArraySpec) -> ValidationReport:
-    """Report dimension mismatches, nonzero diagonal outputs, and symmetry.
+    """Report dimension mismatches, nonzero diagonal outputs, and symmetry:
+    each stored pair C_ij, C_ji within ``spec.edge_tol`` entry by entry, and
+    no pair of ``spec.edges`` without its mirror.
 
     Never raises: a malformed spec yields a report with violations, and a
     directed spec is merely flagged ``symmetric=False``.
@@ -139,16 +144,15 @@ def validate_spec(spec: ArraySpec) -> ValidationReport:
         violations.append(f"agent count q={spec.q} must be >= 1")
     if spec.A.shape != (spec.n, spec.n):
         violations.append(f"A has shape {spec.A.shape}, expected ({spec.n}, {spec.n})")
-    edges = sorted(spec.C.items())
-    nonzero = frobenius_norms([M for _, M in edges]) > EDGE_TOL
+    nonzero = set(spec.edges)
     symmetric = True
     Ms, Ns = [], []  # each output and its mirror C_ji
-    for ((i, j), M), nz in zip(edges, nonzero):
+    for (i, j), M in sorted(spec.C.items()):
         if not (0 <= i < spec.q and 0 <= j < spec.q):
             violations.append(f"edge ({i + 1}, {j + 1}) is outside 1..{spec.q}")
             continue
         if i == j:
-            if nz:
+            if (i, j) in nonzero:
                 violations.append(f"C_{i + 1}{i + 1} must be absent or zero")
             continue
         if M.shape[1] != spec.n:
@@ -158,17 +162,17 @@ def validate_spec(spec: ArraySpec) -> ValidationReport:
         if (j, i) in spec.C:
             Ms.append(M)
             Ns.append(spec.C[(j, i)])
-        elif nz:
+        elif (i, j) in nonzero:
             symmetric = False
-    symmetric = symmetric and bool(pairs_close(Ms, Ns, EDGE_TOL).all())
+    symmetric = symmetric and bool(pairs_close(Ms, Ns, spec.edge_tol).all())
     return ValidationReport(symmetric=symmetric, violations=tuple(violations))
 
 
-def build_graph(spec: ArraySpec, edge_tol=EDGE_TOL) -> NetworkGraph:
-    """Edges are the ordered pairs with ``||C_ij||_F > edge_tol``."""
+def build_graph(spec: ArraySpec) -> NetworkGraph:
+    """Edges are the off-diagonal pairs of ``spec.edges``."""
     edges = set()
     degrees = [0] * spec.q
-    for (i, j) in spec.nonzero_edges(edge_tol):
+    for (i, j) in spec.edges:
         if i != j:
             edges.add((i, j))
             degrees[i] += 1

@@ -1,14 +1,15 @@
 """Command-line front end: check, gains, simulate, sweep, example.
 
 Exit codes: 0 success, 1 IO/parse failure, 2 hypothesis failure,
-3 divergence.  Set MATSYNC_TOL (finite, >= 0) to override the default
-edge-detection tolerance and the strict-inequality margin of the
-feasibility checks.
+3 divergence.  Set MATSYNC_TOL (finite, >= 0) to override, for check,
+gains and sweep, the spec's edge tolerance (which decides absent edges and
+equal mirrors) and the strict-inequality margin of the feasibility checks.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -20,7 +21,6 @@ from . import builders, gains as gainsmod, simulation, specdoc
 from .array_model import (
     CONTINUOUS,
     DISCRETE,
-    EDGE_TOL,
     build_graph,
     is_connected,
     normalized_laplacian,
@@ -60,8 +60,11 @@ FLOAT_OPTIONS = {
 }
 
 
-def _check_float_options(args):
-    """Reject a non-finite float option, or a non-positive one that must be > 0."""
+def _check_options(args):
+    """Reject a non-finite float option, a non-positive one that must be > 0,
+    and a sweep of fewer than one point."""
+    if getattr(args, "points", 1) < 1:
+        raise SpecParseError(f"--points must be >= 1, got {args.points}")
     for name, positive in FLOAT_OPTIONS.items():
         value = getattr(args, name, None)
         if value is None:
@@ -72,33 +75,23 @@ def _check_float_options(args):
             raise SpecParseError(f"{flag} must be {need}, got {value!r}")
 
 
-def _tolerances():
-    """(strict_tol, edge_tol) from MATSYNC_TOL; strict_tol None keeps the default."""
-    raw = os.environ.get("MATSYNC_TOL")
-    if raw is None:
-        return None, EDGE_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise SpecParseError(f"MATSYNC_TOL={raw!r} is not a number")
-    if not math.isfinite(tol) or tol < 0.0:
-        raise SpecParseError(f"MATSYNC_TOL must be finite and >= 0, got {raw!r}")
-    return tol, tol
-
-
-def _cl_certificate(doc, tol, edge_tol):
+def _cl_certificate(doc, tol):
     """The CL-detectability certificate of the document's P, else of a searched P.
 
     A failed search gives its least-violating P.  That P is infeasible under
-    the default margin, but can pass a smaller margin set by MATSYNC_TOL.
+    the default margin, but can pass a smaller margin tol set by MATSYNC_TOL.
+    With tol None, the search's own certificate is the one of its P.
     """
     spec, P = doc.spec, doc.P
     if P is None:
         try:
-            P = gainsmod.find_common_P(spec, edge_tol=edge_tol).P
+            cert = gainsmod.find_common_P(spec)
         except Infeasible as e:
-            P = e.certificate.P
-    return gainsmod.verify_cl_detectability(spec, P, strict_tol=tol, edge_tol=edge_tol)
+            cert = e.certificate
+        if tol is None:
+            return cert
+        P = cert.P
+    return gainsmod.verify_cl_detectability(spec, P, strict_tol=tol)
 
 
 def _write(path, text):
@@ -159,20 +152,31 @@ def serialize_with_comment(doc, comment):
     return f"# {comment}\n{body}" if comment else body
 
 
-def _load_spec(path):
-    return specdoc.parse_spec_document(_read(path))
+def _load_spec_env(path):
+    """(document, MATSYNC_TOL or None); a set MATSYNC_TOL is the spec's edge_tol."""
+    doc = specdoc.parse_spec_document(_read(path))
+    raw = os.environ.get("MATSYNC_TOL")
+    if raw is None:
+        return doc, None
+    try:
+        tol = float(raw)
+    except ValueError:
+        raise SpecParseError(f"MATSYNC_TOL={raw!r} is not a number")
+    if not math.isfinite(tol) or tol < 0.0:
+        raise SpecParseError(f"MATSYNC_TOL must be finite and >= 0, got {raw!r}")
+    spec = dataclasses.replace(doc.spec, edge_tol=tol)
+    return dataclasses.replace(doc, spec=spec), tol
 
 
 def cmd_check(args):
-    doc = _load_spec(args.spec)
+    doc, tol = _load_spec_env(args.spec)
     spec = doc.spec
-    tol, edge_tol = _tolerances()
 
     lines = [f"q {spec.q}", f"n {spec.n}", f"time_domain {spec.time_domain}"]
     report = validate_spec(spec)
     lines.append(f"symmetric {_bool(report.symmetric)}")
 
-    g = build_graph(spec, edge_tol)
+    g = build_graph(spec)
     connected = is_connected(g)
     lines.append(f"connected {_bool(connected)}")
     lines.append(f"complete {_bool(g.is_complete())}")
@@ -181,7 +185,7 @@ def cmd_check(args):
     lines.append(f"stability {spec.time_domain} {cls.kind}")
     lines.append(f"marginal_count {cls.marginal_count}")
 
-    detectable = detectable_edges(spec, report.symmetric, edge_tol)
+    detectable = detectable_edges(spec, report.symmetric)
     for (i, j), ok in detectable.items():
         lines.append(f"detectable {i + 1} {j + 1} {_bool(ok)}")
     detectable_all = all(detectable.values())
@@ -202,7 +206,7 @@ def cmd_check(args):
                 pass
         cert = None
         if report.symmetric and connected:
-            cert = _cl_certificate(doc, tol, edge_tol)
+            cert = _cl_certificate(doc, tol)
         if cert is not None:
             lines.append(f"cl_feasible {_bool(cert.feasible)}")
             lines.append(f"eps {_fmt(cert.eps)}")
@@ -224,9 +228,8 @@ def cmd_check(args):
 
 
 def cmd_gains(args):
-    doc = _load_spec(args.spec)
+    doc, tol = _load_spec_env(args.spec)
     spec = doc.spec
-    tol, edge_tol = _tolerances()
 
     if args.recipe == "theorem1":
         if spec.time_domain != CONTINUOUS:
@@ -237,10 +240,10 @@ def cmd_gains(args):
             if not report.symmetric:
                 print("hypothesis failed: edge outputs are not symmetric", file=sys.stderr)
                 return EXIT_HYPOTHESIS
-            if not is_connected(build_graph(spec, edge_tol)):
+            if not is_connected(build_graph(spec)):
                 print("hypothesis failed: graph is not connected", file=sys.stderr)
                 return EXIT_HYPOTHESIS
-        cert = _cl_certificate(doc, tol, edge_tol)
+        cert = _cl_certificate(doc, tol)
         # --force keeps an infeasible P from the document, never a failed
         # search; a failed search's P passes only a MATSYNC_TOL margin it meets
         if not cert.feasible and (doc.P is None or not args.force):
@@ -248,7 +251,7 @@ def cmd_gains(args):
             return EXIT_HYPOTHESIS
         P = doc.P if doc.P is not None else cert.P
         alpha = args.alpha if args.alpha is not None else doc.alpha
-        gs = gainsmod.gains_theorem1(spec, P, alpha, edge_tol=edge_tol)
+        gs = gainsmod.gains_theorem1(spec, P, alpha)
         cert, c14 = gs.certificate
         metadata = {
             "cert_eps": cert.eps,
@@ -271,7 +274,7 @@ def cmd_gains(args):
             return EXIT_HYPOTHESIS
         synth = gainsmod.gains_ct_neutral if ct else gainsmod.gains_dt_neutral
         try:
-            gs = synth(spec, check=not args.force, edge_tol=edge_tol)
+            gs = synth(spec, check=not args.force)
         except MatsyncError as e:
             print(f"hypothesis failed: {e}", file=sys.stderr)
             return EXIT_HYPOTHESIS
@@ -420,7 +423,7 @@ def _trace_csv(trace, verdict):
 
 
 def cmd_simulate(args):
-    doc = _load_spec(args.spec)
+    doc = specdoc.parse_spec_document(_read(args.spec))
     gdoc = specdoc.parse_gains_document(_read(args.gains))
     spec = doc.spec
     if (gdoc.q, gdoc.n) != (spec.q, spec.n):
@@ -458,15 +461,13 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
-    doc = _load_spec(args.spec)
+    doc, tol = _load_spec_env(args.spec)
     spec = doc.spec
-    cert = _cl_certificate(doc, *_tolerances())
+    cert = _cl_certificate(doc, tol)
     if not cert.feasible:
         print("hypothesis failed: CL-detectability certificate missing", file=sys.stderr)
         return EXIT_HYPOTHESIS
 
-    if args.points < 1:
-        raise SpecParseError(f"points must be >= 1, got {args.points}")
     if args.points == 1:
         alphas = np.array([args.alpha_min])
     else:
@@ -493,12 +494,10 @@ def make_parser():
     p = sub.add_parser("example", help="write a bundled example spec document")
     p.add_argument("name", choices=builders.BUILTIN_NAMES)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("check", help="verify the synchronizability assumptions")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("gains", help="synthesize coupling gains")
     p.add_argument("--spec", required=True)
@@ -508,7 +507,6 @@ def make_parser():
     p.add_argument("--force", action="store_true",
                    help="emit gains even when a hypothesis fails")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gains)
 
     p = sub.add_parser("simulate", help="integrate the closed loop from a seeded x0")
     p.add_argument("--spec", required=True)
@@ -519,7 +517,6 @@ def make_parser():
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="closed-loop spectral abscissa vs coupling")
     p.add_argument("--spec", required=True)
@@ -527,15 +524,21 @@ def make_parser():
     p.add_argument("--alpha-max", type=float, default=100.0)
     p.add_argument("--points", type=int, default=50)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
+@functools.cache
+def _parser():
+    """make_parser(), built once per process: building it costs ~1 ms a call."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        _check_float_options(args)
-        return args.func(args)
+        _check_options(args)
+        # looked up at call time, so a replaced cli.cmd_* is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except SpecParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO

@@ -20,7 +20,6 @@ import scipy.linalg as sla
 from .array_model import (
     CONTINUOUS,
     DISCRETE,
-    EDGE_TOL,
     ArraySpec,
     build_graph,
     is_connected,
@@ -33,18 +32,11 @@ from .errors import (
     Infeasible,
     NotConnected,
     NotDetectable,
-    NotNeutrallyStable,
     NotSymmetric,
     SingularP,
 )
 from .mwl import MatrixWeightedLaplacian, laplacian_from_outputs, output_weights
-from .spectral import (
-    NEUTRALLY_STABLE,
-    STABLE,
-    classify_stability,
-    detectable_edges,
-    neutral_split,
-)
+from .spectral import STABLE, classify_stability, detectable_edges, neutral_split
 
 RECIPE_THEOREM1 = "theorem1"
 RECIPE_ALG1_CT = "alg1_ct"
@@ -89,8 +81,7 @@ def default_strict_tol(A, P):
 
 
 def verify_cl_detectability(
-    spec: ArraySpec, P: np.ndarray, strict_tol: float | None = None,
-    edge_tol: float = EDGE_TOL,
+    spec: ArraySpec, P: np.ndarray, strict_tol: float | None = None
 ) -> CLDetectabilityCertificate:
     """Check A'P + PA < C_ij' C_ij over all nonzero edge weights by eigensolves.
 
@@ -101,7 +92,7 @@ def verify_cl_detectability(
     if strict_tol is None:
         strict_tol = default_strict_tol(A, P)
     X = A.T @ P + P @ A
-    lows = np.linalg.eigvalsh(_edge_weights(spec, edge_tol) - X)[:, 0]
+    lows = np.linalg.eigvalsh(_edge_weights(spec) - X)[:, 0]
     eps = float(np.min(lows, initial=np.inf))
     sigma = float(np.linalg.eigvalsh(X)[-1])
     p_min = float(np.linalg.eigvalsh(P)[0])
@@ -114,11 +105,11 @@ def verify_cl_detectability(
     )
 
 
-def _edge_weights(spec, edge_tol):
-    """(E, n, n) stack of C_ij'C_ij over the nonzero edges, in edge order,
-    leaving out an edge (i, j), i > j, whose C_ij is bit-equal to C_ji: its
-    weight repeats an earlier one."""
-    edges = spec.nonzero_edges(edge_tol)
+def _edge_weights(spec):
+    """(E, n, n) stack of C_ij'C_ij over spec.edges, in edge order, leaving
+    out an edge (i, j), i > j, whose C_ij is bit-equal to C_ji: its weight
+    repeats an earlier one."""
+    edges = spec.edges
     lower = [(i, j) for (i, j) in edges if i > j and (j, i) in spec.C]
     mirror = pairs_close(
         [spec.C[e] for e in lower], [spec.C[(j, i)] for (i, j) in lower], 0.0
@@ -143,7 +134,7 @@ def _project_spd(P):
     return (V * np.clip(w, P_FLOOR, P_CEIL)) @ V.T
 
 
-def find_common_P(spec: ArraySpec, edge_tol: float = EDGE_TOL) -> CLDetectabilityCertificate:
+def find_common_P(spec: ArraySpec) -> CLDetectabilityCertificate:
     """Search for a common Lyapunov P by projected subgradient descent.
 
     Minimizes f(P) = max_edges lambda_max(A'P + PA - C_ij'C_ij) over
@@ -157,7 +148,7 @@ def find_common_P(spec: ArraySpec, edge_tol: float = EDGE_TOL) -> CLDetectabilit
     least-violating certificate) when the budget runs out.
     """
     A = spec.A
-    weights = _edge_weights(spec, edge_tol)
+    weights = _edge_weights(spec)
     if not len(weights):
         raise Infeasible(
             "spec has no nonzero edges", verify_cl_detectability(spec, np.eye(spec.n))
@@ -212,7 +203,7 @@ def find_common_P(spec: ArraySpec, edge_tol: float = EDGE_TOL) -> CLDetectabilit
             R = rng.standard_normal((n, n)) * 0.3
             P = _project_spd(np.eye(n) + R @ R.T)
 
-    cert = verify_cl_detectability(spec, best_P, edge_tol=edge_tol)
+    cert = verify_cl_detectability(spec, best_P)
     if not cert.feasible:
         raise Infeasible(
             "no common Lyapunov P found within the iteration budget "
@@ -230,12 +221,7 @@ def condition14(cert: CLDetectabilityCertificate, lambda2: float) -> Condition14
     return Condition14Report(lambda2=float(lambda2), delta=float(delta), holds=delta > 0.0)
 
 
-def gains_theorem1(
-    spec: ArraySpec,
-    P: np.ndarray,
-    alpha: float | None = None,
-    edge_tol: float = EDGE_TOL,
-) -> GainSet:
+def gains_theorem1(spec: ArraySpec, P: np.ndarray, alpha: float | None = None) -> GainSet:
     """G_ij = alpha P^-1 C_ij^T for every stored edge.
 
     alpha defaults to max(1/(2q), 1); smaller values are allowed (the bound
@@ -258,9 +244,9 @@ def gains_theorem1(
         for k, Gk in zip(idx, alpha * np.linalg.solve(P, S.transpose(0, 2, 1))):
             G[k] = Gk
     gains = dict(zip(edges, G))
-    cert = verify_cl_detectability(spec, P, edge_tol=edge_tol)
+    cert = verify_cl_detectability(spec, P)
     try:
-        lam2 = normalized_laplacian(build_graph(spec, edge_tol)).lambda2
+        lam2 = normalized_laplacian(build_graph(spec)).lambda2
         report = condition14(cert, lam2)
     except (NotConnected, NotSymmetric):
         report = Condition14Report(lambda2=0.0, delta=-np.inf, holds=False)
@@ -272,26 +258,28 @@ def gains_theorem1(
     )
 
 
-def _check_neutral_assumptions(spec, domain, edge_tol):
-    if not validate_spec(spec).symmetric:
-        raise NotSymmetric("edge outputs are not symmetric (C_ij != C_ji)")
-    if not is_connected(build_graph(spec, edge_tol)):
-        raise NotConnected("network graph is not connected")
-    cls = classify_stability(spec.A, domain)
-    if cls.kind not in (NEUTRALLY_STABLE, STABLE):
-        raise NotNeutrallyStable(f"A is {cls.kind} in the {domain}-time sense")
-    for (i, j), ok in detectable_edges(spec, symmetric=True, edge_tol=edge_tol).items():
-        if not ok:
-            raise NotDetectable(i, j)
+def _neutral_split(spec, domain, check):
+    """neutral_split(A), which refuses an A that is not neutrally stable.
 
-
-def gains_ct_neutral(
-    spec: ArraySpec, check: bool = True, edge_tol: float = EDGE_TOL
-) -> GainSet:
-    """Continuous-time neutral-stability recipe: G_ij = U U^T C_ij^T."""
+    With check, the edge outputs must first be symmetric and the graph
+    connected, and afterwards every edge must be PBH detectable.
+    """
     if check:
-        _check_neutral_assumptions(spec, CONTINUOUS, edge_tol)
-    split = neutral_split(spec.A, CONTINUOUS)
+        if not validate_spec(spec).symmetric:
+            raise NotSymmetric("edge outputs are not symmetric (C_ij != C_ji)")
+        if not is_connected(build_graph(spec)):
+            raise NotConnected("network graph is not connected")
+    split = neutral_split(spec.A, domain)
+    if check:
+        for (i, j), ok in detectable_edges(spec, symmetric=True).items():
+            if not ok:
+                raise NotDetectable(i, j)
+    return split
+
+
+def gains_ct_neutral(spec: ArraySpec, check: bool = True) -> GainSet:
+    """Continuous-time neutral-stability recipe: G_ij = U U^T C_ij^T."""
+    split = _neutral_split(spec, CONTINUOUS, check)
     if split.n1 == 0:
         gains = {e: np.zeros((spec.n, C.shape[0])) for e, C in spec.C.items()}
     else:
@@ -300,17 +288,13 @@ def gains_ct_neutral(
     return GainSet(gains=gains, recipe=RECIPE_ALG1_CT, certificate=split)
 
 
-def gains_dt_neutral(
-    spec: ArraySpec, check: bool = True, edge_tol: float = EDGE_TOL
-) -> GainSet:
+def gains_dt_neutral(spec: ArraySpec, check: bool = True) -> GainSet:
     """Discrete-time neutral-stability recipe: G_ij = U Q U^T C_ij^T.
 
     Also computes eps_bar from the Laplacian of the reduced weights
     H_ij = C_ij U, the largest coupling step the theorem licenses.
     """
-    if check:
-        _check_neutral_assumptions(spec, DISCRETE, edge_tol)
-    split = neutral_split(spec.A, DISCRETE)
+    split = _neutral_split(spec, DISCRETE, check)
     if split.n1 == 0:
         gains = {e: np.zeros((spec.n, C.shape[0])) for e, C in spec.C.items()}
         ebar = np.inf

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .array_model import CONTINUOUS, EDGE_TOL, ArraySpec, stacks
+from .array_model import CONTINUOUS, ArraySpec, stacks
 from .errors import NotNeutrallyStable, NotSPD, SplitIllConditioned
 
 STABLE = "stable"
@@ -150,14 +150,14 @@ def pbh_detectable(C: np.ndarray, A: np.ndarray, domain: str = CONTINUOUS) -> bo
     return _pbh_all([C], A, domain)[0]
 
 
-def detectable_edges(spec: ArraySpec, symmetric: bool, edge_tol: float = EDGE_TOL) -> dict:
-    """{pair: whether (C_ij, A) is PBH detectable} over the nonzero edges.
+def detectable_edges(spec: ArraySpec, symmetric: bool) -> dict:
+    """{pair: whether (C_ij, A) is PBH detectable} over ``spec.edges``.
 
     A symmetric spec has one pair (i, j), i < j, per undirected edge; any
     other spec has every ordered pair.  eig(A) is computed once.
     """
     Cs = {}
-    for (i, j) in spec.nonzero_edges(edge_tol):
+    for (i, j) in spec.edges:
         Cs.setdefault((min(i, j), max(i, j)) if symmetric else (i, j), spec.C[(i, j)])
     return dict(zip(Cs, _pbh_all(list(Cs.values()), spec.A, spec.time_domain)))
 

@@ -110,7 +110,8 @@ class TestBuildGraph:
     def test_edge_tol_filters_tiny_outputs(self):
         spec = ArraySpec(q=2, n=1, A=np.zeros((1, 1)), C={(0, 1): [[1e-13]]})
         assert build_graph(spec).edge_count == 0
-        assert build_graph(spec, edge_tol=1e-14).edge_count == 1
+        spec = ArraySpec(q=2, n=1, A=np.zeros((1, 1)), C={(0, 1): [[1e-13]]}, edge_tol=1e-14)
+        assert build_graph(spec).edge_count == 1
 
 
 class TestConnectivity:
@@ -306,6 +307,6 @@ def test_nonzero_edges_equals_norm_loop(seed, tol):
         if rng.random() < 0.5:
             C = C / np.linalg.norm(C) * tol * (1.0 + rng.integers(-3, 4) * 2.0**-52)
         cmap[(int(e) // 4, int(e) % 4)] = C
-    spec = ArraySpec(q=4, n=n, A=np.zeros((n, n)), C=cmap)
-    want = [e for e in sorted(spec.C) if np.linalg.norm(spec.C[e]) > tol]
-    assert spec.nonzero_edges(tol) == want
+    spec = ArraySpec(q=4, n=n, A=np.zeros((n, n)), C=cmap, edge_tol=tol)
+    want = tuple(e for e in sorted(spec.C) if np.linalg.norm(spec.C[e]) > tol)
+    assert spec.edges == want

@@ -181,7 +181,7 @@ class TestBuiltins:
             assert validate_spec(spec).symmetric
             assert is_connected(build_graph(spec))
             assert classify_stability(spec.A, "continuous").kind == "neutrally_stable"
-            for e in spec.nonzero_edges():
+            for e in spec.edges:
                 assert pbh_detectable(spec.C[e], spec.A, "continuous")
 
     def test_unknown_name(self):

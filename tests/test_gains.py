@@ -355,7 +355,7 @@ def test_find_common_P_output_reverified_independently(rng):
 
 def test_verify_eigensolves_each_mirrored_edge_once(rng, monkeypatch):
     spec = random_complete_cl_spec(rng, q=5, n=3)
-    edges = len(spec.nonzero_edges())
+    edges = len(spec.edges)
     solved = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(
