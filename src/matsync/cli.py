@@ -43,14 +43,12 @@ EXIT_HYPOTHESIS = 2
 EXIT_DIVERGED = 3
 
 # cells formatted per write of a trace; _format_rows takes 32 bytes a cell in
-# its largest array, so each array of a chunk stays under glibc's 128 KiB mmap
-# threshold and comes from the heap instead of freshly mapped pages
+# its largest array (the four scale doubles of _round_scaled; a cell's record
+# of uint32 words is 24 or 28 bytes), so each array of a chunk stays under
+# glibc's 128 KiB mmap threshold and comes from the heap instead of freshly
+# mapped pages
 CSV_CHUNK_CELLS = 3072
 FREXP_MIN, FREXP_MAX = -1073, 1024  # frexp exponents of finite nonzero doubles
-# one trace cell of _format_rows in 32 bytes: sign, first digit, '.', 16 digits
-# (words 1-4), 'e', exponent sign, 4 exponent digits (word 6), separator
-CELL = b" -0.0000000000000000e+  0000,   "
-KEEP = b"  ####################    ###   "
 
 
 # float options: name -> whether it must also be > 0
@@ -251,8 +249,8 @@ def cmd_gains(args):
             return EXIT_HYPOTHESIS
         P = doc.P if doc.P is not None else cert.P
         alpha = args.alpha if args.alpha is not None else doc.alpha
-        gs = gainsmod.gains_theorem1(spec, P, alpha)
-        cert, c14 = gs.certificate
+        gs = gainsmod.gains_theorem1(spec, P, cert, alpha)
+        c14 = gs.certificate[1]
         metadata = {
             "cert_eps": cert.eps,
             "cert_sigma": cert.sigma,
@@ -311,22 +309,43 @@ def _veltkamp(a):
     return high, a - high
 
 
+def _words(*columns):
+    """One uint32 word per row of four byte columns (scalars broadcast)."""
+    return np.stack(np.broadcast_arrays(*columns), axis=1).astype(np.uint8).view(np.uint32).ravel()
+
+
 @functools.cache
 def _format_tables():
     """The tables of _format_rows, built on the first trace written, never at import.
 
-    Returns (digits4, p0, scales).  digits4[v] is the four ASCII digits of
-    v < 10^4 as one uint32.  Column e - FREXP_MIN of p0 and scales belongs
-    to frexp exponent e: a finite |x| = f 2^e, 0.5 <= f < 1, has decimal
-    exponent p = p0 or p0 + 1, where p0 = floor(log10 2^(e-1)), and
-    scales[p - p0] holds hi, hi_high, hi_low, lo: the scale 2^e 10^(16-p) as
-    the double-double hi + lo, with hi = hi_high + hi_low its Veltkamp split.
+    Returns (digits4, p0, scales, lead, ddde, exp2, exp3).  Column e - FREXP_MIN
+    of p0 and scales belongs to frexp exponent e: a finite |x| = f 2^e,
+    0.5 <= f < 1, has decimal exponent p = p0 or p0 + 1, where p0 =
+    floor(log10 2^(e-1)), and scales[p - p0] holds hi, hi_high, hi_low, lo: the
+    scale 2^e 10^(16-p) as the double-double hi + lo, with hi = hi_high +
+    hi_low its Veltkamp split.  The rest are record words, as bytes:
+    digits4[v] the four digits of v < 10^4, ddde[v] the three digits of v <
+    10^3 and 'e', lead[100 s + v] the sign ('-' if s, else NUL), the first
+    digit of v < 100, '.' and its second digit, and exp2 and exp3 at p -
+    p0[0] the exponent p as sign, tens, units, ',' and as sign, hundreds (NUL
+    if |p| < 100), tens, units.
     """
-    digits4 = np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+    zero = ord("0")
+    v = np.arange(10**4)
+    digits4 = _words(*(v[:, None] // [1000, 100, 10, 1] % 10 + zero).T)
+    v = v[:1000]
+    ddde = _words(v // 100 + zero, v // 10 % 10 + zero, v % 10 + zero, ord("e"))
+    v = v[:200]
+    lead = _words(np.where(v < 100, 0, ord("-")), v // 10 % 10 + zero, ord("."), v % 10 + zero)
     exps = np.arange(FREXP_MIN, FREXP_MAX + 1)
     # exact: no nonzero (e - 1) log10(2) in this range lies within 1e-4 of an
     # integer (tests check p0 in integer arithmetic)
     p0 = np.floor((exps - 1) * np.log10(2.0)).astype(np.int64)
+    p = np.arange(p0[0], p0[-1] + 2)
+    sign, a = np.where(p < 0, ord("-"), ord("+")), np.abs(p)
+    tens, units = a // 10 % 10 + zero, a % 10 + zero
+    exp2 = _words(sign, tens, units, ord(","))
+    exp3 = _words(sign, np.where(a < 100, 0, a // 100 + zero), tens, units)
     hi = np.empty((2, len(exps)))
     lo = np.empty((2, len(exps)))
     for i, (e, p) in enumerate(zip(exps.tolist(), p0.tolist())):
@@ -336,7 +355,7 @@ def _format_tables():
             den = 10 ** max(-k, 0) << max(-e, 0)
             hi[up, i], lo[up, i] = _double_double(num, den)
     scales = np.stack((hi, *_veltkamp(hi), lo), axis=1)
-    return digits4.astype(np.uint8).view(np.uint32).ravel(), p0, scales
+    return digits4, p0, scales, lead, ddde, exp2, exp3
 
 
 def _round_scaled(f, index, up):
@@ -366,11 +385,18 @@ def _format_rows(block):
     double, bit for bit.  The digits come from N = round(|x| 10^(16-p)) in
     double-double arithmetic.  The few cells whose rounding that cannot
     decide, exact decimal ties among them, take N and p from Python's '%.16e'.
+
+    Each cell is a record of uint32 words, each word one take from a table of
+    _format_tables: [s d . D1] [D2-5] [D6-9] [D10-13] [D14-16 e] [+ t u ,],
+    where D1-D16 follow the first digit d and s is '-' or NUL.  If any |p| >=
+    100, every record of the block has a 7th word instead: [+ h t u] [, 0 0 0],
+    with h NUL when |p| < 100.  A byte that is not printed is NUL, so dropping
+    the NULs of the records leaves the text.
     """
     x = block.ravel()
     if not np.isfinite(x).all():
         raise ValueError("a trace cell is not finite")
-    digits4, p0 = _format_tables()[:2]
+    digits4, p0, _, lead, ddde, exp2, exp3 = _format_tables()
     f, e = np.frexp(np.abs(x))
     index = e - FREXP_MIN
     n, unsure = _round_scaled(f, index, 0)
@@ -384,25 +410,31 @@ def _format_rows(block):
         digits, exponent = ("%.16e" % abs(x[i])).split("e")
         n[i], p[i] = int(digits.replace(".", "")), int(exponent)
 
-    # every cell starts as CELL and is filled in; KEEP marks the bytes always
-    # printed, and the sign and the exponent's hundreds digit are added per cell
-    words = np.empty((len(x), 8), dtype=np.uint32)
-    words[:] = np.frombuffer(CELL, dtype=np.uint32)
-    cells = words.view(np.uint8)
-    lead, rest = np.divmod(n, 10**16)
-    for word, half in zip((1, 3), np.divmod(rest, 10**8)):
-        high, low = np.divmod(half.astype(np.int32), 10**4)
-        words[:, word] = digits4.take(high)
-        words[:, word + 1] = digits4.take(low)
-    words[:, 6] = digits4.take(np.abs(p))
-    cells[:, 2] += lead.astype(np.uint8)
-    cells[:, 21] = np.where(p < 0, ord("-"), ord("+"))
-    cells[block.shape[1] - 1::block.shape[1], 28] = ord("\n")
-    keep = np.empty(cells.shape, dtype=bool)
-    keep[:] = np.frombuffer(KEEP, dtype=np.uint8) == ord("#")
-    keep[:, 1] = np.signbit(x)
-    keep[:, 25] = np.abs(p) >= 100
-    return cells[keep].tobytes().decode("ascii")
+    wide = p.min() <= -100 or p.max() >= 100
+    words = np.empty((len(x), 7 if wide else 6), dtype=np.uint32)
+    top = n // 10**15  # N = top 10^15 + high 10^7 + low
+    rest = n - top * 10**15
+    high = rest // 10**7
+    low = (rest - high * 10**7).astype(np.int32)
+    high = high.astype(np.int32)
+    top = top.astype(np.int32) + np.signbit(x) * np.int32(100)
+    words[:, 0] = lead.take(top)
+    div = high // 10**4
+    words[:, 1] = digits4.take(div)
+    words[:, 2] = digits4.take(high - div * 10**4)
+    div = low // 1000
+    words[:, 3] = digits4.take(div)
+    words[:, 4] = ddde.take(low - div * 1000)
+    p -= p0[0]
+    last = slice(block.shape[1] - 1, None, block.shape[1])
+    if wide:
+        words[:, 5] = exp3.take(p)
+        words[:, 6] = ord(",")
+        words[last, 6] = ord("\n")
+    else:
+        words[:, 5] = exp2.take(p)
+        words.view(np.uint8)[last, 23] = ord("\n")
+    return words.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _trace_csv(trace, verdict):

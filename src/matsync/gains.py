@@ -221,13 +221,20 @@ def condition14(cert: CLDetectabilityCertificate, lambda2: float) -> Condition14
     return Condition14Report(lambda2=float(lambda2), delta=float(delta), holds=delta > 0.0)
 
 
-def gains_theorem1(spec: ArraySpec, P: np.ndarray, alpha: float | None = None) -> GainSet:
+def gains_theorem1(
+    spec: ArraySpec, P: np.ndarray, cert: CLDetectabilityCertificate, alpha: float | None = None
+) -> GainSet:
     """G_ij = alpha P^-1 C_ij^T for every stored edge.
 
-    alpha defaults to max(1/(2q), 1); smaller values are allowed (the bound
-    is sufficient, not necessary) but draw a warning.
+    cert is the CL-detectability certificate of P, as verify_cl_detectability
+    or find_common_P gives it (its P is (P + P')/2); it is attached with its
+    condition (14) report, not computed again.  alpha defaults to
+    max(1/(2q), 1); smaller values are allowed (the bound is sufficient, not
+    necessary) but draw a warning.
     """
     P = np.asarray(P, dtype=float)
+    if not np.array_equal(cert.P, 0.5 * (P + P.T)):
+        raise ValueError("the certificate is not of this P")
     if alpha is None:
         alpha = max(1.0 / (2.0 * spec.q), 1.0)
     if alpha < 1.0 / (2.0 * spec.q) - 1e-15:
@@ -244,7 +251,6 @@ def gains_theorem1(spec: ArraySpec, P: np.ndarray, alpha: float | None = None) -
         for k, Gk in zip(idx, alpha * np.linalg.solve(P, S.transpose(0, 2, 1))):
             G[k] = Gk
     gains = dict(zip(edges, G))
-    cert = verify_cl_detectability(spec, P)
     try:
         lam2 = normalized_laplacian(build_graph(spec)).lambda2
         report = condition14(cert, lam2)

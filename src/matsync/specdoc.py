@@ -81,6 +81,14 @@ def _finite(vals, what, lineno):
     return vals
 
 
+def _block_name(key):
+    """A grid key as the document writes its header: A, P, edge I J, gain I J."""
+    if isinstance(key, str):
+        return key
+    kind, (i, j) = key
+    return f"{kind} {i + 1} {j + 1}"
+
+
 class _Grids:
     """Collects matrix blocks: a header opens a grid, number rows fill it."""
 
@@ -91,7 +99,7 @@ class _Grids:
 
     def open(self, key, lineno):
         if key in self.grids:
-            raise SpecParseError(f"duplicate matrix block {key}", lineno)
+            raise SpecParseError(f"duplicate matrix block {_block_name(key)}", lineno)
         self.grids[key] = []
         self.lines[key] = lineno
         self._open = key
@@ -103,7 +111,7 @@ class _Grids:
         _finite(row, "numbers in a matrix block", lineno)
         if rows and len(rows[0]) != len(row):
             raise SpecParseError(
-                f"ragged matrix block {self._open}: row of length {len(row)}, "
+                f"ragged matrix block {_block_name(self._open)}: row of length {len(row)}, "
                 f"expected {len(rows[0])}",
                 lineno,
             )

@@ -105,7 +105,7 @@ def test_criterion_4_theorem1_complete_graphs():
         n = int(rng.integers(1, 4))
         spec = random_complete_cl_spec(rng, q, n)
         cert = find_common_P(spec)
-        gs = gains_theorem1(spec, cert.P, alpha=1.0 / (2.0 * q))
+        gs = gains_theorem1(spec, cert.P, cert, alpha=1.0 / (2.0 * q))
         _, report = gs.certificate
         assert report.holds  # complete graph: condition is automatic
         cl = closed_loop(spec, gs)

@@ -1,6 +1,8 @@
+import re
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import (
     off_sync_eigenvalues,
+    random_complete_cl_spec,
     random_symmetric_spec,
     spectrum_partition_gap,
     sweep_gains,
@@ -25,6 +28,7 @@ from matsync import (
     simulate_dt,
 )
 from matsync import cli
+from matsync import gains as gainsmod
 from matsync.cli import main
 from matsync.specdoc import (
     SpecDocument,
@@ -244,6 +248,49 @@ class TestTraceFormat:
         chunks = list(cli._trace_csv(trace, "converged"))
         assert len(chunks) == 2 + 15
         assert "".join(chunks[1:-1]) == cli._format_rows(trace_block(trace))
+
+    @given(arrays(
+        np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
+        elements=st.floats(1e-99, 1e99) | st.floats(-1e99, -1e-99) | st.sampled_from([0.0, -0.0]),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_two_digit_exponents(self, block):
+        # every |p| < 100: the 6-word records of _format_rows
+        text = cli._format_rows(block)
+        assert text == reference_rows(block)
+        cells = [c for line in text.splitlines() for c in line.split(",")]
+        assert all(len(c.split("e")[1]) == 3 for c in cells)
+
+    @pytest.mark.parametrize("x", [1e-150, -2.5e200, 5e-324])
+    def test_three_digit_exponent_only_in_the_last_column(self, x):
+        block = np.random.default_rng(2).standard_normal((4, 5))
+        block[2, -1] = x
+        assert cli._format_rows(block) == reference_rows(block)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_blocks_of_one_sign(self, sign, scale):
+        block = sign * np.abs(np.random.default_rng(3).standard_normal((6, 5))) * scale
+        block[1, 2] = sign * 0.0
+        assert np.all(np.signbit(block) == (sign < 0))
+        assert cli._format_rows(block) == reference_rows(block)
+
+    def test_chunks_of_both_record_widths_write_the_bytes_of_one_call(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        states = rng.standard_normal((24, 4))
+        tiny = np.arange(24) // 3 % 2 == 1  # the middle rows of every other chunk
+        states[tiny] = 1e-150 * states[tiny]
+        trace = SimpleNamespace(
+            times=np.arange(24) * 0.5, states=states,
+            sync_error=rng.random(24), disagreement=rng.random(24),
+        )
+        monkeypatch.setattr(cli, "CSV_CHUNK_CELLS", 21)  # 3 rows of 7 cells per chunk
+        chunks = list(cli._trace_csv(trace, "converged"))[1:-1]
+        assert len(chunks) == 8
+        # the chunks with 1e-150 cells print three exponent digits, the others two
+        assert [bool(re.search(r"e-\d{3}", c)) for c in chunks] == [False, True] * 4
+        block = trace_block(trace)
+        assert "".join(chunks) == cli._format_rows(block) == reference_rows(block)
 
 
 # name -> (bundled example or spec text, gains argv, simulate argv, exit code)
@@ -619,3 +666,24 @@ def test_eigvals_calls_do_not_grow_with_the_edge_count(tmp_path):
                 assert run(argv[0], "--spec", str(path), *argv[1:], "--out", out) == 0
             counts[argv[0], q] = len(calls)
     assert counts == {("check", 5): 3, ("check", 50): 3, ("gains", 5): 2, ("gains", 50): 2}
+
+
+def test_theorem1_gains_verify_their_P_once(tmp_path):
+    # the CLI's certificate is the one the gains carry, whether P is searched
+    # or read from the document
+    spec = random_complete_cl_spec(np.random.default_rng(0), q=20, n=4)
+    searched = write_spec(tmp_path / "searched.spec", spec)
+    given = tmp_path / "given.spec"
+    given.write_text(serialize_spec_document(SpecDocument(spec=spec, P=find_common_P(spec).P)))
+    counts = []
+    for path in (searched, given):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                gainsmod, "verify_cl_detectability",
+                lambda *a, f=gainsmod.verify_cl_detectability, **k: calls.append(a) or f(*a, **k),
+            )
+            out = str(tmp_path / "out.gains")
+            assert run("gains", "--spec", str(path), "--recipe", "theorem1", "--out", out) == 0
+        counts.append(len(calls))
+    assert counts == [1, 1]

@@ -110,29 +110,36 @@ class TestFindCommonP:
 class TestGainsTheorem1:
     def test_scalar_formula(self):
         spec = ArraySpec(q=2, n=1, A=[[0.0]], C={(0, 1): [[3.0]], (1, 0): [[3.0]]})
-        gs = gains_theorem1(spec, P=[[2.0]], alpha=1.0)
+        gs = gains_theorem1(spec, [[2.0]], verify_cl_detectability(spec, [[2.0]]), alpha=1.0)
         assert np.allclose(gs.gains[(0, 1)], [[1.5]])
 
     def test_alpha_scaling_is_exact(self):
         ex = builtin_example("chain5")
-        g1 = gains_theorem1(ex.spec, ex.P, alpha=1.0)
-        g2 = gains_theorem1(ex.spec, ex.P, alpha=2.0)
+        cert = verify_cl_detectability(ex.spec, ex.P)
+        g1 = gains_theorem1(ex.spec, ex.P, cert, alpha=1.0)
+        g2 = gains_theorem1(ex.spec, ex.P, cert, alpha=2.0)
         for e in g1.gains:
             assert np.array_equal(2.0 * g1.gains[e], g2.gains[e])
 
     def test_small_alpha_warns(self):
         ex = builtin_example("chain5")
         with pytest.warns(UserWarning, match="below the 1/"):
-            gains_theorem1(ex.spec, ex.P, alpha=0.01)
+            gains_theorem1(ex.spec, ex.P, verify_cl_detectability(ex.spec, ex.P), alpha=0.01)
 
     def test_singular_P_rejected(self):
         ex = builtin_example("chain5")
         with pytest.raises(SingularP):
-            gains_theorem1(ex.spec, np.zeros((3, 3)), alpha=1.0)
+            P = np.zeros((3, 3))
+            gains_theorem1(ex.spec, P, verify_cl_detectability(ex.spec, P), alpha=1.0)
+
+    def test_certificate_of_another_P_rejected(self):
+        ex = builtin_example("chain5")
+        with pytest.raises(ValueError, match="not of this P"):
+            gains_theorem1(ex.spec, ex.P, verify_cl_detectability(ex.spec, 2.0 * ex.P))
 
     def test_condition14_attached(self):
         ex = builtin_example("chain5")
-        gs = gains_theorem1(ex.spec, ex.P, alpha=1.0)
+        gs = gains_theorem1(ex.spec, ex.P, verify_cl_detectability(ex.spec, ex.P), alpha=1.0)
         cert, report = gs.certificate
         assert cert.feasible
         assert not report.holds  # chain connectivity is too weak
@@ -279,7 +286,7 @@ class TestProofProperties:
         report = condition14(cert, lam2)
         assert report.holds
         alpha = 1.0 / (2.0 * spec.q)
-        gs = gains_theorem1(spec, cert.P, alpha=alpha)
+        gs = gains_theorem1(spec, cert.P, cert, alpha=alpha)
         cl = closed_loop(spec, gs)
         h = min(1e-3, 0.5 / np.linalg.norm(cl.system_matrix, 2))
         x0 = rng.standard_normal(spec.q * spec.n)

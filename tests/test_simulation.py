@@ -36,6 +36,7 @@ from matsync import (
     rho_sweep,
     simulate_ct,
     simulate_dt,
+    verify_cl_detectability,
 )
 from matsync import simulation
 from matsync.builders import BUILTIN_NAMES
@@ -100,7 +101,7 @@ class TestClosedLoop:
         # system matrix must be [I x A] - alpha [I x P^-1] L exactly
         ex = builtin_example("chain5")
         alpha = 1.7
-        gs = gains_theorem1(ex.spec, ex.P, alpha=alpha)
+        gs = gains_theorem1(ex.spec, ex.P, verify_cl_detectability(ex.spec, ex.P), alpha=alpha)
         cl = closed_loop(ex.spec, gs)
         lw = laplacian_from_outputs(ex.spec)
         expected = np.kron(np.eye(5), ex.spec.A) - alpha * np.kron(
@@ -485,7 +486,7 @@ class TestRhoSweep:
         cert = find_common_P(spec)
         (_, rho) = rho_sweep(spec, cert.P, [1.0])[0]
         assert rho < 0.0
-        gs = gains_theorem1(spec, cert.P, alpha=1.0)
+        gs = gains_theorem1(spec, cert.P, cert, alpha=1.0)
         cl = closed_loop(spec, gs)
         h = min(1e-3, 1.0 / np.linalg.norm(cl.system_matrix, 2))
         trace = simulate_ct(cl, rng.standard_normal(6), T=3000 * h, h=h)

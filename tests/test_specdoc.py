@@ -128,6 +128,24 @@ class TestParseErrors:
         with pytest.raises(SpecParseError, match="ragged"):
             parse_spec_document(text)
 
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_spec_document, "q 2\nn 2\nA\n0.0 1.0\n2.0\n",
+             "line 5: ragged matrix block A: row of length 1, expected 2"),
+            (parse_spec_document, "q 2\nn 2\nA\n0.0 1.0\n-1.0 0.0\nedge 1 2\n1.0 0.0\n3.0\n",
+             "line 8: ragged matrix block edge 1 2: row of length 1, expected 2"),
+            (parse_gains_document, "recipe alg1_ct\nq 2\nn 1\ngain 1 2\n1.0\ngain 1 2\n2.0\n",
+             "line 6: duplicate matrix block gain 1 2"),
+            (parse_spec_document, "q 2\nn 1\nA\n0.0\nP\n1.0\n# again\nP\n2.0\n",
+             "line 8: duplicate matrix block P"),
+        ],
+    )
+    def test_block_named_as_written(self, parse, text, message):
+        with pytest.raises(SpecParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
     def test_stray_row(self):
         with pytest.raises(SpecParseError, match="outside a matrix block"):
             parse_spec_document("q 2\n1.0 2.0\n")
