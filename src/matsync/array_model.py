@@ -209,13 +209,8 @@ def is_connected(g: NetworkGraph) -> bool:
     return len(seen) == g.q
 
 
-def complete_projector(q: int) -> np.ndarray:
-    """J = I - 11^T/q, the normalized Laplacian of the complete graph."""
-    return np.eye(q) - np.ones((q, q)) / q
-
-
 def sync_complement_basis(q: int) -> np.ndarray:
-    """Q: a q x (q-1) orthonormal basis of the complement of 1_q, so QQ^T = J.
+    """Q: a q x (q-1) orthonormal basis of the complement of 1_q, so QQ^T = I - 11^T/q.
 
     Empty (q x 0) for a single agent.
     """

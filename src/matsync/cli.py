@@ -495,6 +495,9 @@ def cmd_simulate(args):
 def cmd_sweep(args):
     doc, tol = _load_spec_env(args.spec)
     spec = doc.spec
+    if spec.time_domain != CONTINUOUS:
+        print("hypothesis failed: sweep applies to continuous time", file=sys.stderr)
+        return EXIT_HYPOTHESIS
     cert = _cl_certificate(doc, tol)
     if not cert.feasible:
         print("hypothesis failed: CL-detectability certificate missing", file=sys.stderr)

@@ -35,7 +35,7 @@ from .errors import (
     NotSymmetric,
     SingularP,
 )
-from .mwl import MatrixWeightedLaplacian, laplacian_from_outputs, output_weights
+from .mwl import laplacian_from_outputs, output_weights
 from .spectral import STABLE, classify_stability, detectable_edges, neutral_split
 
 RECIPE_THEOREM1 = "theorem1"
@@ -313,12 +313,11 @@ def gains_dt_neutral(spec: ArraySpec, check: bool = True) -> GainSet:
     )
 
 
-def eps_bar(lw: MatrixWeightedLaplacian) -> float:
+def eps_bar(L: np.ndarray) -> float:
     """Largest eps with L >= eps L^2 for symmetric PSD L: 1/lambda_max(L).
 
     Returns +inf for the zero Laplacian (any step works).
     """
-    L = lw.L
     scale = np.linalg.norm(L)
     if np.linalg.norm(L - L.T) > LAPLACIAN_SYM_TOL * max(scale, 1.0):
         raise NotSymmetric("eps_bar requires a symmetric Laplacian")

@@ -1,4 +1,4 @@
-"""Matrix-weighted Laplacian assembly and its quadratic form.
+"""Matrix-weighted Laplacian assembly; every function returns plain arrays.
 
 The block layout generalizes the scalar weighted Laplacian: diagonal block
 ``(i, i)`` holds the row sum of the edge weights ``Q_ij`` and off-diagonal
@@ -9,30 +9,10 @@ for asymmetric weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .array_model import ArraySpec, stacks, sync_complement_basis
+from .array_model import ArraySpec, stacks
 from .errors import DimensionMismatch
-
-RANK_TOL = 1e-9  # nullity(): singular values below RANK_TOL * sigma_max are zero
-
-
-@dataclass(frozen=True)
-class MatrixWeightedLaplacian:
-    L: np.ndarray
-    q: int
-    n: int
-    source: str  # "from_Q" | "from_C"
-    blocks: dict
-
-    def nullity(self) -> int:
-        """Null-space dimension via singular values below RANK_TOL * sigma_max."""
-        s = np.linalg.svd(self.L, compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return self.L.shape[0]
-        return int(np.sum(s <= RANK_TOL * s[0]))
 
 
 def assemble_block_laplacian(blocks: dict, q: int, n: int) -> np.ndarray:
@@ -48,7 +28,7 @@ def assemble_block_laplacian(blocks: dict, q: int, n: int) -> np.ndarray:
     return L
 
 
-def build_laplacian(Q: dict, q: int, n: int | None = None) -> MatrixWeightedLaplacian:
+def build_laplacian(Q: dict, q: int, n: int | None = None) -> np.ndarray:
     """Assemble the matrix-weighted Laplacian from edge weights Q_ij.
 
     Weight blocks must be square with one shared size; diagonal entries of
@@ -74,13 +54,7 @@ def build_laplacian(Q: dict, q: int, n: int | None = None) -> MatrixWeightedLapl
         blocks[(i, j)] = B
     if n is None:
         raise DimensionMismatch("cannot infer block size from an empty weight map")
-    return MatrixWeightedLaplacian(
-        L=assemble_block_laplacian(blocks, q, n),
-        q=q,
-        n=n,
-        source="from_Q",
-        blocks=blocks,
-    )
+    return assemble_block_laplacian(blocks, q, n)
 
 
 def output_weights(Cs, n, pre_transform=None) -> np.ndarray:
@@ -99,7 +73,7 @@ def output_weights(Cs, n, pre_transform=None) -> np.ndarray:
 
 def laplacian_from_outputs(
     spec: ArraySpec, pre_transform: np.ndarray | None = None
-) -> MatrixWeightedLaplacian:
+) -> np.ndarray:
     """Weights Q_ij = C_ij^T C_ij, optionally with C_ij replaced by C_ij @ pre_transform.
 
     The pre-transform hook covers the reduced Laplacian built from
@@ -107,23 +81,4 @@ def laplacian_from_outputs(
     """
     Q = dict(zip(spec.C, output_weights(list(spec.C.values()), spec.n, pre_transform)))
     n = spec.n if pre_transform is None else pre_transform.shape[1]
-    lw = build_laplacian(Q, spec.q, n=n)
-    return MatrixWeightedLaplacian(
-        L=lw.L, q=lw.q, n=lw.n, source="from_C", blocks=lw.blocks
-    )
-
-
-def disagreement(lw: MatrixWeightedLaplacian, x: np.ndarray) -> float:
-    """Quadratic form x^T L x; equals the edge sum of ||C_ij (x_j - x_i)||^2
-    when the weights come from symmetric outputs."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != lw.q * lw.n:
-        raise DimensionMismatch(f"state has length {x.shape[0]}, expected {lw.q * lw.n}")
-    return float(x @ lw.L @ x)
-
-
-def sync_projector(q: int, n: int) -> np.ndarray:
-    """J (x) I_n: the orthogonal projector onto the complement of the
-    synchronization subspace, VV' with V = sync_complement_basis(q) (x) I_n."""
-    V = np.kron(sync_complement_basis(q), np.eye(n))
-    return V @ V.T
+    return build_laplacian(Q, spec.q, n=n)

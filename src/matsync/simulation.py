@@ -287,8 +287,9 @@ def rho_sweep(spec: ArraySpec, P: np.ndarray, alphas):
     q, n = spec.q, spec.n
     V = np.kron(sync_complement_basis(q), np.eye(n))
     # Psi(alpha) = I (x) A - alpha L_W with W_ij = P^-1 C_ij' C_ij, so its
-    # quotient is one fixed matrix minus alpha times another
-    drift = V.T @ np.kron(np.eye(q), spec.A) @ V
+    # quotient is one fixed matrix minus alpha times another; V'(I (x) A)V is
+    # (Q'Q) (x) A = I (x) A exactly, so the drift needs no projection
+    drift = np.kron(np.eye(q - 1), spec.A)
     weights = {e: np.linalg.solve(P, C.T) @ C for e, C in spec.C.items()}
     coupling = V.T @ assemble_block_laplacian(weights, q, n) @ V
     out = []

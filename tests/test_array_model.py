@@ -11,7 +11,6 @@ from matsync import (
     build_graph,
     builtin_example,
     closed_loop,
-    complete_projector,
     is_connected,
     normalized_laplacian,
     sync_complement_basis,
@@ -136,7 +135,7 @@ class TestNormalizedLaplacian:
             }
             spec = ArraySpec(q=q, n=1, A=np.zeros((1, 1)), C=C)
             ngl = normalized_laplacian(build_graph(spec))
-            assert np.allclose(ngl.gamma, complete_projector(q))
+            assert np.allclose(ngl.gamma, np.eye(q) - np.ones((q, q)) / q)
             assert ngl.lambda2 == pytest.approx(1.0, abs=1e-12)
 
     def test_two_vertices(self):
@@ -183,7 +182,7 @@ def test_sync_complement_basis(q):
     assert Q.shape == (q, q - 1)
     assert np.allclose(Q.T @ Q, np.eye(q - 1), atol=1e-13)
     assert np.allclose(Q.T @ np.ones(q), 0.0, atol=1e-13)
-    assert np.allclose(Q @ Q.T, complete_projector(q), atol=1e-13)
+    assert np.allclose(Q @ Q.T, np.eye(q) - np.ones((q, q)) / q, atol=1e-13)
 
 
 def graph_from_pairs(q, pairs):
@@ -214,7 +213,7 @@ def test_projector_sandwich_bounds(q, seed):
     rng = np.random.default_rng(seed)
     g = graph_from_pairs(q, connected_edge_pairs(rng, q, extra=int(rng.integers(0, q))))
     ngl = normalized_laplacian(g)
-    J = complete_projector(q)
+    J = np.eye(q) - np.ones((q, q)) / q
     assert np.linalg.eigvalsh(J - ngl.gamma)[0] >= -1e-10
     assert np.linalg.eigvalsh(ngl.gamma / ngl.lambda2 - J)[0] >= -1e-10
 

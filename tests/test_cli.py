@@ -409,6 +409,25 @@ class TestSweep:
         )
         assert run("sweep", "--spec", str(spec)) == 2
 
+    def test_discrete_time_spec_exits_2_before_the_certificate(self, tmp_path, capsys):
+        # a 3-agent ring of rotations: neutrally stable in discrete time, so the
+        # continuous-time abscissa rows would say nothing true about it
+        th = 0.9
+        A = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        C = {}
+        for (i, j) in [(0, 1), (1, 2), (2, 0)]:
+            C[(i, j)] = C[(j, i)] = np.eye(2)
+        spec = tmp_path / "ring_dt.spec"
+        spec.write_text(
+            serialize_spec_document(
+                SpecDocument(spec=ArraySpec(q=3, n=2, A=A, C=C, time_domain="discrete"))
+            )
+        )
+        assert run("sweep", "--spec", str(spec), "--points", "5") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hypothesis failed: sweep applies to continuous time\n"
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_points_below_one_exit_1_before_the_certificate(self, points, tmp_path, capsys):
         # this document's P fails the certificate, which exits 2

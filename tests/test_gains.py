@@ -255,25 +255,25 @@ class TestGainsNeutralDT:
 
 class TestEpsBar:
     def test_two_agent_identity_weights(self):
-        lw = build_laplacian({(0, 1): np.eye(2), (1, 0): np.eye(2)}, q=2)
-        assert np.linalg.eigvalsh(lw.L)[-1] == pytest.approx(2.0)
-        assert eps_bar(lw) == pytest.approx(0.5)
+        L = build_laplacian({(0, 1): np.eye(2), (1, 0): np.eye(2)}, q=2)
+        assert np.linalg.eigvalsh(L)[-1] == pytest.approx(2.0)
+        assert eps_bar(L) == pytest.approx(0.5)
 
     def test_zero_laplacian_sentinel(self):
-        lw = build_laplacian({(0, 1): np.zeros((2, 2))}, q=2)
-        assert eps_bar(lw) == np.inf
+        L = build_laplacian({(0, 1): np.zeros((2, 2))}, q=2)
+        assert eps_bar(L) == np.inf
 
     def test_step_inequality_random(self, rng):
         for _ in range(10):
             spec = random_symmetric_spec(rng, q=int(rng.integers(2, 5)), n=3)
-            lw = laplacian_from_outputs(spec)
-            eb = eps_bar(lw)
-            assert np.linalg.eigvalsh(lw.L - eb * lw.L @ lw.L)[0] >= -1e-9
+            L = laplacian_from_outputs(spec)
+            eb = eps_bar(L)
+            assert np.linalg.eigvalsh(L - eb * L @ L)[0] >= -1e-9
 
     def test_asymmetric_rejected(self, rng):
-        lw = build_laplacian({(0, 1): [[1.0]], (1, 0): [[3.0]]}, q=2)
+        L = build_laplacian({(0, 1): [[1.0]], (1, 0): [[3.0]]}, q=2)
         with pytest.raises(NotSymmetric):
-            eps_bar(lw)
+            eps_bar(L)
 
 
 class TestProofProperties:
@@ -333,16 +333,16 @@ class TestProofProperties:
         split = neutral_split(spec.A, "discrete")
         Q = split.marginal_block
         H = {e: C @ split.U for e, C in spec.C.items()}
-        lw = build_laplacian({e: M.T @ M for e, M in H.items()}, q=spec.q)
-        ebar = eps_bar(lw)
+        L = build_laplacian({e: M.T @ M for e, M in H.items()}, q=spec.q)
+        ebar = eps_bar(L)
         for frac in (0.3, 1.0):
             eps = frac * ebar
-            M = np.kron(np.eye(spec.q), Q) @ (np.eye(lw.L.shape[0]) - eps * lw.L)
+            M = np.kron(np.eye(spec.q), Q) @ (np.eye(L.shape[0]) - eps * L)
             for _ in range(20):
-                xi = rng.standard_normal(lw.L.shape[0])
+                xi = rng.standard_normal(L.shape[0])
                 xi_next = M @ xi
                 decrease = xi_next @ xi_next - xi @ xi
-                assert decrease <= -eps * (xi @ lw.L @ xi) + 1e-9
+                assert decrease <= -eps * (xi @ L @ xi) + 1e-9
 
 
 def random_skew(rng, n):

@@ -1,10 +1,10 @@
 """Regression gate on the example scripts' output.
 
 Each script under ``scripts/`` runs in its own interpreter, with numpy
-RuntimeWarnings as errors and single-thread BLAS, and its standard output
-must match ``tests/golden/scripts/<name>.txt`` byte for byte.  Regenerate a
-file only for a change that alters a script's output on purpose, and say so
-in CHANGES.md.
+RuntimeWarnings and DeprecationWarnings as errors and single-thread BLAS,
+and its standard output must match ``tests/golden/scripts/<name>.txt`` byte
+for byte.  Regenerate a file only for a change that alters a script's output
+on purpose, and say so in CHANGES.md.
 """
 
 import os
@@ -27,7 +27,9 @@ def test_script_prints_its_golden_bytes(name):
     )
     script = os.path.join(ROOT, "scripts", f"{name}.py")
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", script], capture_output=True, env=env
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning", script],
+        capture_output=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr.decode()
     with open(os.path.join(GOLDEN, f"{name}.txt"), "rb") as fh:
