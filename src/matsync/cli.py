@@ -49,6 +49,7 @@ EXIT_DIVERGED = 3
 # mapped pages
 CSV_CHUNK_CELLS = 3072
 FREXP_MIN, FREXP_MAX = -1073, 1024  # frexp exponents of finite nonzero doubles
+NEXP = FREXP_MAX - FREXP_MIN + 1
 
 
 # float options: name -> whether it must also be > 0
@@ -318,10 +319,11 @@ def _words(*columns):
 def _format_tables():
     """The tables of _format_rows, built on the first trace written, never at import.
 
-    Returns (digits4, p0, scales, lead, ddde, exp2, exp3).  Column e - FREXP_MIN
-    of p0 and scales belongs to frexp exponent e: a finite |x| = f 2^e,
+    Returns (digits4, p0, scales, tens, lead, ddde, exp2, exp3).  Column e -
+    FREXP_MIN of p0 and tens belongs to frexp exponent e: a finite |x| = f 2^e,
     0.5 <= f < 1, has decimal exponent p = p0 or p0 + 1, where p0 =
-    floor(log10 2^(e-1)), and scales[p - p0] holds hi, hi_high, hi_low, lo: the
+    floor(log10 2^(e-1)), and tens is the least double >= 10^(p0+1).  Column
+    (p - p0) NEXP + e - FREXP_MIN of scales holds hi, hi_high, hi_low, lo: the
     scale 2^e 10^(16-p) as the double-double hi + lo, with hi = hi_high +
     hi_low its Veltkamp split.  The rest are record words, as bytes:
     digits4[v] the four digits of v < 10^4, ddde[v] the three digits of v <
@@ -354,20 +356,27 @@ def _format_tables():
             num = 10 ** max(k, 0) << max(e, 0)
             den = 10 ** max(-k, 0) << max(-e, 0)
             hi[up, i], lo[up, i] = _double_double(num, den)
-    scales = np.stack((hi, *_veltkamp(hi), lo), axis=1)
-    return digits4, p0, scales, lead, ddde, exp2, exp3
+    scales = np.stack((hi, *_veltkamp(hi), lo)).reshape(4, -1)
+    tens = []
+    for p in range(p0[0], p0[-1] + 1):
+        num, den = 10 ** max(p + 1, 0), 10 ** max(-p - 1, 0)
+        t = num / den
+        a, b = t.as_integer_ratio()
+        tens.append(t if a * den >= num * b else math.nextafter(t, math.inf))
+    tens = np.array(tens).take(p0 - p0[0])
+    return digits4, p0, scales, tens, lead, ddde, exp2, exp3
 
 
-def _round_scaled(f, index, up):
+def _round_scaled(f, column):
     """(N, unsure) for cells |x| = f 2^e: N = round(|x| 10^(16-p)) as int64.
 
-    `index` is e - FREXP_MIN and p = p0 + up.  Dekker's two-product gives
+    `column` is (p - p0) NEXP + e - FREXP_MIN.  Dekker's two-product gives
     f * hi exactly as ph + pl, and ph >= 2^53 is an integer, so N = ph +
     rint(pl + f * lo).  That low part is off by less than 2^-46, so a cell
     whose low part lies within 2^-40 of a half is `unsure`: its rounding is
     too close to call this way.
     """
-    hi, hi_high, hi_low, lo = _format_tables()[2][up].take(index, axis=1)
+    hi, hi_high, hi_low, lo = _format_tables()[2].take(column, axis=1)
     f_high, f_low = _veltkamp(f)
     ph = f * hi
     pl = ((f_high * hi_high - ph) + f_high * hi_low + f_low * hi_high) + f_low * hi_low
@@ -396,15 +405,19 @@ def _format_rows(block):
     x = block.ravel()
     if not np.isfinite(x).all():
         raise ValueError("a trace cell is not finite")
-    digits4, p0, _, lead, ddde, exp2, exp3 = _format_tables()
-    f, e = np.frexp(np.abs(x))
-    index = e - FREXP_MIN
-    n, unsure = _round_scaled(f, index, 0)
-    up = np.flatnonzero(n >= 10**17)  # |x| >= 10^(p0+1), or it rounds up to that
-    n[up], unsure_up = _round_scaled(f[up], index[up], 1)
-    unsure[up] |= unsure_up  # an unsure first round may have chosen p wrongly
-    p = p0.take(index)
-    p[up] += 1
+    digits4, p0, _, tens, lead, ddde, exp2, exp3 = _format_tables()
+    a = np.abs(x)
+    f, e = np.frexp(a)
+    index = e.astype(np.intp) - FREXP_MIN  # take() would convert an int32 index per call
+    up = a >= tens.take(index)  # exactly |x| >= 10^(p0+1), so p = p0 + 1
+    column = index + up * np.intp(NEXP)
+    n, unsure = _round_scaled(f, column)
+    again = np.flatnonzero(n >= 10**17)  # |x| < 10^(p0+1) rounds up to it
+    if again.size:
+        up[again] = True
+        n[again], unsure_again = _round_scaled(f[again], column[again] + NEXP)
+        unsure[again] |= unsure_again  # an unsure first round may have chosen p wrongly
+    p = p0.take(index) + up
     p[x == 0] = 0
     for i in np.flatnonzero(unsure):
         digits, exponent = ("%.16e" % abs(x[i])).split("e")

@@ -14,9 +14,18 @@ block instead of matrices::
     coupling 2 3  0.6 1.0
     variant transformed
 
+Each key but ``edge``, ``gain`` and ``coupling`` may appear once.  A
+block's rows are kept as text until the next statement closes the block.
+Closing converts the joined rows with one numpy call (numpy reads a token
+as float() does, bit for bit) and checks the row lengths and one isfinite,
+so faults are raised in document order; only a block that fails is read
+row by row, to name its first bad row.  A block whose text came before in
+the document (the mirror C_ji of a symmetric C_ij) gets a copy of that
+array.
+
 Serialization always emits the materialized matrices with full round-trip
 precision, so parse -> serialize -> parse is the identity on the in-memory
-spec.
+spec.  Each distinct block is formatted once per document.
 """
 
 from __future__ import annotations
@@ -54,84 +63,138 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_matrix(M) -> str:
-    # tolist() gives Python floats, whose repr is _fmt's text
+def _fmt_matrix(M, done):
+    """M's rows as text; done holds the blocks of the document formatted so
+    far by (shape, bytes), so a mirrored block is formatted once."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    return "\n".join(" ".join(map(repr, row)) for row in M.tolist())
+    key = (M.shape, M.tobytes())
+    if key not in done:  # tolist() gives Python floats, whose repr is _fmt's text
+        done[key] = "\n".join(" ".join(map(repr, row)) for row in M.tolist())
+    return done[key]
 
 
-def _lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
-
-
-def _floats(tokens):
+def _numbers(tokens):
+    """The tokens as a float array, None when one is not a number."""
     try:
-        return [float(t) for t in tokens]
+        return np.array(tokens, dtype=float)
     except ValueError:
         return None
 
 
-def _finite(vals, what, lineno):
-    """vals, or SpecParseError at lineno when one of them is nan or infinite."""
-    if not all(map(math.isfinite, vals)):
+def _row(text, lineno):
+    """The numbers of a row, or SpecParseError at lineno when it holds others."""
+    vals = _numbers(text.split())
+    if vals is None:
+        raise SpecParseError(f"unrecognized line {' '.join(text.split())!r}", lineno)
+    return vals
+
+
+def _vector(tokens, bad, what, lineno):
+    """The numbers of a builder line; SpecParseError bad when there are none."""
+    vals = _numbers(tokens)
+    if vals is None or not vals.size:
+        raise SpecParseError(bad, lineno)
+    if not np.isfinite(vals).all():
         raise SpecParseError(f"{what} must be finite", lineno)
     return vals
 
 
+def _scalar(kinds, key, value, lineno):
+    try:
+        x = kinds[key](value)
+    except ValueError:
+        raise SpecParseError(f"bad value for {key}: {value!r}", lineno)
+    if not key.startswith("cert_") and not math.isfinite(x):  # a margin may be infinite
+        raise SpecParseError(f"{key} must be finite", lineno)
+    if key in ("q", "n") and x < 1:
+        raise SpecParseError(f"{key} must be >= 1, got {x}", lineno)
+    return x
+
+
 def _block_name(key):
-    """A grid key as the document writes its header: A, P, edge I J, gain I J."""
+    """A block key as the document writes its header: A, P, edge I J, gain I J."""
     if isinstance(key, str):
         return key
     kind, (i, j) = key
     return f"{kind} {i + 1} {j + 1}"
 
 
-class _Grids:
-    """Collects matrix blocks: a header opens a grid, number rows fill it."""
+# keys that repeat: one line per edge, or a block that names its own duplicate
+_REPEATABLE = {"A", "P", "edge", "gain", "coupling"}
+
+
+class _Blocks:
+    """The matrix blocks of one document, read a block at a time (see above)."""
 
     def __init__(self):
-        self.grids = {}
+        self.arrays = {}
         self.lines = {}  # key -> line of its header
+        self._read = {}  # joined row text -> its array
         self._open = None
+        self._rows = []  # (line, text) of each row of the open block
 
     def open(self, key, lineno):
-        if key in self.grids:
+        if key in self.lines:
             raise SpecParseError(f"duplicate matrix block {_block_name(key)}", lineno)
-        self.grids[key] = []
         self.lines[key] = lineno
         self._open = key
 
-    def feed(self, row, lineno):
-        if self._open is None:
-            raise SpecParseError("numeric row outside a matrix block", lineno)
-        rows = self.grids[self._open]
-        _finite(row, "numbers in a matrix block", lineno)
-        if rows and len(rows[0]) != len(row):
-            raise SpecParseError(
-                f"ragged matrix block {_block_name(self._open)}: row of length {len(row)}, "
-                f"expected {len(rows[0])}",
-                lineno,
-            )
-        rows.append(row)
-
     def close(self):
-        self._open = None
+        key, pending = self._open, self._rows
+        self._open, self._rows = None, []
+        if not pending:
+            return
+        linenos, rows = zip(*pending)
+        text = "\n".join(rows)
+        if text in self._read:
+            self.arrays[key] = self._read[text].copy()
+            return
+        counts = list(map(len, map(str.split, rows)))
+        M, width = _numbers(text.split()), counts[0]
+        if M is None or counts.count(width) < len(counts) or not np.isfinite(M).all():
+            for lineno, row, count in zip(linenos, rows, counts):  # the first bad row
+                if not np.isfinite(_row(row, lineno)).all():
+                    raise SpecParseError("numbers in a matrix block must be finite", lineno)
+                if count != width:
+                    msg = f"ragged matrix block {_block_name(key)}: row of length {count}"
+                    raise SpecParseError(f"{msg}, expected {width}", lineno)
+        self.arrays[key] = self._read[text] = M.reshape(len(rows), width)
+
+    def statements(self, text, keys):
+        """(line, tokens) of each line whose first token is in keys, once per
+        key outside _REPEATABLE.  Other lines with tokens are rows of the open
+        block, which closes before the next statement and at the end."""
+        heads = {k[0] for k in keys}  # a line starting otherwise is a row
+        seen = set()
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if "#" in line:
+                line = line.split("#", 1)[0]
+            head = line.lstrip()[:1]
+            if head in heads and (tokens := line.split())[0] in keys:
+                self.close()
+                if tokens[0] in seen:
+                    raise SpecParseError(f"duplicate {tokens[0]}", lineno)
+                if tokens[0] not in _REPEATABLE:
+                    seen.add(tokens[0])
+                yield lineno, tokens
+            elif head:
+                if self._open is None:
+                    _row(line, lineno)
+                    raise SpecParseError("numeric row outside a matrix block", lineno)
+                self._rows.append((lineno, line))
+        self.close()
 
     def matrix(self, key):
         """The block as an array, None when absent; an empty block is an error."""
-        rows = self.grids.get(key)
-        if rows is None:
-            return None
-        if not rows:
+        if key in self.lines and key not in self.arrays:
             raise SpecParseError("matrix block has no rows", self.lines[key])
-        return np.asarray(rows, dtype=float)
+        return self.arrays.get(key)
 
 
 _SPEC_SCALARS = {"q": int, "n": int, "alpha": float, "epsilon": float}
 _BUILDER_VECTORS = ("masses", "springs", "capacitances", "inductances")
+_SPEC_KEYS = {*_SPEC_SCALARS, *_BUILDER_VECTORS, *_REPEATABLE, "time_domain", "builder",
+              "variant"}
 
 
 def _edge_key(tokens, lineno, q):
@@ -149,71 +212,50 @@ def parse_spec_document(text: str) -> SpecDocument:
     time_domain = None
     builder = None
     builder_args = {"coupling": {}}
-    grids = _Grids()
+    blocks = _Blocks()
     edge_headers = []  # in document order, which is the order of spec.C
-    seen_edges = set()
 
-    for lineno, tokens in _lines(text):
+    for lineno, tokens in blocks.statements(text, _SPEC_KEYS):
         key = tokens[0]
         if key in _SPEC_SCALARS and len(tokens) == 2:
-            grids.close()
-            try:
-                scalars[key] = _SPEC_SCALARS[key](tokens[1])
-            except ValueError:
-                raise SpecParseError(f"bad value for {key}: {tokens[1]!r}", lineno)
-            _finite([scalars[key]], key, lineno)
-            if key == "q" and scalars[key] < 1:
-                raise SpecParseError(f"q must be >= 1, got {scalars[key]}", lineno)
+            scalars[key] = _scalar(_SPEC_SCALARS, key, tokens[1], lineno)
         elif key == "time_domain":
-            grids.close()
             if len(tokens) != 2 or tokens[1] not in (CONTINUOUS, DISCRETE):
                 raise SpecParseError(
                     f"time_domain must be {CONTINUOUS} or {DISCRETE}", lineno
                 )
             time_domain = tokens[1]
         elif key in ("A", "P") and len(tokens) == 1:
-            grids.open(key, lineno)
+            blocks.open(key, lineno)
         elif key == "edge":
             if "q" not in scalars:
                 raise SpecParseError("q must appear before the first edge", lineno)
             e = _edge_key(tokens[1:], lineno, scalars["q"])
-            if e in seen_edges:
+            if ("edge", e) in blocks.lines:
                 raise SpecParseError(
                     f"duplicate edge ({e[0] + 1}, {e[1] + 1})", lineno
                 )
-            seen_edges.add(e)
             edge_headers.append(e)
-            grids.open(("edge", e), lineno)
+            blocks.open(("edge", e), lineno)
         elif key == "builder":
-            grids.close()
             if len(tokens) != 2 or tokens[1] not in ("mass_spring", "lc"):
                 raise SpecParseError("builder must be mass_spring or lc", lineno)
             builder = tokens[1]
         elif key in _BUILDER_VECTORS:
-            grids.close()
-            vals = _floats(tokens[1:])
-            if vals is None or not vals:
-                raise SpecParseError(f"bad {key} vector", lineno)
-            builder_args[key] = _finite(vals, key, lineno)
+            builder_args[key] = _vector(tokens[1:], f"bad {key} vector", key, lineno)
         elif key == "coupling":
-            grids.close()
             if "q" not in scalars:
                 raise SpecParseError("q must appear before coupling lines", lineno)
             e = _edge_key(tokens[1:3], lineno, scalars["q"])
-            vals = _floats(tokens[3:])
-            if vals is None or not vals:
-                raise SpecParseError("coupling line needs edge values", lineno)
-            builder_args["coupling"][e] = _finite(vals, "coupling values", lineno)
+            builder_args["coupling"][e] = _vector(
+                tokens[3:], "coupling line needs edge values", "coupling values", lineno
+            )
         elif key == "variant":
-            grids.close()
             if len(tokens) != 2 or tokens[1] not in ("raw", "transformed"):
                 raise SpecParseError("variant must be raw or transformed", lineno)
             builder_args["variant"] = tokens[1]
         else:
-            row = _floats(tokens)
-            if row is None:
-                raise SpecParseError(f"unrecognized line {' '.join(tokens)!r}", lineno)
-            grids.feed(row, lineno)
+            raise SpecParseError(f"unrecognized line {' '.join(tokens)!r}", lineno)
 
     if "q" not in scalars:
         raise SpecParseError("missing q")
@@ -221,29 +263,29 @@ def parse_spec_document(text: str) -> SpecDocument:
     time_domain = time_domain or CONTINUOUS
 
     if builder is not None:
-        if grids.matrix("A") is not None or edge_headers:
+        if blocks.matrix("A") is not None or edge_headers:
             raise SpecParseError("builder blocks exclude explicit A / edge matrices")
         spec = _materialize_builder(builder, builder_args, q)
     else:
-        A = grids.matrix("A")
+        A = blocks.matrix("A")
         if A is None:
             raise SpecParseError("missing matrix A")
         n = scalars.get("n", A.shape[1])
         if A.shape != (n, n):
-            raise SpecParseError(f"A has shape {A.shape}, expected ({n}, {n})", grids.lines["A"])
-        cmap = {e: grids.matrix(("edge", e)) for e in edge_headers}
+            raise SpecParseError(f"A has shape {A.shape}, expected ({n}, {n})", blocks.lines["A"])
+        cmap = {e: blocks.matrix(("edge", e)) for e in edge_headers}
         for (i, j), C in cmap.items():
             if C.shape[1] != n:
                 msg = f"edge {i + 1} {j + 1} has {C.shape[1]} columns, expected {n}"
-                raise SpecParseError(msg, grids.lines[("edge", (i, j))])
+                raise SpecParseError(msg, blocks.lines[("edge", (i, j))])
         spec = ArraySpec(q=q, n=n, A=A, C=cmap, time_domain=time_domain)
 
     if builder is not None and time_domain == DISCRETE:
         raise SpecParseError("builder arrays are continuous-time")
-    P = grids.matrix("P")
+    P = blocks.matrix("P")
     if P is not None and P.shape != (spec.n, spec.n):
         msg = f"P has shape {P.shape}, expected ({spec.n}, {spec.n})"
-        raise SpecParseError(msg, grids.lines["P"])
+        raise SpecParseError(msg, blocks.lines["P"])
     return SpecDocument(
         spec=spec,
         P=P,
@@ -271,19 +313,20 @@ def _materialize_builder(kind, args, q):
 
 def serialize_spec_document(doc: SpecDocument) -> str:
     spec = doc.spec
+    done = {}
     out = [f"q {spec.q}", f"n {spec.n}", f"time_domain {spec.time_domain}"]
     if doc.alpha is not None:
         out.append(f"alpha {_fmt(doc.alpha)}")
     if doc.epsilon is not None:
         out.append(f"epsilon {_fmt(doc.epsilon)}")
     out.append("A")
-    out.append(_fmt_matrix(spec.A))
+    out.append(_fmt_matrix(spec.A, done))
     for (i, j) in sorted(spec.C):
         out.append(f"edge {i + 1} {j + 1}")
-        out.append(_fmt_matrix(spec.C[(i, j)]))
+        out.append(_fmt_matrix(spec.C[(i, j)], done))
     if doc.P is not None:
         out.append("P")
-        out.append(_fmt_matrix(doc.P))
+        out.append(_fmt_matrix(doc.P, done))
     return "\n".join(out) + "\n"
 
 
@@ -299,51 +342,41 @@ _GAINS_SCALARS = {
     "cert_lambda2": float,
     "cert_delta": float,
 }
+_GAINS_KEYS = {*_GAINS_SCALARS, "recipe", "cert_condition14", "P", "gain"}
 
 
 def parse_gains_document(text: str) -> GainsDocument:
     scalars = {}
     recipe = None
     cond14 = None
-    grids = _Grids()
+    blocks = _Blocks()
     gain_headers = []
 
-    for lineno, tokens in _lines(text):
+    for lineno, tokens in blocks.statements(text, _GAINS_KEYS):
         key = tokens[0]
         if key == "recipe" and len(tokens) == 2:
-            grids.close()
             recipe = tokens[1]
         elif key == "cert_condition14" and len(tokens) == 2:
-            grids.close()
             cond14 = tokens[1] == "true"
         elif key in _GAINS_SCALARS and len(tokens) == 2:
-            grids.close()
-            try:
-                scalars[key] = _GAINS_SCALARS[key](tokens[1])
-            except ValueError:
-                raise SpecParseError(f"bad value for {key}: {tokens[1]!r}", lineno)
-            if not key.startswith("cert_"):  # a certificate margin may be infinite
-                _finite([scalars[key]], key, lineno)
+            scalars[key] = _scalar(_GAINS_SCALARS, key, tokens[1], lineno)
         elif key == "P" and len(tokens) == 1:
-            grids.open("P", lineno)
+            blocks.open("P", lineno)
         elif key == "gain":
             if "q" not in scalars:
                 raise SpecParseError("q must appear before the first gain", lineno)
             e = _edge_key(tokens[1:], lineno, scalars["q"])
             gain_headers.append(e)
-            grids.open(("gain", e), lineno)
+            blocks.open(("gain", e), lineno)
         else:
-            row = _floats(tokens)
-            if row is None:
-                raise SpecParseError(f"unrecognized line {' '.join(tokens)!r}", lineno)
-            grids.feed(row, lineno)
+            raise SpecParseError(f"unrecognized line {' '.join(tokens)!r}", lineno)
 
     if recipe is None:
         raise SpecParseError("missing recipe")
     for need in ("q", "n"):
         if need not in scalars:
             raise SpecParseError(f"missing {need}")
-    gmap = {e: grids.matrix(("gain", e)) for e in gain_headers}
+    gmap = {e: blocks.matrix(("gain", e)) for e in gain_headers}
     metadata = {k: v for k, v in scalars.items() if k.startswith("cert_") or k == "n1"}
     if cond14 is not None:
         metadata["cert_condition14"] = cond14
@@ -358,7 +391,7 @@ def parse_gains_document(text: str) -> GainsDocument:
         q=scalars["q"],
         n=scalars["n"],
         epsilon=scalars.get("epsilon"),
-        P=grids.matrix("P"),
+        P=blocks.matrix("P"),
         metadata=metadata,
     )
 
@@ -371,6 +404,7 @@ def serialize_gains_document(
     P: np.ndarray | None = None,
     metadata: dict | None = None,
 ) -> str:
+    done = {}
     out = [f"recipe {gain_set.recipe}", f"q {q}", f"n {n}"]
     if gain_set.alpha is not None:
         out.append(f"alpha {_fmt(gain_set.alpha)}")
@@ -387,8 +421,8 @@ def serialize_gains_document(
             out.append(f"{k} {_fmt(v)}")
     if P is not None:
         out.append("P")
-        out.append(_fmt_matrix(P))
+        out.append(_fmt_matrix(P, done))
     for (i, j) in sorted(gain_set.gains):
         out.append(f"gain {i + 1} {j + 1}")
-        out.append(_fmt_matrix(gain_set.gains[(i, j)]))
+        out.append(_fmt_matrix(gain_set.gains[(i, j)], done))
     return "\n".join(out) + "\n"

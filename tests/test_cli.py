@@ -1,3 +1,4 @@
+import math
 import re
 import subprocess
 import sys
@@ -273,6 +274,33 @@ class TestTraceFormat:
         block = sign * np.abs(np.random.default_rng(3).standard_normal((6, 5))) * scale
         block[1, 2] = sign * 0.0
         assert np.all(np.signbit(block) == (sign < 0))
+        assert cli._format_rows(block) == reference_rows(block)
+
+    def test_each_cell_is_rounded_once(self, monkeypatch):
+        # the decimal exponent comes from |x| against the table of 10^(p0+1),
+        # so a cell with p = p0 + 1 needs no second rounding
+        block = np.random.default_rng(5).standard_normal((161, 19)) * 1e-150
+        cells = []
+        round_scaled = cli._round_scaled
+        monkeypatch.setattr(cli, "_round_scaled", lambda f, *a: cells.append(f.size) or round_scaled(f, *a))
+        assert cli._format_rows(block) == reference_rows(block)
+        assert sum(cells) == block.size
+
+    def test_tens_table_is_the_least_double_at_or_above_each_power(self):
+        _, p0, _, tens, *_ = cli._format_tables()
+        for p, t in zip(p0.tolist(), tens.tolist()):
+            # 10^(p+1) as num / den, against t and the double below it
+            num, den = 10 ** max(p + 1, 0), 10 ** max(-p - 1, 0)
+            a, b = t.as_integer_ratio()
+            c, d = math.nextafter(t, 0.0).as_integer_ratio()
+            assert a * den >= num * b and c * den < num * d
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # |x| at and next to 10^k, where the exponent table and a round up to
+        # 10^17 decide p
+        tens = 10.0 ** np.arange(-323, 309)
+        block = np.stack([np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf)])
+        block = np.concatenate([block, -block, block * (1 - 2.0**-52)])
         assert cli._format_rows(block) == reference_rows(block)
 
     def test_chunks_of_both_record_widths_write_the_bytes_of_one_call(self, monkeypatch):
@@ -613,6 +641,9 @@ MALFORMED_SPECS = {
     "q_0": ("q 0\nn 2\n" + A_BLOCK, 1),
     "q_negative": ("# agents\nq -3\nn 2\n" + A_BLOCK, 2),
     "P_1x2": ("q 2\nn 2\n" + A_BLOCK + EDGES + "P\n1.0 0.0\n", 12),
+    # edges checked against q 5, then q 2: the graph must not see both
+    "q_repeated": ("q 5\nn 1\nA\n0.0\nedge 4 5\n1.0\nedge 5 4\n1.0\nq 2\n", 9),
+    "n_negative": ("q 2\nn -1\n" + A_BLOCK, 2),
 }
 COMMANDS = {
     "check": ["check"],

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matsync import ArraySpec, SpecParseError, builtin_example, build_mass_spring
 from matsync.gains import GainSet
@@ -182,6 +184,75 @@ class TestParseErrors:
             parse_gains_document(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_spec_document, "q 2\nn 1\nA\n0.0\nq 3\n", "line 5: duplicate q"),
+            (parse_spec_document, "q 2\nn 1\n# again\nn 1\n", "line 4: duplicate n"),
+            (parse_spec_document, "q 2\nn -1\nA\n0.0\n", "line 2: n must be >= 1, got -1"),
+            (parse_spec_document, "q 2\ntime_domain discrete\ntime_domain continuous\n",
+             "line 3: duplicate time_domain"),
+            (parse_gains_document, "recipe alg1_ct\nq 2\nn 1\ngain 1 2\n1.0\nq 3\n",
+             "line 6: duplicate q"),
+            (parse_gains_document, "recipe alg1_ct\nrecipe alg2_dt\nq 2\nn 1\n",
+             "line 2: duplicate recipe"),
+            (parse_gains_document, "recipe alg1_ct\nq 2\nn 0\n", "line 3: n must be >= 1, got 0"),
+        ],
+    )
+    def test_repeated_key_and_n_below_1(self, parse, text, message):
+        with pytest.raises(SpecParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a bad row before a later structural error
+            ("q 2\nn 2\nA\n0.0 1.0\n2.0\nedge 1 5\n1.0 0.0\n",
+             "line 5: ragged matrix block A: row of length 1, expected 2"),
+            ("q 2\nn 2\nA\n0.0 1.0\nx 0.0\ntime_domain sometimes\n",
+             "line 5: unrecognized line 'x 0.0'"),
+            # a structural error before a later bad row
+            ("q 2\nn 2\nA\n0.0 1.0\n-1.0 0.0\nedge 1 5\n1.0 nan\n",
+             "line 6: edge (1, 5) invalid for q=2"),
+            ("q 2\nn 2\nA\n0.0 1.0\n-1.0 0.0\nq 3\nedge 1 2\n1.0\n0.0 1.0\n",
+             "line 6: duplicate q"),
+        ],
+    )
+    def test_errors_come_in_document_order(self, text, message):
+        with pytest.raises(SpecParseError) as exc:
+            parse_spec_document(text)
+        assert str(exc.value) == message
+
+    ROW_FAULTS = {
+        "ragged": ("2.0", "ragged matrix block A: row of length 1, expected 2"),
+        "non_finite": ("inf 2.0", "numbers in a matrix block must be finite"),
+        "unrecognized": ("2.0 x", "unrecognized line '2.0 x'"),
+    }
+
+    @pytest.mark.parametrize("first", sorted(ROW_FAULTS))
+    @pytest.mark.parametrize("second", sorted(ROW_FAULTS))
+    def test_first_faulty_row_of_a_block_wins(self, first, second):
+        row, message = self.ROW_FAULTS[first]
+        text = f"q 2\nn 2\nA\n0.0 1.0\n# a comment inside the block\n{row}\n"
+        text += f"{self.ROW_FAULTS[second][0]}\n-1.0 0.0\n"
+        with pytest.raises(SpecParseError) as exc:
+            parse_spec_document(text)
+        assert str(exc.value) == f"line 6: {message}"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("nan", "numbers in a matrix block must be finite"),  # and ragged
+            ("x", "unrecognized line 'x'"),  # and ragged
+            ("x nan 1.0", "unrecognized line 'x nan 1.0'"),  # and the other two
+        ],
+    )
+    def test_row_with_two_faults_names_the_first_checked(self, row, message):
+        with pytest.raises(SpecParseError) as exc:
+            parse_gains_document(f"recipe alg1_ct\nq 2\nn 2\ngain 1 2\n1.0 0.0\n{row}\n")
+        assert str(exc.value) == f"line 6: {message}"
+
     def test_infinite_certificate_margin_parses(self):
         doc = parse_gains_document("recipe theorem1\nq 2\nn 1\ncert_eps inf\n")
         assert doc.metadata["cert_eps"] == float("inf")
@@ -220,3 +291,87 @@ class TestGainsDocuments:
     def test_missing_recipe(self):
         with pytest.raises(SpecParseError, match="missing recipe"):
             parse_gains_document("q 2\nn 2\n")
+
+
+class TestMirroredBlocks:
+    TEXT = "q 2\nn 2\nA\n0.0 1.0\n-1.0 0.0\nedge 1 2\n1.5 0.25\n0.0 1.0\nedge 2 1\n1.5 0.25\n0.0 1.0\n"
+
+    def test_mirrored_blocks_parse_into_distinct_arrays(self):
+        C = parse_spec_document(self.TEXT).spec.C
+        assert np.array_equal(C[(0, 1)], C[(1, 0)])
+        assert not np.shares_memory(C[(0, 1)], C[(1, 0)])
+        C[(0, 1)][0, 0] = 7.0
+        assert C[(1, 0)][0, 0] == 1.5
+
+    def test_mirrored_gains_parse_into_distinct_arrays(self):
+        text = "recipe alg1_ct\nq 2\nn 2\ngain 1 2\n1.0\n2.0\ngain 2 1\n1.0\n2.0\nP\n1.0\n2.0\n"
+        doc = parse_gains_document(text)
+        G = doc.gain_set.gains
+        arrays = [G[(0, 1)], G[(1, 0)], doc.P]
+        assert all(np.array_equal(M, [[1.0], [2.0]]) for M in arrays)
+        assert not any(np.shares_memory(a, b) for a in arrays for b in arrays if a is not b)
+
+    def test_blocks_with_equal_numbers_in_other_rows_keep_their_shapes(self):
+        text = "recipe manual\nq 2\nn 2\ngain 1 2\n1.0 2.0\n3.0 4.0\ngain 2 1\n1.0 2.0 3.0 4.0\n"
+        G = parse_gains_document(text).gain_set.gains
+        assert G[(0, 1)].shape == (2, 2) and G[(1, 0)].shape == (1, 4)
+
+    def test_round_trip_of_mirrored_documents(self, rng):
+        C = rng.standard_normal((3, 3))
+        spec = ArraySpec(q=3, n=3, A=rng.standard_normal((3, 3)),
+                         C={(0, 1): C, (1, 0): C, (1, 2): C, (2, 1): -C})
+        text = serialize_spec_document(SpecDocument(spec=spec, P=C))
+        parsed = parse_spec_document(text)
+        assert specs_equal(parsed.spec, spec)
+        assert serialize_spec_document(parsed) == text
+        gs = GainSet(gains={e: M.T for e, M in spec.C.items()}, recipe="alg1_ct")
+        gtext = serialize_gains_document(gs, q=3, n=3, P=C)
+        gparsed = parse_gains_document(gtext)
+        assert serialize_gains_document(gparsed.gain_set, q=3, n=3, P=gparsed.P) == gtext
+
+    def test_blocks_that_differ_only_in_the_sign_of_zero_are_written_apart(self):
+        gs = GainSet(gains={(0, 1): np.array([[0.0]]), (1, 0): np.array([[-0.0]])}, recipe="manual")
+        text = serialize_gains_document(gs, q=2, n=1)
+        assert text.endswith("gain 1 2\n0.0\ngain 2 1\n-0.0\n")
+        G = parse_gains_document(text).gain_set.gains
+        assert not np.signbit(G[(0, 1)][0, 0]) and np.signbit(G[(1, 0)][0, 0])
+
+
+def _digits(draw, lo, hi):
+    return "".join(draw(st.lists(st.sampled_from("0123456789"), min_size=lo, max_size=hi)))
+
+
+@st.composite
+def number_tokens(draw):
+    """A number token of a form the parser reads, with its float() value."""
+    kind = draw(st.sampled_from(["repr", "subnormal", "long", "exponent", "other"]))
+    if kind == "repr":
+        return repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    if kind == "subnormal":
+        return repr(draw(st.integers(1, 2**52 - 1)) * 5e-324)
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    if kind == "long":  # more digits than a double holds
+        return f"{sign}{_digits(draw, 1, 25)}.{_digits(draw, 18, 40)}"
+    if kind == "exponent":
+        e = draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+        return f"{sign}{_digits(draw, 1, 20)}.{_digits(draw, 0, 20)}{e}{draw(st.integers(0, 400))}"
+    return sign + draw(st.sampled_from(
+        [".5", "5.", "1_0", "1_000.000_1", "0e0", "00012", "١٢", "٣.٥", "１２", "1e-400", "5e-324"]
+    ))
+
+
+@given(st.lists(number_tokens(), min_size=1, max_size=12))
+@settings(max_examples=400, deadline=None)
+def test_numpy_reads_every_accepted_token_as_float_does(tokens):
+    want = np.array([float(t) for t in tokens])
+    got = np.array(tokens, dtype=float)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # and the parser reads them so, as rows of a block; a token past the
+    # largest double reads as inf, which a block rejects
+    text = f"q 1\nn {len(tokens)}\nA\n" + (" ".join(tokens) + "\n") * len(tokens)
+    if not np.isfinite(want).all():
+        with pytest.raises(SpecParseError, match="line 4: numbers in a matrix block must be finite"):
+            parse_spec_document(text)
+        return
+    A = parse_spec_document(text).spec.A
+    assert np.array_equal(A.view(np.uint64), np.tile(want, (len(tokens), 1)).view(np.uint64))
