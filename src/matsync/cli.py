@@ -1,7 +1,11 @@
 """Command-line front end: check, gains, simulate, sweep, example.
 
-Exit codes: 0 success, 1 IO/parse failure, 2 hypothesis failure,
-3 divergence.  Set MATSYNC_TOL (finite, >= 0) to override, for check,
+Exit codes: 0 success; 1 with ``error: ...`` on stderr for an unreadable
+file, a bad option or any malformed document (builder parameters and gains
+that do not fit the spec included); 2 with ``hypothesis failed: ...``
+(``check`` prints its report and nothing on stderr); 3 divergence.  Only
+``main`` prints them: a SpecParseError or OSError exits 1, any other
+MatsyncError 2.  Set MATSYNC_TOL (finite, >= 0) to override, for check,
 gains and sweep, the spec's edge tolerance (which decides absent edges and
 equal mirrors) and the strict-inequality margin of the feasibility checks.
 """
@@ -27,6 +31,7 @@ from .array_model import (
     validate_spec,
 )
 from .errors import (
+    DimensionMismatch,
     Diverged,
     Infeasible,
     MatsyncError,
@@ -229,25 +234,21 @@ def cmd_check(args):
 def cmd_gains(args):
     doc, tol = _load_spec_env(args.spec)
     spec = doc.spec
+    ct = args.recipe != "alg2"
+    if ct != (spec.time_domain == CONTINUOUS):
+        raise MatsyncError(f"{args.recipe} applies to {CONTINUOUS if ct else DISCRETE} time")
 
     if args.recipe == "theorem1":
-        if spec.time_domain != CONTINUOUS:
-            print("hypothesis failed: theorem1 applies to continuous time", file=sys.stderr)
-            return EXIT_HYPOTHESIS
-        report = validate_spec(spec)
         if not args.force:
-            if not report.symmetric:
-                print("hypothesis failed: edge outputs are not symmetric", file=sys.stderr)
-                return EXIT_HYPOTHESIS
+            if not validate_spec(spec).symmetric:
+                raise NotSymmetric("edge outputs are not symmetric")
             if not is_connected(build_graph(spec)):
-                print("hypothesis failed: graph is not connected", file=sys.stderr)
-                return EXIT_HYPOTHESIS
+                raise NotConnected("graph is not connected")
         cert = _cl_certificate(doc, tol)
         # --force keeps an infeasible P from the document, never a failed
         # search; a failed search's P passes only a MATSYNC_TOL margin it meets
         if not cert.feasible and (doc.P is None or not args.force):
-            print("hypothesis failed: CL-detectability not established", file=sys.stderr)
-            return EXIT_HYPOTHESIS
+            raise Infeasible("CL-detectability not established", cert)
         P = doc.P if doc.P is not None else cert.P
         alpha = args.alpha if args.alpha is not None else doc.alpha
         gs = gainsmod.gains_theorem1(spec, P, cert, alpha)
@@ -262,21 +263,9 @@ def cmd_gains(args):
         text = specdoc.serialize_gains_document(
             gs, spec.q, spec.n, P=P, metadata=metadata
         )
-    elif args.recipe in ("alg1", "alg2"):
-        ct = args.recipe == "alg1"
-        if ct != (spec.time_domain == CONTINUOUS):
-            print(
-                f"hypothesis failed: {args.recipe} applies to "
-                f"{CONTINUOUS if ct else DISCRETE} time",
-                file=sys.stderr,
-            )
-            return EXIT_HYPOTHESIS
+    else:
         synth = gainsmod.gains_ct_neutral if ct else gainsmod.gains_dt_neutral
-        try:
-            gs = synth(spec, check=not args.force)
-        except MatsyncError as e:
-            print(f"hypothesis failed: {e}", file=sys.stderr)
-            return EXIT_HYPOTHESIS
+        gs = synth(spec, check=not args.force)
         metadata = {"n1": gs.certificate.n1}
         epsilon = None
         if not ct:
@@ -286,8 +275,6 @@ def cmd_gains(args):
         text = specdoc.serialize_gains_document(
             gs, spec.q, spec.n, epsilon=epsilon, metadata=metadata
         )
-    else:
-        raise SpecParseError(f"unknown recipe {args.recipe!r}")
 
     _write(args.out, text)
     return EXIT_OK
@@ -489,7 +476,10 @@ def cmd_simulate(args):
             f"at most {simulation.MAX_STEPS} fit"
         )
     epsilon = args.epsilon if args.epsilon is not None else gdoc.epsilon
-    cl = simulation.closed_loop(spec, gdoc.gain_set, epsilon=epsilon)
+    try:
+        cl = simulation.closed_loop(spec, gdoc.gain_set, epsilon=epsilon)
+    except DimensionMismatch as e:  # a missing gain, or one of the wrong shape
+        raise SpecParseError(str(e)) from e
     rng = np.random.default_rng(args.seed)
     x0 = rng.standard_normal(spec.q * spec.n)
     try:
@@ -509,12 +499,10 @@ def cmd_sweep(args):
     doc, tol = _load_spec_env(args.spec)
     spec = doc.spec
     if spec.time_domain != CONTINUOUS:
-        print("hypothesis failed: sweep applies to continuous time", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        raise MatsyncError("sweep applies to continuous time")
     cert = _cl_certificate(doc, tol)
     if not cert.feasible:
-        print("hypothesis failed: CL-detectability certificate missing", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        raise Infeasible("CL-detectability certificate missing", cert)
 
     if args.points == 1:
         alphas = np.array([args.alpha_min])
@@ -587,14 +575,11 @@ def main(argv=None) -> int:
         _check_options(args)
         # looked up at call time, so a replaced cli.cmd_* is the one that runs
         return globals()[f"cmd_{args.command}"](args)
-    except SpecParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as e:
+    except (SpecParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except MatsyncError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"hypothesis failed: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS
 
 

@@ -14,8 +14,9 @@ block instead of matrices::
     coupling 2 3  0.6 1.0
     variant transformed
 
-Each key but ``edge``, ``gain`` and ``coupling`` may appear once.  A
-block's rows are kept as text until the next statement closes the block.
+Each key but ``edge``, ``gain`` and ``coupling`` may appear once, and each
+ordered edge gets one ``edge``, ``gain`` or ``coupling`` line.  A block's
+rows are kept as text until the next statement closes the block.
 Closing converts the joined rows with one numpy call (numpy reads a token
 as float() does, bit for bit) and checks the row lengths and one isfinite,
 so faults are raised in document order; only a block that fails is read
@@ -26,6 +27,11 @@ array.
 Serialization always emits the materialized matrices with full round-trip
 precision, so parse -> serialize -> parse is the identity on the in-memory
 spec.  Each distinct block is formatted once per document.
+
+A fault of a document, builder parameters the builders refuse included
+(named at the ``builder`` line), is a SpecParseError: the CLI prints it as
+``error: ...`` and exits 1, as for gains that do not fit their spec.
+``hypothesis failed: ...`` and exit 2 are never about a document.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import numpy as np
 
 from .array_model import CONTINUOUS, DISCRETE, ArraySpec
 from .builders import build_lc, build_mass_spring
-from .errors import SpecParseError
+from .errors import DimensionMismatch, NonPositiveParameter, SpecParseError
 from .gains import GainSet
 
 
@@ -210,7 +216,7 @@ def _edge_key(tokens, lineno, q):
 def parse_spec_document(text: str) -> SpecDocument:
     scalars = {}
     time_domain = None
-    builder = None
+    builder = builder_line = None
     builder_args = {"coupling": {}}
     blocks = _Blocks()
     edge_headers = []  # in document order, which is the order of spec.C
@@ -240,13 +246,15 @@ def parse_spec_document(text: str) -> SpecDocument:
         elif key == "builder":
             if len(tokens) != 2 or tokens[1] not in ("mass_spring", "lc"):
                 raise SpecParseError("builder must be mass_spring or lc", lineno)
-            builder = tokens[1]
+            builder, builder_line = tokens[1], lineno
         elif key in _BUILDER_VECTORS:
             builder_args[key] = _vector(tokens[1:], f"bad {key} vector", key, lineno)
         elif key == "coupling":
             if "q" not in scalars:
                 raise SpecParseError("q must appear before coupling lines", lineno)
             e = _edge_key(tokens[1:3], lineno, scalars["q"])
+            if e in builder_args["coupling"]:
+                raise SpecParseError(f"duplicate coupling ({e[0] + 1}, {e[1] + 1})", lineno)
             builder_args["coupling"][e] = _vector(
                 tokens[3:], "coupling line needs edge values", "coupling values", lineno
             )
@@ -265,7 +273,7 @@ def parse_spec_document(text: str) -> SpecDocument:
     if builder is not None:
         if blocks.matrix("A") is not None or edge_headers:
             raise SpecParseError("builder blocks exclude explicit A / edge matrices")
-        spec = _materialize_builder(builder, builder_args, q)
+        spec = _materialize_builder(builder, builder_args, q, builder_line)
     else:
         A = blocks.matrix("A")
         if A is None:
@@ -294,7 +302,7 @@ def parse_spec_document(text: str) -> SpecDocument:
     )
 
 
-def _materialize_builder(kind, args, q):
+def _materialize_builder(kind, args, q, lineno):
     coupling = args["coupling"]
     variant = args.get("variant", "transformed")
     try:
@@ -307,7 +315,9 @@ def _materialize_builder(kind, args, q):
                 args["capacitances"], args["inductances"], coupling, q
             )
     except KeyError as missing:
-        raise SpecParseError(f"builder {kind} is missing {missing.args[0]}")
+        raise SpecParseError(f"builder {kind} is missing {missing.args[0]}", lineno)
+    except (DimensionMismatch, NonPositiveParameter) as e:
+        raise SpecParseError(str(e), lineno) from e
     return built.raw.spec if variant == "raw" else built.transformed.spec
 
 

@@ -9,6 +9,17 @@ from matsync import ArraySpec, pbh_detectable
 TRACE_RTOL = 1e-11  # simulated states, times ||x_row||_2, against another computation
 
 
+def assert_exit_contract(command, rc, out, err):
+    """The CLI's outcome rule: exit 1 goes with an `error: ` line on stderr,
+    exit 2 with a `hypothesis failed: ` line (`check` prints its report and
+    nothing on stderr instead), and no output holds a traceback."""
+    assert (rc == 1) == err.startswith("error: "), (rc, err)
+    assert (rc == 2 and command != "check") == err.startswith("hypothesis failed: "), (rc, err)
+    if command == "check" and rc == 2:
+        assert err == ""
+    assert "Traceback" not in out and "Traceback" not in err
+
+
 def row_deviation(got, want):
     """max over rows of max |got - want| / ||want_row||_2."""
     got, want = np.atleast_2d(got), np.atleast_2d(want)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import re
 import subprocess
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import (
+    assert_exit_contract,
     off_sync_eigenvalues,
     random_complete_cl_spec,
     random_symmetric_spec,
@@ -626,6 +629,28 @@ def test_env_tolerance_must_be_finite_and_nonnegative(tol, ms_spec, monkeypatch,
 A_BLOCK = "A\n0.0 1.0\n-1.0 0.0\n"
 EDGES = "edge 1 2\n1.0 0.0\n0.0 1.0\nedge 2 1\n1.0 0.0\n0.0 1.0\n"
 
+# name -> (builder document, the error `check` prints)
+BUILDER_FAULTS = {
+    "builder_spring_count": (
+        "q 2\nbuilder mass_spring\nmasses 1.0 2.0\nsprings 1.0 1.5\ncoupling 1 2 0.8 0.5\n",
+        "line 2: need 3 spring constants, got 2",
+    ),
+    "builder_negative_conductance": (
+        "q 2\nbuilder lc\ncapacitances 1.0 0.8 1.2\ninductances 0.9 1.1\n"
+        "coupling 1 2 0.7 -0.4\n",
+        "line 2: conductance entries must be >= 0",
+    ),
+    "builder_missing_inductances": (
+        "q 2\nbuilder lc\ncapacitances 1.0 0.8 1.2\ncoupling 1 2 0.5 0.5\n",
+        "line 2: builder lc is missing inductances",
+    ),
+    "builder_duplicate_coupling": (
+        "q 2\nbuilder lc\ncapacitances 1.0 0.8 1.2\ninductances 0.9 1.1\n"
+        "coupling 1 2 0.5 0.5\ncoupling 1 2 0.9 0.9\n",
+        "line 6: duplicate coupling (1, 2)",
+    ),
+}
+
 # name -> (document, line its error names)
 MALFORMED_SPECS = {
     "empty_A": ("q 2\nn 2\nA\n" + EDGES, 3),
@@ -644,6 +669,11 @@ MALFORMED_SPECS = {
     # edges checked against q 5, then q 2: the graph must not see both
     "q_repeated": ("q 5\nn 1\nA\n0.0\nedge 4 5\n1.0\nedge 5 4\n1.0\nq 2\n", 9),
     "n_negative": ("q 2\nn -1\n" + A_BLOCK, 2),
+    # a parameter the builder refuses names the builder line
+    "builder_spring_count": (BUILDER_FAULTS["builder_spring_count"][0], 2),
+    "builder_negative_conductance": (BUILDER_FAULTS["builder_negative_conductance"][0], 2),
+    "builder_missing_inductances": (BUILDER_FAULTS["builder_missing_inductances"][0], 2),
+    "builder_duplicate_coupling": (BUILDER_FAULTS["builder_duplicate_coupling"][0], 6),
 }
 COMMANDS = {
     "check": ["check"],
@@ -668,9 +698,102 @@ def test_malformed_spec_exits_1_at_its_line(name, command, tmp_path, capsys):
     spec.write_text(text)
     argv = COMMANDS[command]
     assert run(argv[0], "--spec", str(spec), *argv[1:]) == 1
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith(f"error: line {line}:")
     assert "Traceback" not in err
+    assert_exit_contract(argv[0], 1, captured.out, err)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_FAULTS))
+def test_builder_fault_message(name, tmp_path, capsys):
+    text, message = BUILDER_FAULTS[name]
+    spec = tmp_path / f"{name}.spec"
+    spec.write_text(text)
+    assert run("check", "--spec", str(spec)) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# one gain block of the mass-spring demo (n = 4, C_ij is 2 x 4)
+MS_GAIN = "0.0 0.0\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+
+
+@pytest.mark.parametrize("gains_text,message", [
+    ("recipe manual\nq 3\nn 4\ngain 1 2\n" + MS_GAIN, "no gain for edge (2, 1)"),
+    ("recipe manual\nq 3\nn 4\ngain 1 2\n1.0\n",
+     "gain G_12 has shape (1, 1), expected (4, 2)"),
+], ids=["missing_gain", "wrong_shape"])
+def test_gains_that_do_not_fit_the_spec_exit_1(gains_text, message, ms_spec, tmp_path, capsys):
+    gains, out = tmp_path / "g.gains", tmp_path / "t.csv"
+    gains.write_text(gains_text)
+    argv = ["simulate", "--spec", str(ms_spec), "--gains", str(gains), "--out", str(out)]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_theorem1_singular_P_is_a_hypothesis_failure(tmp_path, capsys):
+    # P passes the certificate of this stable drift, but the gains need P^-1
+    spec = tmp_path / "singular_P.spec"
+    spec.write_text(
+        "q 2\nn 2\nA\n-1.0 0.0\n0.0 -1.0\n" + EDGES + "P\n1.0 0.0\n0.0 1e-15\n"
+    )
+    assert run("check", "--spec", str(spec)) == 0
+    assert "cl_feasible true" in capsys.readouterr().out
+    assert run("gains", "--spec", str(spec), "--recipe", "theorem1") == 2
+    assert capsys.readouterr() == ("", "hypothesis failed: P is singular to working precision\n")
+
+
+# builder -> its vectors, each with its length less the node count p
+BUILDERS = {"mass_spring": (("masses", 0), ("springs", 1)),
+            "lc": (("capacitances", 1), ("inductances", 0))}
+POSITIVE = st.sampled_from([0.1, 0.5, 1.0, 2.0, 10.0])
+NUMBERS = st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, 10.0, -0.1, -0.5, -1.0, -2.0, -10.0])
+
+
+def often(draw):
+    """True on three of the four draws 0-3."""
+    return draw(st.integers(0, 3)) < 3
+
+
+@st.composite
+def builder_documents(draw):
+    """A q line and a builder line, then in random order: the builder's
+    vectors of 0-4 entries (often of the length it needs and positive, each
+    perhaps left out), coupling lines on random pairs (often of two agents,
+    often each pair once) and perhaps a variant line."""
+    q, builder = draw(st.integers(1, 4)), draw(st.sampled_from(sorted(BUILDERS)))
+    p = draw(st.integers(1, 3))
+
+    def vector(length):
+        size = length if often(draw) else draw(st.integers(0, 4))
+        values = POSITIVE if often(draw) else NUMBERS
+        return " ".join(map(repr, draw(st.lists(values, min_size=size, max_size=size))))
+
+    lines = [f"{key} {vector(p + extra)}" for key, extra in BUILDERS[builder] if often(draw)]
+    agents = st.integers(1, q)
+    pairs = [(i, j) for i in range(1, q + 1) for j in range(1, q + 1) if i != j]
+    edge = st.sampled_from(pairs) if pairs and often(draw) else st.tuples(agents, agents)
+    edges = draw(st.lists(edge, max_size=4, unique=often(draw)))
+    lines += [f"coupling {i} {j} {vector(p)}" for i, j in edges]
+    variant = draw(st.sampled_from([None, "raw", "transformed"]))
+    if variant is not None:
+        lines.append(f"variant {variant}")
+    return "\n".join([f"q {q}", f"builder {builder}", *draw(st.permutations(lines))]) + "\n"
+
+
+@given(builder_documents())
+@settings(max_examples=100, deadline=None)
+def test_check_on_builder_documents_keeps_the_exit_contract(tmp_path_factory, text):
+    spec = tmp_path_factory.mktemp("builder") / "b.spec"
+    spec.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run("check", "--spec", str(spec))
+    assert rc in (0, 1, 2)
+    assert_exit_contract("check", rc, out.getvalue(), err.getvalue())
+    if rc == 1:
+        assert re.match(r"error: line \d+: ", err.getvalue()), err.getvalue()
 
 
 def write_spec(path, spec):

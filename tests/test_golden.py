@@ -36,7 +36,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from conftest import TRACE_RTOL, sweep_gains
+from conftest import TRACE_RTOL, assert_exit_contract, sweep_gains
 from matsync import closed_loop, find_common_P, verify_cl_detectability
 from matsync.cli import main
 from matsync.specdoc import parse_spec_document
@@ -286,6 +286,17 @@ def test_simulate_output_matches_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(COMMAND_CASES))
 def test_command_output_matches_golden(name, tmp_path):
     assert produce_command(name, str(tmp_path)) == load("commands", name)
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_CASES))
+def test_command_cases_keep_the_exit_contract(name, tmp_path):
+    spec_src, argv, tol = COMMAND_CASES[name]
+    if spec_src is not None:
+        spec = str(tmp_path / f"{name}.spec")
+        write_spec(spec_src, spec)
+        argv = [argv[0], "--spec", spec, *argv[1:]]
+    rc, data, err = run_captured(argv, tol)
+    assert_exit_contract(argv[0], rc, data.decode(), err)
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_CASES))

@@ -96,6 +96,20 @@ variant raw
         parsed = parse_spec_document(text)
         assert np.allclose(parsed.spec.A, [[0.0, 1.0], [-0.5, 0.0]])
 
+    def test_mirrored_coupling_line_is_legal(self):
+        text = "q 2\nbuilder lc\ncapacitances 1.0 1.0\ninductances 1.0\ncoupling 1 2 0.5\n"
+        once = parse_spec_document(text).spec
+        assert specs_equal(parse_spec_document(text + "coupling 2 1 0.5\n").spec, once)
+
+    def test_builder_refusal_names_the_builder_line(self):
+        # the mirror disagrees with its edge, which the builder refuses
+        text = (
+            "q 2\n# an LC pair\nbuilder lc\ncapacitances 1.0 1.0\ninductances 1.0\n"
+            "coupling 1 2 0.5\ncoupling 2 1 0.7\n"
+        )
+        with pytest.raises(SpecParseError, match=r"^line 3: conductance map is not symmetric"):
+            parse_spec_document(text)
+
     def test_builder_excludes_matrices(self):
         text = """
 q 2
