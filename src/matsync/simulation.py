@@ -20,10 +20,20 @@ operation runs along the contiguous rows axis.  sync_error keeps the largest
 squared pair distance and takes one square root at the end; the squares are
 summed over n in the order np.linalg.norm sums them for n < 8 (numpy sums
 8 or more terms pairwise), so it equals the row-wise pairwise norms bit for
-bit.  disagreement is Gamma times the block, dotted with it per row.  Each
-block's temporaries stay under glibc's 128 KiB mmap threshold, so they come
-from the heap rather than from freshly mapped pages, and no temporary of the
-trace's full size is made.
+bit.  From PRUNE_MIN_AGENTS agents on, a block first bounds its pair search.
+With rad_i = ||x_i - c|| about the block centroid c, the agent of largest
+radius is an anchor, and its squared distances to all agents are true pair
+values, a lower bound `out` per row.  Since ||x_i - x_j|| <= rad_i + rad_j,
+agent i is dropped when (rad_i + max rad)^2 (1 + 1e-9) + 1e-300 < out in
+every row: the relative slack covers the rounding of both sides, the
+absolute one subnormal squares, and a nan or overflowed radius never drops
+an agent.  The pair loop then runs over the kept agents only.  It takes
+the maximum of the same floating-point pair sums over a set of pairs that
+holds the farthest one, and (x_a - x_j)^2 = (x_j - x_a)^2 exactly, so the
+result is the same bit for bit.  disagreement is Gamma times the block,
+dotted with it per row.  Each block's temporaries stay under glibc's
+128 KiB mmap threshold, so they come from the heap rather than from freshly
+mapped pages, and no temporary of the trace's full size is made.
 """
 
 from __future__ import annotations
@@ -55,6 +65,12 @@ MAX_STEPS = 2**63 - 2  # steps of one run, so its steps + 1 state indices fit in
 # block stays under glibc's 128 KiB mmap threshold, so it is reused from the
 # heap instead of mapped afresh (16000 floats = 125 KiB)
 METRIC_BLOCK_CELLS = 16_000
+# agents from which sync_error prunes its pair search: the anchor's distances
+# and the centroid radii cost about what the skipped pairs save at q ~ 16.
+# _metrics on alg1 traces of 401 / 20001 rows, all pairs -> pruned (one CPU):
+# q=8 0.20 -> 0.30 / 9.6 -> 10.4 ms, q=16 0.78 -> 1.10 / 36 -> 23 ms,
+# q=24 1.85 -> 1.36 / 82 -> 42 ms, q=64 13.5 -> 3.3 / 589 -> 152 ms
+PRUNE_MIN_AGENTS = 16
 POWER_TABLE_CELLS = 1 << 16  # floats in the stacked step-matrix powers, unless R is larger
 
 
@@ -131,6 +147,35 @@ def closed_loop(spec: ArraySpec, gains, epsilon: float | None = None) -> ClosedL
     )
 
 
+def _pair_loop(T, out):
+    """out <- max(out, max over i < j of sum_n (T[j] - T[i])^2), per row of T (q, n, rows)."""
+    for i in range(len(T) - 1):
+        d = T[i + 1:] - T[i]
+        np.square(d, out=d)
+        np.maximum(out, d.sum(axis=1).max(axis=0), out=out)
+
+
+def _candidates(T, out):
+    """Raise out to the anchor's pair values; True for each agent that may beat them.
+
+    The anchor is the agent farthest from the block centroid in any row; its
+    squared distances are summed as _pair_loop sums them.  The bound and its
+    slack are those of the module docstring: the relative slack covers the
+    rounding of the n + 3 operations behind each side, the absolute one
+    subnormal squares, and a nan or overflowed radius is never below out.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = T - T.mean(axis=0)
+        np.square(d, out=d)
+        rad = np.sqrt(d.sum(axis=1))
+        far = rad.max(axis=1).argmax()
+        bound = np.square(rad + rad.max(axis=0)) * (1 + 1e-9) + 1e-300
+    d = T - T[far]
+    np.square(d, out=d)
+    np.maximum(out, d.sum(axis=1).max(axis=0), out=out)
+    return ~(bound < out).all(axis=1)
+
+
 def _metrics(cl, states):
     q, n = cl.spec.q, cl.spec.n
     sync, disagreement = np.zeros(len(states)), np.empty(len(states))
@@ -138,10 +183,10 @@ def _metrics(cl, states):
     for a in range(0, len(states), per_block):
         T = np.ascontiguousarray(states[a:a + per_block].reshape(-1, q, n).transpose(1, 2, 0))
         out = sync[a:a + per_block]
-        for i in range(q - 1):
-            d = T[i + 1:] - T[i]
-            np.square(d, out=d)
-            np.maximum(out, d.sum(axis=1).max(axis=0), out=out)
+        if q >= PRUNE_MIN_AGENTS:
+            _pair_loop(T[_candidates(T, out)], out)
+        else:
+            _pair_loop(T, out)
         G = (cl.gamma @ T.reshape(q, -1)).reshape(q * n, -1)
         disagreement[a:a + per_block] = np.einsum("ks,ks->s", G, T.reshape(q * n, -1))
     return np.sqrt(sync, out=sync), disagreement

@@ -345,38 +345,73 @@ def metric_loop(rng, q, n):
     return SimpleNamespace(spec=SimpleNamespace(q=q, n=n), gamma=gamma)
 
 
+def brute_sync(X):
+    """max over pairs of the row-wise np.linalg.norm of x_i - x_j, X of shape (S, q, n)."""
+    want = np.zeros(len(X))
+    for i in range(X.shape[1]):
+        for j in range(i + 1, X.shape[1]):
+            want = np.maximum(want, np.linalg.norm(X[:, i] - X[:, j], axis=1))
+    return want
+
+
+def rotating_rows(rng, S, q, n, spread, scale):
+    """One configuration about a common state, slowly rotated and shrunk row by row."""
+    X0 = rng.standard_normal((1, n)) + spread * rng.standard_normal((q, n))
+    K = rng.standard_normal((n, n))
+    step = sla.expm(rng.uniform(0.0, 0.05) * (K - K.T)) * rng.uniform(0.98, 1.0)
+    X = np.empty((S, q, n))
+    X[0] = scale * X0
+    for s in range(1, S):
+        X[s] = X[s - 1] @ step
+    return X
+
+
 class TestMetrics:
     @given(
         seed=st.integers(0, 2**32 - 1), q=st.integers(1, 12), n=st.integers(1, 5),
         S=st.integers(1, 300), block_cells=st.integers(1, 400),
-        log_scale=st.floats(-150, 150),
+        log_scale=st.floats(-150, 150), rotating=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_metrics_against_brute_force(self, seed, q, n, S, block_cells, log_scale):
+    def test_metrics_against_brute_force(
+        self, seed, q, n, S, block_cells, log_scale, rotating
+    ):
         rng = np.random.default_rng(seed)
         cl = metric_loop(rng, q, n)
-        # agents spread 1e-8 to 1 relative around a common state, each row at its own scale
-        spread = 10.0 ** rng.uniform(-8, 0, (S, 1, 1))
-        scale = 10.0 ** (log_scale + rng.uniform(-1, 1, (S, 1, 1)))
-        X = scale * (rng.standard_normal((S, 1, n)) + spread * rng.standard_normal((S, q, n)))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulation, "METRIC_BLOCK_CELLS", block_cells)
-            sync, dis = simulation._metrics(cl, X.reshape(S, q * n))
-        want = np.zeros(S)
-        for i in range(q):
-            for j in range(i + 1, q):
-                want = np.maximum(want, np.linalg.norm(X[:, i] - X[:, j], axis=1))
-        assert np.array_equal(sync, want)
+        if rotating:
+            # neighbouring rows alike, so the pruning bound drops agents
+            X = rotating_rows(rng, S, q, n, 10.0 ** rng.uniform(-8, 0), 10.0 ** log_scale)
+        else:
+            # agents spread 1e-8 to 1 relative around a common state, each row at its own scale
+            spread = 10.0 ** rng.uniform(-8, 0, (S, 1, 1))
+            scale = 10.0 ** (log_scale + rng.uniform(-1, 1, (S, 1, 1)))
+            X = scale * (rng.standard_normal((S, 1, n)) + spread * rng.standard_normal((S, q, n)))
+        want = brute_sync(X)
+        # the module's choice of path, then the pruned path at every q
+        for prune_min in (simulation.PRUNE_MIN_AGENTS, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simulation, "METRIC_BLOCK_CELLS", block_cells)
+                mp.setattr(simulation, "PRUNE_MIN_AGENTS", prune_min)
+                sync, dis = simulation._metrics(cl, X.reshape(S, q * n))
+            assert np.array_equal(sync, want)
         want = np.einsum("sik,ij,sjk->s", X, cl.gamma, X)
         assert np.all(np.abs(dis - want) <= 1e-12 * np.sum(X**2, axis=(1, 2)))
 
-    @pytest.mark.parametrize("S, q, n", [(100_001, 3, 4), (401, 100, 4)])
-    def test_metrics_make_no_trace_sized_temporary(self, S, q, n):
+    @pytest.mark.parametrize("S, q, n, rows", [
+        pytest.param(100_001, 3, 4, "random", id="100001-3-4"),
+        pytest.param(401, 100, 4, "random", id="401-100-4"),
+        pytest.param(401, 100, 4, "smooth", id="401-100-4-smooth"),
+    ])
+    def test_metrics_make_no_trace_sized_temporary(self, S, q, n, rows):
         # numpy reports its array allocations to tracemalloc; one (S, q, n)
-        # temporary is already past the bound
+        # temporary is already past the bound.  Smooth rows run the pruning
+        # bound with few agents kept
         rng = np.random.default_rng(7)
         cl = metric_loop(rng, q, n)
-        states = rng.standard_normal((S, q * n))
+        if rows == "random":
+            states = rng.standard_normal((S, q * n))
+        else:
+            states = rotating_rows(rng, S, q, n, 0.1, 1.0).reshape(S, q * n)
         tracemalloc.start()
         try:
             sync, dis = simulation._metrics(cl, states)
@@ -384,6 +419,118 @@ class TestMetrics:
         finally:
             tracemalloc.stop()
         assert peak < sync.nbytes + dis.nbytes + 2**20
+
+
+def sphere_rows(rng, S, q, n):
+    # q/2 random unit vectors and their negatives, scaled per row: every agent
+    # is at the largest radius, so no agent can be dropped
+    u = rng.standard_normal((S, q // 2, n))
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
+    return np.concatenate((u, -u), axis=1) * rng.uniform(0.5, 2.0, (S, 1, 1))
+
+
+def coincident_rows(rng, S, q, n):
+    # three points, each held by several agents, and two of them mirrored
+    # about the third, so the farthest distance is held by many tied pairs
+    p = rng.standard_normal((S, 1, n))
+    points = np.concatenate((p, -p, np.zeros_like(p)), axis=1)
+    return points[:, rng.integers(0, 3, q)] + rng.standard_normal((1, 1, n))
+
+
+def equal_rows(rng, S, q, n):
+    # all agents equal in every other row, so sync_error is 0 there
+    X = rng.standard_normal((S, 1, n)) + 1e-3 * rng.standard_normal((S, q, n))
+    X[::2] = X[::2, :1]
+    return X
+
+
+def subnormal_rows(rng, S, q, n):
+    # spreads of 1e-8 at scale 1e-150: the squared distances are subnormal
+    return 1e-150 * (rng.standard_normal((S, 1, n)) + 1e-8 * rng.standard_normal((S, q, n)))
+
+
+def huge_rows(rng, S, q, n):
+    return 1e150 * (rng.standard_normal((S, 1, n)) + rng.standard_normal((S, q, n)))
+
+
+def agent_counts(monkeypatch, name):
+    """Wrap simulation.<name>(T, out); returns the agent count of each call."""
+    agents, wrapped = [], getattr(simulation, name)
+
+    def counted(T, out):
+        agents.append(len(T))
+        return wrapped(T, out)
+
+    monkeypatch.setattr(simulation, name, counted)
+    return agents
+
+
+class TestPrunedPairSearch:
+    @pytest.mark.parametrize("rows", [
+        sphere_rows, coincident_rows, equal_rows, subnormal_rows, huge_rows,
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_adversarial_rows_equal_brute_force(self, rng, rows, n):
+        S, q = 50, simulation.PRUNE_MIN_AGENTS + 4
+        X = rows(rng, S, q, n)
+        sync, _ = simulation._metrics(metric_loop(rng, q, n), X.reshape(S, q * n))
+        assert np.array_equal(sync, brute_sync(X))
+
+    def test_radii_rounded_to_zero_keep_every_agent(self, rng):
+        # every squared radius and the anchor's distances to its neighbours
+        # round to 0 among subnormals, while the pair (-1.5e-162, 0), (1.5e-162, 0)
+        # rounds up: only the absolute slack keeps that pair in the search
+        config = 1e-162 * np.array([[0.0, 1.5], [-1.5, 0.0], [1.5, 0.0], [0.0, -1.0]])
+        X = np.tile(config, (5, 1))[None]
+        sync, _ = simulation._metrics(metric_loop(rng, 20, 2), X.reshape(1, -1))
+        assert np.array_equal(sync, brute_sync(X))
+
+    def test_equal_pairs_through_the_centroid_keep_both(self, rng, monkeypatch):
+        # (0, 1), (0, -r), (-r, 0), (1, 0), r ~ 0.75, and two agents that put the
+        # centroid at 0, rotated, scaled and shifted: the anchor's pair through
+        # the centroid and the pair (-r, 0), (1, 0) are both 1 + r long, and the
+        # second rounds an ulp longer; without the relative slack it is dropped
+        monkeypatch.setattr(simulation, "PRUNE_MIN_AGENTS", 1)
+        X = np.array([[
+            [0.13326784674840988, 0.001621149166471359],
+            [-0.02537595981967617, 0.000896566221421552],
+            [0.04230427793129518, 0.06919788030326864],
+            [0.043028860876344985, -0.08944592626481743],
+            [0.031231935422012188, 0.012486478447406201],
+            [0.031231935422012188, 0.012486478447406201],
+        ]])
+        sync, _ = simulation._metrics(metric_loop(rng, 6, 2), X.reshape(1, -1))
+        assert np.array_equal(sync, brute_sync(X))
+
+    def test_sphere_prunes_no_agent(self, rng, monkeypatch):
+        S, q, n = 50, simulation.PRUNE_MIN_AGENTS + 4, 3
+        agents = agent_counts(monkeypatch, "_pair_loop")
+        simulation._metrics(metric_loop(rng, q, n), sphere_rows(rng, S, q, n).reshape(S, q * n))
+        assert agents == [q]
+
+    @pytest.mark.parametrize("below", [True, False])
+    def test_agent_count_around_the_threshold(self, rng, monkeypatch, below):
+        q = simulation.PRUNE_MIN_AGENTS - below
+        S, n = 200, 3
+        X = rotating_rows(rng, S, q, n, 0.3, 1.0)
+        bounded = agent_counts(monkeypatch, "_candidates")
+        sync, _ = simulation._metrics(metric_loop(rng, q, n), X.reshape(S, q * n))
+        assert np.array_equal(sync, brute_sync(X))
+        assert (bounded == []) == below
+
+    def test_synchronizing_wide_trace_visits_fewer_agents(self, monkeypatch):
+        # an alg1 array of 100 agents, as in the benchmark's wide_array workload
+        rng = np.random.default_rng(5)
+        q, n = 100, 4
+        spec = random_symmetric_spec(rng, q=q, n=n, A=random_neutrally_stable(rng, n, n1=2))
+        cl = closed_loop(spec, gains_ct_neutral(spec))
+        agents = agent_counts(monkeypatch, "_pair_loop")
+        trace = simulate_ct(cl, rng.standard_normal(q * n), T=4.0, h=1e-2)
+        per_block = simulation.METRIC_BLOCK_CELLS // (q * n)
+        assert len(agents) == -(-len(trace.times) // per_block)
+        assert max(agents) < q
+        X = trace.states.reshape(-1, q, n)
+        assert np.array_equal(trace.sync_error, brute_sync(X))
 
 
 class TestChunkedStepper:
