@@ -478,7 +478,7 @@ def cmd_simulate(args):
     epsilon = args.epsilon if args.epsilon is not None else gdoc.epsilon
     try:
         cl = simulation.closed_loop(spec, gdoc.gain_set, epsilon=epsilon)
-    except DimensionMismatch as e:  # a missing gain, or one of the wrong shape
+    except DimensionMismatch as e:  # a missing gain, one of the wrong shape or one off the edges
         raise SpecParseError(str(e)) from e
     rng = np.random.default_rng(args.seed)
     x0 = rng.standard_normal(spec.q * spec.n)

@@ -6,13 +6,19 @@ degree-4 Taylor polynomial of exp(h Psi), so the step matrix R is formed
 once.  It equals stepping the stage equations in exact arithmetic only;
 the two round differently.
 
-A run steps in chunks.  The powers [R; R^2; ...; R^B] are stacked once per
-run, with B = max(1, POWER_TABLE_CELLS // qn^2), so B depends on the state
-size alone, and each chunk of B states is one matrix-vector product from
-the last state of the chunk before.  The states match those of one product
-per step to rounding, not bit for bit; at qn >= 182, B = 1 and the products
-are the same.  The divergence cap is tested on every state of a chunk, so
-the first state past it is found exactly.
+A run steps by products of a power table.  The powers [R; R^2; ...; R^B]
+are stacked once per run, with B = max(1, POWER_TABLE_CELLS // qn^2), so B
+depends on the state size alone, and each product of the table with the
+last state of the product before gives the next B states.  The states match
+those of one product per step to rounding, not bit for bit; at qn >= 182,
+B = 1 and the products are the same.  The products are made in blocks of up
+to POWER_TABLE_CELLS // (B qn), each written into one buffer that the run
+reuses.  The divergence cap is then tested on every state of the block, so
+the first state past it is found exactly, and the kept rows are copied out,
+once per block: at B = 1 a state costs one np.matmul call into its row of
+the buffer, and the bookkeeping runs once per block, not once per state.
+closed_loop writes Psi into one qn x qn array and rk4_step_matrix works in
+four, so neither makes throwaway temporaries of that size.
 
 The trace metrics take the kept rows in blocks of about METRIC_BLOCK_CELLS
 floats, each copied agent-major to shape (q, n, rows) so that every
@@ -71,7 +77,9 @@ METRIC_BLOCK_CELLS = 16_000
 # q=8 0.20 -> 0.30 / 9.6 -> 10.4 ms, q=16 0.78 -> 1.10 / 36 -> 23 ms,
 # q=24 1.85 -> 1.36 / 82 -> 42 ms, q=64 13.5 -> 3.3 / 589 -> 152 ms
 PRUNE_MIN_AGENTS = 16
-POWER_TABLE_CELLS = 1 << 16  # floats in the stacked step-matrix powers, unless R is larger
+# floats in the stacked step-matrix powers (unless R is larger), and about as
+# many in a block of their products
+POWER_TABLE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -112,37 +120,55 @@ class ClosedLoop:
 def closed_loop(spec: ArraySpec, gains, epsilon: float | None = None) -> ClosedLoop:
     """Assemble x' = Psi x (CT) or x+ = M x (DT) from a spec and its gains.
 
-    ``gains`` is a GainSet or a plain ``(i, j) -> G_ij`` map.  In discrete
-    time the coupling is scaled by ``epsilon``, defaulting to the gain set's
-    eps_bar when it carries one.
+    ``gains`` is a GainSet or a plain ``(i, j) -> G_ij`` map with one gain
+    per edge of the spec and none for any other pair.  In discrete time the
+    coupling is scaled by ``epsilon``, defaulting to the gain set's eps_bar
+    when it carries one.
     """
     gmap = gains.gains if isinstance(gains, GainSet) else dict(gains)
+    q, n, A = spec.q, spec.n, spec.A
     weights = {}
     for (i, j), C in spec.C.items():
         G = gmap.get((i, j))
         if G is None:
             raise DimensionMismatch(f"no gain for edge ({i + 1}, {j + 1})")
         G = np.atleast_2d(np.asarray(G, dtype=float))
-        if G.shape != (spec.n, C.shape[0]):
+        if G.shape != (n, C.shape[0]):
             raise DimensionMismatch(
                 f"gain G_{i + 1}{j + 1} has shape {G.shape}, "
-                f"expected ({spec.n}, {C.shape[0]})"
+                f"expected ({n}, {C.shape[0]})"
             )
         weights[(i, j)] = G @ C
-    coupling = assemble_block_laplacian(weights, spec.q, spec.n)
-    base = np.kron(np.eye(spec.q), spec.A)
+    stray = sorted(set(gmap) - set(spec.C))
+    if stray:
+        i, j = stray[0]
+        raise DimensionMismatch(f"gain for ({i + 1}, {j + 1}), which is not an edge of the spec")
     if spec.time_domain == CONTINUOUS:
-        system = base - coupling
-        eps_used = None
+        scale, eps_used = 1.0, None  # 1.0 * X is X bit for bit
     else:
         if epsilon is None:
             ebar = gains.eps_bar if isinstance(gains, GainSet) else None
             epsilon = ebar if ebar is not None and np.isfinite(ebar) else 1.0
-        system = base - epsilon * coupling
-        eps_used = float(epsilon)
+        scale = eps_used = float(epsilon)
+
+    # Psi = (I (x) A) - scale L_W in one array, entry for entry as that
+    # difference rounds with L_W assembled by assemble_block_laplacian: an
+    # edge block of L_W holds 0.0 - W_ij, a diagonal block 0.0 + the W_ij of
+    # agent i in edge order, and every other entry 0.0
+    psi = np.kron(np.eye(q), A)
+    np.subtract(psi, scale * 0.0, out=psi)  # changes a bit only if scale < 0 or is not finite
+    off_diagonal = 0.0 * A  # the blocks of I (x) A off its diagonal
+    sums = {}
+    for (i, j), W in weights.items():
+        if i == j:
+            continue
+        sums[i] = sums.get(i, 0.0) + W
+        psi[i * n:(i + 1) * n, j * n:(j + 1) * n] = off_diagonal - scale * (0.0 - W)
+    for i, S in sums.items():
+        psi[i * n:(i + 1) * n, i * n:(i + 1) * n] = A - scale * S
 
     return ClosedLoop(
-        system_matrix=system, spec=spec, epsilon=eps_used,
+        system_matrix=psi, spec=spec, epsilon=eps_used,
         gamma=gamma_matrix(build_graph(spec)),
     )
 
@@ -232,13 +258,17 @@ def _power_table(step_matrix):
 def _step(table, x0, points, cap_sq):
     """Step x <- R x through `points` states, keeping every stride-th and the last.
 
-    `table` is _power_table(R): each chunk of B states is one product
-    table @ x from the last state of the chunk before.  Returns (indices,
-    rows, k).  k is None when every state stays within the cap.  Otherwise
-    state k is the first past it, and the rows are those the stride of
-    `points` keeps among states 0..k-1, plus state k-1.
+    `table` is _power_table(R): each product table @ x gives the next B
+    states from the last state of the product before.  A block of up to
+    POWER_TABLE_CELLS // len(table) products is written into one buffer,
+    reused for the whole run, and then tested against the cap and copied to
+    the kept rows at once.  Returns (indices, rows, k).  k is None when every
+    state stays within the cap.  Otherwise state k is the first past it, and
+    the rows are those the stride of `points` keeps among states 0..k-1, plus
+    state k-1.
     """
-    qn = len(x0)
+    qn, width = len(x0), len(table)
+    B = width // qn
     stride = _stride(points)
     last = points - 1
     indices = np.arange(0, points, stride)
@@ -246,25 +276,32 @@ def _step(table, x0, points, cap_sq):
         indices = np.append(indices, last)
     rows = np.empty((len(indices), qn))
     rows[0] = x0
-    x, kept = x0, 1
-    for base in range(0, last, len(table) // qn):
-        # the whole table every time, so each state comes from the same
+    kept = 1
+    per_block = max(1, POWER_TABLE_CELLS // width)
+    # row 0 ends in the state a block starts from, row p + 1 holds product p
+    Y = np.empty((per_block + 1, width))
+    Y[0, -qn:] = x0
+    for base in range(0, last, per_block * B):
+        # every product uses the whole table, so each state comes from the same
         # product whatever the horizon; states past `last` are dropped
-        Y = (table @ x).reshape(-1, qn)[:last - base]
+        m = min(per_block, -(-(last - base) // B))
+        for p in range(m):
+            np.matmul(table, Y[p, -qn:], out=Y[p + 1])
+        X = Y[:m + 1].reshape(-1, qn)[B - 1:B + last - base]  # X[s] is state base + s
         # nan or inf in a row makes its norm nan or inf, so this also catches them
-        within = np.einsum("ij,ij->i", Y, Y) <= cap_sq
-        end = len(Y) if within.all() else int(within.argmin())  # first row past the cap
+        within = np.einsum("ij,ij->i", X[1:], X[1:]) <= cap_sq
+        end = len(within) if within.all() else int(within.argmin())  # X[end + 1] is past the cap
         stop = np.searchsorted(indices, base + end, side="right")
-        rows[kept:stop] = Y[indices[kept:stop] - base - 1]
+        rows[kept:stop] = X[indices[kept:stop] - base]
         kept = stop
-        if end < len(Y):
+        if end < len(within):
             k = base + end + 1
             if (k - 1) % stride:
-                rows[kept] = Y[end - 1] if end else x
+                rows[kept] = X[end]
                 indices[kept] = k - 1
                 kept += 1
             return indices[:kept], rows[:kept], k
-        x = Y[-1]
+        Y[0, -qn:] = Y[m, -qn:]
     return indices, rows, None
 
 
@@ -293,13 +330,27 @@ def _iterate(cl, step_matrix, x0, points, h):
     raise Diverged(f"state norm exceeded the divergence cap at t = {k * h:g}", trace)
 
 
+def _add_identity(M):
+    """M <- I + M, rounded as np.eye(len(M)) + M: 0.0 + -0.0 is 0.0 off the diagonal."""
+    M.flat[::len(M) + 1] += 1.0
+    M += 0.0
+
+
 def rk4_step_matrix(system_matrix: np.ndarray, h: float) -> np.ndarray:
-    """I + h Psi + ... + (h Psi)^4 / 24, the classical RK4 update for x' = Psi x."""
-    n = system_matrix.shape[0]
+    """I + h Psi + ... + (h Psi)^4 / 24, the classical RK4 update for x' = Psi x.
+
+    Horner's rule, R = I + hPsi/4 and then R <- I + (hPsi/k) R for k = 3, 2,
+    1, in four arrays of Psi's size: hPsi, hPsi/k and the two R's, each
+    product written into the one not being read.
+    """
     hA = h * system_matrix
-    R = np.eye(n) + hA / 4
+    R, term, other = np.divide(hA, 4), np.empty_like(hA), np.empty_like(hA)
+    _add_identity(R)
     for k in (3, 2, 1):
-        R = np.eye(n) + (hA / k) @ R
+        np.divide(hA, k, out=term)
+        np.matmul(term, R, out=other)
+        _add_identity(other)
+        R, other = other, R
     return R
 
 
@@ -337,9 +388,12 @@ def rho_sweep(spec: ArraySpec, P: np.ndarray, alphas):
     drift = np.kron(np.eye(q - 1), spec.A)
     weights = {e: np.linalg.solve(P, C.T) @ C for e, C in spec.C.items()}
     coupling = V.T @ assemble_block_laplacian(weights, q, n) @ V
+    quotient = np.empty_like(coupling)  # drift - alpha coupling, for each alpha in turn
     out = []
     for alpha in alphas:
-        lam = np.linalg.eigvals(drift - float(alpha) * coupling)
+        np.multiply(float(alpha), coupling, out=quotient)
+        np.subtract(drift, quotient, out=quotient)
+        lam = np.linalg.eigvals(quotient)
         out.append((float(alpha), float(np.max(lam.real, initial=-np.inf))))
     return out
 

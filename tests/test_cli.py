@@ -722,7 +722,12 @@ MS_GAIN = "0.0 0.0\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
     ("recipe manual\nq 3\nn 4\ngain 1 2\n" + MS_GAIN, "no gain for edge (2, 1)"),
     ("recipe manual\nq 3\nn 4\ngain 1 2\n1.0\n",
      "gain G_12 has shape (1, 1), expected (4, 2)"),
-], ids=["missing_gain", "wrong_shape"])
+    # every edge's gain, plus one for the pair (1, 3), which has no edge block
+    ("recipe manual\nq 3\nn 4\n"
+     + "".join(f"gain {i} {j}\n" + MS_GAIN for i, j in ((1, 2), (2, 1), (2, 3), (3, 2)))
+     + "gain 1 3\n9.0\n",
+     "gain for (1, 3), which is not an edge of the spec"),
+], ids=["missing_gain", "wrong_shape", "gain_off_the_edges"])
 def test_gains_that_do_not_fit_the_spec_exit_1(gains_text, message, ms_spec, tmp_path, capsys):
     gains, out = tmp_path / "g.gains", tmp_path / "t.csv"
     gains.write_text(gains_text)

@@ -39,6 +39,7 @@ from matsync import (
 )
 from matsync import simulation
 from matsync.builders import BUILTIN_NAMES
+from matsync.mwl import assemble_block_laplacian
 from matsync.simulation import BOUND_CAP_FACTOR, MAX_TRACE_ROWS, rk4_step_matrix
 
 PARTITION_TOL = 1e-8  # times max(1, ||Psi||_2)
@@ -123,6 +124,9 @@ class TestClosedLoop:
             closed_loop(spec, {(0, 1): np.ones((1, 2))})
         with pytest.raises(DimensionMismatch):
             closed_loop(spec, {})
+        # a gain off the edges is refused whatever its shape
+        with pytest.raises(DimensionMismatch, match=r"gain for \(2, 1\), which is not an edge"):
+            closed_loop(spec, {(0, 1): np.ones((2, 1)), (1, 0): [[9.0]]})
 
     def test_discrete_embeds_epsilon(self):
         spec = ArraySpec(
@@ -132,6 +136,75 @@ class TestClosedLoop:
         cl = closed_loop(spec, {(0, 1): [[1.0]], (1, 0): [[1.0]]}, epsilon=0.25)
         assert np.allclose(cl.system_matrix, [[0.75, 0.25], [0.25, 0.75]])
         assert cl.epsilon == 0.25
+
+
+def laplacian_closed_loop(spec, gmap, epsilon):
+    """(I (x) A) - [epsilon] L_W, with L_W from assemble_block_laplacian."""
+    weights = {e: np.atleast_2d(np.asarray(gmap[e], dtype=float)) @ C
+               for e, C in spec.C.items()}
+    L = assemble_block_laplacian(weights, spec.q, spec.n)
+    base = np.kron(np.eye(spec.q), spec.A)
+    return base - L if epsilon is None else base - epsilon * L
+
+
+def sparse_normal(rng, shape):
+    """Standard normal entries, about half of them +0.0 or -0.0."""
+    return rng.standard_normal(shape) * (rng.random(shape) < 0.5)
+
+
+def random_sparse_array(rng, q, n, domain):
+    """Random edges in random order with sparse A, outputs and gains, one output zero."""
+    pairs = [(i, j) for i in range(q) for j in range(q) if i != j]
+    order = rng.permutation(len(pairs))[:int(rng.integers(0, len(pairs) + 1))]
+    C = {pairs[k]: sparse_normal(rng, (int(rng.integers(1, 4)), n)) for k in order}
+    if C:
+        C[next(iter(C))] = np.zeros_like(C[next(iter(C))])
+    spec = ArraySpec(q=q, n=n, A=sparse_normal(rng, (n, n)), C=C, time_domain=domain)
+    return spec, {e: sparse_normal(rng, (n, M.shape[0])) for e, M in spec.C.items()}
+
+
+def assert_same_bits(got, want):
+    """Equal as float64 bit patterns: tells 0.0 from -0.0, unlike np.array_equal."""
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestClosedLoopBits:
+    """closed_loop's Psi / M is (I (x) A) - [epsilon] L_W bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize("epsilon", [None, 0.3, 2.0])
+    def test_bundled_examples(self, name, epsilon, rng):
+        spec = builtin_example(name).spec
+        if epsilon is not None:
+            spec = ArraySpec(q=spec.q, n=spec.n, A=spec.A, C=spec.C, time_domain="discrete")
+        for gmap in (natural_gains(spec),
+                     {e: sparse_normal(rng, C.T.shape) for e, C in spec.C.items()}):
+            got = closed_loop(spec, gmap, epsilon=epsilon).system_matrix
+            assert_same_bits(got, laplacian_closed_loop(spec, gmap, epsilon))
+
+    def test_neutral_array_with_many_negative_zeros(self, rng):
+        # the off-diagonal blocks of I (x) A hold 0.0 * A: -0.0 under every
+        # negative entry of A, kept wherever no edge writes
+        spec = random_symmetric_spec(rng, q=30, n=4)
+        gmap = gains_ct_neutral(spec).gains
+        got = closed_loop(spec, gmap).system_matrix
+        assert np.signbit(got[got == 0.0]).any()
+        assert_same_bits(got, laplacian_closed_loop(spec, gmap, None))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1), q=st.integers(1, 5), n=st.integers(1, 3),
+        epsilon=st.sampled_from([None, 0.3, 1.0, 0.0, -0.0, -0.5, 1e300]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_sparse_arrays(self, seed, q, n, epsilon):
+        rng = np.random.default_rng(seed)
+        domain = "continuous" if epsilon is None else "discrete"
+        spec, gmap = random_sparse_array(rng, q, n, domain)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = closed_loop(spec, gmap, epsilon=epsilon).system_matrix
+            want = laplacian_closed_loop(spec, gmap, epsilon)
+        assert_same_bits(got, want)
 
 
 class TestSimulateCT:
@@ -609,6 +682,85 @@ class TestChunkedStepper:
         assert row_deviation(trace.states, states[idx]) <= TRACE_RTOL
 
 
+class TestOneProductPerStep:
+    """At B = 1, each state is R @ (the state before), bit for bit.
+
+    POWER_TABLE_CELLS = P * qn keeps B = 1 (P < 2 qn) and makes blocks of P
+    products, and MAX_TRACE_ROWS sets the stride, so block edges and
+    kept-row strides fall inside short runs.
+    """
+
+    @staticmethod
+    def run(cl, x0, steps, P, max_rows):
+        qn = len(x0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "POWER_TABLE_CELLS", P * qn)
+            mp.setattr(simulation, "MAX_TRACE_ROWS", max_rows)
+            assert len(simulation._power_table(cl.system_matrix)) == qn
+            return run_dt(cl, x0, steps)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1), qn=st.integers(3, 6), P=st.integers(2, 5),
+        blocks=st.integers(1, 3), extra=st.sampled_from([-1, 0, 1]),
+        max_rows=st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bounded_runs(self, seed, qn, P, blocks, extra, max_rows):
+        steps = blocks * P + extra  # runs ending just before, on and after a block edge
+        rng = np.random.default_rng(seed)
+        cl = scaled_rotation_loop(rng, qn, rng.uniform(0.9, 1.0))
+        x0 = rng.standard_normal(qn)
+        trace = self.run(cl, x0, steps, P, max_rows)
+        states, k = reference_run(cl.system_matrix, x0, steps + 1)
+        assert k is None and trace.bounded
+        idx = kept_indices(steps + 1, max_rows)
+        assert np.array_equal(trace.times, np.array(idx, dtype=float))
+        assert np.array_equal(trace.states, states[idx])
+
+    def check_crossing(self, seed, qn, P, k, after, max_rows):
+        rng = np.random.default_rng(seed)
+        # ||x_k|| / ||x_0|| = 10^(8k / (k - 1/2)): the cap 1e8 is first passed at k
+        cl = scaled_rotation_loop(rng, qn, 10.0 ** (8.0 / (k - 0.5)))
+        x0 = rng.standard_normal(qn)
+        steps = k + after
+        trace = self.run(cl, x0, steps, P, max_rows)
+        states, k_ref = reference_run(cl.system_matrix, x0, steps + 1)
+        assert k_ref == k and not trace.bounded
+        idx = kept_indices(k, max_rows)
+        assert np.array_equal(trace.times, np.array(idx, dtype=float))
+        assert np.array_equal(trace.states, states[idx])
+
+    @given(
+        seed=st.integers(0, 2**32 - 1), qn=st.integers(3, 6), P=st.integers(2, 5),
+        blocks=st.integers(0, 3), product=st.sampled_from(["first", "middle", "last"]),
+        after=st.integers(0, 12), max_rows=st.integers(1, 6),
+    )
+    # k = 5 with a stride of 3 for the run and for the states before the
+    # crossing: state 4 is kept on its own, from inside its block (P = 3) and
+    # as the state the block starts from (P = 2)
+    @example(seed=0, qn=3, P=3, blocks=1, product="middle", after=0, max_rows=2)
+    @example(seed=0, qn=3, P=2, blocks=2, product="first", after=0, max_rows=2)
+    @example(seed=1, qn=4, P=4, blocks=2, product="last", after=12, max_rows=3)
+    @example(seed=2, qn=5, P=2, blocks=0, product="first", after=12, max_rows=1)
+    @settings(max_examples=60, deadline=None)
+    def test_crossing_on_any_product_of_a_block(
+        self, seed, qn, P, blocks, product, after, max_rows
+    ):
+        # state k is product (k - 1) % P of its block
+        k = blocks * P + {"first": 0, "middle": P // 2, "last": P - 1}[product] + 1
+        self.check_crossing(seed, qn, P, k, after, max_rows)
+
+    def test_crossing_steps_again_at_its_own_stride(self, monkeypatch):
+        # k = 5 is the middle product of the second block of 3.  The stride of
+        # 16 states is 8 and that of the 5 before the crossing 3, so the run is
+        # stepped again, to keep states 0 and 3 and then state 4
+        calls = []
+        step = simulation._step
+        monkeypatch.setattr(simulation, "_step", lambda *a: calls.append(a[2]) or step(*a))
+        self.check_crossing(seed=0, qn=3, P=3, k=5, after=10, max_rows=2)
+        assert calls == [16, 5]
+
+
 class TestVerdicts:
     def test_counterexample_grows(self, rng):
         spec = builtin_example("counterexample_asym").spec
@@ -800,6 +952,14 @@ class TestAsymptoticAnchor:
         assert err <= 1e-4 * np.linalg.norm(xi[0])
 
 
+def test_identity_added_as_eye_plus_rounds_it():
+    # 0.0 + -0.0 is 0.0, and M[i, i] + 1.0 is 1.0 + M[i, i]
+    M = np.array([[-0.0, -0.0, 3.0], [-0.0, -1.0, -0.0], [0.5, -0.0, -2.5e-17]])
+    got = M.copy()
+    simulation._add_identity(got)
+    assert_same_bits(got, np.eye(3) + M)
+
+
 def rk4_horner_from_identity(psi, h):
     """The Horner form of the RK4 polynomial with its first product against I."""
     n = psi.shape[0]
@@ -816,7 +976,33 @@ def test_rk4_step_matrix_equals_horner_from_identity(name, rng):
     psis += [rng.standard_normal((m, m)) for m in (1, 2, 5, 12)]
     for psi in psis:
         for h in (1e-3, 0.1, 2.0):
-            assert np.array_equal(rk4_step_matrix(psi, h), rk4_horner_from_identity(psi, h))
+            assert_same_bits(rk4_step_matrix(psi, h), rk4_horner_from_identity(psi, h))
+
+
+# np.kron's broadcast product, eye(q) and per-edge blocks of n x n
+ASSEMBLY_SLACK_BYTES = 2**18
+
+
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_closed_loop_and_step_matrix_make_no_extra_square_temporary(domain, rng):
+    # qn = 240: Psi is one qn x qn array, and R is built in four (hPsi,
+    # hPsi / k and the two R's of Horner's rule)
+    q, n = 60, 4
+    spec = random_symmetric_spec(rng, q, n, domain, A=rng.standard_normal((n, n)))
+    gmap = {e: rng.standard_normal((n, C.shape[0])) for e, C in spec.C.items()}
+    square = 8 * (q * n) ** 2
+    tracemalloc.start()
+    try:
+        psi = closed_loop(spec, gmap, epsilon=0.3).system_matrix
+        _, cl_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        rk4_step_matrix(psi, 0.01)
+        _, rk4_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cl_peak <= square + ASSEMBLY_SLACK_BYTES
+    assert rk4_peak - start <= 4 * square + 2**16
 
 
 def test_rk4_step_matrix_is_degree_four_taylor():
