@@ -6,6 +6,8 @@ CL-detectability and neutral-stability recipes, and certify the result by
 spectral analysis and simulation.
 """
 
+import types
+
 from .array_model import (
     CONTINUOUS,
     DISCRETE,
@@ -76,61 +78,8 @@ from .spectral import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArraySpec",
-    "BuiltArray",
-    "BuiltinExample",
-    "CLDetectabilityCertificate",
-    "CONTINUOUS",
-    "ClosedLoop",
-    "Condition14Report",
-    "DISCRETE",
-    "DimensionMismatch",
-    "Diverged",
-    "GainSet",
-    "Infeasible",
-    "MatsyncError",
-    "NetworkGraph",
-    "NonPositiveParameter",
-    "NormalizedGraphLaplacian",
-    "NotConnected",
-    "NotDetectable",
-    "NotNeutrallyStable",
-    "NotSPD",
-    "NotSymmetric",
-    "SimTrace",
-    "SingularP",
-    "SpecParseError",
-    "SpectralSplit",
-    "SplitIllConditioned",
-    "StabilityClass",
-    "UnknownName",
-    "ValidationReport",
-    "asymptotic_anchor",
-    "build_graph",
-    "build_laplacian",
-    "build_lc",
-    "build_mass_spring",
-    "builtin_example",
-    "classify_stability",
-    "closed_loop",
-    "condition14",
-    "eps_bar",
-    "find_common_P",
-    "gains_ct_neutral",
-    "gains_dt_neutral",
-    "gains_theorem1",
-    "is_connected",
-    "laplacian_from_outputs",
-    "neutral_split",
-    "normalized_laplacian",
-    "pbh_detectable",
-    "pbh_observable",
-    "rho_sweep",
-    "simulate_ct",
-    "simulate_dt",
-    "spd_sqrt",
-    "sync_complement_basis",
-    "validate_spec",
-    "verify_cl_detectability",
-]
+# every public name imported above, so the list is written once
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -19,6 +19,8 @@ from .errors import NotConnected, NotSymmetric
 EDGE_TOL = 1e-12  # default edge_tol: C blocks of Frobenius norm at most this are absent; C_ij, C_ji this close are equal
 NULL_TOL = 1e-9  # lambda2 of Gamma below this * max(lambda_max, 1/q) is zero
 
+F64 = np.dtype(float)
+
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 
@@ -46,8 +48,10 @@ class ArraySpec:
 
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
+        # a parsed document's blocks are 2-D float64 arrays already, kept as they are
         cmap = {
-            (int(i), int(j)): np.atleast_2d(np.asarray(M, dtype=float))
+            (int(i), int(j)): M if type(M) is np.ndarray and M.ndim == 2 and M.dtype is F64
+            else np.atleast_2d(np.asarray(M, dtype=float))
             for (i, j), M in self.C.items()
         }
         object.__setattr__(self, "C", cmap)

@@ -1,5 +1,10 @@
 """Command-line front end: check, gains, simulate, sweep, example.
 
+Each ``assumption_*`` line of ``check`` is its recipe's own verdict: true
+exactly when ``gains --recipe`` would pass that recipe's hypotheses, decided
+by the same code in ``gains`` (theorem1 for ``assumption_cl_detectability``,
+alg1 and alg2 for ``assumption_neutral_ct`` and ``_dt``).
+
 Exit codes: 0 success; 1 with ``error: ...`` on stderr for an unreadable
 file, a bad option or any malformed document (builder parameters and gains
 that do not fit the spec included); 2 with ``hypothesis failed: ...``
@@ -22,25 +27,15 @@ import sys
 import numpy as np
 
 from . import builders, gains as gainsmod, simulation, specdoc
-from .array_model import (
-    CONTINUOUS,
-    DISCRETE,
-    build_graph,
-    is_connected,
-    normalized_laplacian,
-    validate_spec,
-)
+from .array_model import CONTINUOUS, DISCRETE
 from .errors import (
     DimensionMismatch,
     Diverged,
     Infeasible,
     MatsyncError,
-    NotConnected,
-    NotSymmetric,
     SpecParseError,
 )
 from .specdoc import _fmt
-from .spectral import NEUTRALLY_STABLE, STABLE, classify_stability, detectable_edges
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -77,25 +72,6 @@ def _check_options(args):
             need = "finite and > 0" if positive else "finite"
             flag = "--" + name.replace("_", "-")
             raise SpecParseError(f"{flag} must be {need}, got {value!r}")
-
-
-def _cl_certificate(doc, tol):
-    """The CL-detectability certificate of the document's P, else of a searched P.
-
-    A failed search gives its least-violating P.  That P is infeasible under
-    the default margin, but can pass a smaller margin tol set by MATSYNC_TOL.
-    With tol None, the search's own certificate is the one of its P.
-    """
-    spec, P = doc.spec, doc.P
-    if P is None:
-        try:
-            cert = gainsmod.find_common_P(spec)
-        except Infeasible as e:
-            cert = e.certificate
-        if tol is None:
-            return cert
-        P = cert.P
-    return gainsmod.verify_cl_detectability(spec, P, strict_tol=tol)
 
 
 def _write(path, text):
@@ -172,63 +148,47 @@ def _load_spec_env(path):
     return dataclasses.replace(doc, spec=spec), tol
 
 
+def _holds(hypotheses, *args):
+    """Whether a recipe's hypothesis path from gains runs without refusing."""
+    try:
+        hypotheses(*args)
+    except MatsyncError:
+        return False
+    return True
+
+
 def cmd_check(args):
     doc, tol = _load_spec_env(args.spec)
     spec = doc.spec
-
-    lines = [f"q {spec.q}", f"n {spec.n}", f"time_domain {spec.time_domain}"]
-    report = validate_spec(spec)
-    lines.append(f"symmetric {_bool(report.symmetric)}")
-
-    g = build_graph(spec)
-    connected = is_connected(g)
-    lines.append(f"connected {_bool(connected)}")
-    lines.append(f"complete {_bool(g.is_complete())}")
-
-    cls = classify_stability(spec.A, spec.time_domain)
-    lines.append(f"stability {spec.time_domain} {cls.kind}")
-    lines.append(f"marginal_count {cls.marginal_count}")
-
-    detectable = detectable_edges(spec, report.symmetric)
-    for (i, j), ok in detectable.items():
-        lines.append(f"detectable {i + 1} {j + 1} {_bool(ok)}")
-    detectable_all = all(detectable.values())
-
-    neutrally_ok = cls.kind in (NEUTRALLY_STABLE, STABLE)
-    assumption_neutral = (
-        report.symmetric and connected and neutrally_ok and detectable_all
-    )
-
+    ct = spec.time_domain == CONTINUOUS
+    facts = gainsmod._Facts(spec, doc.P, tol)
+    cls = facts.classified(spec.time_domain)[0]
+    lines = [
+        f"q {spec.q}", f"n {spec.n}", f"time_domain {spec.time_domain}",
+        f"symmetric {_bool(facts.symmetric)}", f"connected {_bool(facts.connected)}",
+        f"complete {_bool(facts.graph.is_complete())}",
+        f"stability {spec.time_domain} {cls.kind}", f"marginal_count {cls.marginal_count}",
+        *(f"detectable {i + 1} {j + 1} {_bool(ok)}" for (i, j), ok in facts.detectable.items()),
+    ]
+    # each assumption line is its recipe's own verdict
     assumption_cl = False
-    if spec.time_domain == CONTINUOUS:
-        lam2 = None
-        if report.symmetric and connected:
-            try:
-                lam2 = normalized_laplacian(g).lambda2
-                lines.append(f"lambda2 {_fmt(lam2)}")
-            except (NotConnected, NotSymmetric):
-                pass
-        cert = None
-        if report.symmetric and connected:
-            cert = _cl_certificate(doc, tol)
-        if cert is not None:
-            lines.append(f"cl_feasible {_bool(cert.feasible)}")
-            lines.append(f"eps {_fmt(cert.eps)}")
-            lines.append(f"sigma {_fmt(cert.sigma)}")
-            if cert.feasible and lam2 is not None:
-                c14 = gainsmod.condition14(cert, lam2)
-                lines.append(f"condition14_delta {_fmt(c14.delta)}")
-                lines.append(f"condition14_holds {_bool(c14.holds)}")
-            assumption_cl = cert.feasible
+    if ct:
+        assumption_cl = _holds(gainsmod._theorem1_hypotheses, facts)
+        if _holds(gainsmod._gate, facts):
+            cert = facts.certificate
+            c14 = gainsmod._condition14(cert, facts.graph)
+            if c14.lambda2:
+                lines.append(f"lambda2 {_fmt(c14.lambda2)}")
+            lines += [f"cl_feasible {_bool(cert.feasible)}", f"eps {_fmt(cert.eps)}",
+                      f"sigma {_fmt(cert.sigma)}"]
+            if cert.feasible and c14.lambda2:
+                lines += [f"condition14_delta {_fmt(c14.delta)}",
+                          f"condition14_holds {_bool(c14.holds)}"]
         lines.append(f"assumption_cl_detectability {_bool(assumption_cl)}")
-        lines.append(f"assumption_neutral_ct {_bool(assumption_neutral)}")
-        ok = assumption_cl or assumption_neutral
-    else:
-        lines.append(f"assumption_neutral_dt {_bool(assumption_neutral)}")
-        ok = assumption_neutral
-
+    assumption_neutral = _holds(gainsmod._neutral_hypotheses, facts, spec.time_domain)
+    lines.append(f"assumption_neutral_{'ct' if ct else 'dt'} {_bool(assumption_neutral)}")
     _write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK if ok else EXIT_HYPOTHESIS
+    return EXIT_OK if assumption_cl or assumption_neutral else EXIT_HYPOTHESIS
 
 
 def cmd_gains(args):
@@ -239,17 +199,8 @@ def cmd_gains(args):
         raise MatsyncError(f"{args.recipe} applies to {CONTINUOUS if ct else DISCRETE} time")
 
     if args.recipe == "theorem1":
-        if not args.force:
-            if not validate_spec(spec).symmetric:
-                raise NotSymmetric("edge outputs are not symmetric")
-            if not is_connected(build_graph(spec)):
-                raise NotConnected("graph is not connected")
-        cert = _cl_certificate(doc, tol)
-        # --force keeps an infeasible P from the document, never a failed
-        # search; a failed search's P passes only a MATSYNC_TOL margin it meets
-        if not cert.feasible and (doc.P is None or not args.force):
-            raise Infeasible("CL-detectability not established", cert)
-        P = doc.P if doc.P is not None else cert.P
+        facts = gainsmod._Facts(spec, doc.P, tol)
+        P, cert = gainsmod._theorem1_hypotheses(facts, args.force)
         alpha = args.alpha if args.alpha is not None else doc.alpha
         gs = gainsmod.gains_theorem1(spec, P, cert, alpha)
         c14 = gs.certificate[1]
@@ -500,7 +451,7 @@ def cmd_sweep(args):
     spec = doc.spec
     if spec.time_domain != CONTINUOUS:
         raise MatsyncError("sweep applies to continuous time")
-    cert = _cl_certificate(doc, tol)
+    cert = gainsmod._Facts(spec, doc.P, tol).certificate
     if not cert.feasible:
         raise Infeasible("CL-detectability certificate missing", cert)
 

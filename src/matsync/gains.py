@@ -11,6 +11,7 @@ Three recipes are implemented:
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ from .errors import (
     SingularP,
 )
 from .mwl import laplacian_from_outputs, output_weights
-from .spectral import STABLE, classify_stability, detectable_edges, neutral_split
+from .spectral import STABLE, _classify, _detectable_edges, _neutral_split
 
 RECIPE_THEOREM1 = "theorem1"
 RECIPE_ALG1_CT = "alg1_ct"
@@ -147,6 +148,11 @@ def find_common_P(spec: ArraySpec) -> CLDetectabilityCertificate:
     with its default strict margin.  Raises Infeasible (carrying the
     least-violating certificate) when the budget runs out.
     """
+    return _find_common_P(spec, _classify(spec.A, CONTINUOUS)[0].kind == STABLE)
+
+
+def _find_common_P(spec, stable):
+    """find_common_P, told whether A is stable in continuous time."""
     A = spec.A
     weights = _edge_weights(spec)
     if not len(weights):
@@ -161,7 +167,7 @@ def find_common_P(spec: ArraySpec) -> CLDetectabilityCertificate:
     margin = max(1e-7, 0.25 * max(trivial, 0.0))
 
     candidates = []
-    if classify_stability(A, CONTINUOUS).kind == STABLE:
+    if stable:
         # A'P + PA = -I
         candidates.append(sla.solve_continuous_lyapunov(A.T, -np.eye(n)))
     candidates.append(np.eye(n))
@@ -242,8 +248,7 @@ def gains_theorem1(
             f"alpha = {alpha} is below the 1/(2q) = {1.0 / (2.0 * spec.q)} bound",
             stacklevel=2,
         )
-    if np.linalg.cond(P) > 1e14:
-        raise SingularP("P is singular to working precision")
+    _require_invertible(P)
     # one batched solve per shape group, scattered back into spec.C order
     edges = list(spec.C)
     G = [None] * len(edges)
@@ -251,33 +256,102 @@ def gains_theorem1(
         for k, Gk in zip(idx, alpha * np.linalg.solve(P, S.transpose(0, 2, 1))):
             G[k] = Gk
     gains = dict(zip(edges, G))
-    try:
-        lam2 = normalized_laplacian(build_graph(spec)).lambda2
-        report = condition14(cert, lam2)
-    except (NotConnected, NotSymmetric):
-        report = Condition14Report(lambda2=0.0, delta=-np.inf, holds=False)
     return GainSet(
         gains=gains,
         recipe=RECIPE_THEOREM1,
         alpha=float(alpha),
-        certificate=(cert, report),
+        certificate=(cert, _condition14(cert, build_graph(spec))),
     )
 
 
-def _neutral_split(spec, domain, check):
-    """neutral_split(A), which refuses an A that is not neutrally stable.
+def _require_invertible(P):
+    if np.linalg.cond(P) > 1e14:
+        raise SingularP("P is singular to working precision")
 
-    With check, the edge outputs must first be symmetric and the graph
-    connected, and afterwards every edge must be PBH detectable.
+
+def _condition14(cert, graph):
+    """condition14 at the graph's lambda2, failing when it has none."""
+    try:
+        return condition14(cert, normalized_laplacian(graph).lambda2)
+    except (NotConnected, NotSymmetric):
+        return Condition14Report(lambda2=0.0, delta=-np.inf, holds=False)
+
+
+class _Facts:
+    """What the recipes' hypotheses are read from: a spec, its document P
+    (None: search for one) and the strict margin tol (None: the default).
+    Each costly part is computed once, when first read, so `check`, which
+    reads them all, decides each hypothesis as `gains` does, at no extra cost."""
+
+    def __init__(self, spec, P=None, tol=None):
+        self.spec, self.P, self.tol = spec, P, tol
+        self.symmetric = validate_spec(spec).symmetric
+        self.graph = build_graph(spec)
+        self.connected = is_connected(self.graph)
+        self._classified = {}
+
+    def classified(self, domain):
+        """_classify(A, domain)."""
+        if domain not in self._classified:
+            self._classified[domain] = _classify(self.spec.A, domain)
+        return self._classified[domain]
+
+    @functools.cached_property
+    def detectable(self):
+        classified = self.classified(self.spec.time_domain)
+        return _detectable_edges(self.spec, self.symmetric, classified)
+
+    @functools.cached_property
+    def certificate(self):
+        """The CL certificate of P, else of a searched P: of the least-violating
+        one when the search fails, which a margin tol below the default can pass."""
+        spec, P = self.spec, self.P
+        if P is None:
+            try:
+                cert = _find_common_P(spec, self.classified(CONTINUOUS)[0].kind == STABLE)
+            except Infeasible as e:
+                cert = e.certificate
+            if self.tol is None:
+                return cert
+            P = cert.P
+        return verify_cl_detectability(spec, P, strict_tol=self.tol)
+
+
+def _gate(facts):
+    """Every recipe's first hypothesis: symmetric edge outputs, connected graph."""
+    if not facts.symmetric:
+        raise NotSymmetric("edge outputs are not symmetric")
+    if not facts.connected:
+        raise NotConnected("graph is not connected")
+
+
+def _theorem1_hypotheses(facts, force=False):
+    """(P, certificate) for gains_theorem1 once the gate holds, the certificate
+    is feasible and P, the document's or else the searched one, is invertible.
+
+    force skips the gate and keeps an infeasible P from the document, never a
+    failed search's; that P passes only a tol margin it meets.
+    """
+    if not force:
+        _gate(facts)
+    cert = facts.certificate
+    if not cert.feasible and (facts.P is None or not force):
+        raise Infeasible("CL-detectability not established", cert)
+    P = cert.P if facts.P is None else facts.P
+    _require_invertible(P)
+    return P, cert
+
+
+def _neutral_hypotheses(facts, domain, check=True):
+    """neutral_split(A, domain), which refuses an A that is not neutrally stable
+    or a basis [U W] too ill-conditioned to use.  With check, the gate comes
+    first, and afterwards every edge must be PBH detectable.
     """
     if check:
-        if not validate_spec(spec).symmetric:
-            raise NotSymmetric("edge outputs are not symmetric (C_ij != C_ji)")
-        if not is_connected(build_graph(spec)):
-            raise NotConnected("network graph is not connected")
-    split = neutral_split(spec.A, domain)
+        _gate(facts)
+    split = _neutral_split(facts.spec.A, domain, facts.classified(domain))
     if check:
-        for (i, j), ok in detectable_edges(spec, symmetric=True).items():
+        for (i, j), ok in facts.detectable.items():
             if not ok:
                 raise NotDetectable(i, j)
     return split
@@ -285,7 +359,7 @@ def _neutral_split(spec, domain, check):
 
 def gains_ct_neutral(spec: ArraySpec, check: bool = True) -> GainSet:
     """Continuous-time neutral-stability recipe: G_ij = U U^T C_ij^T."""
-    split = _neutral_split(spec, CONTINUOUS, check)
+    split = _neutral_hypotheses(_Facts(spec), CONTINUOUS, check)
     if split.n1 == 0:
         gains = {e: np.zeros((spec.n, C.shape[0])) for e, C in spec.C.items()}
     else:
@@ -300,7 +374,7 @@ def gains_dt_neutral(spec: ArraySpec, check: bool = True) -> GainSet:
     Also computes eps_bar from the Laplacian of the reduced weights
     H_ij = C_ij U, the largest coupling step the theorem licenses.
     """
-    split = _neutral_split(spec, DISCRETE, check)
+    split = _neutral_hypotheses(_Facts(spec), DISCRETE, check)
     if split.n1 == 0:
         gains = {e: np.zeros((spec.n, C.shape[0])) for e, C in spec.C.items()}
         ebar = np.inf

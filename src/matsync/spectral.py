@@ -95,29 +95,31 @@ def classify_stability(A: np.ndarray, domain: str = CONTINUOUS) -> StabilityClas
     semisimplicity is tested by comparing the size of an eigenvalue cluster
     against the numerical nullity of ``A - lambda I`` at the cluster mean.
     """
-    A = np.asarray(A, dtype=float)
+    return _classify(np.asarray(A, dtype=float), domain)[0]
+
+
+def _classify(A, domain):
+    """(classify_stability(A, domain), the eigenvalues on or beyond the
+    boundary, ||A||_2) of a float A: the one eig(A) that the classification,
+    the PBH tests and the split of a drift share."""
     n = A.shape[0]
     norm = _spectral_norm(A)
-    cluster_tol = CLUSTER_TOL * norm
     lam = np.linalg.eigvals(A)
     side = _side(lam, domain, norm)
     marg = side == 0
     n1 = int(marg.sum())
-    marginal = tuple(lam[marg])
-    if np.any(side > 0):
-        return StabilityClass(UNSTABLE, n1, n - n1, marginal)
-    if n1 == 0:
-        return StabilityClass(STABLE, 0, n, marginal)
+    kind = UNSTABLE if np.any(side > 0) else STABLE if n1 == 0 else NEUTRALLY_STABLE
     # semisimplicity of each marginal cluster
     null_tol = 1e-7 * max(norm, 1.0)
-    for cl in _cluster(lam[marg], max(cluster_tol, 10 * np.finfo(float).eps * max(norm, 1.0))):
+    cluster_tol = max(CLUSTER_TOL * norm, 10 * np.finfo(float).eps * max(norm, 1.0))
+    for cl in (_cluster(lam[marg], cluster_tol) if kind == NEUTRALLY_STABLE else []):
         center = np.mean([v for v, _ in cl])
         s = np.linalg.svd(A - center * np.eye(n), compute_uv=False)
-        geometric = int(np.sum(s <= null_tol))
-        if geometric < len(cl):
+        if int(np.sum(s <= null_tol)) < len(cl):
             # defective marginal eigenvalue: a Jordan block larger than 1x1
-            return StabilityClass(UNSTABLE, n1, n - n1, marginal)
-    return StabilityClass(NEUTRALLY_STABLE, n1, n - n1, marginal)
+            kind = UNSTABLE
+            break
+    return StabilityClass(kind, n1, n - n1, tuple(lam[marg])), lam[side >= 0], norm
 
 
 def _pbh(Cs, A, eigenvalues, norm):
@@ -137,17 +139,10 @@ def _pbh(Cs, A, eigenvalues, norm):
     return ok.tolist()
 
 
-def _pbh_all(Cs, A, domain):
-    """PBH rank test of each (C, A) at every eigenvalue on or beyond the boundary."""
-    A = np.asarray(A, dtype=float)
-    norm = _spectral_norm(A)
-    lam = np.linalg.eigvals(A)
-    return _pbh(Cs, A, lam[_side(lam, domain, norm) >= 0], norm)
-
-
 def pbh_detectable(C: np.ndarray, A: np.ndarray, domain: str = CONTINUOUS) -> bool:
     """PBH rank test at every eigenvalue on or beyond the stability boundary."""
-    return _pbh_all([C], A, domain)[0]
+    A = np.asarray(A, dtype=float)
+    return _pbh([C], A, *_classify(A, domain)[1:])[0]
 
 
 def detectable_edges(spec: ArraySpec, symmetric: bool) -> dict:
@@ -156,10 +151,15 @@ def detectable_edges(spec: ArraySpec, symmetric: bool) -> dict:
     A symmetric spec has one pair (i, j), i < j, per undirected edge; any
     other spec has every ordered pair.  eig(A) is computed once.
     """
+    return _detectable_edges(spec, symmetric, _classify(spec.A, spec.time_domain))
+
+
+def _detectable_edges(spec, symmetric, classified):
+    """detectable_edges, given _classify(spec.A, spec.time_domain)."""
     Cs = {}
     for (i, j) in spec.edges:
         Cs.setdefault((min(i, j), max(i, j)) if symmetric else (i, j), spec.C[(i, j)])
-    return dict(zip(Cs, _pbh_all(list(Cs.values()), spec.A, spec.time_domain)))
+    return dict(zip(Cs, _pbh(list(Cs.values()), spec.A, *classified[1:])))
 
 
 def pbh_observable(H: np.ndarray, S: np.ndarray) -> bool:
@@ -194,9 +194,13 @@ def neutral_split(A: np.ndarray, domain: str = CONTINUOUS) -> SpectralSplit:
     SplitIllConditioned when the assembled basis is numerically unusable.
     """
     A = np.asarray(A, dtype=float)
+    return _neutral_split(A, domain, _classify(A, domain))
+
+
+def _neutral_split(A, domain, classified):
+    """neutral_split of A, given _classify(A, domain)."""
+    cls, _, norm = classified
     n = A.shape[0]
-    norm = _spectral_norm(A)
-    cls = classify_stability(A, domain)
     if cls.kind == UNSTABLE:
         raise NotNeutrallyStable(f"A is {cls.kind} in the {domain}-time sense")
     n1, n2 = cls.marginal_count, cls.stable_count
@@ -215,7 +219,7 @@ def neutral_split(A: np.ndarray, domain: str = CONTINUOUS) -> SpectralSplit:
                 a = 0.0 if domain == CONTINUOUS else float(np.sign(center.real))
                 for c in range(d):
                     cols.append(basis[:, c])
-                    blocks.append(np.array([[a]]))
+                    blocks.append([[a]])
             else:
                 if center.imag < 0:
                     continue  # handled from the conjugate side
@@ -230,17 +234,24 @@ def neutral_split(A: np.ndarray, domain: str = CONTINUOUS) -> SpectralSplit:
                     w = _balanced_pair(basis[:, c])
                     cols.append(w.real)
                     cols.append(w.imag)
-                    blocks.append(np.array([[a, b], [-b, a]]))
+                    blocks.append([[a, b], [-b, a]])
     U = np.column_stack(cols) if cols else np.zeros((n, 0))
-    S = sla.block_diag(*blocks) if blocks else np.zeros((0, 0))
     if U.shape[1] != n1:
         raise SplitIllConditioned(
             f"marginal basis has {U.shape[1]} columns, classification says {n1}"
         )
+    S = np.zeros((n1, n1))  # the blocks on the diagonal, as sla.block_diag
+    k = 0
+    for block in blocks:
+        S[k:k + len(block), k:k + len(block)] = block
+        k += len(block)
 
-    # stable invariant subspace from a sorted real Schur form: A Z1 = Z1 T11
+    # stable invariant subspace from a sorted real Schur form: A Z1 = Z1 T11;
+    # an eigenvalue is sorted first when its _side is -1, decided here in
+    # float arithmetic on the same bits as _side's numpy arithmetic
+    ct, bound = domain == CONTINUOUS, -AXIS_TOL * norm
     T, Z, sdim = sla.schur(
-        A, output="real", sort=lambda re, im: _side(complex(re, im), domain, norm) < 0
+        A, output="real", sort=lambda re, im: (re if ct else abs(complex(re, im)) - 1.0) < bound
     )
     if sdim != n2:
         raise SplitIllConditioned(

@@ -8,6 +8,22 @@ from matsync import ArraySpec, pbh_detectable
 
 TRACE_RTOL = 1e-11  # simulated states, times ||x_row||_2, against another computation
 
+# neutrally stable drifts whose split basis [U W] has a condition number past
+# spectral.COND_LIMIT: the neutral recipes refuse them, and so must `check`
+DT_ILL_SPLIT_SPEC = (
+    "q 2\nn 2\ntime_domain discrete\nA\n1.0 1000.0\n0.0 0.999985\n"
+    "edge 1 2\n1.0 0.0\nedge 2 1\n1.0 0.0\n"
+)
+CT_ILL_SPLIT_SPEC = (
+    "q 2\nn 2\nA\n0.0 1000.0\n0.0 -1.5e-05\nedge 1 2\n1.0 0.0\nedge 2 1\n1.0 0.0\n"
+)
+
+# P passes the certificate of A = 0, but theorem1 cannot invert it
+SINGULAR_P_SPEC = (
+    "q 2\nn 2\nA\n0.0 0.0\n0.0 0.0\nedge 1 2\n1.0 0.0\n0.0 1.0\n"
+    "edge 2 1\n1.0 0.0\n0.0 1.0\nP\n1.0 0.0\n0.0 1e-15\n"
+)
+
 
 def assert_exit_contract(command, rc, out, err):
     """The CLI's outcome rule: exit 1 goes with an `error: ` line on stderr,

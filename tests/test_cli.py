@@ -10,14 +10,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import (
+    CT_ILL_SPLIT_SPEC,
+    DT_ILL_SPLIT_SPEC,
+    SINGULAR_P_SPEC,
     assert_exit_contract,
     off_sync_eigenvalues,
     random_complete_cl_spec,
+    random_neutrally_stable,
     random_symmetric_spec,
     spectrum_partition_gap,
     sweep_gains,
@@ -34,6 +38,7 @@ from matsync import (
 from matsync import cli
 from matsync import gains as gainsmod
 from matsync.cli import main
+from matsync.spectral import AXIS_TOL
 from matsync.specdoc import (
     SpecDocument,
     parse_gains_document,
@@ -592,7 +597,7 @@ def test_env_tolerance_decides_mirrors_too(tmp_path, monkeypatch, capsys):
     assert "assumption_neutral_ct false" in report
     assert run("gains", "--spec", str(spec), "--recipe", "alg1") == 2
     assert capsys.readouterr().err == (
-        "hypothesis failed: edge outputs are not symmetric (C_ij != C_ji)\n"
+        "hypothesis failed: edge outputs are not symmetric\n"
     )
 
 
@@ -801,6 +806,82 @@ def test_check_on_builder_documents_keeps_the_exit_contract(tmp_path_factory, te
         assert re.match(r"error: line \d+: ", err.getvalue()), err.getvalue()
 
 
+def block(key, M):
+    return [key, *(" ".join(map(repr, row)) for row in np.atleast_2d(M).tolist())]
+
+
+@st.composite
+def agreement_documents(draw):
+    """Small spec documents on which each recipe's hypotheses fail in many
+    ways: drifts near a Jordan block, A = [[l, s], [0, l - d]] with a large
+    s and a gap d a few AXIS_TOL * ||A|| wide (cond([U W]) ~ 2e8 / k for
+    d = k AXIS_TOL s), neutral and random drifts; edges missing, one-way or
+    mirrored with another output, undetectable unit outputs; in continuous
+    time a document P that is absent, near-singular or random."""
+    domain = draw(st.sampled_from(["continuous", "discrete"]))
+    ct = domain == "continuous"
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["near_defective", "near_defective", "neutral", "random"]))
+    if family == "near_defective":
+        n, s = 2, draw(st.sampled_from([10.0, 1e3, 1e5]))
+        gap = draw(st.sampled_from([0.5, 1.2, 1.5, 1.9, 3.0, 100.0])) * AXIS_TOL * s
+        lam = 0.0 if ct else draw(st.sampled_from([1.0, -1.0]))
+        A = np.array([[lam, s], [0.0, -gap if ct else lam * (1.0 - gap)]])
+    else:
+        n = draw(st.integers(1, 3))
+        A = random_neutrally_stable(rng, n, domain) if family == "neutral" else rng.standard_normal((n, n))
+    q = draw(st.integers(2, 3))
+    lines = [f"q {q}", f"n {n}", f"time_domain {domain}", *block("A", A)]
+
+    def output():
+        if draw(st.booleans()):
+            return np.eye(n)[draw(st.integers(0, n - 1))]
+        return rng.standard_normal((draw(st.integers(1, n)), n))
+
+    for i in range(q):
+        for j in range(i + 1, q):
+            kind = draw(st.sampled_from(["mirror"] * 4 + ["one_way", "two", "none"]))
+            if kind == "none":
+                continue
+            C = output()
+            lines += block(f"edge {i + 1} {j + 1}", C)
+            if kind != "one_way":
+                lines += block(f"edge {j + 1} {i + 1}", C if kind == "mirror" else output())
+    P = draw(st.sampled_from(["search", "near_singular", "random"])) if ct else "search"
+    if P == "near_singular":
+        lines += block("P", np.diag([1.0] + [1e-15] * (n - 1)) if n > 1 else [[1e-15]])
+    elif P == "random":
+        X = rng.standard_normal((n, n))
+        lines += block("P", X @ X.T + 0.1 * np.eye(n))
+    return "\n".join(lines) + "\n"
+
+
+@given(agreement_documents())
+@example(DT_ILL_SPLIT_SPEC)
+@example(CT_ILL_SPLIT_SPEC)
+@example(SINGULAR_P_SPEC)
+@settings(max_examples=50, deadline=None)
+def test_check_assumptions_are_the_recipes_exit_codes(tmp_path_factory, text):
+    # each assumption_* line of `check` is true exactly when its recipe exits 0
+    d = tmp_path_factory.mktemp("agreement")
+    (d / "a.spec").write_text(text)
+    spec, out = str(d / "a.spec"), str(d / "out")
+    with contextlib.redirect_stderr(io.StringIO()):
+        rc = run("check", "--spec", spec, "--out", out)
+        report = dict(line.split(" ", 1) for line in read(d / "out").splitlines())
+        recipes = {
+            "assumption_cl_detectability": "theorem1",
+            "assumption_neutral_ct": "alg1",
+            "assumption_neutral_dt": "alg2",
+        }
+        exits = {key: run("gains", "--spec", spec, "--recipe", recipe, "--out", out)
+                 for key, recipe in recipes.items() if key in report}
+    assert sorted(exits) == sorted(k for k in report if k.startswith("assumption_"))
+    assert set(exits.values()) <= {0, 2}
+    assert {k: report[k] for k in exits} == {k: "true" if v == 0 else "false" for k, v in exits.items()}
+    assert rc == (0 if 0 in exits.values() else 2)
+
+
 def write_spec(path, spec):
     path.write_text(serialize_spec_document(SpecDocument(spec=spec)))
     return path
@@ -829,8 +910,8 @@ def ring(q):
 
 
 def test_eigvals_calls_do_not_grow_with_the_edge_count(tmp_path):
-    # one eig(A) per stage: the PBH tests of all edges share one, and the
-    # neutral recipe classifies A once, inside neutral_split
+    # one eig(A) per command: the classification, the PBH tests of all
+    # edges, the neutral split and the P search's warm start share it
     counts = {}
     for q in (5, 50):
         path = write_spec(tmp_path / f"ring{q}.spec", ring(q))
@@ -843,7 +924,7 @@ def test_eigvals_calls_do_not_grow_with_the_edge_count(tmp_path):
                 out = str(tmp_path / "out")
                 assert run(argv[0], "--spec", str(path), *argv[1:], "--out", out) == 0
             counts[argv[0], q] = len(calls)
-    assert counts == {("check", 5): 3, ("check", 50): 3, ("gains", 5): 2, ("gains", 50): 2}
+    assert counts == {("check", 5): 1, ("check", 50): 1, ("gains", 5): 1, ("gains", 50): 1}
 
 
 def test_theorem1_gains_verify_their_P_once(tmp_path):

@@ -36,7 +36,14 @@ import tempfile
 import numpy as np
 import pytest
 
-from conftest import TRACE_RTOL, assert_exit_contract, sweep_gains
+from conftest import (
+    CT_ILL_SPLIT_SPEC,
+    DT_ILL_SPLIT_SPEC,
+    SINGULAR_P_SPEC,
+    TRACE_RTOL,
+    assert_exit_contract,
+    sweep_gains,
+)
 from matsync import closed_loop, find_common_P, verify_cl_detectability
 from matsync.cli import main
 from matsync.specdoc import parse_spec_document
@@ -139,6 +146,12 @@ COMMAND_CASES = {
     ),
     "gains_no_P_theorem1": (NO_P_SPEC, ["gains", "--recipe", "theorem1"], None),
     "gains_no_P_theorem1_force": (NO_P_SPEC, ["gains", "--recipe", "theorem1", "--force"], None),
+    "check_dt_ill_split": (DT_ILL_SPLIT_SPEC, ["check"], None),
+    "gains_dt_ill_split_alg2": (DT_ILL_SPLIT_SPEC, ["gains", "--recipe", "alg2"], None),
+    "check_ct_ill_split": (CT_ILL_SPLIT_SPEC, ["check"], None),
+    "gains_ct_ill_split_alg1": (CT_ILL_SPLIT_SPEC, ["gains", "--recipe", "alg1"], None),
+    "check_singular_P": (SINGULAR_P_SPEC, ["check"], None),
+    "gains_singular_P_theorem1": (SINGULAR_P_SPEC, ["gains", "--recipe", "theorem1"], None),
     "sweep_bad_P": (BAD_P_SPEC, ["sweep"], None),
     "sweep_no_P": (NO_P_SPEC, ["sweep"], None),
 }
@@ -285,18 +298,38 @@ def load(gate, name):
         return json.load(fh)[name]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_simulate_output_matches_golden(name, tmp_path):
-    want = load("simulate", name)
-    got = trace_record(*produce(name, str(tmp_path)))
+def assert_trace_matches(name, got, want, directory):
     exact = ("exit", "rows", "header", "x0", "verdict", "times_sha256")
     assert {k: got[k] for k in exact} == {k: want[k] for k in exact}
     assert_rows_close(got["sample"], want["sample"])
 
 
+def assert_command_matches(name, got, want, directory):
+    assert got == want
+
+
+def assert_sweep_matches(name, got, want, directory):
+    """got within the sweep gate of want; the case's spec is in directory."""
+    assert got["exit"] == want["exit"] == 0
+    alphas = [a for a, _ in got["rows"]]
+    assert alphas == [a for a, _ in want["rows"]]
+    norms = sweep_system_norms(os.path.join(directory, f"{name}.spec"), alphas)
+    for (alpha, rho), (_, rho_want), norm in zip(got["rows"], want["rows"], norms):
+        assert abs(rho - rho_want) <= SWEEP_RTOL * max(1.0, norm), alpha
+    best_alpha, best_rho = min(got["rows"], key=lambda row: row[1])
+    assert got["summary"] == [f"# min rho {best_rho!r} at alpha {best_alpha!r}"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_simulate_output_matches_golden(name, tmp_path):
+    got = trace_record(*produce(name, str(tmp_path)))
+    assert_trace_matches(name, got, load("simulate", name), str(tmp_path))
+
+
 @pytest.mark.parametrize("name", sorted(COMMAND_CASES))
 def test_command_output_matches_golden(name, tmp_path):
-    assert produce_command(name, str(tmp_path)) == load("commands", name)
+    got = produce_command(name, str(tmp_path))
+    assert_command_matches(name, got, load("commands", name), str(tmp_path))
 
 
 @pytest.mark.parametrize("name", sorted(COMMAND_CASES))
@@ -312,28 +345,26 @@ def test_command_cases_keep_the_exit_contract(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
 def test_sweep_within_tolerance_of_golden(name, tmp_path):
-    want = load("sweep", name)
     got = produce_sweep(name, str(tmp_path))
-    assert got["exit"] == want["exit"] == 0
-    alphas = [a for a, _ in got["rows"]]
-    assert alphas == [a for a, _ in want["rows"]]
-    norms = sweep_system_norms(os.path.join(str(tmp_path), f"{name}.spec"), alphas)
-    for (alpha, rho), (_, rho_want), norm in zip(got["rows"], want["rows"], norms):
-        assert abs(rho - rho_want) <= SWEEP_RTOL * max(1.0, norm), alpha
-    best_alpha, best_rho = min(got["rows"], key=lambda row: row[1])
-    assert got["summary"] == [f"# min rho {best_rho!r} at alpha {best_alpha!r}"]
+    assert_sweep_matches(name, got, load("sweep", name), str(tmp_path))
 
 
-# gate -> (the case's golden record, cases); a gate's file is golden_path(gate)
+# gate -> (the case's golden record, cases, the gate's comparison); a gate's
+# file is golden_path(gate)
 GATES = {
-    "simulate": (lambda name, d: trace_record(*produce(name, d)), CASES),
-    "commands": (produce_command, COMMAND_CASES),
-    "sweep": (produce_sweep, SWEEP_CASES),
+    "simulate": (lambda name, d: trace_record(*produce(name, d)), CASES, assert_trace_matches),
+    "commands": (produce_command, COMMAND_CASES, assert_command_matches),
+    "sweep": (produce_sweep, SWEEP_CASES, assert_sweep_matches),
 }
 
 
 def regenerate(gates):
-    """Rewrite the golden file of each named gate; 2 on a missing or unknown name."""
+    """Rewrite the golden file of each named gate; 2 on a missing or unknown name.
+
+    A case whose new record passes the gate against its stored one keeps the
+    stored one, so only the cases that moved, new ones and removed ones
+    change the file.
+    """
     unknown = [g for g in gates if g not in GATES]
     if not gates or unknown:
         if unknown:
@@ -343,9 +374,21 @@ def regenerate(gates):
         return 2
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for gate in gates:
-        produce_one, names = GATES[gate]
+        produce_one, names, assert_matches = GATES[gate]
+        try:
+            with open(golden_path(gate)) as fh:
+                stored = json.load(fh)
+        except FileNotFoundError:
+            stored = {}
+        golden = {}
         with tempfile.TemporaryDirectory() as d:
-            golden = {name: produce_one(name, d) for name in sorted(names)}
+            for name in sorted(names):
+                golden[name] = produce_one(name, d)
+                try:
+                    assert_matches(name, golden[name], stored[name], d)
+                    golden[name] = stored[name]
+                except (KeyError, AssertionError):
+                    pass
         with open(golden_path(gate), "w") as fh:
             json.dump(golden, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -364,6 +407,28 @@ def test_regenerate_writes_only_the_named_gate(tmp_path, monkeypatch, capsys):
     assert os.listdir(tmp_path) == ["sweep.json"]
     with open(tmp_path / "sweep.json") as fh:
         assert sorted(json.load(fh)) == sorted(SWEEP_CASES)
+
+
+def test_regenerate_keeps_the_records_that_still_match(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", str(tmp_path))
+    assert regenerate(["sweep"]) == 0
+    with open(golden_path("sweep")) as fh:
+        fresh = json.load(fh)
+    stored = json.loads(json.dumps(fresh))
+    stored["chain5"]["rows"][0][1] += 1e-13  # inside the gate: kept
+    stored["counterexample_asym"]["rows"][0][1] += 1e-3  # past it: rewritten
+    stored["gone"] = stored["chain5"]  # no such case: dropped
+    with open(golden_path("sweep"), "w") as fh:
+        json.dump(stored, fh)
+    assert regenerate(["sweep"]) == 0
+    with open(golden_path("sweep")) as fh:
+        kept = json.load(fh)
+    assert kept == {"chain5": stored["chain5"], "counterexample_asym": fresh["counterexample_asym"]}
+    with open(golden_path("sweep"), "rb") as fh:
+        before = fh.read()
+    assert regenerate(["sweep"]) == 0
+    with open(golden_path("sweep"), "rb") as fh:
+        assert fh.read() == before
 
 
 if __name__ == "__main__":
