@@ -461,7 +461,10 @@ def cmd_sweep(args):
         alphas = np.logspace(
             np.log10(args.alpha_min), np.log10(args.alpha_max), args.points
         )
-    results = simulation.rho_sweep(spec, cert.P, alphas)
+    try:
+        results = simulation.rho_sweep(spec, cert.P, alphas)
+    except OverflowError as e:  # an alpha too large for the quotient's entries
+        raise SpecParseError(str(e)) from e
     lines = [f"{_fmt(a)} {_fmt(r)}" for a, r in results]
     rhos = [r for _, r in results]
     k = int(np.argmin(rhos))

@@ -37,7 +37,7 @@ from .errors import (
     SingularP,
 )
 from .mwl import laplacian_from_outputs, output_weights
-from .spectral import STABLE, _classify, _detectable_edges, _neutral_split
+from .spectral import STABLE, _classify, _detectable_edges, _neutral_split, _spectral_norm
 
 RECIPE_THEOREM1 = "theorem1"
 RECIPE_ALG1_CT = "alg1_ct"
@@ -78,7 +78,12 @@ class GainSet:
 
 
 def default_strict_tol(A, P):
-    return 1e-9 * (1.0 + np.linalg.norm(A, 2) * np.linalg.norm(P, 2))
+    return _strict_tol(np.linalg.norm(A, 2), P)
+
+
+def _strict_tol(norm_A, P):
+    """default_strict_tol, given ||A||_2."""
+    return 1e-9 * (1.0 + norm_A * np.linalg.norm(P, 2))
 
 
 def verify_cl_detectability(
@@ -88,15 +93,27 @@ def verify_cl_detectability(
 
     Infeasibility is reported in the certificate, never raised.
     """
+    return _verify_cl_detectability(spec, P, strict_tol)
+
+
+def _verify_cl_detectability(spec, P, strict_tol=None, norm_A=None):
+    """verify_cl_detectability; the default margin reads ||A||_2 from norm_A
+    when it is given.  The edge matrices, A'P + PA and P are solved in one
+    batched eigvalsh, each bit-equal to its own call."""
     A = spec.A
     P = 0.5 * (np.asarray(P, dtype=float) + np.asarray(P, dtype=float).T)
     if strict_tol is None:
-        strict_tol = default_strict_tol(A, P)
+        strict_tol = _strict_tol(np.linalg.norm(A, 2) if norm_A is None else norm_A, P)
     X = A.T @ P + P @ A
-    lows = np.linalg.eigvalsh(_edge_weights(spec) - X)[:, 0]
-    eps = float(np.min(lows, initial=np.inf))
-    sigma = float(np.linalg.eigvalsh(X)[-1])
-    p_min = float(np.linalg.eigvalsh(P)[0])
+    weights = _edge_weights(spec)
+    E = len(weights)
+    stack = np.empty((E + 2, *X.shape))
+    np.subtract(weights, X, out=stack[:E])
+    stack[E], stack[E + 1] = X, P
+    w = np.linalg.eigvalsh(stack)
+    eps = float(np.min(w[:E, 0], initial=np.inf))
+    sigma = float(w[E, -1])
+    p_min = float(w[E + 1, 0])
     return CLDetectabilityCertificate(
         P=P,
         eps=float(eps),
@@ -148,16 +165,18 @@ def find_common_P(spec: ArraySpec) -> CLDetectabilityCertificate:
     with its default strict margin.  Raises Infeasible (carrying the
     least-violating certificate) when the budget runs out.
     """
-    return _find_common_P(spec, _classify(spec.A, CONTINUOUS)[0].kind == STABLE)
+    cls, _, norm_A = _classify(spec.A, CONTINUOUS)
+    return _find_common_P(spec, cls.kind == STABLE, norm_A)
 
 
-def _find_common_P(spec, stable):
-    """find_common_P, told whether A is stable in continuous time."""
+def _find_common_P(spec, stable, norm_A):
+    """find_common_P, told whether A is stable in continuous time and ||A||_2."""
     A = spec.A
     weights = _edge_weights(spec)
     if not len(weights):
         raise Infeasible(
-            "spec has no nonzero edges", verify_cl_detectability(spec, np.eye(spec.n))
+            "spec has no nonzero edges",
+            _verify_cl_detectability(spec, np.eye(spec.n), None, norm_A),
         )
     n = spec.n
 
@@ -166,10 +185,12 @@ def _find_common_P(spec, stable):
     trivial = float(np.linalg.eigvalsh(weights)[:, 0].min())
     margin = max(1e-7, 0.25 * max(trivial, 0.0))
 
+    # projected onto the search's domain; a scaled identity t I with t in
+    # [P_FLOOR, P_CEIL] is its own projection, bit for bit
     candidates = []
     if stable:
         # A'P + PA = -I
-        candidates.append(sla.solve_continuous_lyapunov(A.T, -np.eye(n)))
+        candidates.append(_project_spd(sla.solve_continuous_lyapunov(A.T, -np.eye(n))))
     candidates.append(np.eye(n))
     # prefer larger scales first so feasible-by-margin picks the tamest P
     for t in np.logspace(1, -3, 9):
@@ -177,7 +198,6 @@ def _find_common_P(spec, stable):
 
     best_P, best_f = None, np.inf
     for P0 in candidates:
-        P0 = _project_spd(P0)
         f0, _ = _violation(A, P0, weights)
         if f0 < best_f:
             best_P, best_f = P0, f0
@@ -209,7 +229,7 @@ def _find_common_P(spec, stable):
             R = rng.standard_normal((n, n)) * 0.3
             P = _project_spd(np.eye(n) + R @ R.T)
 
-    cert = verify_cl_detectability(spec, best_P)
+    cert = _verify_cl_detectability(spec, best_P, None, norm_A)
     if not cert.feasible:
         raise Infeasible(
             "no common Lyapunov P found within the iteration budget "
@@ -290,10 +310,15 @@ class _Facts:
         self.connected = is_connected(self.graph)
         self._classified = {}
 
+    @functools.cached_property
+    def norm(self):
+        """||A||_2, shared by the classifications and the default strict margin."""
+        return _spectral_norm(self.spec.A)
+
     def classified(self, domain):
         """_classify(A, domain)."""
         if domain not in self._classified:
-            self._classified[domain] = _classify(self.spec.A, domain)
+            self._classified[domain] = _classify(self.spec.A, domain, self.norm)
         return self._classified[domain]
 
     @functools.cached_property
@@ -305,16 +330,17 @@ class _Facts:
     def certificate(self):
         """The CL certificate of P, else of a searched P: of the least-violating
         one when the search fails, which a margin tol below the default can pass."""
-        spec, P = self.spec, self.P
+        spec, P, tol = self.spec, self.P, self.tol
         if P is None:
+            stable = self.classified(CONTINUOUS)[0].kind == STABLE
             try:
-                cert = _find_common_P(spec, self.classified(CONTINUOUS)[0].kind == STABLE)
+                cert = _find_common_P(spec, stable, self.norm)
             except Infeasible as e:
                 cert = e.certificate
-            if self.tol is None:
+            if tol is None:
                 return cert
             P = cert.P
-        return verify_cl_detectability(spec, P, strict_tol=self.tol)
+        return _verify_cl_detectability(spec, P, tol, self.norm if tol is None else None)
 
 
 def _gate(facts):

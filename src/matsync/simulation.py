@@ -378,6 +378,8 @@ def rho_sweep(spec: ArraySpec, P: np.ndarray, alphas):
     under any such coupling, so the rest of the spectrum is exactly
     eig(V' Psi V) with V = Q (x) I_n, Q from sync_complement_basis; rho is
     -inf for a single agent.  Returns [(alpha, rho), ...] in input order.
+    Raises OverflowError, naming alpha, when the quotient at an alpha has an
+    entry that does not fit a double.
     """
     P = np.asarray(P, dtype=float)
     q, n = spec.q, spec.n
@@ -391,10 +393,14 @@ def rho_sweep(spec: ArraySpec, P: np.ndarray, alphas):
     quotient = np.empty_like(coupling)  # drift - alpha coupling, for each alpha in turn
     out = []
     for alpha in alphas:
-        np.multiply(float(alpha), coupling, out=quotient)
-        np.subtract(drift, quotient, out=quotient)
+        alpha = float(alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(alpha, coupling, out=quotient)
+            np.subtract(drift, quotient, out=quotient)
+        if not np.isfinite(quotient).all():
+            raise OverflowError(f"the closed-loop quotient overflows at alpha = {alpha!r}")
         lam = np.linalg.eigvals(quotient)
-        out.append((float(alpha), float(np.max(lam.real, initial=-np.inf))))
+        out.append((alpha, float(np.max(lam.real, initial=-np.inf))))
     return out
 
 

@@ -8,6 +8,13 @@ complex pair ``a + bi`` contributes the (phase-balanced) real and imaginary
 parts of one complex eigenvector, producing an exact 2x2 block
 ``[[a, b], [-b, a]]``.  The stable complement is read off a sorted real
 Schur form, which stays valid when the stable part is defective.
+
+Each small eigensolve runs once.  A real ``A`` has its boundary eigenvalues
+in exact conjugate pairs, and every matrix of a rank test at ``conj(lam)`` is
+the conjugate of the one at ``lam``, with bit-equal singular values: the PBH
+and semisimplicity rank tests therefore run once per conjugate pair, on the
+side with ``Im lam >= 0``, and the PBH tests not at all when no eigenvalue
+lies on or beyond the boundary.
 """
 
 from __future__ import annotations
@@ -98,12 +105,14 @@ def classify_stability(A: np.ndarray, domain: str = CONTINUOUS) -> StabilityClas
     return _classify(np.asarray(A, dtype=float), domain)[0]
 
 
-def _classify(A, domain):
+def _classify(A, domain, norm=None):
     """(classify_stability(A, domain), the eigenvalues on or beyond the
     boundary, ||A||_2) of a float A: the one eig(A) that the classification,
-    the PBH tests and the split of a drift share."""
+    the PBH tests and the split of a drift share.  norm, when given, is
+    ||A||_2, computed by the caller."""
     n = A.shape[0]
-    norm = _spectral_norm(A)
+    if norm is None:
+        norm = _spectral_norm(A)
     lam = np.linalg.eigvals(A)
     side = _side(lam, domain, norm)
     marg = side == 0
@@ -114,6 +123,8 @@ def _classify(A, domain):
     cluster_tol = max(CLUSTER_TOL * norm, 10 * np.finfo(float).eps * max(norm, 1.0))
     for cl in (_cluster(lam[marg], cluster_tol) if kind == NEUTRALLY_STABLE else []):
         center = np.mean([v for v, _ in cl])
+        if center.imag < -cluster_tol:
+            continue  # tested from the conjugate side, as _neutral_split skips it
         s = np.linalg.svd(A - center * np.eye(n), compute_uv=False)
         if int(np.sum(s <= null_tol)) < len(cl):
             # defective marginal eigenvalue: a Jordan block larger than 1x1
@@ -125,7 +136,12 @@ def _classify(A, domain):
 def _pbh(Cs, A, eigenvalues, norm):
     """Whether [A - lam I; C] has full column rank at every given lam, for each
     C in Cs: one singular-value call per (shape group, lam) on the stacked
-    matrices, each bit-equal to the call on that matrix alone."""
+    matrices, each bit-equal to the call on that matrix alone.
+
+    eigenvalues are those of the real A, in exact conjugate pairs; each pair
+    is tested once, at its lam with Im lam >= 0, since the matrices at
+    conj(lam) are the conjugates and have the same singular values.  With no
+    eigenvalues no test runs, and _detectable_edges does not call it."""
     n = A.shape[0]
     tol = PBH_RANK_TOL * norm
     Cs = [np.atleast_2d(np.asarray(C, dtype=float)) for C in Cs]
@@ -133,7 +149,7 @@ def _pbh(Cs, A, eigenvalues, norm):
     for idx, S in stacks(Cs):
         M = np.empty((len(idx), n + S.shape[1], n), dtype=np.result_type(A, eigenvalues))
         M[:, n:] = S
-        for lam in eigenvalues:
+        for lam in eigenvalues[eigenvalues.imag >= 0]:
             M[:, :n] = A - lam * np.eye(n)
             ok[idx] &= np.linalg.svd(M, compute_uv=False)[:, -1] > tol
     return ok.tolist()
@@ -155,10 +171,14 @@ def detectable_edges(spec: ArraySpec, symmetric: bool) -> dict:
 
 
 def _detectable_edges(spec, symmetric, classified):
-    """detectable_edges, given _classify(spec.A, spec.time_domain)."""
+    """detectable_edges, given _classify(spec.A, spec.time_domain): every
+    pair is detectable, and no rank test runs, when no eigenvalue lies on or
+    beyond the boundary."""
     Cs = {}
     for (i, j) in spec.edges:
         Cs.setdefault((min(i, j), max(i, j)) if symmetric else (i, j), spec.C[(i, j)])
+    if not len(classified[1]):
+        return dict.fromkeys(Cs, True)
     return dict(zip(Cs, _pbh(list(Cs.values()), spec.A, *classified[1:])))
 
 

@@ -37,6 +37,7 @@ from matsync import (
 )
 from matsync import cli
 from matsync import gains as gainsmod
+from matsync import spectral as spectralmod
 from matsync.cli import main
 from matsync.spectral import AXIS_TOL
 from matsync.specdoc import (
@@ -474,6 +475,19 @@ class TestSweep:
         )
         assert run("sweep", "--spec", str(spec), "--points", points) == 1
         assert capsys.readouterr().err == f"error: --points must be >= 1, got {points}\n"
+
+    def test_overflowing_alpha_exits_1_naming_it(self, chain5_spec, tmp_path, capsys):
+        # alpha P^-1 C'C overflows a double: refused before the eigensolve
+        out = tmp_path / "sweep.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run("sweep", "--spec", str(chain5_spec), "--points", "1",
+                     "--alpha-min", "1e308", "--out", str(out))
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: the closed-loop quotient overflows at alpha = 1e+308\n"
+        )
+        assert not out.exists()
 
     def test_deterministic(self, chain5_spec, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -927,6 +941,56 @@ def test_eigvals_calls_do_not_grow_with_the_edge_count(tmp_path):
     assert counts == {("check", 5): 1, ("check", 50): 1, ("gains", 5): 1, ("gains", 50): 1}
 
 
+def linalg_calls(mp, names):
+    """{name: calls} of the np.linalg functions named, counted until mp is undone."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(np.linalg, name)
+
+        def counted(*a, _name=name, _fn=fn, **k):
+            counts[_name] += 1
+            return _fn(*a, **k)
+
+        mp.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_svd_and_eigh_calls_do_not_grow_with_the_edge_count(tmp_path):
+    # ring(q)'s drift has one conjugate pair +-i on the axis: one PBH test per
+    # shape group and one semisimplicity test for the pair, one eigenspace
+    # basis for the split, and (check) one projection and one violation in
+    # the P search.  A later change may lower these counts, never raise them.
+    counts = {}
+    for q in (5, 50):
+        path = write_spec(tmp_path / f"ring{q}.spec", ring(q))
+        for argv in (["check"], ["gains", "--recipe", "alg1"]):
+            with pytest.MonkeyPatch.context() as mp:
+                calls = linalg_calls(mp, ("svd", "eigh"))
+                out = str(tmp_path / "out")
+                assert run(argv[0], "--spec", str(path), *argv[1:], "--out", out) == 0
+            counts[argv[0], q] = calls
+    assert counts == {
+        ("check", 5): {"svd": 3, "eigh": 1}, ("check", 50): {"svd": 3, "eigh": 1},
+        ("gains", 5): {"svd": 3, "eigh": 0}, ("gains", 50): {"svd": 3, "eigh": 0},
+    }
+
+
+def test_check_on_a_hurwitz_drift_runs_no_pbh_test(tmp_path):
+    # no eigenvalue on or beyond the axis: every edge is detectable untested
+    A = sla.block_diag([[-1.0, 2.0], [-2.0, -1.0]], [[-1.0, 0.5], [0.0, -2.0]])
+    C = np.diag([1.0, 2.0, 1.5, 1.0])
+    spec = ArraySpec(q=5, n=4, A=A, C={(i, j): C for i in range(5) for j in range(5) if i != j})
+    path = write_spec(tmp_path / "hurwitz.spec", spec)
+    out = tmp_path / "report"
+    with pytest.MonkeyPatch.context() as mp:
+        calls = linalg_calls(mp, ("svd",))
+        mp.setattr(spectralmod, "_pbh", lambda *a: pytest.fail("PBH test on an empty boundary"))
+        assert run("check", "--spec", str(path), "--out", str(out)) == 0
+    assert calls == {"svd": 0}
+    detectable = [ln for ln in read(out).splitlines() if ln.startswith("detectable")]
+    assert len(detectable) == 10 and all(ln.endswith(" true") for ln in detectable)
+
+
 def test_theorem1_gains_verify_their_P_once(tmp_path):
     # the CLI's certificate is the one the gains carry, whether P is searched
     # or read from the document
@@ -939,8 +1003,8 @@ def test_theorem1_gains_verify_their_P_once(tmp_path):
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(
-                gainsmod, "verify_cl_detectability",
-                lambda *a, f=gainsmod.verify_cl_detectability, **k: calls.append(a) or f(*a, **k),
+                gainsmod, "_verify_cl_detectability",
+                lambda *a, f=gainsmod._verify_cl_detectability, **k: calls.append(a) or f(*a, **k),
             )
             out = str(tmp_path / "out.gains")
             assert run("gains", "--spec", str(path), "--recipe", "theorem1", "--out", out) == 0

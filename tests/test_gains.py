@@ -448,3 +448,11 @@ def test_certificate_equals_loop_over_all_ordered_edges(seed, q, n, near):
     )
     assert cert.eps == eps
     assert cert.sigma == float(np.linalg.eigvalsh(X)[-1])
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_scaled_identity_candidates_are_their_own_projection(n):
+    # the P search starts from t I unprojected: bit-equal to _project_spd(t I)
+    for t in [1.0, *np.logspace(1, -3, 9)]:
+        P = t * np.eye(n)
+        assert gains_module._project_spd(P).tobytes() == P.tobytes()

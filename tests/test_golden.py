@@ -154,6 +154,10 @@ COMMAND_CASES = {
     "gains_singular_P_theorem1": (SINGULAR_P_SPEC, ["gains", "--recipe", "theorem1"], None),
     "sweep_bad_P": (BAD_P_SPEC, ["sweep"], None),
     "sweep_no_P": (NO_P_SPEC, ["sweep"], None),
+    # alpha P^-1 C'C overflows a double: exit 1 naming alpha, no rows
+    "sweep_chain5_alpha_overflow": (
+        "chain5", ["sweep", "--points", "1", "--alpha-min", "1e308"], None,
+    ),
 }
 
 # name -> (bundled example, sweep points)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -803,6 +804,15 @@ class TestRhoSweep:
     def test_single_agent_has_no_off_sync_modes(self):
         spec = ArraySpec(q=1, n=2, A=np.diag([0.5, -1.0]), C={})
         assert rho_sweep(spec, np.eye(2), [1.0, 2.0]) == [(1.0, -np.inf), (2.0, -np.inf)]
+
+    @pytest.mark.parametrize("alphas", [[1e303], [0.1, 1e152, 1e305]])
+    def test_overflowing_quotient_is_refused_without_a_warning(self, alphas):
+        ex = builtin_example("mass_spring_demo")
+        P = sweep_P(ex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"at alpha = 1e\+30[35]$"):
+                rho_sweep(ex.spec, P, alphas)
 
     def test_ordering_follows_input(self):
         ex = builtin_example("chain5")

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_neutrally_stable, random_symmetric_spec
+from conftest import random_neutrally_stable, random_symmetric_spec, well_conditioned_transform
 from matsync import (
     ArraySpec,
     NotNeutrallyStable,
@@ -16,7 +16,20 @@ from matsync import (
     pbh_observable,
     spd_sqrt,
 )
-from matsync.spectral import AXIS_TOL, PBH_RANK_TOL, detectable_edges
+from matsync.spectral import (
+    AXIS_TOL,
+    CLUSTER_TOL,
+    NEUTRALLY_STABLE,
+    PBH_RANK_TOL,
+    STABLE,
+    UNSTABLE,
+    StabilityClass,
+    _classify,
+    _cluster,
+    _pbh,
+    _side,
+    detectable_edges,
+)
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -271,3 +284,118 @@ def test_batched_pbh_equals_per_edge_loop(seed, n, domain):
     assert detectable_edges(spec, symmetric=False) == want
     assert [pbh_detectable(C, A, domain) for C in Cs] == [pbh_loop(C, A, suspect) for C in Cs]
     assert [pbh_observable(C, A) for C in Cs] == [pbh_loop(C, A, lam) for C in Cs]
+
+
+# --- each rank test once per conjugate pair ------------------------------------
+
+
+def paired_drift(rng, n, kind, repeat, defect):
+    """A real n x n drift: "ct" holds +-i omega pairs, "dt" rotations, "random"
+    is unstructured.  repeat gives every pair one frequency; defect couples the
+    first two pairs by defect * I, a Jordan-like chain that is near-defective
+    when defect is near the semisimplicity tolerance."""
+    if kind == "random":
+        return rng.standard_normal((n, n))
+    pairs = int(rng.integers(min(n // 2, 1), n // 2 + 1))
+    freqs = np.full(pairs, rng.uniform(0.2, 3.0)) if repeat else rng.uniform(0.2, 3.0, pairs)
+    if kind == "ct":
+        blocks = [w * ROT for w in freqs]
+    else:
+        blocks = [rotation(w) for w in freqs]
+    rest = n - 2 * pairs
+    if rest:
+        real = rng.choice([0.0] if kind == "ct" else [-1.0, 1.0], size=int(rng.integers(0, rest + 1)))
+        stable = rng.uniform(-2.0, -0.3, rest - len(real)) if kind == "ct" else (
+            rng.uniform(-0.7, 0.7, rest - len(real)))
+        blocks += [np.diag(real), np.diag(stable)]
+    blk = sla.block_diag(*blocks)
+    if pairs >= 2:
+        blk[0:2, 2:4] = defect * np.eye(2)
+    T = well_conditioned_transform(rng, n) if rng.random() < 0.7 else np.eye(n)
+    return T @ blk @ np.linalg.inv(T)
+
+
+def random_outputs(rng, n, count):
+    """Random m x n outputs, about half of them of rank below min(m, n)."""
+    Cs = []
+    for _ in range(count):
+        m = int(rng.integers(1, n + 1))
+        rank = int(rng.integers(0, min(m, n) + 1)) if rng.random() < 0.5 else min(m, n)
+        Cs.append(rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n)))
+    return Cs
+
+
+def classify_every_cluster(A, domain):
+    """Reference classification: the semisimplicity test on every marginal
+    cluster, the conjugate ones included."""
+    n = A.shape[0]
+    norm = np.linalg.norm(A, 2)
+    lam = np.linalg.eigvals(A)
+    side = _side(lam, domain, norm)
+    marg = side == 0
+    n1 = int(marg.sum())
+    kind = UNSTABLE if np.any(side > 0) else STABLE if n1 == 0 else NEUTRALLY_STABLE
+    null_tol = 1e-7 * max(norm, 1.0)
+    cluster_tol = max(CLUSTER_TOL * norm, 10 * np.finfo(float).eps * max(norm, 1.0))
+    if kind == NEUTRALLY_STABLE:
+        for cl in _cluster(lam[marg], cluster_tol):
+            center = np.mean([v for v, _ in cl])
+            s = np.linalg.svd(A - center * np.eye(n), compute_uv=False)
+            if int(np.sum(s <= null_tol)) < len(cl):
+                kind = UNSTABLE
+    return StabilityClass(kind, n1, n - n1, tuple(lam[marg]))
+
+
+drifts = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    kind=st.sampled_from(["ct", "dt", "random"]),
+    repeat=st.booleans(),
+    # 0: semisimple; 10**e: from far below the null tolerance 1e-7 to past it
+    defect=st.one_of(st.just(0.0), st.floats(-10.0, -4.0).map(lambda e: 10.0**e)),
+)
+
+
+@given(**drifts)
+@settings(max_examples=200, deadline=None)
+def test_classification_skips_only_conjugate_clusters(seed, n, kind, repeat, defect):
+    A = paired_drift(np.random.default_rng(seed), n, kind, repeat, defect)
+    for domain in ("continuous", "discrete"):
+        assert classify_stability(A, domain) == classify_every_cluster(A, domain)
+
+
+@given(**drifts)
+@settings(max_examples=200, deadline=None)
+def test_pbh_tests_each_conjugate_pair_once(seed, n, kind, repeat, defect):
+    rng = np.random.default_rng(seed)
+    A = paired_drift(rng, n, kind, repeat, defect)
+    Cs = random_outputs(rng, n, int(rng.integers(1, 7)))
+    for domain in ("continuous", "discrete"):
+        _, boundary, norm = _classify(A, domain)
+        # eig of a real matrix: exact conjugate pairs
+        assert np.array_equal(np.sort_complex(boundary), np.sort_complex(boundary.conj()))
+        upper = boundary[boundary.imag >= 0]
+        got = _pbh(Cs, A, boundary, norm)
+        assert got == _pbh(Cs, A, upper, norm) == [pbh_loop(C, A, boundary) for C in Cs]
+        for lam in boundary[boundary.imag > 0]:
+            for C in Cs:
+                M = np.vstack([A - lam * np.eye(n), C])
+                assert np.array_equal(
+                    np.linalg.svd(M, compute_uv=False),
+                    np.linalg.svd(M.conj(), compute_uv=False),
+                )
+            # the stacked call, as _pbh makes it for one shape group
+            same = [C for C in Cs if C.shape == Cs[0].shape]
+            M = np.array([np.vstack([A - lam * np.eye(n), C]) for C in same])
+            assert np.array_equal(
+                np.linalg.svd(M, compute_uv=False), np.linalg.svd(M.conj(), compute_uv=False)
+            )
+
+
+def test_no_rank_test_runs_on_an_empty_boundary(monkeypatch):
+    A = np.array([[-1.0, 2.0], [0.0, -3.0]])
+    spec = ArraySpec(q=3, n=2, A=A, C={(0, 1): np.eye(2), (1, 2): np.array([[0.0, 1.0]])})
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
+    assert detectable_edges(spec, symmetric=False) == {(0, 1): True, (1, 2): True}
+    assert calls == []
