@@ -162,7 +162,7 @@ def cmd_check(args):
     spec = doc.spec
     ct = spec.time_domain == CONTINUOUS
     facts = gainsmod._Facts(spec, doc.P, tol)
-    cls = facts.classified(spec.time_domain)[0]
+    cls = facts.classified(spec.time_domain)
     lines = [
         f"q {spec.q}", f"n {spec.n}", f"time_domain {spec.time_domain}",
         f"symmetric {_bool(facts.symmetric)}", f"connected {_bool(facts.connected)}",

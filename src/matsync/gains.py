@@ -37,7 +37,8 @@ from .errors import (
     SingularP,
 )
 from .mwl import laplacian_from_outputs, output_weights
-from .spectral import STABLE, _classify, _detectable_edges, _neutral_split, _spectral_norm
+from .spectral import STABLE, StabilityClass, _of_domain, classify_stability, detectable_edges
+from .spectral import neutral_split
 
 RECIPE_THEOREM1 = "theorem1"
 RECIPE_ALG1_CT = "alg1_ct"
@@ -78,12 +79,7 @@ class GainSet:
 
 
 def default_strict_tol(A, P):
-    return _strict_tol(np.linalg.norm(A, 2), P)
-
-
-def _strict_tol(norm_A, P):
-    """default_strict_tol, given ||A||_2."""
-    return 1e-9 * (1.0 + norm_A * np.linalg.norm(P, 2))
+    return 1e-9 * (1.0 + np.linalg.norm(A, 2) * np.linalg.norm(P, 2))
 
 
 def verify_cl_detectability(
@@ -91,19 +87,14 @@ def verify_cl_detectability(
 ) -> CLDetectabilityCertificate:
     """Check A'P + PA < C_ij' C_ij over all nonzero edge weights by eigensolves.
 
-    Infeasibility is reported in the certificate, never raised.
+    Infeasibility is reported in the certificate, never raised.  The edge
+    matrices, A'P + PA and P are solved in one batched eigvalsh, each
+    bit-equal to its own call.
     """
-    return _verify_cl_detectability(spec, P, strict_tol)
-
-
-def _verify_cl_detectability(spec, P, strict_tol=None, norm_A=None):
-    """verify_cl_detectability; the default margin reads ||A||_2 from norm_A
-    when it is given.  The edge matrices, A'P + PA and P are solved in one
-    batched eigvalsh, each bit-equal to its own call."""
     A = spec.A
     P = 0.5 * (np.asarray(P, dtype=float) + np.asarray(P, dtype=float).T)
     if strict_tol is None:
-        strict_tol = _strict_tol(np.linalg.norm(A, 2) if norm_A is None else norm_A, P)
+        strict_tol = default_strict_tol(A, P)
     X = A.T @ P + P @ A
     weights = _edge_weights(spec)
     E = len(weights)
@@ -152,7 +143,9 @@ def _project_spd(P):
     return (V * np.clip(w, P_FLOOR, P_CEIL)) @ V.T
 
 
-def find_common_P(spec: ArraySpec) -> CLDetectabilityCertificate:
+def find_common_P(
+    spec: ArraySpec, cls: StabilityClass | None = None
+) -> CLDetectabilityCertificate:
     """Search for a common Lyapunov P by projected subgradient descent.
 
     Minimizes f(P) = max_edges lambda_max(A'P + PA - C_ij'C_ij) over
@@ -163,20 +156,17 @@ def find_common_P(spec: ArraySpec) -> CLDetectabilityCertificate:
     Stops once f(P) < -margin, margin = max(1e-7, min_e lambda_min(C_e'C_e)/4);
     the returned certificate is always recomputed by verify_cl_detectability
     with its default strict margin.  Raises Infeasible (carrying the
-    least-violating certificate) when the budget runs out.
+    least-violating certificate) when the budget runs out.  cls, the
+    continuous-time classify_stability(spec.A) (computed when None), carries
+    the boundary eigenvalues and ||A||_2: passing it shares its one eig(A).
     """
-    cls, _, norm_A = _classify(spec.A, CONTINUOUS)
-    return _find_common_P(spec, cls.kind == STABLE, norm_A)
-
-
-def _find_common_P(spec, stable, norm_A):
-    """find_common_P, told whether A is stable in continuous time and ||A||_2."""
+    cls = _of_domain(cls, spec.A, CONTINUOUS)
     A = spec.A
     weights = _edge_weights(spec)
     if not len(weights):
         raise Infeasible(
             "spec has no nonzero edges",
-            _verify_cl_detectability(spec, np.eye(spec.n), None, norm_A),
+            verify_cl_detectability(spec, np.eye(spec.n)),
         )
     n = spec.n
 
@@ -188,7 +178,7 @@ def _find_common_P(spec, stable, norm_A):
     # projected onto the search's domain; a scaled identity t I with t in
     # [P_FLOOR, P_CEIL] is its own projection, bit for bit
     candidates = []
-    if stable:
+    if cls.kind == STABLE:
         # A'P + PA = -I
         candidates.append(_project_spd(sla.solve_continuous_lyapunov(A.T, -np.eye(n))))
     candidates.append(np.eye(n))
@@ -229,7 +219,7 @@ def _find_common_P(spec, stable, norm_A):
             R = rng.standard_normal((n, n)) * 0.3
             P = _project_spd(np.eye(n) + R @ R.T)
 
-    cert = _verify_cl_detectability(spec, best_P, None, norm_A)
+    cert = verify_cl_detectability(spec, best_P)
     if not cert.feasible:
         raise Infeasible(
             "no common Lyapunov P found within the iteration budget "
@@ -310,21 +300,15 @@ class _Facts:
         self.connected = is_connected(self.graph)
         self._classified = {}
 
-    @functools.cached_property
-    def norm(self):
-        """||A||_2, shared by the classifications and the default strict margin."""
-        return _spectral_norm(self.spec.A)
-
     def classified(self, domain):
-        """_classify(A, domain)."""
+        """classify_stability(A, domain)."""
         if domain not in self._classified:
-            self._classified[domain] = _classify(self.spec.A, domain, self.norm)
+            self._classified[domain] = classify_stability(self.spec.A, domain)
         return self._classified[domain]
 
     @functools.cached_property
     def detectable(self):
-        classified = self.classified(self.spec.time_domain)
-        return _detectable_edges(self.spec, self.symmetric, classified)
+        return detectable_edges(self.spec, self.symmetric, self.classified(self.spec.time_domain))
 
     @functools.cached_property
     def certificate(self):
@@ -332,15 +316,14 @@ class _Facts:
         one when the search fails, which a margin tol below the default can pass."""
         spec, P, tol = self.spec, self.P, self.tol
         if P is None:
-            stable = self.classified(CONTINUOUS)[0].kind == STABLE
             try:
-                cert = _find_common_P(spec, stable, self.norm)
+                cert = find_common_P(spec, self.classified(CONTINUOUS))
             except Infeasible as e:
                 cert = e.certificate
             if tol is None:
                 return cert
             P = cert.P
-        return _verify_cl_detectability(spec, P, tol, self.norm if tol is None else None)
+        return verify_cl_detectability(spec, P, tol)
 
 
 def _gate(facts):
@@ -375,7 +358,7 @@ def _neutral_hypotheses(facts, domain, check=True):
     """
     if check:
         _gate(facts)
-    split = _neutral_split(facts.spec.A, domain, facts.classified(domain))
+    split = neutral_split(facts.spec.A, domain, facts.classified(domain))
     if check:
         for (i, j), ok in facts.detectable.items():
             if not ok:

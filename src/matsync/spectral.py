@@ -9,17 +9,18 @@ parts of one complex eigenvector, producing an exact 2x2 block
 ``[[a, b], [-b, a]]``.  The stable complement is read off a sorted real
 Schur form, which stays valid when the stable part is defective.
 
-Each small eigensolve runs once.  A real ``A`` has its boundary eigenvalues
-in exact conjugate pairs, and every matrix of a rank test at ``conj(lam)`` is
-the conjugate of the one at ``lam``, with bit-equal singular values: the PBH
-and semisimplicity rank tests therefore run once per conjugate pair, on the
-side with ``Im lam >= 0``, and the PBH tests not at all when no eigenvalue
-lies on or beyond the boundary.
+Each small eigensolve runs once.  A ``StabilityClass`` carries the boundary
+eigenvalues and ``||A||_2``; passed as ``cls=``, it shares its ``eig(A)``.
+A real ``A`` has its boundary eigenvalues in exact conjugate pairs, and every
+matrix of a rank test at ``conj(lam)`` is the conjugate of the one at ``lam``,
+with bit-equal singular values: the PBH and semisimplicity rank tests
+therefore run once per conjugate pair, on the side with ``Im lam >= 0``, and
+the PBH tests not at all when no eigenvalue lies on or beyond the boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -46,6 +47,11 @@ class StabilityClass:
     marginal_count: int
     stable_count: int
     marginal_eigenvalues: tuple
+    # outside equality: the eigenvalues on or beyond the axis/circle, ||A||_2
+    # and the time domain the classification was computed from
+    boundary: np.ndarray | None = field(default=None, compare=False)
+    norm: float | None = field(default=None, compare=False)
+    domain: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -102,17 +108,9 @@ def classify_stability(A: np.ndarray, domain: str = CONTINUOUS) -> StabilityClas
     semisimplicity is tested by comparing the size of an eigenvalue cluster
     against the numerical nullity of ``A - lambda I`` at the cluster mean.
     """
-    return _classify(np.asarray(A, dtype=float), domain)[0]
-
-
-def _classify(A, domain, norm=None):
-    """(classify_stability(A, domain), the eigenvalues on or beyond the
-    boundary, ||A||_2) of a float A: the one eig(A) that the classification,
-    the PBH tests and the split of a drift share.  norm, when given, is
-    ||A||_2, computed by the caller."""
+    A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    if norm is None:
-        norm = _spectral_norm(A)
+    norm = _spectral_norm(A)
     lam = np.linalg.eigvals(A)
     side = _side(lam, domain, norm)
     marg = side == 0
@@ -124,13 +122,13 @@ def _classify(A, domain, norm=None):
     for cl in (_cluster(lam[marg], cluster_tol) if kind == NEUTRALLY_STABLE else []):
         center = np.mean([v for v, _ in cl])
         if center.imag < -cluster_tol:
-            continue  # tested from the conjugate side, as _neutral_split skips it
+            continue  # tested from the conjugate side, as neutral_split skips it
         s = np.linalg.svd(A - center * np.eye(n), compute_uv=False)
         if int(np.sum(s <= null_tol)) < len(cl):
             # defective marginal eigenvalue: a Jordan block larger than 1x1
             kind = UNSTABLE
             break
-    return StabilityClass(kind, n1, n - n1, tuple(lam[marg])), lam[side >= 0], norm
+    return StabilityClass(kind, n1, n - n1, tuple(lam[marg]), lam[side >= 0], norm, domain)
 
 
 def _pbh(Cs, A, eigenvalues, norm):
@@ -138,10 +136,10 @@ def _pbh(Cs, A, eigenvalues, norm):
     C in Cs: one singular-value call per (shape group, lam) on the stacked
     matrices, each bit-equal to the call on that matrix alone.
 
-    eigenvalues are those of the real A, in exact conjugate pairs; each pair
-    is tested once, at its lam with Im lam >= 0, since the matrices at
-    conj(lam) are the conjugates and have the same singular values.  With no
-    eigenvalues no test runs, and _detectable_edges does not call it."""
+    eigenvalues and norm are a StabilityClass's boundary and ||A||_2, its
+    eig(A) reused; each conjugate pair is tested once, at its lam with Im lam
+    >= 0, since the matrices at conj(lam) are the conjugates and have the same
+    singular values.  With no eigenvalues no test runs."""
     n = A.shape[0]
     tol = PBH_RANK_TOL * norm
     Cs = [np.atleast_2d(np.asarray(C, dtype=float)) for C in Cs]
@@ -158,28 +156,34 @@ def _pbh(Cs, A, eigenvalues, norm):
 def pbh_detectable(C: np.ndarray, A: np.ndarray, domain: str = CONTINUOUS) -> bool:
     """PBH rank test at every eigenvalue on or beyond the stability boundary."""
     A = np.asarray(A, dtype=float)
-    return _pbh([C], A, *_classify(A, domain)[1:])[0]
+    cls = classify_stability(A, domain)
+    return _pbh([C], A, cls.boundary, cls.norm)[0]
 
 
-def detectable_edges(spec: ArraySpec, symmetric: bool) -> dict:
+def _of_domain(cls, A, domain):
+    """cls, refused unless of domain; classify_stability(A, domain) if None."""
+    if cls is None:
+        return classify_stability(A, domain)
+    if cls.domain != domain:
+        raise ValueError(f"the classification is {cls.domain}-time, not {domain}-time")
+    return cls
+
+
+def detectable_edges(spec: ArraySpec, symmetric: bool, cls: StabilityClass | None = None) -> dict:
     """{pair: whether (C_ij, A) is PBH detectable} over ``spec.edges``.
 
     A symmetric spec has one pair (i, j), i < j, per undirected edge; any
-    other spec has every ordered pair.  eig(A) is computed once.
+    other spec has every ordered pair.  cls is classify_stability(spec.A,
+    spec.time_domain), computed when None; with no boundary eigenvalue every
+    pair is detectable untested.
     """
-    return _detectable_edges(spec, symmetric, _classify(spec.A, spec.time_domain))
-
-
-def _detectable_edges(spec, symmetric, classified):
-    """detectable_edges, given _classify(spec.A, spec.time_domain): every
-    pair is detectable, and no rank test runs, when no eigenvalue lies on or
-    beyond the boundary."""
+    cls = _of_domain(cls, spec.A, spec.time_domain)
     Cs = {}
     for (i, j) in spec.edges:
         Cs.setdefault((min(i, j), max(i, j)) if symmetric else (i, j), spec.C[(i, j)])
-    if not len(classified[1]):
+    if not len(cls.boundary):
         return dict.fromkeys(Cs, True)
-    return dict(zip(Cs, _pbh(list(Cs.values()), spec.A, *classified[1:])))
+    return dict(zip(Cs, _pbh(list(Cs.values()), spec.A, cls.boundary, cls.norm)))
 
 
 def pbh_observable(H: np.ndarray, S: np.ndarray) -> bool:
@@ -207,19 +211,17 @@ def _eigenspace_basis(A, center, dim):
     return vh.conj().T[:, np.argsort(s)[:dim]]
 
 
-def neutral_split(A: np.ndarray, domain: str = CONTINUOUS) -> SpectralSplit:
+def neutral_split(
+    A: np.ndarray, domain: str = CONTINUOUS, cls: StabilityClass | None = None
+) -> SpectralSplit:
     """Compute the marginal/stable splitting of a neutrally stable matrix.
 
-    Raises NotNeutrallyStable when the classification refuses A, and
+    cls is classify_stability(A, domain), computed when None.  Raises
+    NotNeutrallyStable when the classification refuses A, and
     SplitIllConditioned when the assembled basis is numerically unusable.
     """
     A = np.asarray(A, dtype=float)
-    return _neutral_split(A, domain, _classify(A, domain))
-
-
-def _neutral_split(A, domain, classified):
-    """neutral_split of A, given _classify(A, domain)."""
-    cls, _, norm = classified
+    cls = _of_domain(cls, A, domain)
     n = A.shape[0]
     if cls.kind == UNSTABLE:
         raise NotNeutrallyStable(f"A is {cls.kind} in the {domain}-time sense")
@@ -229,7 +231,7 @@ def _neutral_split(A, domain, classified):
     blocks = []
     if n1:
         mvals = np.asarray(cls.marginal_eigenvalues)
-        ctol = max(1e-6 * norm, 100 * np.finfo(float).eps * max(norm, 1.0))
+        ctol = max(1e-6 * cls.norm, 100 * np.finfo(float).eps * max(cls.norm, 1.0))
         for cl in _cluster(mvals, ctol):
             center = np.mean([v for v, _ in cl])
             d = len(cl)
@@ -269,7 +271,7 @@ def _neutral_split(A, domain, classified):
     # stable invariant subspace from a sorted real Schur form: A Z1 = Z1 T11;
     # an eigenvalue is sorted first when its _side is -1, decided here in
     # float arithmetic on the same bits as _side's numpy arithmetic
-    ct, bound = domain == CONTINUOUS, -AXIS_TOL * norm
+    ct, bound = domain == CONTINUOUS, -AXIS_TOL * cls.norm
     T, Z, sdim = sla.schur(
         A, output="real", sort=lambda re, im: (re if ct else abs(complex(re, im)) - 1.0) < bound
     )

@@ -1003,8 +1003,8 @@ def test_theorem1_gains_verify_their_P_once(tmp_path):
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(
-                gainsmod, "_verify_cl_detectability",
-                lambda *a, f=gainsmod._verify_cl_detectability, **k: calls.append(a) or f(*a, **k),
+                gainsmod, "verify_cl_detectability",
+                lambda *a, f=gainsmod.verify_cl_detectability, **k: calls.append(a) or f(*a, **k),
             )
             out = str(tmp_path / "out.gains")
             assert run("gains", "--spec", str(path), "--recipe", "theorem1", "--out", out) == 0

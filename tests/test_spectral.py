@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -11,6 +13,7 @@ from matsync import (
     NotSPD,
     builtin_example,
     classify_stability,
+    find_common_P,
     neutral_split,
     pbh_detectable,
     pbh_observable,
@@ -24,7 +27,6 @@ from matsync.spectral import (
     STABLE,
     UNSTABLE,
     StabilityClass,
-    _classify,
     _cluster,
     _pbh,
     _side,
@@ -371,7 +373,8 @@ def test_pbh_tests_each_conjugate_pair_once(seed, n, kind, repeat, defect):
     A = paired_drift(rng, n, kind, repeat, defect)
     Cs = random_outputs(rng, n, int(rng.integers(1, 7)))
     for domain in ("continuous", "discrete"):
-        _, boundary, norm = _classify(A, domain)
+        cls = classify_stability(A, domain)
+        boundary, norm = cls.boundary, cls.norm
         # eig of a real matrix: exact conjugate pairs
         assert np.array_equal(np.sort_complex(boundary), np.sort_complex(boundary.conj()))
         upper = boundary[boundary.imag >= 0]
@@ -399,3 +402,26 @@ def test_no_rank_test_runs_on_an_empty_boundary(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
     assert detectable_edges(spec, symmetric=False) == {(0, 1): True, (1, 2): True}
     assert calls == []
+
+
+def test_a_classification_of_the_other_domain_is_refused(rng):
+    spec = random_symmetric_spec(rng, q=3, n=3)
+    dt = classify_stability(spec.A, "discrete")
+    with pytest.raises(ValueError):
+        detectable_edges(spec, True, dt)
+    with pytest.raises(ValueError):
+        neutral_split(spec.A, "continuous", dt)
+    with pytest.raises(ValueError):
+        find_common_P(spec, dt)
+    with pytest.raises(ValueError):
+        neutral_split(spec.A, "discrete", classify_stability(spec.A, "continuous"))
+
+
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_a_given_classification_splits_bit_for_bit(rng, domain):
+    for n in range(1, 7):
+        A = random_neutrally_stable(rng, n, domain)
+        given = neutral_split(A, domain, classify_stability(A, domain))
+        computed = neutral_split(A, domain)
+        for f in dataclasses.fields(computed):
+            assert np.array_equal(getattr(given, f.name), getattr(computed, f.name)), f.name
