@@ -13,6 +13,7 @@ that do not fit the spec included); 2 with ``hypothesis failed: ...``
 MatsyncError 2.  Set MATSYNC_TOL (finite, >= 0) to override, for check,
 gains and sweep, the spec's edge tolerance (which decides absent edges and
 equal mirrors) and the strict-inequality margin of the feasibility checks.
+``simulate`` writes tracecsv's ASCII bytes straight to ``--out``, text to stdout.
 """
 
 from __future__ import annotations
@@ -36,20 +37,12 @@ from .errors import (
     SpecParseError,
 )
 from .specdoc import _fmt
+from .tracecsv import trace_csv
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_HYPOTHESIS = 2
 EXIT_DIVERGED = 3
-
-# cells formatted per write of a trace; _format_rows takes 32 bytes a cell in
-# its largest array (the four scale doubles of _round_scaled; a cell's record
-# of uint32 words is 24 or 28 bytes), so each array of a chunk stays under
-# glibc's 128 KiB mmap threshold and comes from the heap instead of freshly
-# mapped pages
-CSV_CHUNK_CELLS = 3072
-FREXP_MIN, FREXP_MAX = -1073, 1024  # frexp exponents of finite nonzero doubles
-NEXP = FREXP_MAX - FREXP_MIN + 1
 
 
 # float options: name -> whether it must also be > 0
@@ -74,14 +67,15 @@ def _check_options(args):
             raise SpecParseError(f"{flag} must be {need}, got {value!r}")
 
 
-def _write(path, text):
-    """Write a string, or an iterable of strings, to path or to stdout."""
-    chunks = [text] if isinstance(text, str) else text
+def _write(path, data):
+    """Write a string, or an iterable of ASCII byte chunks, to path or to
+    stdout; stdout takes text, so a sys.stdout replaced by a StringIO works."""
+    text = isinstance(data, str)
     if path is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines([data] if text else (c.decode("ascii") for c in data))
     else:
-        with open(path, "w") as fh:
-            fh.writelines(chunks)
+        with open(path, "w" if text else "wb") as fh:
+            fh.writelines([data] if text else data)
 
 
 def _read(path):
@@ -231,180 +225,6 @@ def cmd_gains(args):
     return EXIT_OK
 
 
-def _double_double(num, den):
-    """(hi, lo): the double nearest num/den, and the double nearest the rest.
-
-    Python's int / int is correctly rounded, so both are exact to half an ulp.
-    """
-    hi = num / den
-    a, b = hi.as_integer_ratio()
-    return hi, (num * b - a * den) / (den * b)
-
-
-def _veltkamp(a):
-    """a = high + low, each with at most 26 significant bits (Dekker's split)."""
-    c = a * 134217729.0  # 2^27 + 1
-    high = c - (c - a)
-    return high, a - high
-
-
-def _words(*columns):
-    """One uint32 word per row of four byte columns (scalars broadcast)."""
-    return np.stack(np.broadcast_arrays(*columns), axis=1).astype(np.uint8).view(np.uint32).ravel()
-
-
-@functools.cache
-def _format_tables():
-    """The tables of _format_rows, built on the first trace written, never at import.
-
-    Returns (digits4, p0, scales, tens, lead, ddde, exp2, exp3).  Column e -
-    FREXP_MIN of p0 and tens belongs to frexp exponent e: a finite |x| = f 2^e,
-    0.5 <= f < 1, has decimal exponent p = p0 or p0 + 1, where p0 =
-    floor(log10 2^(e-1)), and tens is the least double >= 10^(p0+1).  Column
-    (p - p0) NEXP + e - FREXP_MIN of scales holds hi, hi_high, hi_low, lo: the
-    scale 2^e 10^(16-p) as the double-double hi + lo, with hi = hi_high +
-    hi_low its Veltkamp split.  The rest are record words, as bytes:
-    digits4[v] the four digits of v < 10^4, ddde[v] the three digits of v <
-    10^3 and 'e', lead[100 s + v] the sign ('-' if s, else NUL), the first
-    digit of v < 100, '.' and its second digit, and exp2 and exp3 at p -
-    p0[0] the exponent p as sign, tens, units, ',' and as sign, hundreds (NUL
-    if |p| < 100), tens, units.
-    """
-    zero = ord("0")
-    v = np.arange(10**4)
-    digits4 = _words(*(v[:, None] // [1000, 100, 10, 1] % 10 + zero).T)
-    v = v[:1000]
-    ddde = _words(v // 100 + zero, v // 10 % 10 + zero, v % 10 + zero, ord("e"))
-    v = v[:200]
-    lead = _words(np.where(v < 100, 0, ord("-")), v // 10 % 10 + zero, ord("."), v % 10 + zero)
-    exps = np.arange(FREXP_MIN, FREXP_MAX + 1)
-    # exact: no nonzero (e - 1) log10(2) in this range lies within 1e-4 of an
-    # integer (tests check p0 in integer arithmetic)
-    p0 = np.floor((exps - 1) * np.log10(2.0)).astype(np.int64)
-    p = np.arange(p0[0], p0[-1] + 2)
-    sign, a = np.where(p < 0, ord("-"), ord("+")), np.abs(p)
-    tens, units = a // 10 % 10 + zero, a % 10 + zero
-    exp2 = _words(sign, tens, units, ord(","))
-    exp3 = _words(sign, np.where(a < 100, 0, a // 100 + zero), tens, units)
-    hi = np.empty((2, len(exps)))
-    lo = np.empty((2, len(exps)))
-    for i, (e, p) in enumerate(zip(exps.tolist(), p0.tolist())):
-        for up in (0, 1):
-            k = 16 - p - up  # the scale 2^e 10^k is num / den
-            num = 10 ** max(k, 0) << max(e, 0)
-            den = 10 ** max(-k, 0) << max(-e, 0)
-            hi[up, i], lo[up, i] = _double_double(num, den)
-    scales = np.stack((hi, *_veltkamp(hi), lo)).reshape(4, -1)
-    tens = []
-    for p in range(p0[0], p0[-1] + 1):
-        num, den = 10 ** max(p + 1, 0), 10 ** max(-p - 1, 0)
-        t = num / den
-        a, b = t.as_integer_ratio()
-        tens.append(t if a * den >= num * b else math.nextafter(t, math.inf))
-    tens = np.array(tens).take(p0 - p0[0])
-    return digits4, p0, scales, tens, lead, ddde, exp2, exp3
-
-
-def _round_scaled(f, column):
-    """(N, unsure) for cells |x| = f 2^e: N = round(|x| 10^(16-p)) as int64.
-
-    `column` is (p - p0) NEXP + e - FREXP_MIN.  Dekker's two-product gives
-    f * hi exactly as ph + pl, and ph >= 2^53 is an integer, so N = ph +
-    rint(pl + f * lo).  That low part is off by less than 2^-46, so a cell
-    whose low part lies within 2^-40 of a half is `unsure`: its rounding is
-    too close to call this way.
-    """
-    hi, hi_high, hi_low, lo = _format_tables()[2].take(column, axis=1)
-    f_high, f_low = _veltkamp(f)
-    ph = f * hi
-    pl = ((f_high * hi_high - ph) + f_high * hi_low + f_low * hi_high) + f_low * hi_low
-    low = pl + f * lo
-    r = np.rint(low)
-    unsure = np.abs(np.abs(low - r) - 0.5) < 2.0**-40
-    return ph.astype(np.int64) + r.astype(np.int64), unsure
-
-
-def _format_rows(block):
-    """The rows of a 2-D float block as CSV lines, each cell exactly '%.16e' % x.
-
-    A cell is an optional '-', 17 significant digits and e+dd, or e+ddd when
-    the decimal exponent needs three digits; float() of it is the same
-    double, bit for bit.  The digits come from N = round(|x| 10^(16-p)) in
-    double-double arithmetic.  The few cells whose rounding that cannot
-    decide, exact decimal ties among them, take N and p from Python's '%.16e'.
-
-    Each cell is a record of uint32 words, each word one take from a table of
-    _format_tables: [s d . D1] [D2-5] [D6-9] [D10-13] [D14-16 e] [+ t u ,],
-    where D1-D16 follow the first digit d and s is '-' or NUL.  If any |p| >=
-    100, every record of the block has a 7th word instead: [+ h t u] [, 0 0 0],
-    with h NUL when |p| < 100.  A byte that is not printed is NUL, so dropping
-    the NULs of the records leaves the text.
-    """
-    x = block.ravel()
-    if not np.isfinite(x).all():
-        raise ValueError("a trace cell is not finite")
-    digits4, p0, _, tens, lead, ddde, exp2, exp3 = _format_tables()
-    a = np.abs(x)
-    f, e = np.frexp(a)
-    index = e.astype(np.intp) - FREXP_MIN  # take() would convert an int32 index per call
-    up = a >= tens.take(index)  # exactly |x| >= 10^(p0+1), so p = p0 + 1
-    column = index + up * np.intp(NEXP)
-    n, unsure = _round_scaled(f, column)
-    again = np.flatnonzero(n >= 10**17)  # |x| < 10^(p0+1) rounds up to it
-    if again.size:
-        up[again] = True
-        n[again], unsure_again = _round_scaled(f[again], column[again] + NEXP)
-        unsure[again] |= unsure_again  # an unsure first round may have chosen p wrongly
-    p = p0.take(index) + up
-    p[x == 0] = 0
-    for i in np.flatnonzero(unsure):
-        digits, exponent = ("%.16e" % abs(x[i])).split("e")
-        n[i], p[i] = int(digits.replace(".", "")), int(exponent)
-
-    wide = p.min() <= -100 or p.max() >= 100
-    words = np.empty((len(x), 7 if wide else 6), dtype=np.uint32)
-    top = n // 10**15  # N = top 10^15 + high 10^7 + low
-    rest = n - top * 10**15
-    high = rest // 10**7
-    low = (rest - high * 10**7).astype(np.int32)
-    high = high.astype(np.int32)
-    top = top.astype(np.int32) + np.signbit(x) * np.int32(100)
-    words[:, 0] = lead.take(top)
-    div = high // 10**4
-    words[:, 1] = digits4.take(div)
-    words[:, 2] = digits4.take(high - div * 10**4)
-    div = low // 1000
-    words[:, 3] = digits4.take(div)
-    words[:, 4] = ddde.take(low - div * 1000)
-    p -= p0[0]
-    last = slice(block.shape[1] - 1, None, block.shape[1])
-    if wide:
-        words[:, 5] = exp3.take(p)
-        words[:, 6] = ord(",")
-        words[last, 6] = ord("\n")
-    else:
-        words[:, 5] = exp2.take(p)
-        words.view(np.uint8)[last, 23] = ord("\n")
-    return words.tobytes().replace(b"\0", b"").decode("ascii")
-
-
-def _trace_csv(trace, verdict):
-    """The trace as CSV text in chunks of about CSV_CHUNK_CELLS cells.
-
-    Every kept row of the trace is printed; a cell is '%.16e' % x (see
-    _format_rows), which parses back to the same double.
-    """
-    qn = trace.states.shape[1]
-    yield "t," + ",".join(f"x_{k + 1}" for k in range(qn)) + ",sync_error,disagreement\n"
-    step = max(1, CSV_CHUNK_CELLS // (qn + 3))
-    for a in range(0, len(trace.times), step):
-        yield _format_rows(np.column_stack((
-            trace.times[a:a + step], trace.states[a:a + step],
-            trace.sync_error[a:a + step], trace.disagreement[a:a + step],
-        )))
-    yield f"# verdict {verdict}\n"
-
-
 def cmd_simulate(args):
     doc = specdoc.parse_spec_document(_read(args.spec))
     gdoc = specdoc.parse_gains_document(_read(args.gains))
@@ -439,10 +259,10 @@ def cmd_simulate(args):
         else:
             trace = simulation.simulate_dt(cl, x0, K=steps)
     except Diverged as e:
-        _write(args.out, _trace_csv(e.trace, "diverged"))
+        _write(args.out, trace_csv(e.trace, "diverged"))
         return EXIT_DIVERGED
     verdict = trace.verdict()
-    _write(args.out, _trace_csv(trace, verdict))
+    _write(args.out, trace_csv(trace, verdict))
     return EXIT_DIVERGED if verdict == "diverged" else EXIT_OK
 
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,7 +36,7 @@ from matsync import (
     simulate_ct,
     simulate_dt,
 )
-from matsync import cli
+from matsync import cli, tracecsv
 from matsync import gains as gainsmod
 from matsync import spectral as spectralmod
 from matsync.cli import main
@@ -199,9 +200,9 @@ class TestTraceFormat:
     ))
     @settings(max_examples=300, deadline=None)
     def test_cells_are_percent_16e(self, block):
-        text = cli._format_rows(block)
-        assert text == reference_rows(block)
-        cells = [float(c) for line in text.splitlines() for c in line.split(",")]
+        text = tracecsv.format_rows(block)
+        assert text == reference_rows(block).encode()
+        cells = [float(c) for line in text.splitlines() for c in line.split(b",")]
         assert np.array_equal(np.array(cells).view(np.uint64), block.ravel().view(np.uint64))
 
     @pytest.mark.parametrize("x", [
@@ -211,8 +212,8 @@ class TestTraceFormat:
     ])
     def test_edge_values(self, x):
         block = np.array([[x, -x], [-x, x]])
-        assert cli._format_rows(block) == reference_rows(block)
-        assert [float(c) for c in cli._format_rows(block[:1, :1]).split(",")] == [x]
+        assert tracecsv.format_rows(block) == reference_rows(block).encode()
+        assert [float(c) for c in tracecsv.format_rows(block[:1, :1]).split(b",")] == [x]
 
     def test_near_ties(self):
         # x = M 2^-(k+s) with M 5^k = 2^(s-1) +- 1 (mod 2^s), so x 10^k lies 2^-s
@@ -228,22 +229,23 @@ class TestTraceFormat:
                     if M < 2**53:
                         values.append(M * 2.0 ** -(k + s))
         block = np.array([values, [-v for v in values]])
-        assert cli._format_rows(block) == reference_rows(block)
+        assert tracecsv.format_rows(block) == reference_rows(block).encode()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_cell_raises(self, bad):
         with pytest.raises(ValueError, match="not finite"):
-            cli._format_rows(np.array([[1.0, bad]]))
+            tracecsv.format_rows(np.array([[1.0, bad]]))
 
     def test_decimal_exponent_table_is_exact(self):
-        p0 = cli._format_tables()[1]
-        for e, p in zip(range(cli.FREXP_MIN, cli.FREXP_MAX + 1), p0.tolist()):
+        p0 = tracecsv._format_tables()[1]
+        for e, p in zip(range(tracecsv.FREXP_MIN, tracecsv.FREXP_MAX + 1), p0.tolist()):
             # 10^p <= 2^(e-1) < 10^(p+1), in integers
             assert 10 ** max(p, 0) << max(1 - e, 0) <= 10 ** max(-p, 0) << max(e - 1, 0)
             assert 10 ** max(p + 1, 0) << max(1 - e, 0) > 10 ** max(-p - 1, 0) << max(e - 1, 0)
 
     def test_tables_are_not_built_at_import(self):
-        code = "import matsync.cli as c; print(c._format_tables.cache_info().currsize)"
+        # the per-column tables are among them
+        code = "import matsync.cli, matsync.tracecsv as t; print(t._format_tables.cache_info().currsize)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.stdout.strip() == "0", proc.stderr
 
@@ -254,10 +256,10 @@ class TestTraceFormat:
             "gain 2 1\n1.0 0.0\n0.0 1.0\n"
         ).gain_set, epsilon=0.25)
         trace = simulate_dt(cl, np.random.default_rng(1).standard_normal(4), K=100)
-        monkeypatch.setattr(cli, "CSV_CHUNK_CELLS", 50)  # 7 rows of 7 cells per chunk
-        chunks = list(cli._trace_csv(trace, "converged"))
+        monkeypatch.setattr(tracecsv, "CSV_CHUNK_CELLS", 50)  # 7 rows of 7 cells per chunk
+        chunks = list(tracecsv.trace_csv(trace, "converged"))
         assert len(chunks) == 2 + 15
-        assert "".join(chunks[1:-1]) == cli._format_rows(trace_block(trace))
+        assert b"".join(chunks[1:-1]) == tracecsv.format_rows(trace_block(trace))
 
     @given(arrays(
         np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
@@ -265,17 +267,17 @@ class TestTraceFormat:
     ))
     @settings(max_examples=200, deadline=None)
     def test_two_digit_exponents(self, block):
-        # every |p| < 100: the 6-word records of _format_rows
-        text = cli._format_rows(block)
-        assert text == reference_rows(block)
-        cells = [c for line in text.splitlines() for c in line.split(",")]
-        assert all(len(c.split("e")[1]) == 3 for c in cells)
+        # every |p| < 100: the 6-word records of format_rows
+        text = tracecsv.format_rows(block)
+        assert text == reference_rows(block).encode()
+        cells = [c for line in text.splitlines() for c in line.split(b",")]
+        assert all(len(c.split(b"e")[1]) == 3 for c in cells)
 
     @pytest.mark.parametrize("x", [1e-150, -2.5e200, 5e-324])
     def test_three_digit_exponent_only_in_the_last_column(self, x):
         block = np.random.default_rng(2).standard_normal((4, 5))
         block[2, -1] = x
-        assert cli._format_rows(block) == reference_rows(block)
+        assert tracecsv.format_rows(block) == reference_rows(block).encode()
 
     @pytest.mark.parametrize("scale", [1.0, 1e-150])
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
@@ -283,20 +285,20 @@ class TestTraceFormat:
         block = sign * np.abs(np.random.default_rng(3).standard_normal((6, 5))) * scale
         block[1, 2] = sign * 0.0
         assert np.all(np.signbit(block) == (sign < 0))
-        assert cli._format_rows(block) == reference_rows(block)
+        assert tracecsv.format_rows(block) == reference_rows(block).encode()
 
     def test_each_cell_is_rounded_once(self, monkeypatch):
         # the decimal exponent comes from |x| against the table of 10^(p0+1),
         # so a cell with p = p0 + 1 needs no second rounding
         block = np.random.default_rng(5).standard_normal((161, 19)) * 1e-150
         cells = []
-        round_scaled = cli._round_scaled
-        monkeypatch.setattr(cli, "_round_scaled", lambda f, *a: cells.append(f.size) or round_scaled(f, *a))
-        assert cli._format_rows(block) == reference_rows(block)
+        round_scaled = tracecsv._round_scaled
+        monkeypatch.setattr(tracecsv, "_round_scaled", lambda f, *a: cells.append(f.size) or round_scaled(f, *a))
+        assert tracecsv.format_rows(block) == reference_rows(block).encode()
         assert sum(cells) == block.size
 
     def test_tens_table_is_the_least_double_at_or_above_each_power(self):
-        _, p0, _, tens, *_ = cli._format_tables()
+        _, p0, _, tens, *_ = tracecsv._format_tables()
         for p, t in zip(p0.tolist(), tens.tolist()):
             # 10^(p+1) as num / den, against t and the double below it
             num, den = 10 ** max(p + 1, 0), 10 ** max(-p - 1, 0)
@@ -310,7 +312,7 @@ class TestTraceFormat:
         tens = 10.0 ** np.arange(-323, 309)
         block = np.stack([np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf)])
         block = np.concatenate([block, -block, block * (1 - 2.0**-52)])
-        assert cli._format_rows(block) == reference_rows(block)
+        assert tracecsv.format_rows(block) == reference_rows(block).encode()
 
     def test_chunks_of_both_record_widths_write_the_bytes_of_one_call(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -321,13 +323,44 @@ class TestTraceFormat:
             times=np.arange(24) * 0.5, states=states,
             sync_error=rng.random(24), disagreement=rng.random(24),
         )
-        monkeypatch.setattr(cli, "CSV_CHUNK_CELLS", 21)  # 3 rows of 7 cells per chunk
-        chunks = list(cli._trace_csv(trace, "converged"))[1:-1]
+        monkeypatch.setattr(tracecsv, "CSV_CHUNK_CELLS", 21)  # 3 rows of 7 cells per chunk
+        chunks = list(tracecsv.trace_csv(trace, "converged"))[1:-1]
         assert len(chunks) == 8
         # the chunks with 1e-150 cells print three exponent digits, the others two
-        assert [bool(re.search(r"e-\d{3}", c)) for c in chunks] == [False, True] * 4
+        assert [bool(re.search(rb"e-\d{3}", c)) for c in chunks] == [False, True] * 4
         block = trace_block(trace)
-        assert "".join(chunks) == cli._format_rows(block) == reference_rows(block)
+        assert b"".join(chunks) == tracecsv.format_rows(block) == reference_rows(block).encode()
+
+    def test_column_exponent_words_are_exact(self):
+        _, p0, _, _, _, _, exp2, exp3 = tracecsv._format_tables()
+        assert len(exp2) == len(exp3) == 2 * tracecsv.NEXP
+        for column in range(2 * tracecsv.NEXP):
+            up, i = divmod(column, tracecsv.NEXP)
+            e, p = i + tracecsv.FREXP_MIN, int(p0[i]) + up
+            # 10^(p-up) <= 2^(e-1) < 10^(p-up+1), in integers
+            q = p - up
+            assert 10 ** max(q, 0) << max(1 - e, 0) <= 10 ** max(-q, 0) << max(e - 1, 0)
+            assert 10 ** max(q + 1, 0) << max(1 - e, 0) > 10 ** max(-q - 1, 0) << max(e - 1, 0)
+            assert exp3[column].tobytes().replace(b"\0", b"") == b"%+03d" % p
+            if abs(p) < 100:
+                assert exp2[column].tobytes() == b"%+03d," % p
+
+    def test_narrow_exponents_are_those_of_two_digit_exponents(self):
+        p0 = tracecsv._format_tables()[1]
+        e = np.arange(tracecsv.FREXP_MIN, tracecsv.FREXP_MAX + 1)
+        narrow = e[(p0 > -100) & (p0 + 1 < 100)]
+        assert (narrow[0], narrow[-1]) == tracecsv.NARROW
+        assert np.array_equal(narrow, np.arange(narrow[0], narrow[-1] + 1))
+
+    @given(st.floats(0.5, 1.0, exclude_max=True))
+    @example(0.5)
+    @example(math.nextafter(1.0, 0.0))
+    @example(0.5 + 2.0**-26 - 2.0**-53)
+    def test_split_has_a_26_bit_high_part_and_is_exact(self, f):
+        high, low = (float(v[0]) for v in tracecsv._split(np.array([f])))
+        assert 0.5 <= high and (high * 2**26).is_integer()  # at most 26 significant bits
+        assert 0.0 <= low < 2.0**-26 and (low * 2**53).is_integer()
+        assert Fraction(high) + Fraction(low) == Fraction(f)
 
 
 # name -> (bundled example or spec text, gains argv, simulate argv, exit code)
@@ -409,6 +442,21 @@ class TestSimulate:
         run(*args, "--out", str(t1))
         run(*args, "--out", str(t2))
         assert read(t1) == read(t2)
+
+    def test_file_and_stdout_get_the_same_bytes(self, ms_spec, tmp_path):
+        gains, out = tmp_path / "g.gains", tmp_path / "t.csv"
+        assert run("gains", "--spec", str(ms_spec), "--recipe", "alg1", "--out", str(gains)) == 0
+        # 1001 rows of 15 cells: several chunks
+        argv = ["simulate", "--spec", str(ms_spec), "--gains", str(gains), "--horizon", "1"]
+        assert run(*argv, "--out", str(out)) == 0
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert run(*argv) == 0
+        proc = subprocess.run([sys.executable, "-m", "matsync.cli", *argv], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        data = out.read_bytes()
+        assert data.count(b"\n") == 1003
+        assert data == buf.getvalue().encode() == proc.stdout
 
     def test_incompatible_gains_rejected(self, ms_spec, chain5_spec, tmp_path):
         gains = tmp_path / "g.gains"
