@@ -4,12 +4,14 @@ An array is ``q`` copies of ``xdot = A x`` (or ``x+ = A x``) where system
 ``i`` measures ``C_ij (x_j - x_i)`` for every neighbour ``j``.  The sparsity
 pattern of the output-matrix map induces the network graph and its
 normalized Laplacian, whose algebraic connectivity drives the coupling
-condition of the CL-detectability synthesis route.
+condition of the CL-detectability synthesis route.  A spec's EdgeTable,
+built once, holds its pairs, norms, mirrors and outputs stacked per shape,
+and every per-edge step of every layer reads it.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +28,75 @@ DISCRETE = "discrete"
 
 
 @dataclass(frozen=True)
+class EdgeTable:
+    """The outputs of a spec's C in its insertion order: their (E, 2) int
+    ``pairs``, Frobenius ``norms`` (np.linalg.norm bit for bit), ``order``,
+    the positions in sorted pair order, ``mirror``, the position of each
+    (j, i) or -1, and ``groups``, one (positions, (E_s, m, k) stack) per
+    block shape, ``where`` each position's (group, row).  A per-edge
+    computation is one numpy call per group, bit-equal to one per block."""
+
+    pairs: np.ndarray
+    norms: np.ndarray
+    order: np.ndarray
+    mirror: np.ndarray
+    groups: tuple
+    where: np.ndarray
+
+    @classmethod
+    def of(cls, cmap):
+        mats, E = list(cmap.values()), len(cmap)
+        pairs = np.array(list(cmap), dtype=np.int64).reshape(E, 2)
+        shapes = [M.shape for M in mats]
+        groups, where, norms = [], np.zeros((E, 2), dtype=np.int64), np.zeros(E)
+        for g, shape in enumerate(dict.fromkeys(shapes)):
+            idx = np.array([k for k, s in enumerate(shapes) if s == shape])
+            S = np.array([mats[k] for k in idx]).reshape(len(idx), *shape)
+            groups.append((idx, S))
+            where[idx, 0], where[idx, 1] = g, np.arange(len(idx))
+            X = S.reshape(len(idx), 1, -1)
+            with np.errstate(over="ignore"):  # to inf, as np.linalg.norm goes
+                norms[idx] = np.sqrt(X @ X.transpose(0, 2, 1)).ravel()
+        P = pairs - pairs.min(initial=0)  # each pair (i, j) and its mirror as one integer
+        w = P.max(initial=0) + 1
+        key, mkey = (P @ np.array([[w, 1], [1, w]])).T
+        order = np.argsort(key)
+        at = order[np.minimum(np.searchsorted(key, mkey, sorter=order), E - 1)]
+        return cls(pairs, norms, order, np.where(key[at] == mkey, at, -1), tuple(groups), where)
+
+    def apply(self, f):
+        """f(S) for each group's stack S, one call per group: the blocks of
+        the results, listed in table order."""
+        out = [None] * len(self.pairs)
+        for idx, S in self.groups:
+            for k, B in zip(idx.tolist(), f(S)):
+                out[k] = B
+        return out
+
+    def mirrors_close(self, atol):
+        """Whether each C_ij has a stored mirror C_ji of its shape, within atol
+        as np.allclose(rtol=0) decides it; atol = 0 decides np.array_equal."""
+        out, m = np.zeros(len(self.pairs), dtype=bool), self.mirror
+        for g, (idx, S) in enumerate(self.groups):
+            k = idx[(m[idx] >= 0) & (self.where[m[idx], 0] == g)]
+            X, Y = S[self.where[k, 1]], S[self.where[m[k], 1]]
+            with np.errstate(invalid="ignore"):
+                out[k] = ((np.abs(X - Y) <= atol) | (X == Y)).all(axis=(1, 2))
+        return out
+
+    def gram(self, n, pre_transform=None):
+        """(E, k, k) stack of the weights H'H, H = C or C @ pre_transform, in
+        table order: one batched matmul per group, bit-equal to H.T @ H."""
+        k = n if pre_transform is None else pre_transform.shape[1]
+        out = np.empty((len(self.pairs), k, k))
+        for idx, H in self.groups:
+            if pre_transform is not None:
+                H = H @ pre_transform
+            out[idx] = H.transpose(0, 2, 1) @ H
+        return out
+
+
+@dataclass(frozen=True)
 class ArraySpec:
     """Shared dynamics ``A`` plus the edge output-matrix map ``C``.
 
@@ -34,8 +105,9 @@ class ArraySpec:
     flagged by :func:`validate_spec` rather than rejected, since the
     asymmetric counterexample has to be representable.
 
-    ``edges``, set once on construction and read by every layer, holds the
-    sorted ordered pairs whose output has Frobenius norm above ``edge_tol``.
+    ``table``, the EdgeTable of ``C`` built once on construction, is what
+    every layer reads; ``nonzero`` marks its outputs of Frobenius norm above
+    ``edge_tol``, and ``edges`` lists their pairs, sorted.
     """
 
     q: int
@@ -44,7 +116,8 @@ class ArraySpec:
     C: dict = field(default_factory=dict)
     time_domain: str = CONTINUOUS
     edge_tol: float = EDGE_TOL
-    edges: tuple = field(init=False, repr=False, compare=False)
+    table: EdgeTable = field(init=False, repr=False, compare=False)
+    nonzero: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
@@ -57,44 +130,18 @@ class ArraySpec:
         object.__setattr__(self, "C", cmap)
         if self.time_domain not in (CONTINUOUS, DISCRETE):
             raise ValueError(f"unknown time domain {self.time_domain!r}")
-        pairs = sorted(cmap)
-        norms = frobenius_norms([cmap[e] for e in pairs])
-        edges = tuple(e for e, v in zip(pairs, norms) if v > self.edge_tol)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "table", EdgeTable.of(cmap))
+        object.__setattr__(self, "nonzero", self.table.norms > self.edge_tol)
 
+    @functools.cached_property
+    def edges(self):
+        t = self.table
+        return tuple(map(tuple, t.pairs[t.order[self.nonzero[t.order]]].tolist()))
 
-def stacks(mats):
-    """[(positions, (E_s, *shape) stack)], one per shape among mats, each in
-    input order: a per-edge test runs as one batched numpy call per group."""
-    groups = {}
-    for k, M in enumerate(mats):
-        groups.setdefault(M.shape, []).append(k)
-    return [(idx, np.array([mats[k] for k in idx])) for idx in groups.values()]
-
-
-def frobenius_norms(mats):
-    """np.linalg.norm(M) of each matrix, bit for bit: the same dot product of
-    the flattened entries, batched."""
-    out = np.zeros(len(mats))
-    for idx, S in stacks(mats):
-        X = S.reshape(len(idx), 1, -1)
-        out[idx] = np.sqrt(X @ X.transpose(0, 2, 1)).ravel()
-    return out
-
-
-def pairs_close(Ms, Ns, atol):
-    """Whether each pair (M, N) has one shape and entries within atol, as
-    np.allclose(M, N, rtol=0, atol=atol) decides (equal infinities pass);
-    atol = 0 decides np.array_equal."""
-    out = np.zeros(len(Ms), dtype=bool)
-    same = [k for k in range(len(Ms)) if Ms[k].shape == Ns[k].shape]
-    for pos, X in stacks([Ms[k] for k in same]):
-        idx = [same[p] for p in pos]
-        Y = np.array([Ns[k] for k in idx])
-        with np.errstate(invalid="ignore"):
-            ok = (np.abs(X - Y) <= atol) | (X == Y)
-        out[idx] = ok.reshape(len(idx), -1).all(axis=1)
-    return out
+    @functools.cached_property
+    def weights(self):
+        """C_ij'C_ij of each stored output, in table order, computed once."""
+        return self.table.gram(self.n)
 
 
 @dataclass(frozen=True)
@@ -109,22 +156,23 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class NetworkGraph:
-    """Vertices ``0..q-1`` with the ordered edge pairs of a spec."""
+    """Vertices ``0..q-1`` with a spec's sorted ordered edge pairs, (E, 2)."""
 
     q: int
-    edges: frozenset
+    pairs: np.ndarray
     degrees: tuple
     undirected: bool
 
     @property
+    def edges(self):
+        return frozenset(map(tuple, self.pairs.tolist()))
+
+    @property
     def edge_count(self):
-        return len(self.edges)
+        return len(self.pairs)
 
     def is_complete(self):
-        return all(
-            (i, j) in self.edges
-            for i in range(self.q) for j in range(self.q) if i != j
-        )
+        return len(self.pairs) == self.q * (self.q - 1)
 
 
 @dataclass(frozen=True)
@@ -148,69 +196,50 @@ def validate_spec(spec: ArraySpec) -> ValidationReport:
         violations.append(f"agent count q={spec.q} must be >= 1")
     if spec.A.shape != (spec.n, spec.n):
         violations.append(f"A has shape {spec.A.shape}, expected ({spec.n}, {spec.n})")
-    nonzero = set(spec.edges)
-    symmetric = True
-    Ms, Ns = [], []  # each output and its mirror C_ji
-    for (i, j), M in sorted(spec.C.items()):
-        if not (0 <= i < spec.q and 0 <= j < spec.q):
-            violations.append(f"edge ({i + 1}, {j + 1}) is outside 1..{spec.q}")
-            continue
-        if i == j:
-            if (i, j) in nonzero:
-                violations.append(f"C_{i + 1}{i + 1} must be absent or zero")
-            continue
-        if M.shape[1] != spec.n:
-            violations.append(
-                f"C_{i + 1}{j + 1} has {M.shape[1]} columns, expected {spec.n}"
-            )
-        if (j, i) in spec.C:
-            Ms.append(M)
-            Ns.append(spec.C[(j, i)])
-        elif (i, j) in nonzero:
-            symmetric = False
-    symmetric = symmetric and bool(pairs_close(Ms, Ns, spec.edge_tol).all())
-    return ValidationReport(symmetric=symmetric, violations=tuple(violations))
+    t, nonzero = spec.table, spec.nonzero
+    i, j = t.pairs.T
+    inside = (0 <= i) & (i < spec.q) & (0 <= j) & (j < spec.q)
+    off = inside & (i != j)
+    cols = np.array([S.shape[2] for _, S in t.groups], dtype=np.int64)[t.where[:, 0]]
+    bad = ~inside | (inside & (i == j) & nonzero) | (off & (cols != spec.n))
+    for k in t.order[bad[t.order]].tolist():
+        a, b = int(i[k]) + 1, int(j[k]) + 1
+        if not inside[k]:
+            violations.append(f"edge ({a}, {b}) is outside 1..{spec.q}")
+        elif a == b:
+            violations.append(f"C_{a}{a} must be absent or zero")
+        else:
+            violations.append(f"C_{a}{b} has {cols[k]} columns, expected {spec.n}")
+    mirrored = off & (t.mirror >= 0)
+    symmetric = not (off & ~mirrored & nonzero).any() and t.mirrors_close(spec.edge_tol)[mirrored].all()
+    return ValidationReport(symmetric=bool(symmetric), violations=tuple(violations))
 
 
 def build_graph(spec: ArraySpec) -> NetworkGraph:
     """Edges are the off-diagonal pairs of ``spec.edges``."""
-    edges = set()
-    degrees = [0] * spec.q
-    for (i, j) in spec.edges:
-        if i != j:
-            edges.add((i, j))
-            degrees[i] += 1
-    undirected = all((j, i) in edges for (i, j) in edges)
+    t = spec.table
+    keep = spec.nonzero & (t.pairs[:, 0] != t.pairs[:, 1])
+    pairs = t.pairs[t.order[keep[t.order]]]
+    undirected = (keep[t.mirror] & (t.mirror >= 0))[keep].all()
     return NetworkGraph(
         q=spec.q,
-        edges=frozenset(edges),
-        degrees=tuple(degrees),
-        undirected=undirected,
+        pairs=pairs,
+        degrees=tuple(np.bincount(pairs[:, 0], minlength=spec.q).tolist()),
+        undirected=bool(undirected),
     )
 
 
 def is_connected(g: NetworkGraph) -> bool:
-    """Breadth-first reachability of every vertex from vertex 0.
-
-    Edges are traversed in both directions, which coincides with graph
-    connectivity in the undirected case and is the natural reading for the
-    flagged directed specs.
-    """
-    if g.q <= 1:
-        return True
-    neighbours = [set() for _ in range(g.q)]
-    for (i, j) in g.edges:
-        neighbours[i].add(j)
-        neighbours[j].add(i)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in neighbours[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.q
+    """Breadth-first reachability of every vertex from vertex 0, edges taken
+    both ways: graph connectivity when undirected, the natural reading for
+    the flagged directed specs."""
+    adjacent = np.zeros((g.q, g.q), dtype=bool)
+    adjacent[g.pairs[:, 0], g.pairs[:, 1]] = adjacent[g.pairs[:, 1], g.pairs[:, 0]] = True
+    seen = front = np.arange(g.q) == 0
+    while front.any():
+        front = adjacent[front].any(axis=0) & ~seen
+        seen = seen | front
+    return bool(seen.all())
 
 
 def sync_complement_basis(q: int) -> np.ndarray:
@@ -231,10 +260,8 @@ def gamma_matrix(g: NetworkGraph) -> np.ndarray:
     """
     q = g.q
     gamma = np.zeros((q, q))
-    for (i, j) in g.edges:
-        gamma[i, j] = -1.0 / q
-    for i in range(q):
-        gamma[i, i] = g.degrees[i] / q
+    gamma[g.pairs[:, 0], g.pairs[:, 1]] = -1.0 / q
+    np.fill_diagonal(gamma, np.divide(g.degrees, q))
     return gamma
 
 

@@ -25,8 +25,6 @@ from .array_model import (
     build_graph,
     is_connected,
     normalized_laplacian,
-    pairs_close,
-    stacks,
     validate_spec,
 )
 from .errors import (
@@ -36,7 +34,7 @@ from .errors import (
     NotSymmetric,
     SingularP,
 )
-from .mwl import laplacian_from_outputs, output_weights
+from .mwl import laplacian_from_outputs
 from .spectral import STABLE, StabilityClass, _of_domain, classify_stability, detectable_edges
 from .spectral import neutral_split
 
@@ -116,15 +114,11 @@ def verify_cl_detectability(
 
 def _edge_weights(spec):
     """(E, n, n) stack of C_ij'C_ij over spec.edges, in edge order, leaving
-    out an edge (i, j), i > j, whose C_ij is bit-equal to C_ji: its weight
-    repeats an earlier one."""
-    edges = spec.edges
-    lower = [(i, j) for (i, j) in edges if i > j and (j, i) in spec.C]
-    mirror = pairs_close(
-        [spec.C[e] for e in lower], [spec.C[(j, i)] for (i, j) in lower], 0.0
-    )
-    repeats = {e for e, same in zip(lower, mirror) if same}
-    return output_weights([spec.C[e] for e in edges if e not in repeats], spec.n)
+    out an edge (i, j), i > j, whose C_ij equals C_ji: its weight repeats an
+    earlier one.  The weights are the spec's own, computed once."""
+    t = spec.table
+    repeats = (t.pairs[:, 0] > t.pairs[:, 1]) & t.mirrors_close(0.0)
+    return spec.weights[t.order[(spec.nonzero & ~repeats)[t.order]]]
 
 
 def _violation(A, P, weights):
@@ -259,15 +253,9 @@ def gains_theorem1(
             stacklevel=2,
         )
     _require_invertible(P)
-    # one batched solve per shape group, scattered back into spec.C order
-    edges = list(spec.C)
-    G = [None] * len(edges)
-    for idx, S in stacks([spec.C[e] for e in edges]):
-        for k, Gk in zip(idx, alpha * np.linalg.solve(P, S.transpose(0, 2, 1))):
-            G[k] = Gk
-    gains = dict(zip(edges, G))
+    G = spec.table.apply(lambda S: alpha * np.linalg.solve(P, S.transpose(0, 2, 1)))
     return GainSet(
-        gains=gains,
+        gains=dict(zip(spec.C, G)),
         recipe=RECIPE_THEOREM1,
         alpha=float(alpha),
         certificate=(cert, _condition14(cert, build_graph(spec))),
@@ -369,11 +357,8 @@ def _neutral_hypotheses(facts, domain, check=True):
 def gains_ct_neutral(spec: ArraySpec, check: bool = True) -> GainSet:
     """Continuous-time neutral-stability recipe: G_ij = U U^T C_ij^T."""
     split = _neutral_hypotheses(_Facts(spec), CONTINUOUS, check)
-    if split.n1 == 0:
-        gains = {e: np.zeros((spec.n, C.shape[0])) for e, C in spec.C.items()}
-    else:
-        M = split.U @ split.U.T
-        gains = {e: M @ C.T for e, C in spec.C.items()}
+    M = split.U @ split.U.T
+    gains = dict(zip(spec.C, spec.table.apply(lambda S: _neutral_gains(M, S, split.n1))))
     return GainSet(gains=gains, recipe=RECIPE_ALG1_CT, certificate=split)
 
 
@@ -384,16 +369,17 @@ def gains_dt_neutral(spec: ArraySpec, check: bool = True) -> GainSet:
     H_ij = C_ij U, the largest coupling step the theorem licenses.
     """
     split = _neutral_hypotheses(_Facts(spec), DISCRETE, check)
-    if split.n1 == 0:
-        gains = {e: np.zeros((spec.n, C.shape[0])) for e, C in spec.C.items()}
-        ebar = np.inf
-    else:
-        M = split.U @ split.marginal_block @ split.U.T
-        gains = {e: M @ C.T for e, C in spec.C.items()}
-        ebar = eps_bar(laplacian_from_outputs(spec, pre_transform=split.U))
+    M = split.U @ split.marginal_block @ split.U.T
+    gains = dict(zip(spec.C, spec.table.apply(lambda S: _neutral_gains(M, S, split.n1))))
+    ebar = eps_bar(laplacian_from_outputs(spec, pre_transform=split.U)) if split.n1 else np.inf
     return GainSet(
         gains=gains, recipe=RECIPE_ALG2_DT, eps_bar=float(ebar), certificate=split
     )
+
+
+def _neutral_gains(M, S, n1):
+    """M C' for each C of the stack S, exact zeros when there is no marginal part."""
+    return M @ S.transpose(0, 2, 1) if n1 else np.zeros((len(S), len(M), S.shape[1]))
 
 
 def eps_bar(L: np.ndarray) -> float:

@@ -4,27 +4,30 @@ The block layout generalizes the scalar weighted Laplacian: diagonal block
 ``(i, i)`` holds the row sum of the edge weights ``Q_ij`` and off-diagonal
 block ``(i, j)`` holds ``-Q_ij``.  With symmetric PSD weights the result is
 symmetric PSD; the stacked all-ones directions are in the null space even
-for asymmetric weights.
+for asymmetric weights.  The weights come as one (E, n, n) stack on the
+(E, 2) pairs of a spec's edge table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .array_model import ArraySpec, stacks
+from .array_model import ArraySpec
 from .errors import DimensionMismatch
 
 
-def assemble_block_laplacian(blocks: dict, q: int, n: int) -> np.ndarray:
-    """Raw Laplacian-patterned block matrix; no PSD semantics implied."""
+def assemble_block_laplacian(pairs: np.ndarray, W: np.ndarray, q: int) -> np.ndarray:
+    """Raw Laplacian-patterned block matrix of the (E, n, n) weights W on the
+    (E, 2) pairs, diagonal pairs skipped: block (i, j) is 0.0 - W_ij and block
+    (i, i) 0.0 plus agent i's W_ij in order (one np.add.at), bit-equal to
+    subtracting and adding the blocks one at a time."""
+    n = W.shape[-1]
     L = np.zeros((q * n, q * n))
-    for (i, j), B in blocks.items():
-        if i == j:
-            continue
-        r = slice(i * n, (i + 1) * n)
-        c = slice(j * n, (j + 1) * n)
-        L[r, c] -= B
-        L[r, r] += B
+    blocks = L.reshape(q, n, q, n).transpose(0, 2, 1, 3)  # a view: blocks[i, j] is block (i, j)
+    off = pairs[:, 0] != pairs[:, 1]
+    i, j, W = pairs[off, 0], pairs[off, 1], W[off]
+    blocks[i, j] = 0.0 - W
+    np.add.at(blocks, (i, i), W)
     return L
 
 
@@ -34,41 +37,21 @@ def build_laplacian(Q: dict, q: int, n: int | None = None) -> np.ndarray:
     Weight blocks must be square with one shared size; diagonal entries of
     the map must be absent or zero.
     """
-    blocks = {}
-    for (i, j), B in Q.items():
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        if B.shape[0] != B.shape[1]:
-            raise DimensionMismatch(f"weight Q_{i + 1}{j + 1} is not square: {B.shape}")
-        if n is None:
-            n = B.shape[0]
+    blocks = [np.atleast_2d(np.asarray(B, dtype=float)) for B in Q.values()]
+    for (i, j), B in zip(Q, blocks):
+        n = B.shape[0] if n is None else n
         if B.shape != (n, n):
             raise DimensionMismatch(
                 f"weight Q_{i + 1}{j + 1} has shape {B.shape}, expected ({n}, {n})"
             )
-        if i == j:
-            if np.linalg.norm(B) > 0.0:
-                raise DimensionMismatch(f"diagonal weight Q_{i + 1}{i + 1} must be zero")
-            continue
+        if i == j and np.linalg.norm(B) > 0.0:
+            raise DimensionMismatch(f"diagonal weight Q_{i + 1}{i + 1} must be zero")
         if not (0 <= i < q and 0 <= j < q):
             raise DimensionMismatch(f"edge ({i + 1}, {j + 1}) outside 1..{q}")
-        blocks[(i, j)] = B
     if n is None:
         raise DimensionMismatch("cannot infer block size from an empty weight map")
-    return assemble_block_laplacian(blocks, q, n)
-
-
-def output_weights(Cs, n, pre_transform=None) -> np.ndarray:
-    """(E, k, k) stack of the weights H'H, H = C or C @ pre_transform, in the
-    order of Cs: one batched matmul per shape group, bit-equal to H.T @ H."""
-    k = n if pre_transform is None else pre_transform.shape[1]
-    out = np.empty((len(Cs), k, k))
-    for idx, H in stacks(Cs):
-        if H.shape[2] != n:
-            raise DimensionMismatch(f"output matrix has {H.shape[2]} columns, expected {n}")
-        if pre_transform is not None:
-            H = H @ pre_transform
-        out[idx] = H.transpose(0, 2, 1) @ H
-    return out
+    pairs = np.array(list(Q), dtype=np.int64).reshape(-1, 2)
+    return assemble_block_laplacian(pairs, np.array(blocks).reshape(-1, n, n), q)
 
 
 def laplacian_from_outputs(
@@ -79,6 +62,5 @@ def laplacian_from_outputs(
     The pre-transform hook covers the reduced Laplacian built from
     H_ij = C_ij U on the marginal subspace basis U.
     """
-    Q = dict(zip(spec.C, output_weights(list(spec.C.values()), spec.n, pre_transform)))
-    n = spec.n if pre_transform is None else pre_transform.shape[1]
-    return build_laplacian(Q, spec.q, n=n)
+    W = spec.weights if pre_transform is None else spec.table.gram(spec.n, pre_transform)
+    return assemble_block_laplacian(spec.table.pairs, W, spec.q)

@@ -126,19 +126,18 @@ def closed_loop(spec: ArraySpec, gains, epsilon: float | None = None) -> ClosedL
     when it carries one.
     """
     gmap = gains.gains if isinstance(gains, GainSet) else dict(gains)
-    q, n, A = spec.q, spec.n, spec.A
-    weights = {}
+    q, n, A, t = spec.q, spec.n, spec.A, spec.table
+    G = []
     for (i, j), C in spec.C.items():
-        G = gmap.get((i, j))
-        if G is None:
+        Gk = gmap.get((i, j))
+        if Gk is None:
             raise DimensionMismatch(f"no gain for edge ({i + 1}, {j + 1})")
-        G = np.atleast_2d(np.asarray(G, dtype=float))
-        if G.shape != (n, C.shape[0]):
+        G.append(np.atleast_2d(np.asarray(Gk, dtype=float)))
+        if G[-1].shape != (n, C.shape[0]):
             raise DimensionMismatch(
-                f"gain G_{i + 1}{j + 1} has shape {G.shape}, "
+                f"gain G_{i + 1}{j + 1} has shape {G[-1].shape}, "
                 f"expected ({n}, {C.shape[0]})"
             )
-        weights[(i, j)] = G @ C
     stray = sorted(set(gmap) - set(spec.C))
     if stray:
         i, j = stray[0]
@@ -151,21 +150,23 @@ def closed_loop(spec: ArraySpec, gains, epsilon: float | None = None) -> ClosedL
             epsilon = ebar if ebar is not None and np.isfinite(ebar) else 1.0
         scale = eps_used = float(epsilon)
 
+    W = np.empty((len(G), n, n))
+    for idx, S in t.groups:
+        W[idx] = np.array([G[k] for k in idx]) @ S
     # Psi = (I (x) A) - scale L_W in one array, entry for entry as that
     # difference rounds with L_W assembled by assemble_block_laplacian: an
     # edge block of L_W holds 0.0 - W_ij, a diagonal block 0.0 + the W_ij of
     # agent i in edge order, and every other entry 0.0
     psi = np.kron(np.eye(q), A)
     np.subtract(psi, scale * 0.0, out=psi)  # changes a bit only if scale < 0 or is not finite
-    off_diagonal = 0.0 * A  # the blocks of I (x) A off its diagonal
-    sums = {}
-    for (i, j), W in weights.items():
-        if i == j:
-            continue
-        sums[i] = sums.get(i, 0.0) + W
-        psi[i * n:(i + 1) * n, j * n:(j + 1) * n] = off_diagonal - scale * (0.0 - W)
-    for i, S in sums.items():
-        psi[i * n:(i + 1) * n, i * n:(i + 1) * n] = A - scale * S
+    blocks = psi.reshape(q, n, q, n).transpose(0, 2, 1, 3)  # a view: blocks[i, j] is block (i, j)
+    off = t.pairs[:, 0] != t.pairs[:, 1]
+    i, j, W = t.pairs[off, 0], t.pairs[off, 1], W[off]
+    blocks[i, j] = 0.0 * A - scale * (0.0 - W)  # 0.0 * A: the blocks of I (x) A off its diagonal
+    sums = np.zeros((q, n, n))
+    np.add.at(sums, i, W)
+    agents = np.unique(i)
+    blocks[agents, agents] = A - scale * sums[agents]
 
     return ClosedLoop(
         system_matrix=psi, spec=spec, epsilon=eps_used,
@@ -388,8 +389,8 @@ def rho_sweep(spec: ArraySpec, P: np.ndarray, alphas):
     # quotient is one fixed matrix minus alpha times another; V'(I (x) A)V is
     # (Q'Q) (x) A = I (x) A exactly, so the drift needs no projection
     drift = np.kron(np.eye(q - 1), spec.A)
-    weights = {e: np.linalg.solve(P, C.T) @ C for e, C in spec.C.items()}
-    coupling = V.T @ assemble_block_laplacian(weights, q, n) @ V
+    weights = spec.table.apply(lambda S: np.linalg.solve(P, S.transpose(0, 2, 1)) @ S)
+    coupling = V.T @ assemble_block_laplacian(spec.table.pairs, np.array(weights).reshape(-1, n, n), q) @ V
     quotient = np.empty_like(coupling)  # drift - alpha coupling, for each alpha in turn
     out = []
     for alpha in alphas:

@@ -3,30 +3,22 @@
 The format is line-oriented: ``key value`` scalars, matrix blocks headed by
 ``A``, ``P``, ``edge I J`` or ``gain I J`` followed by rows of numbers, and
 ``#`` comments.  Agent indices are 1-based in documents and 0-based in
-memory.  Physical arrays can be stated declaratively with a ``builder``
-block instead of matrices::
-
-    q 3
-    builder mass_spring
-    masses 1.0 2.0
-    springs 1.0 1.5 0.5
-    coupling 1 2  0.8 0.5
-    coupling 2 3  0.6 1.0
-    variant transformed
+memory.  Physical arrays can be stated declaratively, instead of by
+matrices, with a ``builder`` line, its parameter vectors (``masses`` and
+``springs``, or ``capacitances`` and ``inductances``), ``coupling I J``
+lines and a ``variant`` (see the README).
 
 Each key but ``edge``, ``gain`` and ``coupling`` may appear once, and each
-ordered edge gets one ``edge``, ``gain`` or ``coupling`` line.  A block's
-rows are kept as text until the next statement closes the block.
-Closing converts the joined rows with one numpy call (numpy reads a token
-as float() does, bit for bit) and checks the row lengths and one isfinite,
-so faults are raised in document order; only a block that fails is read
-row by row, to name its first bad row.  A block whose text came before in
-the document (the mirror C_ji of a symmetric C_ij) gets a copy of that
-array.
+ordered edge gets one ``edge``, ``gain`` or ``coupling`` line.  One pass
+over the lines records each block's rows; then one numpy call converts the
+tokens of the document's distinct blocks (numpy reads a token as float()
+does, bit for bit) and the row lengths and isfinite are checked, so the
+first fault in document order is raised with its line.  A block whose rows
+came before (the mirror C_ji of a symmetric C_ij) gets a copy of that array.
 
-Serialization always emits the materialized matrices with full round-trip
-precision, so parse -> serialize -> parse is the identity on the in-memory
-spec.  Each distinct block is formatted once per document.
+Serialization emits the matrices with full round-trip precision, so parse
+-> serialize -> parse is the identity on the in-memory spec.  Each distinct
+block is formatted once per document.
 
 A fault of a document, builder parameters the builders refuse included
 (named at the ``builder`` line), is a SpecParseError: the CLI prints it as
@@ -69,14 +61,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_matrix(M, done):
-    """M's rows as text; done holds the blocks of the document formatted so
-    far by (shape, bytes), so a mirrored block is formatted once."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    key = (M.shape, M.tobytes())
-    if key not in done:  # tolist() gives Python floats, whose repr is _fmt's text
-        done[key] = "\n".join(" ".join(map(repr, row)) for row in M.tolist())
-    return done[key]
+def _texts(mats):
+    """Each matrix's rows as text; each distinct one, bit for bit, is
+    formatted once (tolist() gives Python floats, whose repr is _fmt's)."""
+    first = {}
+    slot = [first.setdefault((M.shape, M.tobytes()), k) for k, M in enumerate(mats)]
+    text = {k: "\n".join(" ".join(map(repr, row)) for row in mats[k].tolist()) for k in first.values()}
+    return [text[k] for k in slot]
+
+
+def _fmt_matrix(M):
+    return _texts([np.atleast_2d(np.asarray(M, dtype=float))])[0]
 
 
 def _numbers(tokens):
@@ -130,65 +125,80 @@ _REPEATABLE = {"A", "P", "edge", "gain", "coupling"}
 
 
 class _Blocks:
-    """The matrix blocks of one document, read a block at a time (see above)."""
+    """The matrix blocks of one document, read as described above, and the
+    context of its statement loop: leaving it reads every block, so that a
+    bad row before a fault the loop raises is raised in its place."""
 
     def __init__(self):
-        self.arrays = {}
-        self.lines = {}  # key -> line of its header
-        self._read = {}  # joined row text -> its array
-        self._open = None
-        self._rows = []  # (line, text) of each row of the open block
+        self.arrays, self.lines = {}, {}  # key -> its array, key -> line of its header
+        self._spans, self._open, self._lines = [], None, []  # (key, a, b): lines a..b-1 hold its rows
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind in (None, SpecParseError):
+            self._read()
 
     def open(self, key, lineno):
         if key in self.lines:
             raise SpecParseError(f"duplicate matrix block {_block_name(key)}", lineno)
-        self.lines[key] = lineno
-        self._open = key
+        self.lines[key], self._open = lineno, key
 
-    def close(self):
-        key, pending = self._open, self._rows
-        self._open, self._rows = None, []
-        if not pending:
-            return
-        linenos, rows = zip(*pending)
-        text = "\n".join(rows)
-        if text in self._read:
-            self.arrays[key] = self._read[text].copy()
-            return
-        counts = list(map(len, map(str.split, rows)))
-        M, width = _numbers(text.split()), counts[0]
-        if M is None or counts.count(width) < len(counts) or not np.isfinite(M).all():
-            for lineno, row, count in zip(linenos, rows, counts):  # the first bad row
-                if not np.isfinite(_row(row, lineno)).all():
-                    raise SpecParseError("numbers in a matrix block must be finite", lineno)
-                if count != width:
-                    msg = f"ragged matrix block {_block_name(key)}: row of length {count}"
-                    raise SpecParseError(f"{msg}, expected {width}", lineno)
-        self.arrays[key] = self._read[text] = M.reshape(len(rows), width)
+    def _close(self, a, b):
+        """Lines a..b-1 are rows of the open block, which closes."""
+        if self._open is not None:
+            self._spans.append((self._open, a, b))
+        elif rows := [k + 1 for k in range(a, b) if self._lines[k].strip()]:
+            _row(self._lines[rows[0] - 1], rows[0])
+            raise SpecParseError("numeric row outside a matrix block", rows[0])
+        self._open = None
 
     def statements(self, text, keys):
         """(line, tokens) of each line whose first token is in keys, once per
         key outside _REPEATABLE.  Other lines with tokens are rows of the open
         block, which closes before the next statement and at the end."""
-        heads = {k[0] for k in keys}  # a line starting otherwise is a row
-        seen = set()
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if "#" in line:
-                line = line.split("#", 1)[0]
-            head = line.lstrip()[:1]
-            if head in heads and (tokens := line.split())[0] in keys:
-                self.close()
-                if tokens[0] in seen:
-                    raise SpecParseError(f"duplicate {tokens[0]}", lineno)
-                if tokens[0] not in _REPEATABLE:
-                    seen.add(tokens[0])
-                yield lineno, tokens
-            elif head:
-                if self._open is None:
-                    _row(line, lineno)
-                    raise SpecParseError("numeric row outside a matrix block", lineno)
-                self._rows.append((lineno, line))
-        self.close()
+        lines = self._lines = text.splitlines()
+        if "#" in text:
+            lines[:] = [line.partition("#")[0] for line in lines]
+        heads, seen, end = {k[0] for k in keys}, set(), 0  # a line starting otherwise is a row
+        for k in [k for k, line in enumerate(lines) if line.lstrip()[:1] in heads]:
+            if (tokens := lines[k].split())[0] not in keys:
+                continue
+            self._close(end, k)
+            end = k + 1
+            if tokens[0] in seen:
+                raise SpecParseError(f"duplicate {tokens[0]}", k + 1)
+            if tokens[0] not in _REPEATABLE:
+                seen.add(tokens[0])
+            yield k + 1, tokens
+        self._close(end, len(lines))
+
+    def _read(self):
+        """Each block's array, from one float conversion over the distinct
+        blocks' tokens; a block with the lines of an earlier one gets a copy."""
+        lines, index, keys, distinct, tokens, ragged = self._lines, {}, [], [], [], False
+        for key, a, b in self._spans:
+            if (d := index.setdefault(tuple(lines[a:b]), len(index))) == len(distinct):
+                lens = [len(r) for r in map(str.split, lines[a:b]) if r]
+                distinct.append((key, a, b, len(lens), lens[0] if lens else 0))
+                ragged |= lens.count(distinct[d][4]) < len(lens)
+                tokens += " ".join(lines[a:b]).split()
+            keys.append((key, d))
+        vals = None if ragged else _numbers(tokens)
+        if vals is None or not np.isfinite(vals).all():  # raise at the first bad row
+            for key, a, b, _, width in distinct:
+                for k in (k for k in range(a, b) if lines[k].strip()):
+                    if not np.isfinite(row := _row(lines[k], k + 1)).all():
+                        raise SpecParseError("numbers in a matrix block must be finite", k + 1)
+                    if len(row) != width:
+                        msg = f"ragged matrix block {_block_name(key)}: row of length {len(row)}"
+                        raise SpecParseError(f"{msg}, expected {width}", k + 1)
+        ends = np.cumsum([r * w for *_, r, w in distinct]).tolist()
+        arrays = [vals[e - r * w:e].reshape(r, w) for e, (*_, r, w) in zip(ends, distinct)]
+        for key, d in keys:
+            if distinct[d][3]:  # a block without rows gets no array
+                self.arrays[key] = arrays[d] if key is distinct[d][0] else arrays[d].copy()
 
     def matrix(self, key):
         """The block as an array, None when absent; an empty block is an error."""
@@ -221,49 +231,46 @@ def parse_spec_document(text: str) -> SpecDocument:
     blocks = _Blocks()
     edge_headers = []  # in document order, which is the order of spec.C
 
-    for lineno, tokens in blocks.statements(text, _SPEC_KEYS):
-        key = tokens[0]
-        if key in _SPEC_SCALARS and len(tokens) == 2:
-            scalars[key] = _scalar(_SPEC_SCALARS, key, tokens[1], lineno)
-        elif key == "time_domain":
-            if len(tokens) != 2 or tokens[1] not in (CONTINUOUS, DISCRETE):
-                raise SpecParseError(
-                    f"time_domain must be {CONTINUOUS} or {DISCRETE}", lineno
+    with blocks:
+        for lineno, tokens in blocks.statements(text, _SPEC_KEYS):
+            key = tokens[0]
+            if key in _SPEC_SCALARS and len(tokens) == 2:
+                scalars[key] = _scalar(_SPEC_SCALARS, key, tokens[1], lineno)
+            elif key == "time_domain":
+                if len(tokens) != 2 or tokens[1] not in (CONTINUOUS, DISCRETE):
+                    raise SpecParseError(
+                        f"time_domain must be {CONTINUOUS} or {DISCRETE}", lineno
+                    )
+                time_domain = tokens[1]
+            elif key in ("A", "P") and len(tokens) == 1:
+                blocks.open(key, lineno)
+            elif key == "edge":
+                if "q" not in scalars:
+                    raise SpecParseError("q must appear before the first edge", lineno)
+                e = _edge_key(tokens[1:], lineno, scalars["q"])
+                blocks.open(("edge", e), lineno)
+                edge_headers.append(e)
+            elif key == "builder":
+                if len(tokens) != 2 or tokens[1] not in ("mass_spring", "lc"):
+                    raise SpecParseError("builder must be mass_spring or lc", lineno)
+                builder, builder_line = tokens[1], lineno
+            elif key in _BUILDER_VECTORS:
+                builder_args[key] = _vector(tokens[1:], f"bad {key} vector", key, lineno)
+            elif key == "coupling":
+                if "q" not in scalars:
+                    raise SpecParseError("q must appear before coupling lines", lineno)
+                e = _edge_key(tokens[1:3], lineno, scalars["q"])
+                if e in builder_args["coupling"]:
+                    raise SpecParseError(f"duplicate coupling ({e[0] + 1}, {e[1] + 1})", lineno)
+                builder_args["coupling"][e] = _vector(
+                    tokens[3:], "coupling line needs edge values", "coupling values", lineno
                 )
-            time_domain = tokens[1]
-        elif key in ("A", "P") and len(tokens) == 1:
-            blocks.open(key, lineno)
-        elif key == "edge":
-            if "q" not in scalars:
-                raise SpecParseError("q must appear before the first edge", lineno)
-            e = _edge_key(tokens[1:], lineno, scalars["q"])
-            if ("edge", e) in blocks.lines:
-                raise SpecParseError(
-                    f"duplicate edge ({e[0] + 1}, {e[1] + 1})", lineno
-                )
-            edge_headers.append(e)
-            blocks.open(("edge", e), lineno)
-        elif key == "builder":
-            if len(tokens) != 2 or tokens[1] not in ("mass_spring", "lc"):
-                raise SpecParseError("builder must be mass_spring or lc", lineno)
-            builder, builder_line = tokens[1], lineno
-        elif key in _BUILDER_VECTORS:
-            builder_args[key] = _vector(tokens[1:], f"bad {key} vector", key, lineno)
-        elif key == "coupling":
-            if "q" not in scalars:
-                raise SpecParseError("q must appear before coupling lines", lineno)
-            e = _edge_key(tokens[1:3], lineno, scalars["q"])
-            if e in builder_args["coupling"]:
-                raise SpecParseError(f"duplicate coupling ({e[0] + 1}, {e[1] + 1})", lineno)
-            builder_args["coupling"][e] = _vector(
-                tokens[3:], "coupling line needs edge values", "coupling values", lineno
-            )
-        elif key == "variant":
-            if len(tokens) != 2 or tokens[1] not in ("raw", "transformed"):
-                raise SpecParseError("variant must be raw or transformed", lineno)
-            builder_args["variant"] = tokens[1]
-        else:
-            raise SpecParseError(f"unrecognized line {' '.join(tokens)!r}", lineno)
+            elif key == "variant":
+                if len(tokens) != 2 or tokens[1] not in ("raw", "transformed"):
+                    raise SpecParseError("variant must be raw or transformed", lineno)
+                builder_args["variant"] = tokens[1]
+            else:
+                raise SpecParseError(f"unrecognized line {' '.join(tokens)!r}", lineno)
 
     if "q" not in scalars:
         raise SpecParseError("missing q")
@@ -323,20 +330,18 @@ def _materialize_builder(kind, args, q, lineno):
 
 def serialize_spec_document(doc: SpecDocument) -> str:
     spec = doc.spec
-    done = {}
+    t = spec.table
     out = [f"q {spec.q}", f"n {spec.n}", f"time_domain {spec.time_domain}"]
     if doc.alpha is not None:
         out.append(f"alpha {_fmt(doc.alpha)}")
     if doc.epsilon is not None:
         out.append(f"epsilon {_fmt(doc.epsilon)}")
-    out.append("A")
-    out.append(_fmt_matrix(spec.A, done))
-    for (i, j) in sorted(spec.C):
-        out.append(f"edge {i + 1} {j + 1}")
-        out.append(_fmt_matrix(spec.C[(i, j)], done))
+    out += ["A", _fmt_matrix(spec.A)]
+    texts = _texts(list(spec.C.values()))
+    for k, (i, j) in zip(t.order.tolist(), (t.pairs[t.order] + 1).tolist()):
+        out += [f"edge {i} {j}", texts[k]]
     if doc.P is not None:
-        out.append("P")
-        out.append(_fmt_matrix(doc.P, done))
+        out += ["P", _fmt_matrix(doc.P)]
     return "\n".join(out) + "\n"
 
 
@@ -362,24 +367,25 @@ def parse_gains_document(text: str) -> GainsDocument:
     blocks = _Blocks()
     gain_headers = []
 
-    for lineno, tokens in blocks.statements(text, _GAINS_KEYS):
-        key = tokens[0]
-        if key == "recipe" and len(tokens) == 2:
-            recipe = tokens[1]
-        elif key == "cert_condition14" and len(tokens) == 2:
-            cond14 = tokens[1] == "true"
-        elif key in _GAINS_SCALARS and len(tokens) == 2:
-            scalars[key] = _scalar(_GAINS_SCALARS, key, tokens[1], lineno)
-        elif key == "P" and len(tokens) == 1:
-            blocks.open("P", lineno)
-        elif key == "gain":
-            if "q" not in scalars:
-                raise SpecParseError("q must appear before the first gain", lineno)
-            e = _edge_key(tokens[1:], lineno, scalars["q"])
-            gain_headers.append(e)
-            blocks.open(("gain", e), lineno)
-        else:
-            raise SpecParseError(f"unrecognized line {' '.join(tokens)!r}", lineno)
+    with blocks:
+        for lineno, tokens in blocks.statements(text, _GAINS_KEYS):
+            key = tokens[0]
+            if key == "recipe" and len(tokens) == 2:
+                recipe = tokens[1]
+            elif key == "cert_condition14" and len(tokens) == 2:
+                cond14 = tokens[1] == "true"
+            elif key in _GAINS_SCALARS and len(tokens) == 2:
+                scalars[key] = _scalar(_GAINS_SCALARS, key, tokens[1], lineno)
+            elif key == "P" and len(tokens) == 1:
+                blocks.open("P", lineno)
+            elif key == "gain":
+                if "q" not in scalars:
+                    raise SpecParseError("q must appear before the first gain", lineno)
+                e = _edge_key(tokens[1:], lineno, scalars["q"])
+                gain_headers.append(e)
+                blocks.open(("gain", e), lineno)
+            else:
+                raise SpecParseError(f"unrecognized line {' '.join(tokens)!r}", lineno)
 
     if recipe is None:
         raise SpecParseError("missing recipe")
@@ -414,7 +420,6 @@ def serialize_gains_document(
     P: np.ndarray | None = None,
     metadata: dict | None = None,
 ) -> str:
-    done = {}
     out = [f"recipe {gain_set.recipe}", f"q {q}", f"n {n}"]
     if gain_set.alpha is not None:
         out.append(f"alpha {_fmt(gain_set.alpha)}")
@@ -430,9 +435,9 @@ def serialize_gains_document(
         else:
             out.append(f"{k} {_fmt(v)}")
     if P is not None:
-        out.append("P")
-        out.append(_fmt_matrix(P, done))
-    for (i, j) in sorted(gain_set.gains):
-        out.append(f"gain {i + 1} {j + 1}")
-        out.append(_fmt_matrix(gain_set.gains[(i, j)], done))
+        out += ["P", _fmt_matrix(P)]
+    pairs = sorted(gain_set.gains)
+    texts = _texts([np.atleast_2d(np.asarray(gain_set.gains[e], dtype=float)) for e in pairs])
+    for (i, j), text in zip(pairs, texts):
+        out += [f"gain {i + 1} {j + 1}", text]
     return "\n".join(out) + "\n"

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .array_model import CONTINUOUS, ArraySpec, stacks
+from .array_model import CONTINUOUS, ArraySpec
 from .errors import NotNeutrallyStable, NotSPD, SplitIllConditioned
 
 STABLE = "stable"
@@ -104,9 +104,10 @@ def _cluster(values, tol):
 def classify_stability(A: np.ndarray, domain: str = CONTINUOUS) -> StabilityClass:
     """Classify A as stable, neutrally stable, or unstable.
 
-    Neutral stability demands every axis/circle eigenvalue be semisimple;
-    semisimplicity is tested by comparing the size of an eigenvalue cluster
-    against the numerical nullity of ``A - lambda I`` at the cluster mean.
+    Neutral stability demands every axis/circle eigenvalue be semisimple:
+    at each one, lam, the nullity of ``A - lam I`` (singular values up to
+    null_tol) is at least the count of eigenvalues within null_tol of lam.
+    Distinct eigenvalues, however close, pass; a Jordan block's do not.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -116,48 +117,40 @@ def classify_stability(A: np.ndarray, domain: str = CONTINUOUS) -> StabilityClas
     marg = side == 0
     n1 = int(marg.sum())
     kind = UNSTABLE if np.any(side > 0) else STABLE if n1 == 0 else NEUTRALLY_STABLE
-    # semisimplicity of each marginal cluster
-    null_tol = 1e-7 * max(norm, 1.0)
-    cluster_tol = max(CLUSTER_TOL * norm, 10 * np.finfo(float).eps * max(norm, 1.0))
-    for cl in (_cluster(lam[marg], cluster_tol) if kind == NEUTRALLY_STABLE else []):
-        center = np.mean([v for v, _ in cl])
-        if center.imag < -cluster_tol:
-            continue  # tested from the conjugate side, as neutral_split skips it
-        s = np.linalg.svd(A - center * np.eye(n), compute_uv=False)
-        if int(np.sum(s <= null_tol)) < len(cl):
-            # defective marginal eigenvalue: a Jordan block larger than 1x1
-            kind = UNSTABLE
+    # semisimplicity of each marginal eigenvalue, conjugates tested once
+    null_tol, mlam = 1e-7 * max(norm, 1.0), lam[marg]
+    for v in (mlam[mlam.imag >= 0] if kind == NEUTRALLY_STABLE else []):
+        s = np.linalg.svd(A - v * np.eye(n), compute_uv=False)
+        if np.sum(s <= null_tol) < np.sum(np.abs(mlam - v) <= null_tol):
+            kind = UNSTABLE  # defective: a Jordan block larger than 1x1
             break
     return StabilityClass(kind, n1, n - n1, tuple(lam[marg]), lam[side >= 0], norm, domain)
 
 
-def _pbh(Cs, A, eigenvalues, norm):
+def _pbh(S, A, eigenvalues, norm):
     """Whether [A - lam I; C] has full column rank at every given lam, for each
-    C in Cs: one singular-value call per (shape group, lam) on the stacked
-    matrices, each bit-equal to the call on that matrix alone.
+    C of the (E, m, n) stack S: one singular-value call per lam on the
+    stacked matrices, each bit-equal to the call on that matrix alone.
 
     eigenvalues and norm are a StabilityClass's boundary and ||A||_2, its
     eig(A) reused; each conjugate pair is tested once, at its lam with Im lam
     >= 0, since the matrices at conj(lam) are the conjugates and have the same
     singular values.  With no eigenvalues no test runs."""
     n = A.shape[0]
-    tol = PBH_RANK_TOL * norm
-    Cs = [np.atleast_2d(np.asarray(C, dtype=float)) for C in Cs]
-    ok = np.ones(len(Cs), dtype=bool)
-    for idx, S in stacks(Cs):
-        M = np.empty((len(idx), n + S.shape[1], n), dtype=np.result_type(A, eigenvalues))
-        M[:, n:] = S
-        for lam in eigenvalues[eigenvalues.imag >= 0]:
-            M[:, :n] = A - lam * np.eye(n)
-            ok[idx] &= np.linalg.svd(M, compute_uv=False)[:, -1] > tol
-    return ok.tolist()
+    ok = np.ones(len(S), dtype=bool)
+    M = np.empty((len(S), n + S.shape[1], n), dtype=np.result_type(A, eigenvalues))
+    M[:, n:] = S
+    for lam in eigenvalues[eigenvalues.imag >= 0]:
+        M[:, :n] = A - lam * np.eye(n)
+        ok &= np.linalg.svd(M, compute_uv=False)[:, -1] > PBH_RANK_TOL * norm
+    return ok
 
 
 def pbh_detectable(C: np.ndarray, A: np.ndarray, domain: str = CONTINUOUS) -> bool:
     """PBH rank test at every eigenvalue on or beyond the stability boundary."""
     A = np.asarray(A, dtype=float)
     cls = classify_stability(A, domain)
-    return _pbh([C], A, cls.boundary, cls.norm)[0]
+    return bool(_pbh(np.atleast_2d(np.asarray(C, dtype=float))[None], A, cls.boundary, cls.norm)[0])
 
 
 def _of_domain(cls, A, domain):
@@ -172,24 +165,27 @@ def _of_domain(cls, A, domain):
 def detectable_edges(spec: ArraySpec, symmetric: bool, cls: StabilityClass | None = None) -> dict:
     """{pair: whether (C_ij, A) is PBH detectable} over ``spec.edges``.
 
-    A symmetric spec has one pair (i, j), i < j, per undirected edge; any
-    other spec has every ordered pair.  cls is classify_stability(spec.A,
+    A symmetric spec has one pair (i, j), i < j, per undirected edge, any
+    other every ordered pair.  cls is classify_stability(spec.A,
     spec.time_domain), computed when None; with no boundary eigenvalue every
     pair is detectable untested.
     """
     cls = _of_domain(cls, spec.A, spec.time_domain)
-    Cs = {}
-    for (i, j) in spec.edges:
-        Cs.setdefault((min(i, j), max(i, j)) if symmetric else (i, j), spec.C[(i, j)])
-    if not len(cls.boundary):
-        return dict.fromkeys(Cs, True)
-    return dict(zip(Cs, _pbh(list(Cs.values()), spec.A, cls.boundary, cls.norm)))
+    t, keep = spec.table, spec.nonzero
+    if symmetric:  # (i, j), i > j, repeats its mirror when that is an edge
+        keep = keep & ~((t.pairs[:, 0] > t.pairs[:, 1]) & (t.mirror >= 0) & keep[t.mirror])
+    pos = t.order[keep[t.order]]
+    keys = np.sort(t.pairs[pos], axis=1) if symmetric else t.pairs[pos]
+    ok = np.ones(len(keep), dtype=bool)
+    for idx, S in t.groups if len(cls.boundary) else ():
+        ok[idx[keep[idx]]] = _pbh(S[keep[idx]], spec.A, cls.boundary, cls.norm)
+    return dict(zip(map(tuple, keys.tolist()), ok[pos].tolist()))
 
 
 def pbh_observable(H: np.ndarray, S: np.ndarray) -> bool:
     """PBH rank test at every eigenvalue of S."""
     S = np.asarray(S, dtype=float)
-    return _pbh([H], S, np.linalg.eigvals(S), _spectral_norm(S))[0]
+    return bool(_pbh(np.atleast_2d(np.asarray(H, dtype=float))[None], S, np.linalg.eigvals(S), _spectral_norm(S))[0])
 
 
 def _balanced_pair(w):
@@ -231,7 +227,7 @@ def neutral_split(
     blocks = []
     if n1:
         mvals = np.asarray(cls.marginal_eigenvalues)
-        ctol = max(1e-6 * cls.norm, 100 * np.finfo(float).eps * max(cls.norm, 1.0))
+        ctol = max(CLUSTER_TOL * cls.norm, 100 * np.finfo(float).eps * max(cls.norm, 1.0))
         for cl in _cluster(mvals, ctol):
             center = np.mean([v for v, _ in cl])
             d = len(cl)

@@ -309,3 +309,163 @@ def test_nonzero_edges_equals_norm_loop(seed, tol):
     spec = ArraySpec(q=4, n=n, A=np.zeros((n, n)), C=cmap, edge_tol=tol)
     want = tuple(e for e in sorted(spec.C) if np.linalg.norm(spec.C[e]) > tol)
     assert spec.edges == want
+
+
+# --- the edge table and every batch it feeds, against per-edge loops ----------
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def random_edge_map(rng, q, n):
+    """Outputs of mixed row counts in random insertion order: self-pairs,
+    zero blocks, bit-equal and unequal mirrors, and pairs without a mirror."""
+    pairs = [(i, j) for i in range(q) for j in range(q)]
+    cmap = {}
+    for k in rng.permutation(len(pairs))[: int(rng.integers(0, min(len(pairs), 60) + 1))]:
+        i, j = pairs[k]
+        kind = rng.choice(["random", "zero", "mirror", "near_mirror"])
+        if kind in ("mirror", "near_mirror") and (j, i) in cmap:
+            C = cmap[(j, i)].copy()
+            if kind == "near_mirror":
+                C.flat[int(rng.integers(C.size))] += 1e-3
+        else:
+            C = rng.standard_normal((int(rng.integers(1, 4)), n))
+            C[rng.random(C.shape) < 0.2] = 0.0
+            if kind == "zero":
+                C[:] = rng.choice([0.0, -0.0])
+        cmap[(i, j)] = C
+    return cmap
+
+
+def laplacian_loop(pairs, weights, q, n):
+    """L one block at a time, -= W_ij off the diagonal, += W_ij on (i, i)."""
+    L = np.zeros((q * n, q * n))
+    for (i, j), W in zip(pairs, weights):
+        if i != j:
+            L[i * n:(i + 1) * n, j * n:(j + 1) * n] -= W
+            L[i * n:(i + 1) * n, i * n:(i + 1) * n] += W
+    return L
+
+
+def closed_loop_loop(spec, gmap, scale):
+    """Psi = (I (x) A) - scale L_W one edge at a time, rounded as closed_loop rounds it."""
+    q, n, A = spec.q, spec.n, spec.A
+    psi = np.kron(np.eye(q), A) - scale * 0.0
+    sums = {}
+    for (i, j), C in spec.C.items():
+        if i != j:
+            W = gmap[(i, j)] @ C
+            sums[i] = sums.get(i, 0.0) + W
+            psi[i * n:(i + 1) * n, j * n:(j + 1) * n] = 0.0 * A - scale * (0.0 - W)
+    for i, S in sums.items():
+        psi[i * n:(i + 1) * n, i * n:(i + 1) * n] = A - scale * S
+    return psi
+
+
+def pbh_loop(C, A, boundary, tol):
+    """[A - lam I; C] of full column rank at every boundary lam, one SVD each."""
+    n = len(A)
+    return all(
+        np.linalg.svd(np.vstack([A - lam * np.eye(n), C]), compute_uv=False)[-1] > tol
+        for lam in boundary[boundary.imag >= 0]
+    )
+
+
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 30), n=st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_edge_table_and_its_batches_equal_per_edge_loops(seed, q, n):
+    from conftest import random_neutrally_stable, random_spd
+    from matsync import (
+        classify_stability, gains_ct_neutral, gains_dt_neutral, gains_theorem1,
+        laplacian_from_outputs, verify_cl_detectability,
+    )
+    from matsync.gains import _edge_weights
+    from matsync.spectral import detectable_edges
+
+    rng = np.random.default_rng(seed)
+    cmap = random_edge_map(rng, q, n)
+    spec = ArraySpec(q=q, n=n, A=random_neutrally_stable(rng, n), C=cmap)
+    t, pairs, Cs = spec.table, list(cmap), list(cmap.values())
+
+    # the table's fields
+    assert t.pairs.tolist() == [list(e) for e in pairs]
+    assert same_bits(t.norms, [np.linalg.norm(C) for C in Cs])
+    assert [pairs[k] for k in t.order] == sorted(pairs)
+    assert t.mirror.tolist() == [pairs.index((j, i)) if (j, i) in cmap else -1 for (i, j) in pairs]
+    positions = sorted(k for idx, _ in t.groups for k in idx.tolist())
+    assert positions == list(range(len(pairs)))
+    for g, (idx, S) in enumerate(t.groups):
+        for r, k in enumerate(idx.tolist()):
+            assert same_bits(S[r], Cs[k]) and t.where[k].tolist() == [g, r]
+    assert spec.edges == tuple(e for e in sorted(pairs) if np.linalg.norm(cmap[e]) > spec.edge_tol)
+
+    # the graph it gives
+    g = build_graph(spec)
+    offdiag = [e for e in spec.edges if e[0] != e[1]]
+    assert g.edges == frozenset(offdiag)
+    assert g.degrees == tuple(sum(1 for (i, _) in offdiag if i == v) for v in range(q))
+    assert g.undirected == all((j, i) in g.edges for (i, j) in g.edges)
+    want = np.zeros((q, q))
+    for (i, j) in offdiag:
+        want[i, j] = -1.0 / q
+    for v in range(q):
+        want[v, v] = g.degrees[v] / q
+    assert same_bits(gamma_matrix(g), want)
+    seen, todo = {0}, [0]
+    while todo:
+        v = todo.pop()
+        for (i, j) in offdiag:
+            for a, b in ((i, j), (j, i)):
+                if a == v and b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+    assert is_connected(g) == (len(seen) == q)
+
+    # the weights, the certificate's edge weights and the block Laplacians
+    assert same_bits(spec.weights, [C.T @ C for C in Cs] if Cs else np.zeros((0, n, n)))
+    kept = [e for e in spec.edges
+            if not (e[0] > e[1] and (e[1], e[0]) in cmap and np.array_equal(cmap[e], cmap[e[::-1]]))]
+    assert same_bits(_edge_weights(spec), [cmap[e].T @ cmap[e] for e in kept] if kept else np.zeros((0, n, n)))
+    assert same_bits(laplacian_from_outputs(spec), laplacian_loop(pairs, [C.T @ C for C in Cs], q, n))
+    U = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+    H = [C @ U for C in Cs]
+    assert same_bits(laplacian_from_outputs(spec, pre_transform=U),
+                     laplacian_loop(pairs, [h.T @ h for h in H], q, U.shape[1]))
+
+    # the three recipes' gains
+    P = random_spd(rng, n)
+    gs = gains_theorem1(spec, P, verify_cl_detectability(spec, P), alpha=0.75)
+    assert list(gs.gains) == pairs
+    assert all(same_bits(gs.gains[e], 0.75 * np.linalg.solve(P, C.T)) for e, C in cmap.items())
+    # alg2's eps_bar needs a symmetric Laplacian: its map gets every mirror equal
+    sym = {}
+    for (i, j), C in cmap.items():
+        sym[(i, j)] = sym.get((j, i), C)
+    sym.update({(j, i): C for (i, j), C in list(sym.items()) if (j, i) not in sym})
+    for recipe, domain, cmap in ((gains_ct_neutral, "continuous", cmap),
+                                 (gains_dt_neutral, "discrete", sym)):
+        dspec = ArraySpec(q=q, n=n, A=random_neutrally_stable(rng, n, domain), C=cmap,
+                          time_domain=domain)
+        gs = recipe(dspec, check=False)
+        split = gs.certificate
+        M = split.U @ split.U.T if domain == "continuous" else (
+            split.U @ split.marginal_block @ split.U.T)
+        assert list(gs.gains) == list(cmap)
+        assert all(same_bits(gs.gains[e], M @ C.T) for e, C in cmap.items())
+
+        # the closed loop of random gains, and the PBH verdicts
+        gmap = {e: rng.standard_normal((n, C.shape[0])) for e, C in cmap.items()}
+        scale = 1.0 if domain == "continuous" else 0.5
+        cl = closed_loop(dspec, gmap, epsilon=None if domain == "continuous" else 0.5)
+        assert same_bits(cl.system_matrix, closed_loop_loop(dspec, gmap, scale))
+        cls = classify_stability(dspec.A, domain)
+        for symmetric in (False, True):
+            want = {}
+            for (i, j) in dspec.edges:
+                key = (min(i, j), max(i, j)) if symmetric else (i, j)
+                want.setdefault(key, pbh_loop(cmap[(i, j)], dspec.A, cls.boundary, 1e-8 * cls.norm))
+            got = detectable_edges(dspec, symmetric, cls)
+            assert list(got.items()) == list(want.items())

@@ -40,7 +40,6 @@ from matsync import (
 )
 from matsync import simulation
 from matsync.builders import BUILTIN_NAMES
-from matsync.mwl import assemble_block_laplacian
 from matsync.simulation import BOUND_CAP_FACTOR, MAX_TRACE_ROWS, rk4_step_matrix
 
 PARTITION_TOL = 1e-8  # times max(1, ||Psi||_2)
@@ -137,6 +136,17 @@ class TestClosedLoop:
         cl = closed_loop(spec, {(0, 1): [[1.0]], (1, 0): [[1.0]]}, epsilon=0.25)
         assert np.allclose(cl.system_matrix, [[0.75, 0.25], [0.25, 0.75]])
         assert cl.epsilon == 0.25
+
+
+def assemble_block_laplacian(blocks, q, n):
+    """Reference: L_W one block at a time, -= W_ij off the diagonal and
+    += W_ij on block (i, i), in the order of the map."""
+    L = np.zeros((q * n, q * n))
+    for (i, j), B in blocks.items():
+        if i != j:
+            L[i * n:(i + 1) * n, j * n:(j + 1) * n] -= B
+            L[i * n:(i + 1) * n, i * n:(i + 1) * n] += B
+    return L
 
 
 def laplacian_closed_loop(spec, gmap, epsilon):

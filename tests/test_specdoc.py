@@ -389,3 +389,87 @@ def test_numpy_reads_every_accepted_token_as_float_does(tokens):
         return
     A = parse_spec_document(text).spec.A
     assert np.array_equal(A.view(np.uint64), np.tile(want, (len(tokens), 1)).view(np.uint64))
+
+
+# --- generated documents: round trip bit for bit, faults at their lines ---------
+
+
+def generated_document(rng):
+    """(lines, row line numbers, edge header line numbers) of a spec document
+    with comments, blank lines, mirrored blocks and mixed row counts."""
+    q, n = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+
+    def numbers(count):
+        x = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count)
+        x[rng.random(count) < 0.2] = rng.choice([0.0, -0.0, 5e-324, 1.5e-310])
+        return [repr(float(v)) if rng.random() < 0.7 else f"{v:.20e}" for v in x]
+
+    def block(rows):
+        return [" ".join(numbers(n)) + (" # a row" if rng.random() < 0.1 else "")
+                for _ in range(rows)]
+
+    lines, rows, headers, written = [f"q {q}", f"n {n}", "# the drift", "A"], [], [], {}
+    lines += block(n)
+    rows += range(len(lines) - n + 1, len(lines) + 1)
+    pairs = [(i, j) for i in range(1, q + 1) for j in range(1, q + 1) if i != j]
+    for k in rng.permutation(len(pairs))[: int(rng.integers(1, len(pairs) + 1))]:
+        i, j = pairs[k]
+        if rng.random() < 0.2:
+            lines.append("" if rng.random() < 0.5 else "   # between blocks")
+        mirror = written.get((j, i))
+        body = list(mirror) if mirror is not None and rng.random() < 0.6 else block(int(rng.integers(1, 4)))
+        lines.append(f"edge {i} {j}")
+        headers.append(len(lines))
+        written[(i, j)] = body
+        lines += body
+        rows += range(len(lines) - len(body) + 1, len(lines) + 1)
+    return lines, rows, headers
+
+
+def spec_bits(spec):
+    return (spec.q, spec.n, spec.time_domain, spec.A.tobytes(),
+            {e: (C.shape, C.tobytes()) for e, C in spec.C.items()})
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_generated_documents_round_trip_and_faults_name_their_line(seed):
+    rng = np.random.default_rng(seed)
+    lines, rows, headers = generated_document(rng)
+    text = "\n".join(lines) + "\n"
+    spec = parse_spec_document(text).spec
+    # every number reads as float() reads it
+    for (i, j), C in spec.C.items():
+        assert C.shape[1] == spec.n
+    out = serialize_spec_document(SpecDocument(spec=spec))
+    again = parse_spec_document(out).spec
+    assert spec_bits(again) == spec_bits(spec)
+    assert serialize_spec_document(SpecDocument(spec=again)) == out
+
+    # one fault at a random row or edge header: it is the one reported
+    kind = rng.choice(["nan", "word", "ragged", "header"])
+    if kind == "header":
+        line = int(rng.choice(headers))
+        lines[line - 1] = f"edge 1 {spec.q + 1}"
+        message = f"edge (1, {spec.q + 1}) invalid for q={spec.q}"
+    else:
+        # a ragged row needs a row above it in its block
+        candidates = [r for r in rows if kind != "ragged" or r - 1 in rows]
+        if not candidates:
+            return
+        line = int(rng.choice(candidates))
+        tokens = lines[line - 1].split("#")[0].split()
+        if kind == "nan":
+            tokens[int(rng.integers(len(tokens)))] = "nan"
+            message = "numbers in a matrix block must be finite"
+        elif kind == "word":
+            tokens[int(rng.integers(len(tokens)))] = "x"
+            message = f"unrecognized line {' '.join(tokens)!r}"
+        else:
+            tokens = tokens + ["1.0"]
+            message = "ragged matrix block"
+        lines[line - 1] = " ".join(tokens)
+    with pytest.raises(SpecParseError) as exc:
+        parse_spec_document("\n".join(lines) + "\n")
+    assert exc.value.line == line
+    assert message in str(exc.value)

@@ -6,7 +6,12 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_neutrally_stable, random_symmetric_spec, well_conditioned_transform
+from conftest import (
+    random_neutrally_stable,
+    random_orthogonal,
+    random_symmetric_spec,
+    well_conditioned_transform,
+)
 from matsync import (
     ArraySpec,
     NotNeutrallyStable,
@@ -21,13 +26,11 @@ from matsync import (
 )
 from matsync.spectral import (
     AXIS_TOL,
-    CLUSTER_TOL,
     NEUTRALLY_STABLE,
     PBH_RANK_TOL,
     STABLE,
     UNSTABLE,
     StabilityClass,
-    _cluster,
     _pbh,
     _side,
     detectable_edges,
@@ -328,8 +331,8 @@ def random_outputs(rng, n, count):
 
 
 def classify_every_cluster(A, domain):
-    """Reference classification: the semisimplicity test on every marginal
-    cluster, the conjugate ones included."""
+    """Reference classification: the semisimplicity test at every marginal
+    eigenvalue, the conjugate ones included."""
     n = A.shape[0]
     norm = np.linalg.norm(A, 2)
     lam = np.linalg.eigvals(A)
@@ -338,12 +341,10 @@ def classify_every_cluster(A, domain):
     n1 = int(marg.sum())
     kind = UNSTABLE if np.any(side > 0) else STABLE if n1 == 0 else NEUTRALLY_STABLE
     null_tol = 1e-7 * max(norm, 1.0)
-    cluster_tol = max(CLUSTER_TOL * norm, 10 * np.finfo(float).eps * max(norm, 1.0))
     if kind == NEUTRALLY_STABLE:
-        for cl in _cluster(lam[marg], cluster_tol):
-            center = np.mean([v for v, _ in cl])
-            s = np.linalg.svd(A - center * np.eye(n), compute_uv=False)
-            if int(np.sum(s <= null_tol)) < len(cl):
+        for v in lam[marg]:
+            s = np.linalg.svd(A - v * np.eye(n), compute_uv=False)
+            if np.sum(s <= null_tol) < np.sum(np.abs(lam[marg] - v) <= null_tol):
                 kind = UNSTABLE
     return StabilityClass(kind, n1, n - n1, tuple(lam[marg]))
 
@@ -366,6 +367,16 @@ def test_classification_skips_only_conjugate_clusters(seed, n, kind, repeat, def
         assert classify_stability(A, domain) == classify_every_cluster(A, domain)
 
 
+def pbh_by_shape(Cs, A, eigenvalues, norm):
+    """_pbh on one stack per shape among Cs, its verdicts listed in the order of Cs."""
+    got = [None] * len(Cs)
+    for shape in {C.shape for C in Cs}:
+        idx = [k for k, C in enumerate(Cs) if C.shape == shape]
+        for k, ok in zip(idx, _pbh(np.array([Cs[k] for k in idx]), A, eigenvalues, norm)):
+            got[k] = bool(ok)
+    return got
+
+
 @given(**drifts)
 @settings(max_examples=200, deadline=None)
 def test_pbh_tests_each_conjugate_pair_once(seed, n, kind, repeat, defect):
@@ -378,8 +389,8 @@ def test_pbh_tests_each_conjugate_pair_once(seed, n, kind, repeat, defect):
         # eig of a real matrix: exact conjugate pairs
         assert np.array_equal(np.sort_complex(boundary), np.sort_complex(boundary.conj()))
         upper = boundary[boundary.imag >= 0]
-        got = _pbh(Cs, A, boundary, norm)
-        assert got == _pbh(Cs, A, upper, norm) == [pbh_loop(C, A, boundary) for C in Cs]
+        got = pbh_by_shape(Cs, A, boundary, norm)
+        assert got == pbh_by_shape(Cs, A, upper, norm) == [pbh_loop(C, A, boundary) for C in Cs]
         for lam in boundary[boundary.imag > 0]:
             for C in Cs:
                 M = np.vstack([A - lam * np.eye(n), C])
@@ -425,3 +436,29 @@ def test_a_given_classification_splits_bit_for_bit(rng, domain):
         computed = neutral_split(A, domain)
         for f in dataclasses.fields(computed):
             assert np.array_equal(getattr(given, f.name), getattr(computed, f.name)), f.name
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    freq=st.floats(0.2, 3.0),
+    gaps=st.lists(st.one_of(st.just(0.0), st.floats(-12.0, 0.0).map(lambda e: 10.0**e)),
+                  min_size=1, max_size=3),
+    coupling=st.floats(-4.0, 1.0).map(lambda e: 10.0**e),
+)
+@settings(max_examples=200, deadline=None)
+def test_close_rotations_are_neutrally_stable_and_jordan_blocks_are_not(seed, freq, gaps, coupling):
+    # rotations at frequencies that may lie any gap apart, repeated ones
+    # included, under an orthogonal change of basis: semisimple at every gap
+    rng = np.random.default_rng(seed)
+    freqs = freq + np.cumsum([0.0, *gaps])
+    Q = random_orthogonal(rng, 2 * len(freqs))
+    for A, domain in ((sla.block_diag(*(w * ROT for w in freqs)), "continuous"),
+                      (sla.block_diag(*(rotation(w) for w in freqs)), "discrete")):
+        assert classify_stability(Q @ A @ Q.T, domain).kind == NEUTRALLY_STABLE
+        # the second rotation made the first, coupled to it: a real Jordan
+        # block, defective, so unstable
+        J = A.copy()
+        J[2:4, 2:4] = A[:2, :2]
+        J[0:2, 2:4] = coupling * np.eye(2)
+        assert classify_stability(Q @ J @ Q.T, domain).kind == UNSTABLE
+    assert classify_stability(np.array([[0.0, coupling], [0.0, 0.0]])).kind == UNSTABLE
