@@ -72,7 +72,6 @@ from .spectral import (
     classify_stability,
     neutral_split,
     pbh_detectable,
-    pbh_observable,
     spd_sqrt,
 )
 

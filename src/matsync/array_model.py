@@ -105,7 +105,7 @@ class ArraySpec:
     flagged by :func:`validate_spec` rather than rejected, since the
     asymmetric counterexample has to be representable.
 
-    ``table``, the EdgeTable of ``C`` built once on construction, is what
+    ``table``, the EdgeTable of ``C`` built once when first read, is what
     every layer reads; ``nonzero`` marks its outputs of Frobenius norm above
     ``edge_tol``, and ``edges`` lists their pairs, sorted.
     """
@@ -116,8 +116,6 @@ class ArraySpec:
     C: dict = field(default_factory=dict)
     time_domain: str = CONTINUOUS
     edge_tol: float = EDGE_TOL
-    table: EdgeTable = field(init=False, repr=False, compare=False)
-    nonzero: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
@@ -130,8 +128,9 @@ class ArraySpec:
         object.__setattr__(self, "C", cmap)
         if self.time_domain not in (CONTINUOUS, DISCRETE):
             raise ValueError(f"unknown time domain {self.time_domain!r}")
-        object.__setattr__(self, "table", EdgeTable.of(cmap))
-        object.__setattr__(self, "nonzero", self.table.norms > self.edge_tol)
+
+    table = functools.cached_property(lambda self: EdgeTable.of(self.C))
+    nonzero = functools.cached_property(lambda self: self.table.norms > self.edge_tol)
 
     @functools.cached_property
     def edges(self):

@@ -283,10 +283,11 @@ class _Facts:
 
     def __init__(self, spec, P=None, tol=None):
         self.spec, self.P, self.tol = spec, P, tol
-        self.symmetric = validate_spec(spec).symmetric
-        self.graph = build_graph(spec)
-        self.connected = is_connected(self.graph)
         self._classified = {}
+
+    symmetric = functools.cached_property(lambda self: validate_spec(self.spec).symmetric)
+    graph = functools.cached_property(lambda self: build_graph(self.spec))
+    connected = functools.cached_property(lambda self: is_connected(self.graph))
 
     def classified(self, domain):
         """classify_stability(A, domain)."""

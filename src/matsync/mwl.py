@@ -1,11 +1,10 @@
 """Matrix-weighted Laplacian assembly; every function returns plain arrays.
 
-The block layout generalizes the scalar weighted Laplacian: diagonal block
-``(i, i)`` holds the row sum of the edge weights ``Q_ij`` and off-diagonal
-block ``(i, j)`` holds ``-Q_ij``.  With symmetric PSD weights the result is
-symmetric PSD; the stacked all-ones directions are in the null space even
-for asymmetric weights.  The weights come as one (E, n, n) stack on the
-(E, 2) pairs of a spec's edge table.
+assemble_block_laplacian is the one place that lays out the blocks, and
+every matrix-weighted Laplacian of the package is its array, the closed
+loop's included.  With symmetric PSD weights the result is symmetric PSD;
+the stacked all-ones directions are in the null space even for asymmetric
+weights.
 """
 
 from __future__ import annotations
@@ -17,10 +16,12 @@ from .errors import DimensionMismatch
 
 
 def assemble_block_laplacian(pairs: np.ndarray, W: np.ndarray, q: int) -> np.ndarray:
-    """Raw Laplacian-patterned block matrix of the (E, n, n) weights W on the
-    (E, 2) pairs, diagonal pairs skipped: block (i, j) is 0.0 - W_ij and block
-    (i, i) 0.0 plus agent i's W_ij in order (one np.add.at), bit-equal to
-    subtracting and adding the blocks one at a time."""
+    """The qn x qn matrix-weighted Laplacian of the (E, n, n) weights W on
+    the (E, 2) pairs of a spec's edge table, as the scalar weighted Laplacian
+    lays out its entries: block (i, j) is 0.0 - W_ij, block (i, i) is 0.0
+    plus agent i's W_ij in edge order (one np.add.at), every other entry is
+    0.0, and diagonal pairs are skipped.  Bit-equal to subtracting and adding
+    the blocks one at a time."""
     n = W.shape[-1]
     L = np.zeros((q * n, q * n))
     blocks = L.reshape(q, n, q, n).transpose(0, 2, 1, 3)  # a view: blocks[i, j] is block (i, j)

@@ -17,8 +17,9 @@ reuses.  The divergence cap is then tested on every state of the block, so
 the first state past it is found exactly, and the kept rows are copied out,
 once per block: at B = 1 a state costs one np.matmul call into its row of
 the buffer, and the bookkeeping runs once per block, not once per state.
-closed_loop writes Psi into one qn x qn array and rk4_step_matrix works in
-four, so neither makes throwaway temporaries of that size.
+closed_loop forms Psi in the qn x qn array of L_W that
+assemble_block_laplacian returns, and rk4_step_matrix works in four such
+arrays, so neither makes throwaway temporaries of that size.
 
 The trace metrics take the kept rows in blocks of about METRIC_BLOCK_CELLS
 floats, each copied agent-major to shape (q, n, rows) so that every
@@ -153,20 +154,16 @@ def closed_loop(spec: ArraySpec, gains, epsilon: float | None = None) -> ClosedL
     W = np.empty((len(G), n, n))
     for idx, S in t.groups:
         W[idx] = np.array([G[k] for k in idx]) @ S
-    # Psi = (I (x) A) - scale L_W in one array, entry for entry as that
-    # difference rounds with L_W assembled by assemble_block_laplacian: an
-    # edge block of L_W holds 0.0 - W_ij, a diagonal block 0.0 + the W_ij of
-    # agent i in edge order, and every other entry 0.0
-    psi = np.kron(np.eye(q), A)
-    np.subtract(psi, scale * 0.0, out=psi)  # changes a bit only if scale < 0 or is not finite
+    # Psi = (I (x) A) - scale L_W in L_W's own array, bit for bit: x - y is
+    # (-y) + x and (-s) y is -(s y); the blocks of I (x) A are A on the
+    # diagonal and 0.0 * A off it
+    psi = assemble_block_laplacian(t.pairs, W, q)
+    psi *= -scale
     blocks = psi.reshape(q, n, q, n).transpose(0, 2, 1, 3)  # a view: blocks[i, j] is block (i, j)
-    off = t.pairs[:, 0] != t.pairs[:, 1]
-    i, j, W = t.pairs[off, 0], t.pairs[off, 1], W[off]
-    blocks[i, j] = 0.0 * A - scale * (0.0 - W)  # 0.0 * A: the blocks of I (x) A off its diagonal
-    sums = np.zeros((q, n, n))
-    np.add.at(sums, i, W)
-    agents = np.unique(i)
-    blocks[agents, agents] = A - scale * sums[agents]
+    d = np.arange(q)
+    diag = blocks[d, d]
+    blocks += 0.0 * A
+    blocks[d, d] = diag + A
 
     return ClosedLoop(
         system_matrix=psi, spec=spec, epsilon=eps_used,

@@ -182,12 +182,6 @@ def detectable_edges(spec: ArraySpec, symmetric: bool, cls: StabilityClass | Non
     return dict(zip(map(tuple, keys.tolist()), ok[pos].tolist()))
 
 
-def pbh_observable(H: np.ndarray, S: np.ndarray) -> bool:
-    """PBH rank test at every eigenvalue of S."""
-    S = np.asarray(S, dtype=float)
-    return bool(_pbh(np.atleast_2d(np.asarray(H, dtype=float))[None], S, np.linalg.eigvals(S), _spectral_norm(S))[0])
-
-
 def _balanced_pair(w):
     """Phase-rotate a complex eigenvector so Re/Im are orthogonal, then give
     the pair unit mean-square norm.  The 2x2 block is invariant under both."""

@@ -37,6 +37,7 @@ from matsync import (
     simulate_dt,
 )
 from matsync import cli, tracecsv
+from matsync.array_model import EdgeTable
 from matsync import gains as gainsmod
 from matsync import spectral as spectralmod
 from matsync.cli import main
@@ -1058,3 +1059,30 @@ def test_theorem1_gains_verify_their_P_once(tmp_path):
             assert run("gains", "--spec", str(path), "--recipe", "theorem1", "--out", out) == 0
         counts.append(len(calls))
     assert counts == [1, 1]
+
+
+def test_env_tolerance_builds_the_edge_table_once(tmp_path, monkeypatch):
+    # MATSYNC_TOL changes only the spec's edge_tol, so each command stacks
+    # the edge outputs once, for the spec that carries it
+    spec = random_complete_cl_spec(np.random.default_rng(0), q=6, n=3)
+    path = write_spec(tmp_path / "cl6.spec", spec)
+    monkeypatch.setenv("MATSYNC_TOL", "1e-12")
+    of = EdgeTable.of.__func__
+    counts = {}
+    for argv in (["check"], ["gains", "--recipe", "theorem1"], ["sweep", "--points", "2"]):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(EdgeTable, "of", classmethod(lambda cls, cmap: calls.append(1) or of(cls, cmap)))
+            out = str(tmp_path / "out")
+            assert run(argv[0], "--spec", str(path), *argv[1:], "--out", out) == 0
+        counts[argv[0]] = len(calls)
+    assert counts == {"check": 1, "gains": 1, "sweep": 1}
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--points", "2"], ["gains", "--recipe", "alg1", "--force"]])
+def test_commands_without_the_gate_validate_no_spec(argv, ms_spec, tmp_path, monkeypatch):
+    # sweep reads only the certificate, and --force skips the gate: neither
+    # needs the symmetry report, the graph or its connectivity
+    for name in ("validate_spec", "build_graph", "is_connected"):
+        monkeypatch.setattr(gainsmod, name, lambda *a, name=name: pytest.fail(f"called {name}"))
+    assert run(argv[0], "--spec", str(ms_spec), *argv[1:], "--out", str(tmp_path / "out")) == 0

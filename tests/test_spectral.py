@@ -21,7 +21,6 @@ from matsync import (
     find_common_P,
     neutral_split,
     pbh_detectable,
-    pbh_observable,
     spd_sqrt,
 )
 from matsync.spectral import (
@@ -104,8 +103,8 @@ class TestPBH:
                     assert np.linalg.norm(C @ V[:, k]) > 1e-8
 
     def test_observable_pairs(self):
-        assert pbh_observable(np.array([[2.0, 1.0], [0.5, 3.0]]), np.zeros((2, 2)))
-        assert not pbh_observable([[1.0, 0.0]], np.zeros((2, 2)))
+        assert pbh_detectable(np.array([[2.0, 1.0], [0.5, 3.0]]), np.zeros((2, 2)), "continuous")
+        assert not pbh_detectable([[1.0, 0.0]], np.zeros((2, 2)), "continuous")
 
     def test_mass_spring_pair_vs_observability_matrix_rank(self):
         from matsync import build_mass_spring
@@ -119,18 +118,8 @@ class TestPBH:
         S = built.transformed.spec.A
         H = built.transformed.spec.C[(0, 1)]
         obs_matrix = np.vstack([H @ np.linalg.matrix_power(S, k) for k in range(4)])
-        assert pbh_observable(H, S) == (np.linalg.matrix_rank(obs_matrix, tol=1e-10) == 4)
-        assert pbh_observable(H, S)
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_observability_implies_detectability(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 5))
-        A = rng.standard_normal((n, n))
-        C = rng.standard_normal((int(rng.integers(1, n + 1)), n))
-        if pbh_observable(C, A):
-            assert pbh_detectable(C, A, "continuous")
+        assert pbh_detectable(H, S, "continuous") == (np.linalg.matrix_rank(obs_matrix, tol=1e-10) == 4)
+        assert pbh_detectable(H, S, "continuous")
 
 
 class TestNeutralSplit:
@@ -198,7 +187,7 @@ class TestNeutralSplit:
             for (i, j), C in spec.C.items():
                 H = C @ split.U
                 assert np.linalg.norm(H) > 1e-9
-                assert pbh_observable(H, split.marginal_block)
+                assert pbh_detectable(H, split.marginal_block, "continuous")
 
 
 @given(seed=st.integers(0, 2**32 - 1), domain=st.sampled_from(["continuous", "discrete"]))
@@ -288,7 +277,6 @@ def test_batched_pbh_equals_per_edge_loop(seed, n, domain):
     assert set(want.values()) == {True, False}
     assert detectable_edges(spec, symmetric=False) == want
     assert [pbh_detectable(C, A, domain) for C in Cs] == [pbh_loop(C, A, suspect) for C in Cs]
-    assert [pbh_observable(C, A) for C in Cs] == [pbh_loop(C, A, lam) for C in Cs]
 
 
 # --- each rank test once per conjugate pair ------------------------------------
