@@ -196,7 +196,7 @@ def cmd_gains(args):
         facts = gainsmod._Facts(spec, doc.P, tol)
         P, cert = gainsmod._theorem1_hypotheses(facts, args.force)
         alpha = args.alpha if args.alpha is not None else doc.alpha
-        gs = gainsmod.gains_theorem1(spec, P, cert, alpha)
+        gs = gainsmod.gains_theorem1(spec, P, cert, alpha, facts.graph)
         c14 = gs.certificate[1]
         metadata = {
             "cert_eps": cert.eps,

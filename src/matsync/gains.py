@@ -22,6 +22,7 @@ from .array_model import (
     CONTINUOUS,
     DISCRETE,
     ArraySpec,
+    NetworkGraph,
     build_graph,
     is_connected,
     normalized_laplacian,
@@ -232,7 +233,8 @@ def condition14(cert: CLDetectabilityCertificate, lambda2: float) -> Condition14
 
 
 def gains_theorem1(
-    spec: ArraySpec, P: np.ndarray, cert: CLDetectabilityCertificate, alpha: float | None = None
+    spec: ArraySpec, P: np.ndarray, cert: CLDetectabilityCertificate, alpha: float | None = None,
+    graph: NetworkGraph | None = None,
 ) -> GainSet:
     """G_ij = alpha P^-1 C_ij^T for every stored edge.
 
@@ -240,7 +242,8 @@ def gains_theorem1(
     or find_common_P gives it (its P is (P + P')/2); it is attached with its
     condition (14) report, not computed again.  alpha defaults to
     max(1/(2q), 1); smaller values are allowed (the bound is sufficient, not
-    necessary) but draw a warning.
+    necessary) but draw a warning.  graph is build_graph(spec), built here
+    when the caller has not built it already.
     """
     P = np.asarray(P, dtype=float)
     if not np.array_equal(cert.P, 0.5 * (P + P.T)):
@@ -258,7 +261,7 @@ def gains_theorem1(
         gains=dict(zip(spec.C, G)),
         recipe=RECIPE_THEOREM1,
         alpha=float(alpha),
-        certificate=(cert, _condition14(cert, build_graph(spec))),
+        certificate=(cert, _condition14(cert, build_graph(spec) if graph is None else graph)),
     )
 
 

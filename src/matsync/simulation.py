@@ -18,8 +18,18 @@ the first state past it is found exactly, and the kept rows are copied out,
 once per block: at B = 1 a state costs one np.matmul call into its row of
 the buffer, and the bookkeeping runs once per block, not once per state.
 closed_loop forms Psi in the qn x qn array of L_W that
-assemble_block_laplacian returns, and rk4_step_matrix works in four such
-arrays, so neither makes throwaway temporaries of that size.
+assemble_block_laplacian returns, so it makes no throwaway temporary of
+that size.
+
+Psi has the graph's block pattern: an n x n block on the diagonal and one
+per edge.  simulate_ct counts, from the edge table, the multiply-adds of
+rk4_step_matrix's three Horner products done row by row in CSR (Gustavson,
+ACM TOMS 4, 1978, as scipy.sparse does them), and hands it Psi as a
+scipy.sparse.csr_array when CSR_FMA_COST times that count is below the
+3 (qn)^3 of the dense GEMMs.  Otherwise rk4_step_matrix works in four
+dense arrays of Psi's size.  Chains take the CSR products from q = 54 on
+and random trees from q ~ 70-90; stars, complete graphs and the bundled
+examples keep the dense ones.
 
 The trace metrics take the kept rows in blocks of about METRIC_BLOCK_CELLS
 floats, each copied agent-major to shape (q, n, rows) so that every
@@ -81,6 +91,13 @@ PRUNE_MIN_AGENTS = 16
 # floats in the stacked step-matrix powers (unless R is larger), and about as
 # many in a block of their products
 POWER_TABLE_CELLS = 1 << 16
+# a CSR multiply-add of scipy.sparse against one FMA of a dense single-thread
+# GEMM: the time of rk4_step_matrix in CSR over that in dense, times the dense
+# count over the CSR count, was 170-205 on chains and random trees at q = 50
+# and 100, n = 4, where the two take about the same time (q = 50) or CSR
+# 2-3x less (q = 100); 90 on stars and 35-60 on complete graphs, which the
+# count keeps dense anyway
+CSR_FMA_COST = 200
 
 
 @dataclass(frozen=True)
@@ -334,14 +351,46 @@ def _add_identity(M):
     M += 0.0
 
 
-def rk4_step_matrix(system_matrix: np.ndarray, h: float) -> np.ndarray:
+def _csr_is_cheaper(pairs, q):
+    """Whether rk4_step_matrix's three Horner products cost less in CSR.
+
+    S, the q x q 0/1 block pattern of hPsi, has the diagonal and the (E, 2)
+    pairs.  Before product k = 1, 2, 3, R has the pattern of S^k.  A
+    row-wise CSR product hPsi R takes, for each block (i, j) of hPsi, n^3
+    multiply-adds per block of block row j of R: n^3 1'S S^k 1 in all, the
+    column counts of S dotted with the row counts of S^k.  The dense GEMMs
+    take 3 (qn)^3.  The count stops once it is past that budget.
+    """
+    S = np.eye(q)
+    S[pairs[:, 0], pairs[:, 1]] = 1.0
+    into, reach, count = S.sum(axis=0), S, 0.0
+    for k in range(3):
+        count += into @ reach.sum(axis=1)  # integers, exact in float64
+        if CSR_FMA_COST * count >= 3 * q**3:
+            return False
+        if k < 2:
+            reach = np.minimum(S @ reach, 1.0)
+    return True
+
+
+def rk4_step_matrix(system_matrix, h: float) -> np.ndarray:
     """I + h Psi + ... + (h Psi)^4 / 24, the classical RK4 update for x' = Psi x.
 
     Horner's rule, R = I + hPsi/4 and then R <- I + (hPsi/k) R for k = 3, 2,
-    1, in four arrays of Psi's size: hPsi, hPsi/k and the two R's, each
-    product written into the one not being read.
+    1.  A dense Psi is worked in four arrays of its size: hPsi, hPsi/k and
+    the two R's, each product written into the one not being read.  A
+    scipy.sparse CSR Psi is worked in CSR, whose products skip the zero
+    blocks, and R is returned dense; the two round differently.
     """
     hA = h * system_matrix
+    if not isinstance(hA, np.ndarray):
+        from scipy.sparse import eye_array
+
+        eye = eye_array(hA.shape[0], format="csr")
+        R = hA / 4 + eye
+        for k in (3, 2, 1):
+            R = (hA / k) @ R + eye
+        return R.toarray()
     R, term, other = np.divide(hA, 4), np.empty_like(hA), np.empty_like(hA)
     _add_identity(R)
     for k in (3, 2, 1):
@@ -353,13 +402,22 @@ def rk4_step_matrix(system_matrix: np.ndarray, h: float) -> np.ndarray:
 
 
 def simulate_ct(cl: ClosedLoop, x0, T: float = 100.0, h: float = 1e-3) -> SimTrace:
-    """Fixed-step RK4 integration of the continuous-time closed loop."""
+    """Fixed-step RK4 integration of the continuous-time closed loop.
+
+    The step matrix is formed from Psi in CSR when _csr_is_cheaper says so
+    for the spec's edge table, and from the dense Psi otherwise.
+    """
     if h <= 0.0 or T < h:
         raise ValueError(f"need 0 < h <= T, got h={h}, T={T}")
     if not T / h <= MAX_STEPS:
         raise ValueError(f"need T / h <= {MAX_STEPS}, got {T / h}")
     steps = int(round(T / h))
-    return _iterate(cl, rk4_step_matrix(cl.system_matrix, h), x0, steps + 1, h)
+    psi = cl.system_matrix
+    if _csr_is_cheaper(cl.spec.table.pairs, cl.spec.q):
+        from scipy.sparse import csr_array
+
+        psi = csr_array(psi)
+    return _iterate(cl, rk4_step_matrix(psi, h), x0, steps + 1, h)
 
 
 def simulate_dt(cl: ClosedLoop, x0, K: int) -> SimTrace:

@@ -214,10 +214,11 @@ _SPEC_KEYS = {*_SPEC_SCALARS, *_BUILDER_VECTORS, *_REPEATABLE, "time_domain", "b
 
 
 def _edge_key(tokens, lineno, q):
+    """The 0-based pair of a `KEY I J` line's tokens: two indices, and nothing more."""
     try:
-        i, j = int(tokens[0]), int(tokens[1])
-    except (ValueError, IndexError):
-        raise SpecParseError("edge header needs two integer indices", lineno)
+        i, j = map(int, tokens[1:])
+    except ValueError:
+        raise SpecParseError(f"{tokens[0]} header needs two integer indices", lineno)
     if not (1 <= i <= q and 1 <= j <= q) or i == j:
         raise SpecParseError(f"edge ({i}, {j}) invalid for q={q}", lineno)
     return (i - 1, j - 1)
@@ -247,7 +248,7 @@ def parse_spec_document(text: str) -> SpecDocument:
             elif key == "edge":
                 if "q" not in scalars:
                     raise SpecParseError("q must appear before the first edge", lineno)
-                e = _edge_key(tokens[1:], lineno, scalars["q"])
+                e = _edge_key(tokens, lineno, scalars["q"])
                 blocks.open(("edge", e), lineno)
                 edge_headers.append(e)
             elif key == "builder":
@@ -259,7 +260,7 @@ def parse_spec_document(text: str) -> SpecDocument:
             elif key == "coupling":
                 if "q" not in scalars:
                     raise SpecParseError("q must appear before coupling lines", lineno)
-                e = _edge_key(tokens[1:3], lineno, scalars["q"])
+                e = _edge_key(tokens[:3], lineno, scalars["q"])
                 if e in builder_args["coupling"]:
                     raise SpecParseError(f"duplicate coupling ({e[0] + 1}, {e[1] + 1})", lineno)
                 builder_args["coupling"][e] = _vector(
@@ -381,7 +382,7 @@ def parse_gains_document(text: str) -> GainsDocument:
             elif key == "gain":
                 if "q" not in scalars:
                     raise SpecParseError("q must appear before the first gain", lineno)
-                e = _edge_key(tokens[1:], lineno, scalars["q"])
+                e = _edge_key(tokens, lineno, scalars["q"])
                 gain_headers.append(e)
                 blocks.open(("gain", e), lineno)
             else:

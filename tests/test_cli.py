@@ -1079,6 +1079,20 @@ def test_env_tolerance_builds_the_edge_table_once(tmp_path, monkeypatch):
     assert counts == {"check": 1, "gains": 1, "sweep": 1}
 
 
+def test_theorem1_builds_the_graph_once(tmp_path):
+    # the gate's graph is the one the condition (14) report reads
+    spec = random_complete_cl_spec(np.random.default_rng(0), q=20, n=2)
+    path = write_spec(tmp_path / "cl20.spec", spec)
+    counts = {}
+    for argv in (["check"], ["gains", "--recipe", "theorem1"], ["gains", "--recipe", "theorem1", "--force"]):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gainsmod, "build_graph", lambda s, f=gainsmod.build_graph: calls.append(1) or f(s))
+            assert run(argv[0], "--spec", str(path), *argv[1:], "--out", str(tmp_path / "out")) == 0
+        counts[" ".join(argv)] = len(calls)
+    assert set(counts.values()) == {1}, counts
+
+
 @pytest.mark.parametrize("argv", [["sweep", "--points", "2"], ["gains", "--recipe", "alg1", "--force"]])
 def test_commands_without_the_gate_validate_no_spec(argv, ms_spec, tmp_path, monkeypatch):
     # sweep reads only the certificate, and --force skips the gate: neither

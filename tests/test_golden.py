@@ -74,12 +74,20 @@ BAD_P_SPEC = (
 # unstable drift with undetectable outputs: no common P exists
 NO_P_SPEC = "q 2\nn 2\nA\n1.0 0.0\n0.0 1.0\nedge 1 2\n1.0 0.0\nedge 2 1\n1.0 0.0\n"
 
-# a chain of 50 two-mass agents, n = 4: at qn = 200 the stepper's power table
-# holds R alone (B = 1)
-WIDE_CHAIN_SPEC = (
-    "builder mass_spring\nq 50\nmasses 1.0 2.0\nsprings 1.0 1.5 0.5\n"
-    + "".join(f"coupling {i} {i + 1}  0.8 0.5\n" for i in range(1, 50))
-)
+
+def mass_spring_chain(q):
+    """A builder document: a chain of q two-mass agents, n = 4."""
+    return (
+        f"builder mass_spring\nq {q}\nmasses 1.0 2.0\nsprings 1.0 1.5 0.5\n"
+        + "".join(f"coupling {i} {i + 1}  0.8 0.5\n" for i in range(1, q))
+    )
+
+
+# at qn = 200 the stepper's power table holds R alone (B = 1)
+WIDE_CHAIN_SPEC = mass_spring_chain(50)
+# the shortest chain whose RK4 step matrix simulate_ct forms in CSR; recorded
+# from the dense products, so the trace gate compares the two
+SPARSE_STEP_CHAIN_SPEC = mass_spring_chain(54)
 
 # name -> (bundled example or spec text, gains argv or gains text, simulate argv, to stdout)
 CASES = {
@@ -108,6 +116,10 @@ CASES = {
     "mass_spring_chain50_one_power": (
         WIDE_CHAIN_SPEC, ["--recipe", "alg1"],
         ["--seed", "7", "--horizon", "2", "--step", "0.01"], False,
+    ),
+    "mass_spring_chain54_sparse_step": (
+        SPARSE_STEP_CHAIN_SPEC, ["--recipe", "alg1"],
+        ["--seed", "8", "--horizon", "2", "--step", "0.01"], False,
     ),
 }
 

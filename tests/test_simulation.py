@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -5,11 +8,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.sparse import csr_array
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     TRACE_RTOL,
+    connected_edge_pairs,
     off_sync_eigenvalues,
     random_complete_cl_spec,
     random_neutrally_stable,
@@ -1035,3 +1040,146 @@ def test_rk4_step_matrix_is_degree_four_taylor():
         np.linalg.matrix_power(h * A, k) / math.factorial(k) for k in range(5)
     )
     assert np.allclose(R, expected, atol=1e-14)
+
+
+def graph_loop(pairs, q, n, seed):
+    """A closed loop on the undirected pairs with natural gains: Psi = I (x) A - L_W,
+    A skew and L_W PSD, so the exact flow never grows."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, n))
+    cmap = {}
+    for i, j in pairs:
+        cmap[(i, j)] = cmap[(j, i)] = rng.standard_normal((n, n)) / n
+    spec = ArraySpec(q=q, n=n, A=X - X.T, C=cmap)
+    return closed_loop(spec, natural_gains(spec))
+
+
+def graph_pairs(kind, q, seed=0):
+    if kind == "tree":
+        return connected_edge_pairs(np.random.default_rng(seed), q, extra=0)
+    if kind == "star":
+        return [(0, i) for i in range(1, q)]
+    if kind == "complete":
+        return [(i, j) for i in range(q) for j in range(i + 1, q)]
+    return [(i, i + 1) for i in range(q - 1)] + ([(q - 1, 0)] if kind == "ring" else [])
+
+
+def spy_step_matrix(mp):
+    """(Psi as simulate_ct hands it to rk4_step_matrix, the R it gets back), per call."""
+    seen = []
+
+    def spy(psi, h, f=rk4_step_matrix):
+        seen.append((psi, f(psi, h)))
+        return seen[-1][1]
+
+    mp.setattr(simulation, "rk4_step_matrix", spy)
+    return seen
+
+
+def rk4_rounding_bound(psi, h):
+    """8 (m + 4) u (1 + ||hPsi||_1)^4, m the most nonzeros in a row of Psi.
+
+    To first order (Higham, Accuracy and Stability, 2002, sec. 3.5), each
+    Horner step I + (hPsi/k) R rounds within (m + 4) u |I + |hPsi/k| |R||: a
+    product sums at most m nonzero terms, whatever order a dense or a CSR
+    kernel takes, hPsi/k is rounded twice and the identity once.  Four steps
+    with || |R| ||_1 <= (1 + ||hPsi||_1)^4 put each branch within half the
+    bound of the exact R in the 1-norm, which bounds every entry.
+    """
+    m = int(np.diff(psi.indptr).max())
+    u = np.finfo(float).eps / 2
+    return 8 * (m + 4) * u * (1 + h * sla.norm(psi.toarray(), 1)) ** 4
+
+
+# the smallest q whose pattern the rule sends to CSR: 54 for chains and 55
+# for rings; random trees cross over between q ~ 70 and 90, so they are
+# drawn from q = 100, where every one of 1000 seeds went to CSR
+CSR_FROM_Q = {"chain": 54, "ring": 55, "tree": 100}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(CSR_FROM_Q)),
+    size=st.floats(0.0, 1.0),
+    n=st.integers(1, 4),
+    h=st.sampled_from([1e-3, 1e-2, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="chain", size=0.0, n=4, h=0.1, seed=0)
+def test_csr_step_matrix_matches_dense_within_rounding(kind, size, n, h, seed):
+    q = CSR_FROM_Q[kind] + round(size * (150 - CSR_FROM_Q[kind]))
+    cl = graph_loop(graph_pairs(kind, q, seed), q, n, seed)
+    psi = csr_array(cl.system_matrix)
+    R, dense = rk4_step_matrix(psi, h), rk4_step_matrix(cl.system_matrix, h)
+    assert type(R) is np.ndarray and R.dtype == np.float64 and R.shape == dense.shape
+    assert np.abs(R - dense).max() <= rk4_rounding_bound(psi, h)
+    x0 = np.random.default_rng(seed).standard_normal(q * n)
+    with pytest.MonkeyPatch.context() as mp:
+        seen = spy_step_matrix(mp)
+        trace = simulate_ct(cl, x0, T=10 * h, h=h)
+    assert [type(psi) for psi, _ in seen] == [csr_array]
+    want = simulation._iterate(cl, dense, x0, 11, h)
+    assert np.array_equal(trace.times, want.times)
+    assert row_deviation(trace.states, want.states) <= TRACE_RTOL
+    norms = np.linalg.norm(want.states, axis=1)
+    assert (np.abs(trace.sync_error - want.sync_error) <= TRACE_RTOL * norms).all()
+    assert (np.abs(trace.disagreement - want.disagreement) <= TRACE_RTOL * norms**2).all()
+
+
+@pytest.mark.parametrize("kind, q, csr", [
+    ("star", 100, False), ("complete", 30, False), ("chain", 100, True), ("tree", 100, True),
+    # the crossovers of CSR_FROM_Q; the golden case mass_spring_chain54_sparse_step
+    # is a q = 54 chain
+    ("chain", 53, False), ("chain", 54, True), ("ring", 54, False), ("ring", 55, True),
+])
+def test_step_matrix_branch_follows_the_operation_count(kind, q, csr):
+    cl = graph_loop(graph_pairs(kind, q), q, 2, seed=q)
+    with pytest.MonkeyPatch.context() as mp:
+        seen = spy_step_matrix(mp)
+        simulate_ct(cl, np.ones(2 * q), T=0.01, h=0.01)
+    [(psi, R)] = seen
+    assert isinstance(psi, csr_array) == csr
+    if not csr:
+        assert_same_bits(R, rk4_horner_from_identity(cl.system_matrix, 0.01))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_bundled_examples_keep_the_dense_step_matrix(name):
+    spec = builtin_example(name).spec
+    cl = closed_loop(spec, natural_gains(spec))
+    with pytest.MonkeyPatch.context() as mp:
+        seen = spy_step_matrix(mp)
+        simulate_ct(cl, np.ones(spec.q * spec.n), T=0.1, h=0.1)
+    [(psi, R)] = seen
+    assert psi is cl.system_matrix
+    assert_same_bits(R, rk4_horner_from_identity(psi, 0.1))
+
+
+def test_csr_step_matrix_peaks_below_two_squares():
+    # the CSR products of a q = 100 chain hold a few hundred kB; R comes back
+    # as one dense qn x qn array
+    q, n = 100, 4
+    psi = graph_loop(graph_pairs("chain", q), q, n, seed=1).system_matrix
+    square = 8 * (q * n) ** 2
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        rk4_step_matrix(csr_array(psi), 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 2 * square
+
+
+def test_dense_step_matrix_imports_no_scipy_sparse():
+    # the import costs ~18 ms per process, so only the CSR branch pays it
+    code = (
+        "import sys, numpy as np\n"
+        "from matsync import builtin_example, closed_loop, simulate_ct\n"
+        "spec = builtin_example('mass_spring_demo').spec\n"
+        "cl = closed_loop(spec, {e: C.T for e, C in spec.C.items()})\n"
+        "simulate_ct(cl, np.ones(spec.q * spec.n), T=0.1, h=0.1)\n"
+        "assert 'scipy.sparse' not in sys.modules, 'imported'\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

@@ -162,6 +162,31 @@ class TestParseErrors:
             parse(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_spec_document, "q 2\nn 1\nA\n0.0\nedge 1 2 7\n1.0\nedge 2 1\n1.0\n",
+             "line 5: edge header needs two integer indices"),
+            (parse_spec_document, "q 2\nn 1\nA\n0.0\nedge 1\n1.0\n",
+             "line 5: edge header needs two integer indices"),
+            (parse_gains_document, "recipe alg1_ct\nq 2\nn 1\ngain 1 2 9 9\n1.0\n",
+             "line 4: gain header needs two integer indices"),
+            (parse_gains_document, "recipe alg1_ct\nq 2\nn 1\ngain 1 2\n1.0\ngain 2 1 x\n1.0\n",
+             "line 6: gain header needs two integer indices"),
+        ],
+    )
+    def test_block_header_takes_exactly_two_indices(self, parse, text, message):
+        with pytest.raises(SpecParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+    def test_coupling_line_keeps_its_values_after_the_indices(self):
+        text = "q 2\nbuilder mass_spring\nmasses 1.0\nsprings 1.0 1.0\ncoupling 1 2  0.8\n"
+        assert sorted(parse_spec_document(text).spec.C) == [(0, 1), (1, 0)]
+        with pytest.raises(SpecParseError) as exc:
+            parse_spec_document(text.replace("coupling 1 2", "coupling 1"))
+        assert str(exc.value) == "line 5: coupling header needs two integer indices"
+
     def test_stray_row(self):
         with pytest.raises(SpecParseError, match="outside a matrix block"):
             parse_spec_document("q 2\n1.0 2.0\n")
