@@ -14,7 +14,6 @@ from .array_model import (
     ArraySpec,
     NetworkGraph,
     NormalizedGraphLaplacian,
-    ValidationReport,
     build_graph,
     is_connected,
     normalized_laplacian,

@@ -102,12 +102,14 @@ class ArraySpec:
 
     ``C`` maps 0-based ordered pairs ``(i, j)`` to ``m_ij x n`` arrays.  The
     map may be asymmetric (``C_ij != C_ji``); such specs are accepted and
-    flagged by :func:`validate_spec` rather than rejected, since the
-    asymmetric counterexample has to be representable.
+    flagged ``symmetric = False`` rather than rejected, since the asymmetric
+    counterexample has to be representable.
 
-    ``table``, the EdgeTable of ``C`` built once when first read, is what
-    every layer reads; ``nonzero`` marks its outputs of Frobenius norm above
-    ``edge_tol``, and ``edges`` lists their pairs, sorted.
+    Each fact below is computed once, when first read, and every layer reads
+    it here: ``table``, the EdgeTable of ``C``; ``nonzero``, its outputs of
+    Frobenius norm above ``edge_tol``; ``edges``, their pairs, sorted;
+    ``weights``; ``symmetric`` (validate_spec), ``graph`` (build_graph) and
+    ``connected`` (is_connected of the graph).
     """
 
     q: int
@@ -142,15 +144,10 @@ class ArraySpec:
         """C_ij'C_ij of each stored output, in table order, computed once."""
         return self.table.gram(self.n)
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    symmetric: bool
-    violations: tuple
-
-    @property
-    def ok(self):
-        return not self.violations
+    # lambdas look the functions up when called, so a wrapped one is counted
+    symmetric = functools.cached_property(lambda self: validate_spec(self))
+    graph = functools.cached_property(lambda self: build_graph(self))
+    connected = functools.cached_property(lambda self: is_connected(self.graph))
 
 
 @dataclass(frozen=True)
@@ -182,40 +179,23 @@ class NormalizedGraphLaplacian:
     lambda2: float
 
 
-def validate_spec(spec: ArraySpec) -> ValidationReport:
-    """Report dimension mismatches, nonzero diagonal outputs, and symmetry:
-    each stored pair C_ij, C_ji within ``spec.edge_tol`` entry by entry, and
-    no pair of ``spec.edges`` without its mirror.
-
-    Never raises: a malformed spec yields a report with violations, and a
-    directed spec is merely flagged ``symmetric=False``.
+def validate_spec(spec: ArraySpec) -> bool:
+    """Whether the edge outputs are symmetric: each stored pair C_ij, C_ji of
+    distinct agents in 1..q within ``spec.edge_tol`` entry by entry, and no
+    such pair of ``spec.edges`` without its mirror.  Read it as
+    ``spec.symmetric``, which calls this once per spec.
     """
-    violations = []
-    if spec.q < 1:
-        violations.append(f"agent count q={spec.q} must be >= 1")
-    if spec.A.shape != (spec.n, spec.n):
-        violations.append(f"A has shape {spec.A.shape}, expected ({spec.n}, {spec.n})")
-    t, nonzero = spec.table, spec.nonzero
+    t = spec.table
     i, j = t.pairs.T
-    inside = (0 <= i) & (i < spec.q) & (0 <= j) & (j < spec.q)
-    off = inside & (i != j)
-    cols = np.array([S.shape[2] for _, S in t.groups], dtype=np.int64)[t.where[:, 0]]
-    bad = ~inside | (inside & (i == j) & nonzero) | (off & (cols != spec.n))
-    for k in t.order[bad[t.order]].tolist():
-        a, b = int(i[k]) + 1, int(j[k]) + 1
-        if not inside[k]:
-            violations.append(f"edge ({a}, {b}) is outside 1..{spec.q}")
-        elif a == b:
-            violations.append(f"C_{a}{a} must be absent or zero")
-        else:
-            violations.append(f"C_{a}{b} has {cols[k]} columns, expected {spec.n}")
+    off = (0 <= i) & (i < spec.q) & (0 <= j) & (j < spec.q) & (i != j)
     mirrored = off & (t.mirror >= 0)
-    symmetric = not (off & ~mirrored & nonzero).any() and t.mirrors_close(spec.edge_tol)[mirrored].all()
-    return ValidationReport(symmetric=bool(symmetric), violations=tuple(violations))
+    one_sided = (off & ~mirrored & spec.nonzero).any()
+    return bool(not one_sided and t.mirrors_close(spec.edge_tol)[mirrored].all())
 
 
 def build_graph(spec: ArraySpec) -> NetworkGraph:
-    """Edges are the off-diagonal pairs of ``spec.edges``."""
+    """Edges are the off-diagonal pairs of ``spec.edges``; read it as
+    ``spec.graph``, built once per spec."""
     t = spec.table
     keep = spec.nonzero & (t.pairs[:, 0] != t.pairs[:, 1])
     pairs = t.pairs[t.order[keep[t.order]]]

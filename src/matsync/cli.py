@@ -5,10 +5,11 @@ exactly when ``gains --recipe`` would pass that recipe's hypotheses, decided
 by the same code in ``gains`` (theorem1 for ``assumption_cl_detectability``,
 alg1 and alg2 for ``assumption_neutral_ct`` and ``_dt``).
 
-Exit codes: 0 success; 1 with ``error: ...`` on stderr for an unreadable
-file, a bad option or any malformed document (builder parameters and gains
-that do not fit the spec included); 2 with ``hypothesis failed: ...``
-(``check`` prints its report and nothing on stderr); 3 divergence.  Only
+Exit codes: 0 success; 1 with ``error: ...`` on stderr for a usage error,
+an unreadable file, a bad option or any malformed document (builder
+parameters and gains that do not fit the spec included); 2 with
+``hypothesis failed: ...`` (``check`` prints its report and nothing on
+stderr); 3 divergence.  Only
 ``main`` prints them: a SpecParseError or OSError exits 1, any other
 MatsyncError 2.  Set MATSYNC_TOL (finite, >= 0) to override, for check,
 gains and sweep, the spec's edge tolerance (which decides absent edges and
@@ -159,8 +160,8 @@ def cmd_check(args):
     cls = facts.classified(spec.time_domain)
     lines = [
         f"q {spec.q}", f"n {spec.n}", f"time_domain {spec.time_domain}",
-        f"symmetric {_bool(facts.symmetric)}", f"connected {_bool(facts.connected)}",
-        f"complete {_bool(facts.graph.is_complete())}",
+        f"symmetric {_bool(spec.symmetric)}", f"connected {_bool(spec.connected)}",
+        f"complete {_bool(spec.graph.is_complete())}",
         f"stability {spec.time_domain} {cls.kind}", f"marginal_count {cls.marginal_count}",
         *(f"detectable {i + 1} {j + 1} {_bool(ok)}" for (i, j), ok in facts.detectable.items()),
     ]
@@ -168,9 +169,9 @@ def cmd_check(args):
     assumption_cl = False
     if ct:
         assumption_cl = _holds(gainsmod._theorem1_hypotheses, facts)
-        if _holds(gainsmod._gate, facts):
+        if _holds(gainsmod._gate, spec):
             cert = facts.certificate
-            c14 = gainsmod._condition14(cert, facts.graph)
+            c14 = gainsmod._condition14(cert, spec.graph)
             if c14.lambda2:
                 lines.append(f"lambda2 {_fmt(c14.lambda2)}")
             lines += [f"cl_feasible {_bool(cert.feasible)}", f"eps {_fmt(cert.eps)}",
@@ -196,7 +197,7 @@ def cmd_gains(args):
         facts = gainsmod._Facts(spec, doc.P, tol)
         P, cert = gainsmod._theorem1_hypotheses(facts, args.force)
         alpha = args.alpha if args.alpha is not None else doc.alpha
-        gs = gainsmod.gains_theorem1(spec, P, cert, alpha, facts.graph)
+        gs = gainsmod.gains_theorem1(spec, P, cert, alpha)
         c14 = gs.certificate[1]
         metadata = {
             "cert_eps": cert.eps,
@@ -293,8 +294,16 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as SpecParseError, for main to report as exit 1;
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise SpecParseError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matsync",
         description="synchronizability checks, gain synthesis, and simulation "
         "for arrays coupled through per-edge output matrices",
@@ -344,8 +353,8 @@ def _parser():
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         _check_options(args)
         # looked up at call time, so a replaced cli.cmd_* is the one that runs
         return globals()[f"cmd_{args.command}"](args)

@@ -18,18 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .array_model import (
-    CONTINUOUS,
-    DISCRETE,
-    ArraySpec,
-    NetworkGraph,
-    build_graph,
-    is_connected,
-    normalized_laplacian,
-    validate_spec,
-)
+from .array_model import CONTINUOUS, DISCRETE, ArraySpec, normalized_laplacian
 from .errors import (
     Infeasible,
+    MatsyncError,
     NotConnected,
     NotDetectable,
     NotSymmetric,
@@ -233,17 +225,16 @@ def condition14(cert: CLDetectabilityCertificate, lambda2: float) -> Condition14
 
 
 def gains_theorem1(
-    spec: ArraySpec, P: np.ndarray, cert: CLDetectabilityCertificate, alpha: float | None = None,
-    graph: NetworkGraph | None = None,
+    spec: ArraySpec, P: np.ndarray, cert: CLDetectabilityCertificate, alpha: float | None = None
 ) -> GainSet:
     """G_ij = alpha P^-1 C_ij^T for every stored edge.
 
     cert is the CL-detectability certificate of P, as verify_cl_detectability
     or find_common_P gives it (its P is (P + P')/2); it is attached with its
-    condition (14) report, not computed again.  alpha defaults to
-    max(1/(2q), 1); smaller values are allowed (the bound is sufficient, not
-    necessary) but draw a warning.  graph is build_graph(spec), built here
-    when the caller has not built it already.
+    condition (14) report at the lambda2 of ``spec.graph``, not computed
+    again.  alpha defaults to max(1/(2q), 1); smaller values are allowed (the
+    bound is sufficient, not necessary) but draw a warning.  A gain that is
+    not finite, from an alpha or a P^-1 too large, is refused.
     """
     P = np.asarray(P, dtype=float)
     if not np.array_equal(cert.P, 0.5 * (P + P.T)):
@@ -256,13 +247,32 @@ def gains_theorem1(
             stacklevel=2,
         )
     _require_invertible(P)
-    G = spec.table.apply(lambda S: alpha * np.linalg.solve(P, S.transpose(0, 2, 1)))
     return GainSet(
-        gains=dict(zip(spec.C, G)),
+        gains=_gain_map(spec, lambda S: alpha * np.linalg.solve(P, S.transpose(0, 2, 1))),
         recipe=RECIPE_THEOREM1,
         alpha=float(alpha),
-        certificate=(cert, _condition14(cert, build_graph(spec) if graph is None else graph)),
+        certificate=(cert, _condition14(cert, spec.graph)),
     )
+
+
+def _gain_map(spec, f):
+    """{pair: gain} over the stored outputs, f(S) for each shape group's stack
+    S of C_ij.  Overflow runs to inf silently; then the first edge, in table
+    order, whose gain is not finite is refused."""
+    t, bad = spec.table, []
+
+    def checked(S):
+        with np.errstate(over="ignore"):
+            G = f(S)
+        bad.append(~np.isfinite(G).all(axis=(1, 2)))
+        return G
+
+    gains = dict(zip(spec.C, t.apply(checked)))  # one call per group, in t.groups order
+    k = min((idx[b].min() for (idx, _), b in zip(t.groups, bad) if b.any()), default=-1)
+    if k >= 0:
+        i, j = (t.pairs[k] + 1).tolist()
+        raise MatsyncError(f"the gain of edge ({i}, {j}) is not finite")
+    return gains
 
 
 def _require_invertible(P):
@@ -279,18 +289,15 @@ def _condition14(cert, graph):
 
 
 class _Facts:
-    """What the recipes' hypotheses are read from: a spec, its document P
-    (None: search for one) and the strict margin tol (None: the default).
-    Each costly part is computed once, when first read, so `check`, which
+    """What the recipes' hypotheses read beyond the spec's own structural
+    facts (``spec.symmetric``, ``.graph``, ``.connected``): A's spectrum, the
+    document's P (None: search for one) and the strict margin tol (None: the
+    default).  Each is computed once, when first read, so `check`, which
     reads them all, decides each hypothesis as `gains` does, at no extra cost."""
 
     def __init__(self, spec, P=None, tol=None):
         self.spec, self.P, self.tol = spec, P, tol
         self._classified = {}
-
-    symmetric = functools.cached_property(lambda self: validate_spec(self.spec).symmetric)
-    graph = functools.cached_property(lambda self: build_graph(self.spec))
-    connected = functools.cached_property(lambda self: is_connected(self.graph))
 
     def classified(self, domain):
         """classify_stability(A, domain)."""
@@ -300,7 +307,7 @@ class _Facts:
 
     @functools.cached_property
     def detectable(self):
-        return detectable_edges(self.spec, self.symmetric, self.classified(self.spec.time_domain))
+        return detectable_edges(self.spec, self.spec.symmetric, self.classified(self.spec.time_domain))
 
     @functools.cached_property
     def certificate(self):
@@ -318,11 +325,11 @@ class _Facts:
         return verify_cl_detectability(spec, P, tol)
 
 
-def _gate(facts):
+def _gate(spec):
     """Every recipe's first hypothesis: symmetric edge outputs, connected graph."""
-    if not facts.symmetric:
+    if not spec.symmetric:
         raise NotSymmetric("edge outputs are not symmetric")
-    if not facts.connected:
+    if not spec.connected:
         raise NotConnected("graph is not connected")
 
 
@@ -334,7 +341,7 @@ def _theorem1_hypotheses(facts, force=False):
     failed search's; that P passes only a tol margin it meets.
     """
     if not force:
-        _gate(facts)
+        _gate(facts.spec)
     cert = facts.certificate
     if not cert.feasible and (facts.P is None or not force):
         raise Infeasible("CL-detectability not established", cert)
@@ -349,7 +356,7 @@ def _neutral_hypotheses(facts, domain, check=True):
     first, and afterwards every edge must be PBH detectable.
     """
     if check:
-        _gate(facts)
+        _gate(facts.spec)
     split = neutral_split(facts.spec.A, domain, facts.classified(domain))
     if check:
         for (i, j), ok in facts.detectable.items():
@@ -362,7 +369,7 @@ def gains_ct_neutral(spec: ArraySpec, check: bool = True) -> GainSet:
     """Continuous-time neutral-stability recipe: G_ij = U U^T C_ij^T."""
     split = _neutral_hypotheses(_Facts(spec), CONTINUOUS, check)
     M = split.U @ split.U.T
-    gains = dict(zip(spec.C, spec.table.apply(lambda S: _neutral_gains(M, S, split.n1))))
+    gains = _gain_map(spec, lambda S: _neutral_gains(M, S, split.n1))
     return GainSet(gains=gains, recipe=RECIPE_ALG1_CT, certificate=split)
 
 
@@ -374,7 +381,7 @@ def gains_dt_neutral(spec: ArraySpec, check: bool = True) -> GainSet:
     """
     split = _neutral_hypotheses(_Facts(spec), DISCRETE, check)
     M = split.U @ split.marginal_block @ split.U.T
-    gains = dict(zip(spec.C, spec.table.apply(lambda S: _neutral_gains(M, S, split.n1))))
+    gains = _gain_map(spec, lambda S: _neutral_gains(M, S, split.n1))
     ebar = eps_bar(laplacian_from_outputs(spec, pre_transform=split.U)) if split.n1 else np.inf
     return GainSet(
         gains=gains, recipe=RECIPE_ALG2_DT, eps_bar=float(ebar), certificate=split

@@ -60,13 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .array_model import (
-    CONTINUOUS,
-    ArraySpec,
-    build_graph,
-    gamma_matrix,
-    sync_complement_basis,
-)
+from .array_model import CONTINUOUS, ArraySpec, gamma_matrix, sync_complement_basis
 from .errors import DimensionMismatch, Diverged
 from .gains import GainSet
 from .mwl import assemble_block_laplacian
@@ -184,7 +178,7 @@ def closed_loop(spec: ArraySpec, gains, epsilon: float | None = None) -> ClosedL
 
     return ClosedLoop(
         system_matrix=psi, spec=spec, epsilon=eps_used,
-        gamma=gamma_matrix(build_graph(spec)),
+        gamma=gamma_matrix(spec.graph),
     )
 
 

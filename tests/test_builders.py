@@ -165,7 +165,7 @@ class TestBuiltins:
         assert ex.spec.q == 3 and ex.spec.n == 2
         assert len(ex.spec.C) == 6
         assert np.array_equal(ex.spec.A, np.zeros((2, 2)))
-        assert not validate_spec(ex.spec).symmetric
+        assert not validate_spec(ex.spec)
         assert ex.spec.C[(0, 1)][0, 0] == 1.9006
 
     def test_chain5_bundle(self):
@@ -173,12 +173,12 @@ class TestBuiltins:
         assert ex.spec.q == 5 and ex.spec.n == 3
         assert ex.P is not None and np.allclose(ex.P, ex.P.T)
         assert len(ex.spec.C) == 8  # both directions of four edges
-        assert validate_spec(ex.spec).symmetric
+        assert validate_spec(ex.spec)
 
     def test_demo_specs_satisfy_neutral_assumptions(self):
         for name in ("mass_spring_demo", "lc_demo"):
             spec = builtin_example(name).spec
-            assert validate_spec(spec).symmetric
+            assert validate_spec(spec)
             assert is_connected(build_graph(spec))
             assert classify_stability(spec.A, "continuous").kind == "neutrally_stable"
             for e in spec.edges:

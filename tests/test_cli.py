@@ -38,6 +38,7 @@ from matsync import (
 )
 from matsync import cli, tracecsv
 from matsync.array_model import EdgeTable
+from matsync import array_model
 from matsync import gains as gainsmod
 from matsync import spectral as spectralmod
 from matsync.cli import main
@@ -580,6 +581,9 @@ BAD_NUMBERS = [
     ("simulate", ["--seed", "-1"], "--seed"),
     ("simulate", ["--horizon", "100", "--step", "1e-300"], "--horizon"),
     ("simulate", ["--horizon", "1e300", "--step", "1e-300"], "--horizon"),
+    ("simulate", ["--step", "abc"], "--step"),
+    ("sweep", ["--points", "x"], "--points"),
+    ("gains", ["--recipe", "alg9"], "--recipe"),
 ]
 
 
@@ -610,6 +614,44 @@ def test_dt_step_count_beyond_int64_exits_1(tmp_path, capsys):
     assert run(*argv, "--horizon", "1e300") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--horizon" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["check"]], ids=["none", "unknown", "no_spec"])
+def test_usage_error_exits_1(argv, capsys):
+    rc = run(*argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert_exit_contract(argv[0] if argv else "", rc, captured.out, captured.err)
+    assert "usage: matsync" in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        run("gains", "--help")
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: matsync gains")
+
+
+NON_FINITE_GAINS = {
+    # alpha overflows the product; P^-1 C' overflows inside the solve, silently
+    "alpha": (None, ["--alpha", "1e308"]),
+    "tiny_P": ("q 2\nn 1\nA\n-1.0\nedge 1 2\n1e154\nedge 2 1\n1e154\nP\n1e-160\n", []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_GAINS))
+def test_non_finite_gains_exit_2(name, chain5_spec, tmp_path, capsys):
+    text, options = NON_FINITE_GAINS[name]
+    spec, out = chain5_spec, tmp_path / "g.gains"
+    if text is not None:
+        spec = tmp_path / "s.spec"
+        spec.write_text(text)
+    rc = run("gains", "--spec", str(spec), "--recipe", "theorem1", *options, "--out", str(out))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert_exit_contract("gains", rc, captured.out, captured.err)
+    assert "edge (1, 2) is not finite" in captured.err
     assert not out.exists()
 
 
@@ -1087,7 +1129,7 @@ def test_theorem1_builds_the_graph_once(tmp_path):
     for argv in (["check"], ["gains", "--recipe", "theorem1"], ["gains", "--recipe", "theorem1", "--force"]):
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gainsmod, "build_graph", lambda s, f=gainsmod.build_graph: calls.append(1) or f(s))
+            mp.setattr(array_model, "build_graph", lambda s, f=array_model.build_graph: calls.append(1) or f(s))
             assert run(argv[0], "--spec", str(path), *argv[1:], "--out", str(tmp_path / "out")) == 0
         counts[" ".join(argv)] = len(calls)
     assert set(counts.values()) == {1}, counts
@@ -1096,7 +1138,37 @@ def test_theorem1_builds_the_graph_once(tmp_path):
 @pytest.mark.parametrize("argv", [["sweep", "--points", "2"], ["gains", "--recipe", "alg1", "--force"]])
 def test_commands_without_the_gate_validate_no_spec(argv, ms_spec, tmp_path, monkeypatch):
     # sweep reads only the certificate, and --force skips the gate: neither
-    # needs the symmetry report, the graph or its connectivity
+    # needs the symmetry verdict, the graph or its connectivity
     for name in ("validate_spec", "build_graph", "is_connected"):
-        monkeypatch.setattr(gainsmod, name, lambda *a, name=name: pytest.fail(f"called {name}"))
+        monkeypatch.setattr(array_model, name, lambda *a, name=name: pytest.fail(f"called {name}"))
     assert run(argv[0], "--spec", str(ms_spec), *argv[1:], "--out", str(tmp_path / "out")) == 0
+
+
+def test_each_command_decides_each_structural_fact_at_most_once(tmp_path, monkeypatch):
+    # the spec caches its symmetry, graph and connectivity: a command that
+    # reads them decides each once, MATSYNC_TOL's spec included
+    spec = random_complete_cl_spec(np.random.default_rng(0), q=20, n=2)
+    path, gains = write_spec(tmp_path / "cl20.spec", spec), str(tmp_path / "g.gains")
+    assert run("gains", "--spec", str(path), "--recipe", "theorem1", "--out", gains) == 0
+    monkeypatch.setenv("MATSYNC_TOL", "1e-12")
+    commands = {
+        "check": ["check"],
+        "gains": ["gains", "--recipe", "theorem1"],
+        "gains --force": ["gains", "--recipe", "theorem1", "--force"],
+        "sweep": ["sweep", "--points", "2"],
+        "simulate": ["simulate", "--gains", gains, "--horizon", "0.01", "--step", "0.001"],
+    }
+    counts = {}
+    for key, argv in commands.items():
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("validate_spec", "build_graph", "is_connected"):
+                f = getattr(array_model, name)
+                mp.setattr(array_model, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+            assert run(argv[0], "--spec", str(path), *argv[1:], "--out", str(tmp_path / "out")) == 0
+        counts[key] = sorted(calls)
+    every = ["build_graph", "is_connected", "validate_spec"]
+    assert counts == {
+        "check": every, "gains": every, "gains --force": ["build_graph"],
+        "sweep": [], "simulate": ["build_graph"],
+    }

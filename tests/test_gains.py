@@ -10,6 +10,7 @@ from conftest import (
     random_symmetric_spec,
     random_spd,
 )
+import matsync.array_model as array_model
 import matsync.gains as gains_module
 from matsync.spectral import detectable_edges
 from matsync import (
@@ -371,6 +372,19 @@ def test_verify_eigensolves_each_mirrored_edge_once(rng, monkeypatch):
     )
     verify_cl_detectability(spec, random_spd(rng, 3))
     assert sum(solved) == edges // 2 + 2
+
+
+def test_library_flow_decides_each_structural_fact_once(monkeypatch):
+    # the facts are the spec's: a second synthesis and the closed loop reuse them
+    spec = builtin_example("mass_spring_demo").spec
+    calls = []
+    for name in ("validate_spec", "build_graph", "is_connected"):
+        f = getattr(array_model, name)
+        monkeypatch.setattr(array_model, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    gs = gains_ct_neutral(spec)
+    closed_loop(spec, gs)
+    gains_ct_neutral(spec)
+    assert sorted(calls) == ["build_graph", "is_connected", "validate_spec"]
 
 
 class _FirstViolation(Exception):
