@@ -6,7 +6,8 @@ pattern of the output-matrix map induces the network graph and its
 normalized Laplacian, whose algebraic connectivity drives the coupling
 condition of the CL-detectability synthesis route.  A spec's EdgeTable,
 built once, holds its pairs, norms, mirrors and outputs stacked per shape,
-and every per-edge step of every layer reads it.
+and every per-edge step of every layer reads it; a GainSet's gains are an
+EdgeTable too.
 """
 
 from __future__ import annotations
@@ -27,50 +28,82 @@ CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 
 
+def as_block(M):
+    """M as a 2-D float64 array; a parsed document's block is one already."""
+    ok = type(M) is np.ndarray and M.ndim == 2 and M.dtype is F64
+    return M if ok else np.atleast_2d(np.asarray(M, dtype=float))
+
+
+def shape_groups(shapes):
+    """(shape, positions) per distinct shape, in order of first appearance."""
+    return [(s, np.array([k for k, t in enumerate(shapes) if t == s])) for s in dict.fromkeys(shapes)]
+
+
+def _keys(*pairs):
+    """Each (i, j) row of (E, 2) arrays as one integer, by one radix for all."""
+    lo = min(P.min(initial=0) for P in pairs)
+    w = max(P.max(initial=0) for P in pairs) - lo + 1
+    return [(P[:, 0] - lo) * w + (P[:, 1] - lo) for P in pairs]
+
+
+def _match(key, order, want, want_order):
+    """The position in key of each of want, -1 for none: a merge of the two,
+    sorted by order and want_order."""
+    at = np.full(len(want), -1)
+    if len(key):
+        sk, sw = key[order], want[want_order]
+        pos = np.minimum(np.searchsorted(sk, sw), len(sk) - 1)
+        hit = sk[pos] == sw
+        at[want_order[hit]] = order[pos[hit]]
+    return at
+
+
 @dataclass(frozen=True)
 class EdgeTable:
-    """The outputs of a spec's C in its insertion order: their (E, 2) int
-    ``pairs``, Frobenius ``norms`` (np.linalg.norm bit for bit), ``order``,
-    the positions in sorted pair order, ``mirror``, the position of each
-    (j, i) or -1, and ``groups``, one (positions, (E_s, m, k) stack) per
-    block shape, ``where`` each position's (group, row).  A per-edge
-    computation is one numpy call per group, bit-equal to one per block."""
+    """A map of ordered pairs to blocks, a spec's outputs C_ij or its gains
+    G_ij: their (E, 2) int ``pairs`` in insertion order, ``groups``, one
+    (positions, stack) per block shape, ``where`` each position's (group,
+    row), ``order``, the positions in sorted pair order, ``mirror``, the
+    position of each (j, i) or -1, and ``norms`` (np.linalg.norm bit for
+    bit, when first read).  A per-edge computation is one numpy call per
+    group, bit-equal to one per block."""
 
     pairs: np.ndarray
-    norms: np.ndarray
-    order: np.ndarray
-    mirror: np.ndarray
     groups: tuple
     where: np.ndarray
+    order: np.ndarray
+    mirror: np.ndarray
 
     @classmethod
     def of(cls, cmap):
-        mats, E = list(cmap.values()), len(cmap)
-        pairs = np.array(list(cmap), dtype=np.int64).reshape(E, 2)
-        shapes = [M.shape for M in mats]
-        groups, where, norms = [], np.zeros((E, 2), dtype=np.int64), np.zeros(E)
-        for g, shape in enumerate(dict.fromkeys(shapes)):
-            idx = np.array([k for k, s in enumerate(shapes) if s == shape])
-            S = np.array([mats[k] for k in idx]).reshape(len(idx), *shape)
-            groups.append((idx, S))
+        """The table of a {pair: 2-D float array} map."""
+        mats = list(cmap.values())
+        groups = [(idx, np.array([mats[k] for k in idx]).reshape(len(idx), *shape))
+                  for shape, idx in shape_groups([M.shape for M in mats])]
+        return cls.stacked(np.array(list(cmap), dtype=np.int64).reshape(len(mats), 2), groups)
+
+    @classmethod
+    def stacked(cls, pairs, groups):
+        """The table of distinct (E, 2) pairs whose blocks the groups hold."""
+        where = np.zeros((len(pairs), 2), dtype=np.int64)
+        for g, (idx, _) in enumerate(groups):
             where[idx, 0], where[idx, 1] = g, np.arange(len(idx))
+        key, mkey = _keys(pairs, pairs[:, ::-1])
+        order = np.argsort(key)
+        return cls(pairs, tuple(groups), where, order, _match(key, order, mkey, np.argsort(mkey)))
+
+    def find(self, other):
+        """The position in this table of each pair of the other, -1 for none."""
+        key, want = _keys(self.pairs, other.pairs)
+        return _match(key, self.order, want, other.order)
+
+    @functools.cached_property
+    def norms(self):
+        out = np.zeros(len(self.pairs))
+        for idx, S in self.groups:
             X = S.reshape(len(idx), 1, -1)
             with np.errstate(over="ignore"):  # to inf, as np.linalg.norm goes
-                norms[idx] = np.sqrt(X @ X.transpose(0, 2, 1)).ravel()
-        P = pairs - pairs.min(initial=0)  # each pair (i, j) and its mirror as one integer
-        w = P.max(initial=0) + 1
-        key, mkey = (P @ np.array([[w, 1], [1, w]])).T
-        order = np.argsort(key)
-        at = order[np.minimum(np.searchsorted(key, mkey, sorter=order), E - 1)]
-        return cls(pairs, norms, order, np.where(key[at] == mkey, at, -1), tuple(groups), where)
-
-    def apply(self, f):
-        """f(S) for each group's stack S, one call per group: the blocks of
-        the results, listed in table order."""
-        out = [None] * len(self.pairs)
-        for idx, S in self.groups:
-            for k, B in zip(idx.tolist(), f(S)):
-                out[k] = B
+                out[idx] = np.sqrt(X @ X.transpose(0, 2, 1)).ravel()
         return out
 
     def mirrors_close(self, atol):
@@ -121,12 +154,7 @@ class ArraySpec:
 
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        # a parsed document's blocks are 2-D float64 arrays already, kept as they are
-        cmap = {
-            (int(i), int(j)): M if type(M) is np.ndarray and M.ndim == 2 and M.dtype is F64
-            else np.atleast_2d(np.asarray(M, dtype=float))
-            for (i, j), M in self.C.items()
-        }
+        cmap = {(int(i), int(j)): as_block(M) for (i, j), M in self.C.items()}
         object.__setattr__(self, "C", cmap)
         if self.time_domain not in (CONTINUOUS, DISCRETE):
             raise ValueError(f"unknown time domain {self.time_domain!r}")

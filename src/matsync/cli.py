@@ -168,7 +168,7 @@ def cmd_check(args):
     # each assumption line is its recipe's own verdict
     assumption_cl = False
     if ct:
-        assumption_cl = _holds(gainsmod._theorem1_hypotheses, facts)
+        assumption_cl = _holds(gainsmod._theorem1_holds, facts, doc.alpha)
         if _holds(gainsmod._gate, spec):
             cert = facts.certificate
             c14 = gainsmod._condition14(cert, spec.graph)

@@ -7,18 +7,24 @@ Three recipes are implemented:
 * ``alg1_ct``   -- G_ij = U U^T C_ij^T for neutrally stable continuous time;
 * ``alg2_dt``   -- G_ij = U Q U^T C_ij^T for neutrally stable discrete time,
   together with the largest coupling step eps_bar = 1/lambda_max(L).
+
+A recipe maps each shape group's stack of C_ij in ``spec.table`` to a stack
+of G_ij, one numpy call per group: a GainSet holds that EdgeTable, and its
+``gains`` mapping, for tests and scripts, is derived from it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import types
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .array_model import CONTINUOUS, DISCRETE, ArraySpec, normalized_laplacian
+from .array_model import CONTINUOUS, DISCRETE, ArraySpec, EdgeTable, as_block, normalized_laplacian
 from .errors import (
     Infeasible,
     MatsyncError,
@@ -62,11 +68,23 @@ class Condition14Report:
 
 @dataclass(frozen=True)
 class GainSet:
-    gains: dict  # (i, j) -> n x m_ij array
+    table: EdgeTable  # the n x m_ij gains G_ij, a recipe's in its spec.table's layout
     recipe: str
     alpha: float | None = None
     eps_bar: float | None = None
     certificate: object | None = None  # (cert, Condition14Report) or the SpectralSplit
+
+    @classmethod
+    def of(cls, gains, recipe="manual", **fields):
+        """The GainSet of a plain (i, j) -> G_ij mapping."""
+        return cls(EdgeTable.of({e: as_block(G) for e, G in dict(gains).items()}), recipe, **fields)
+
+    @functools.cached_property
+    def gains(self):
+        """(i, j) -> G_ij, read-only, in table order."""
+        t = self.table
+        blocks = [t.groups[g][1][r] for g, r in t.where.tolist()]
+        return types.MappingProxyType(dict(zip(map(tuple, t.pairs.tolist()), blocks)))
 
 
 def default_strict_tol(A, P):
@@ -239,8 +257,7 @@ def gains_theorem1(
     P = np.asarray(P, dtype=float)
     if not np.array_equal(cert.P, 0.5 * (P + P.T)):
         raise ValueError("the certificate is not of this P")
-    if alpha is None:
-        alpha = max(1.0 / (2.0 * spec.q), 1.0)
+    alpha = _alpha(spec, alpha)
     if alpha < 1.0 / (2.0 * spec.q) - 1e-15:
         warnings.warn(
             f"alpha = {alpha} is below the 1/(2q) = {1.0 / (2.0 * spec.q)} bound",
@@ -248,31 +265,39 @@ def gains_theorem1(
         )
     _require_invertible(P)
     return GainSet(
-        gains=_gain_map(spec, lambda S: alpha * np.linalg.solve(P, S.transpose(0, 2, 1))),
+        _gain_map(spec, _theorem1(P, alpha)),
         recipe=RECIPE_THEOREM1,
         alpha=float(alpha),
         certificate=(cert, _condition14(cert, spec.graph)),
     )
 
 
+def _alpha(spec, alpha):
+    """theorem1's alpha, by default max(1/(2q), 1)."""
+    return max(1.0 / (2.0 * spec.q), 1.0) if alpha is None else alpha
+
+
+def _theorem1(P, alpha):
+    """The theorem1 gains alpha P^-1 C' of a stack of outputs C."""
+    return lambda S: alpha * np.linalg.solve(P, S.transpose(0, 2, 1))
+
+
+def _gain_table(spec, f):
+    """f(S) for each shape group's stack S of C_ij, in spec.table's layout;
+    overflow runs to inf silently."""
+    with np.errstate(over="ignore"):
+        return dataclasses.replace(spec.table, groups=tuple((idx, f(S)) for idx, S in spec.table.groups))
+
+
 def _gain_map(spec, f):
-    """{pair: gain} over the stored outputs, f(S) for each shape group's stack
-    S of C_ij.  Overflow runs to inf silently; then the first edge, in table
-    order, whose gain is not finite is refused."""
-    t, bad = spec.table, []
-
-    def checked(S):
-        with np.errstate(over="ignore"):
-            G = f(S)
-        bad.append(~np.isfinite(G).all(axis=(1, 2)))
-        return G
-
-    gains = dict(zip(spec.C, t.apply(checked)))  # one call per group, in t.groups order
-    k = min((idx[b].min() for (idx, _), b in zip(t.groups, bad) if b.any()), default=-1)
+    """_gain_table, refusing the first edge, in table order, whose gain is not finite."""
+    g = _gain_table(spec, f)
+    bad = [idx[~np.isfinite(G).all(axis=(1, 2))] for idx, G in g.groups]
+    k = min((b.min() for b in bad if len(b)), default=-1)
     if k >= 0:
-        i, j = (t.pairs[k] + 1).tolist()
+        i, j = (g.pairs[k] + 1).tolist()
         raise MatsyncError(f"the gain of edge ({i}, {j}) is not finite")
-    return gains
+    return g
 
 
 def _require_invertible(P):
@@ -307,7 +332,7 @@ class _Facts:
 
     @functools.cached_property
     def detectable(self):
-        return detectable_edges(self.spec, self.spec.symmetric, self.classified(self.spec.time_domain))
+        return detectable_edges(self.spec, self.classified(self.spec.time_domain))
 
     @functools.cached_property
     def certificate(self):
@@ -350,6 +375,12 @@ def _theorem1_hypotheses(facts, force=False):
     return P, cert
 
 
+def _theorem1_holds(facts, alpha=None):
+    """gains --recipe theorem1's decision: its hypotheses, then finite gains at alpha."""
+    P, _ = _theorem1_hypotheses(facts)
+    _gain_map(facts.spec, _theorem1(P, _alpha(facts.spec, alpha)))
+
+
 def _neutral_hypotheses(facts, domain, check=True):
     """neutral_split(A, domain), which refuses an A that is not neutrally stable
     or a basis [U W] too ill-conditioned to use.  With check, the gate comes
@@ -369,8 +400,8 @@ def gains_ct_neutral(spec: ArraySpec, check: bool = True) -> GainSet:
     """Continuous-time neutral-stability recipe: G_ij = U U^T C_ij^T."""
     split = _neutral_hypotheses(_Facts(spec), CONTINUOUS, check)
     M = split.U @ split.U.T
-    gains = _gain_map(spec, lambda S: _neutral_gains(M, S, split.n1))
-    return GainSet(gains=gains, recipe=RECIPE_ALG1_CT, certificate=split)
+    return GainSet(_gain_map(spec, lambda S: _neutral_gains(M, S, split.n1)),
+                   recipe=RECIPE_ALG1_CT, certificate=split)
 
 
 def gains_dt_neutral(spec: ArraySpec, check: bool = True) -> GainSet:
@@ -383,9 +414,7 @@ def gains_dt_neutral(spec: ArraySpec, check: bool = True) -> GainSet:
     M = split.U @ split.marginal_block @ split.U.T
     gains = _gain_map(spec, lambda S: _neutral_gains(M, S, split.n1))
     ebar = eps_bar(laplacian_from_outputs(spec, pre_transform=split.U)) if split.n1 else np.inf
-    return GainSet(
-        gains=gains, recipe=RECIPE_ALG2_DT, eps_bar=float(ebar), certificate=split
-    )
+    return GainSet(gains, recipe=RECIPE_ALG2_DT, eps_bar=float(ebar), certificate=split)
 
 
 def _neutral_gains(M, S, n1):

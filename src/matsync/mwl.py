@@ -19,16 +19,18 @@ def assemble_block_laplacian(pairs: np.ndarray, W: np.ndarray, q: int) -> np.nda
     """The qn x qn matrix-weighted Laplacian of the (E, n, n) weights W on
     the (E, 2) pairs of a spec's edge table, as the scalar weighted Laplacian
     lays out its entries: block (i, j) is 0.0 - W_ij, block (i, i) is 0.0
-    plus agent i's W_ij in edge order (one np.add.at), every other entry is
-    0.0, and diagonal pairs are skipped.  Bit-equal to subtracting and adding
-    the blocks one at a time."""
+    plus agent i's W_ij in edge order (one np.add.at, over L's flat entries,
+    where it is fastest), every other entry is 0.0, and diagonal pairs are
+    skipped.  Bit-equal to subtracting and adding the blocks one at a time."""
     n = W.shape[-1]
-    L = np.zeros((q * n, q * n))
+    N = q * n
+    L = np.zeros((N, N))
     blocks = L.reshape(q, n, q, n).transpose(0, 2, 1, 3)  # a view: blocks[i, j] is block (i, j)
     off = pairs[:, 0] != pairs[:, 1]
     i, j, W = pairs[off, 0], pairs[off, 1], W[off]
     blocks[i, j] = 0.0 - W
-    np.add.at(blocks, (i, i), W)
+    block = (np.arange(n)[:, None] * N + np.arange(n)).ravel()  # block (0, 0) in L.flat
+    np.add.at(L.reshape(-1), ((i * (N + 1) * n)[:, None] + block).ravel(), W.reshape(-1))
     return L
 
 

@@ -17,9 +17,9 @@ reuses.  The divergence cap is then tested on every state of the block, so
 the first state past it is found exactly, and the kept rows are copied out,
 once per block: at B = 1 a state costs one np.matmul call into its row of
 the buffer, and the bookkeeping runs once per block, not once per state.
-closed_loop forms Psi in the qn x qn array of L_W that
-assemble_block_laplacian returns, so it makes no throwaway temporary of
-that size.
+closed_loop takes every gains source as an EdgeTable, forms W_ij = G_ij C_ij
+one group at a time, as rho_sweep does, and Psi in the qn x qn array of
+L_W that assemble_block_laplacian returns, with no temporary of that size.
 
 Psi has the graph's block pattern: an n x n block on the diagonal and one
 per edge.  simulate_ct counts, from the edge table, the multiply-adds of
@@ -62,7 +62,7 @@ import scipy.linalg as sla
 
 from .array_model import CONTINUOUS, ArraySpec, gamma_matrix, sync_complement_basis
 from .errors import DimensionMismatch, Diverged
-from .gains import GainSet
+from .gains import GainSet, _gain_table, _theorem1
 from .mwl import assemble_block_laplacian
 from .spectral import neutral_split
 
@@ -132,39 +132,23 @@ class ClosedLoop:
 def closed_loop(spec: ArraySpec, gains, epsilon: float | None = None) -> ClosedLoop:
     """Assemble x' = Psi x (CT) or x+ = M x (DT) from a spec and its gains.
 
-    ``gains`` is a GainSet or a plain ``(i, j) -> G_ij`` map with one gain
-    per edge of the spec and none for any other pair.  In discrete time the
+    ``gains`` is a GainSet or a plain ``(i, j) -> G_ij`` map, taken as a
+    GainSet, with one gain per edge of the spec and none for any other pair
+    (_coupling_weights names the first fault).  In discrete time the
     coupling is scaled by ``epsilon``, defaulting to the gain set's eps_bar
     when it carries one.
     """
-    gmap = gains.gains if isinstance(gains, GainSet) else dict(gains)
+    gs = gains if isinstance(gains, GainSet) else GainSet.of(gains)
     q, n, A, t = spec.q, spec.n, spec.A, spec.table
-    G = []
-    for (i, j), C in spec.C.items():
-        Gk = gmap.get((i, j))
-        if Gk is None:
-            raise DimensionMismatch(f"no gain for edge ({i + 1}, {j + 1})")
-        G.append(np.atleast_2d(np.asarray(Gk, dtype=float)))
-        if G[-1].shape != (n, C.shape[0]):
-            raise DimensionMismatch(
-                f"gain G_{i + 1}{j + 1} has shape {G[-1].shape}, "
-                f"expected ({n}, {C.shape[0]})"
-            )
-    stray = sorted(set(gmap) - set(spec.C))
-    if stray:
-        i, j = stray[0]
-        raise DimensionMismatch(f"gain for ({i + 1}, {j + 1}), which is not an edge of the spec")
+    W = _coupling_weights(spec, gs.table)
     if spec.time_domain == CONTINUOUS:
         scale, eps_used = 1.0, None  # 1.0 * X is X bit for bit
     else:
         if epsilon is None:
-            ebar = gains.eps_bar if isinstance(gains, GainSet) else None
+            ebar = gs.eps_bar
             epsilon = ebar if ebar is not None and np.isfinite(ebar) else 1.0
         scale = eps_used = float(epsilon)
 
-    W = np.empty((len(G), n, n))
-    for idx, S in t.groups:
-        W[idx] = np.array([G[k] for k in idx]) @ S
     # Psi = (I (x) A) - scale L_W in L_W's own array, bit for bit: x - y is
     # (-y) + x and (-s) y is -(s y); the blocks of I (x) A are A on the
     # diagonal and 0.0 * A off it
@@ -180,6 +164,35 @@ def closed_loop(spec: ArraySpec, gains, epsilon: float | None = None) -> ClosedL
         system_matrix=psi, spec=spec, epsilon=eps_used,
         gamma=gamma_matrix(spec.graph),
     )
+
+
+def _coupling_weights(spec, gains):
+    """W_ij = G_ij C_ij in spec.table order from the gains' EdgeTable, one
+    batched matmul per group.  DimensionMismatch names the first edge, in
+    spec.C order, with no gain or one of the wrong shape, and then the first
+    gain, in sorted pair order, that is not an edge's."""
+    t, n = spec.table, spec.n
+    at = gains.find(t)  # each edge's gain, -1 for none
+    group = np.append(gains.where[:, 0], -1)  # each gain's group, -1 for none
+    shapes = [G.shape[1:] for _, G in gains.groups]
+    W, fault = np.empty((len(t.pairs), n, n)), len(t.pairs)
+    for idx, S in t.groups:
+        g = shapes.index((n, S.shape[1])) if (n, S.shape[1]) in shapes else -2
+        if (ok := group[at[idx]] == g).all():
+            W[idx] = gains.groups[g][1][gains.where[at[idx], 1]] @ S
+        else:
+            fault = min(fault, idx[~ok].min())
+    if fault < len(t.pairs):
+        (i, j), k = (t.pairs[fault] + 1).tolist(), at[fault]
+        if k < 0:
+            raise DimensionMismatch(f"no gain for edge ({i}, {j})")
+        m = t.groups[t.where[fault, 0]][1].shape[1]
+        raise DimensionMismatch(f"gain G_{i}{j} has shape {shapes[group[k]]}, expected ({n}, {m})")
+    used = np.bincount(at + 1, minlength=len(gains.pairs) + 1)[1:]  # edges per gain
+    if len(stray := gains.order[used[gains.order] == 0]):
+        i, j = (gains.pairs[stray[0]] + 1).tolist()
+        raise DimensionMismatch(f"gain for ({i}, {j}), which is not an edge of the spec")
+    return W
 
 
 def _pair_loop(T, out):
@@ -438,8 +451,9 @@ def rho_sweep(spec: ArraySpec, P: np.ndarray, alphas):
     # quotient is one fixed matrix minus alpha times another; V'(I (x) A)V is
     # (Q'Q) (x) A = I (x) A exactly, so the drift needs no projection
     drift = np.kron(np.eye(q - 1), spec.A)
-    weights = spec.table.apply(lambda S: np.linalg.solve(P, S.transpose(0, 2, 1)) @ S)
-    coupling = V.T @ assemble_block_laplacian(spec.table.pairs, np.array(weights).reshape(-1, n, n), q) @ V
+    # W_ij = G_ij C_ij of the theorem1 gains at alpha = 1: 1.0 P^-1 C_ij' is P^-1 C_ij' bit for bit
+    weights = _coupling_weights(spec, _gain_table(spec, _theorem1(P, 1.0)))
+    coupling = V.T @ assemble_block_laplacian(spec.table.pairs, weights, q) @ V
     quotient = np.empty_like(coupling)  # drift - alpha coupling, for each alpha in turn
     out = []
     for alpha in alphas:

@@ -15,10 +15,11 @@ tokens of the document's distinct blocks (numpy reads a token as float()
 does, bit for bit) and the row lengths and isfinite are checked, so the
 first fault in document order is raised with its line.  A block whose rows
 came before (the mirror C_ji of a symmetric C_ij) gets a copy of that array.
+A gains document's blocks are gathered into an EdgeTable, one call per shape.
 
 Serialization emits the matrices with full round-trip precision, so parse
--> serialize -> parse is the identity on the in-memory spec.  Each distinct
-block is formatted once per document.
+-> serialize -> parse is the identity on the in-memory spec.  Edge and gain
+blocks are written in sorted pair order, each distinct one formatted once.
 
 A fault of a document, builder parameters the builders refuse included
 (named at the ``builder`` line), is a SpecParseError: the CLI prints it as
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .array_model import CONTINUOUS, DISCRETE, ArraySpec
+from .array_model import CONTINUOUS, DISCRETE, ArraySpec, EdgeTable, shape_groups
 from .builders import build_lc, build_mass_spring
 from .errors import DimensionMismatch, NonPositiveParameter, SpecParseError
 from .gains import GainSet
@@ -68,6 +69,12 @@ def _texts(mats):
     slot = [first.setdefault((M.shape, M.tobytes()), k) for k, M in enumerate(mats)]
     text = {k: "\n".join(" ".join(map(repr, row)) for row in mats[k].tolist()) for k in first.values()}
     return [text[k] for k in slot]
+
+
+def _table_blocks(kind, t):
+    """``kind I J`` and its rows for each block of an EdgeTable, in sorted pair order."""
+    texts = _texts([t.groups[g][1][r] for g, r in t.where[t.order].tolist()])
+    return [f"{kind} {i} {j}\n{text}" for (i, j), text in zip((t.pairs[t.order] + 1).tolist(), texts)]
 
 
 def _fmt_matrix(M):
@@ -130,7 +137,8 @@ class _Blocks:
     bad row before a fault the loop raises is raised in its place."""
 
     def __init__(self):
-        self.arrays, self.lines = {}, {}  # key -> its array, key -> line of its header
+        # key -> line of its header; key -> (start, rows, width, first) of its numbers
+        self.lines, self._slots, self._vals = {}, {}, None
         self._spans, self._open, self._lines = [], None, []  # (key, a, b): lines a..b-1 hold its rows
 
     def __enter__(self):
@@ -195,16 +203,35 @@ class _Blocks:
                         msg = f"ragged matrix block {_block_name(key)}: row of length {len(row)}"
                         raise SpecParseError(f"{msg}, expected {width}", k + 1)
         ends = np.cumsum([r * w for *_, r, w in distinct]).tolist()
-        arrays = [vals[e - r * w:e].reshape(r, w) for e, (*_, r, w) in zip(ends, distinct)]
         for key, d in keys:
-            if distinct[d][3]:  # a block without rows gets no array
-                self.arrays[key] = arrays[d] if key is distinct[d][0] else arrays[d].copy()
+            first, _, _, r, w = distinct[d]
+            if r:  # a block without rows gets no array
+                self._slots[key] = (ends[d] - r * w, r, w, key is first)
+        self._vals = vals
+
+    def _slot(self, key):
+        """_slots[key], None when the block is absent; an empty block is an error."""
+        if key in self.lines and key not in self._slots:
+            raise SpecParseError("matrix block has no rows", self.lines[key])
+        return self._slots.get(key)
 
     def matrix(self, key):
-        """The block as an array, None when absent; an empty block is an error."""
-        if key in self.lines and key not in self.arrays:
-            raise SpecParseError("matrix block has no rows", self.lines[key])
-        return self.arrays.get(key)
+        """The block as an array, None when absent: a view of the numbers, or a
+        copy for a block with the lines of an earlier one."""
+        if (slot := self._slot(key)) is None:
+            return None
+        start, r, w, first = slot
+        M = self._vals[start:start + r * w].reshape(r, w)
+        return M if first else M.copy()
+
+    def table(self, kind, pairs):
+        """The EdgeTable of the ``kind I J`` blocks of the pairs, in their
+        order: each shape's blocks gathered from the numbers in one call."""
+        at = [self._slot((kind, e)) for e in pairs]
+        start = np.array([a[0] for a in at], dtype=np.int64)
+        groups = [(idx, self._vals[start[idx, None] + np.arange(r * w)].reshape(len(idx), r, w))
+                  for (r, w), idx in shape_groups([a[1:3] for a in at])]
+        return EdgeTable.stacked(np.array(pairs, dtype=np.int64).reshape(-1, 2), groups)
 
 
 _SPEC_SCALARS = {"q": int, "n": int, "alpha": float, "epsilon": float}
@@ -331,16 +358,12 @@ def _materialize_builder(kind, args, q, lineno):
 
 def serialize_spec_document(doc: SpecDocument) -> str:
     spec = doc.spec
-    t = spec.table
     out = [f"q {spec.q}", f"n {spec.n}", f"time_domain {spec.time_domain}"]
     if doc.alpha is not None:
         out.append(f"alpha {_fmt(doc.alpha)}")
     if doc.epsilon is not None:
         out.append(f"epsilon {_fmt(doc.epsilon)}")
-    out += ["A", _fmt_matrix(spec.A)]
-    texts = _texts(list(spec.C.values()))
-    for k, (i, j) in zip(t.order.tolist(), (t.pairs[t.order] + 1).tolist()):
-        out += [f"edge {i} {j}", texts[k]]
+    out += ["A", _fmt_matrix(spec.A), *_table_blocks("edge", spec.table)]
     if doc.P is not None:
         out += ["P", _fmt_matrix(doc.P)]
     return "\n".join(out) + "\n"
@@ -393,12 +416,12 @@ def parse_gains_document(text: str) -> GainsDocument:
     for need in ("q", "n"):
         if need not in scalars:
             raise SpecParseError(f"missing {need}")
-    gmap = {e: blocks.matrix(("gain", e)) for e in gain_headers}
+    table = blocks.table("gain", gain_headers)
     metadata = {k: v for k, v in scalars.items() if k.startswith("cert_") or k == "n1"}
     if cond14 is not None:
         metadata["cert_condition14"] = cond14
     gain_set = GainSet(
-        gains=gmap,
+        table,
         recipe=recipe,
         alpha=scalars.get("alpha"),
         eps_bar=scalars.get("eps_bar"),
@@ -437,8 +460,5 @@ def serialize_gains_document(
             out.append(f"{k} {_fmt(v)}")
     if P is not None:
         out += ["P", _fmt_matrix(P)]
-    pairs = sorted(gain_set.gains)
-    texts = _texts([np.atleast_2d(np.asarray(gain_set.gains[e], dtype=float)) for e in pairs])
-    for (i, j), text in zip(pairs, texts):
-        out += [f"gain {i + 1} {j + 1}", text]
+    out += _table_blocks("gain", gain_set.table)
     return "\n".join(out) + "\n"

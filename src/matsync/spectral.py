@@ -162,16 +162,16 @@ def _of_domain(cls, A, domain):
     return cls
 
 
-def detectable_edges(spec: ArraySpec, symmetric: bool, cls: StabilityClass | None = None) -> dict:
+def detectable_edges(spec: ArraySpec, cls: StabilityClass | None = None) -> dict:
     """{pair: whether (C_ij, A) is PBH detectable} over ``spec.edges``.
 
-    A symmetric spec has one pair (i, j), i < j, per undirected edge, any
-    other every ordered pair.  cls is classify_stability(spec.A,
-    spec.time_domain), computed when None; with no boundary eigenvalue every
-    pair is detectable untested.
+    A symmetric spec (``spec.symmetric``) has one pair (i, j), i < j, per
+    undirected edge, any other every ordered pair.  cls is
+    classify_stability(spec.A, spec.time_domain), computed when None; with no
+    boundary eigenvalue every pair is detectable untested.
     """
     cls = _of_domain(cls, spec.A, spec.time_domain)
-    t, keep = spec.table, spec.nonzero
+    t, keep, symmetric = spec.table, spec.nonzero, spec.symmetric
     if symmetric:  # (i, j), i > j, repeats its mirror when that is an edge
         keep = keep & ~((t.pairs[:, 0] > t.pairs[:, 1]) & (t.mirror >= 0) & keep[t.mirror])
     pos = t.order[keep[t.order]]

@@ -24,6 +24,9 @@ SINGULAR_P_SPEC = (
     "edge 2 1\n1.0 0.0\n0.0 1.0\nP\n1.0 0.0\n0.0 1e-15\n"
 )
 
+# P passes the certificate, but P^-1 C' overflows: theorem1's gains are not finite
+TINY_P_SPEC = "q 2\nn 1\nA\n-1.0\nedge 1 2\n1e154\nedge 2 1\n1e154\nP\n1e-160\n"
+
 
 def assert_exit_contract(command, rc, out, err):
     """The CLI's outcome rule: exit 1 goes with an `error: ` line on stderr,

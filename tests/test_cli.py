@@ -19,6 +19,7 @@ from conftest import (
     CT_ILL_SPLIT_SPEC,
     DT_ILL_SPLIT_SPEC,
     SINGULAR_P_SPEC,
+    TINY_P_SPEC,
     assert_exit_contract,
     off_sync_eigenvalues,
     random_complete_cl_spec,
@@ -636,8 +637,33 @@ def test_help_exits_0(capsys):
 NON_FINITE_GAINS = {
     # alpha overflows the product; P^-1 C' overflows inside the solve, silently
     "alpha": (None, ["--alpha", "1e308"]),
-    "tiny_P": ("q 2\nn 1\nA\n-1.0\nedge 1 2\n1e154\nedge 2 1\n1e154\nP\n1e-160\n", []),
+    "tiny_P": (TINY_P_SPEC, []),
 }
+
+
+@pytest.mark.parametrize("P,alpha,verdict", [
+    ("1e-160", None, "false"), ("1e-150", None, "true"), ("1e-150", "1e10", "false"),
+    ("1e-150", "0.1", "true"),
+])
+def test_check_decides_theorem1_with_its_gains_at_the_document_alpha(P, alpha, verdict, tmp_path, capsys):
+    # the certificate of each P holds, so the verdict is the finiteness of
+    # the gains alpha P^-1 C' at the document's alpha; an alpha below 1/(2q)
+    # draws the gains command's warning, and none from check
+    spec = tmp_path / "s.spec"
+    spec.write_text(TINY_P_SPEC.replace("1e-160", P) + ("" if alpha is None else f"alpha {alpha}\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run("check", "--spec", str(spec))
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (0, "")
+    lines = captured.out.splitlines()
+    assert f"assumption_cl_detectability {verdict}" in lines
+    assert "assumption_neutral_ct true" in lines
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("gains", "--spec", str(spec), "--recipe", "theorem1") == (0 if verdict == "true" else 2)
+    assert [str(w.message) for w in caught] == (["alpha = 0.1 is below the 1/(2q) = 0.25 bound"]
+                                                if alpha == "0.1" else [])
 
 
 @pytest.mark.parametrize("name", sorted(NON_FINITE_GAINS))
@@ -965,6 +991,7 @@ def agreement_documents(draw):
 @example(DT_ILL_SPLIT_SPEC)
 @example(CT_ILL_SPLIT_SPEC)
 @example(SINGULAR_P_SPEC)
+@example(TINY_P_SPEC)
 @settings(max_examples=50, deadline=None)
 def test_check_assumptions_are_the_recipes_exit_codes(tmp_path_factory, text):
     # each assumption_* line of `check` is true exactly when its recipe exits 0

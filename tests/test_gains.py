@@ -423,11 +423,12 @@ def test_edge_tests_make_one_solver_call_per_shape_group(rng, monkeypatch):
         for q in (5, 20)
     )
     P = random_spd(rng, 4)
+    assert small.symmetric and big.symmetric  # one PBH key per undirected edge
     counts = {
         spec.q: [
             _solver_calls(monkeypatch, lambda: verify_cl_detectability(spec, P)),
             _solver_calls(monkeypatch, lambda: find_common_P(spec)),
-            _solver_calls(monkeypatch, lambda: detectable_edges(spec, symmetric=True)),
+            _solver_calls(monkeypatch, lambda: detectable_edges(spec)),
         ]
         for spec in (small, big)
     }

@@ -19,6 +19,7 @@ from conftest import (
     random_complete_cl_spec,
     random_neutrally_stable,
     random_orthogonal,
+    random_spd,
     random_symmetric_spec,
     row_deviation,
     spectrum_partition_gap,
@@ -46,6 +47,7 @@ from matsync import (
 from matsync import simulation
 from matsync.builders import BUILTIN_NAMES
 from matsync.simulation import BOUND_CAP_FACTOR, MAX_TRACE_ROWS, rk4_step_matrix
+from matsync.specdoc import parse_gains_document, serialize_gains_document
 
 PARTITION_TOL = 1e-8  # times max(1, ||Psi||_2)
 RHO_TOL = 1e-11  # times max(1, ||Psi||_2): two orthonormal bases, one quotient
@@ -132,6 +134,52 @@ class TestClosedLoop:
         # a gain off the edges is refused whatever its shape
         with pytest.raises(DimensionMismatch, match=r"gain for \(2, 1\), which is not an edge"):
             closed_loop(spec, {(0, 1): np.ones((2, 1)), (1, 0): [[9.0]]})
+
+    @given(seed=st.integers(0, 2**32 - 1), parsed=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_the_first_fault_of_a_gain_map_is_named(self, seed, parsed):
+        # missing, wrongly shaped and stray gains at once, in a shuffled map
+        # or document: the first missing or wrongly shaped edge in spec.C
+        # order is named, and only then the first stray pair in sorted order
+        rng = np.random.default_rng(seed)
+        q, n = 4, 2
+        pairs = [(i, j) for i in range(q) for j in range(q) if i != j]
+        perm = rng.permutation(len(pairs)).tolist()
+        spec = ArraySpec(q=q, n=n, A=np.zeros((n, n)), C={
+            pairs[k]: rng.standard_normal((int(rng.integers(1, 3)), n)) for k in perm[:6]
+        })
+        gmap, faults = {}, []
+        for (i, j), C in spec.C.items():
+            m = C.shape[0]
+            kind = rng.choice(["fits", "fits", "missing", "shape"])
+            if kind == "missing":
+                faults.append(f"no gain for edge ({i + 1}, {j + 1})")
+                continue
+            # a wrong shape may be the right one of the other row count
+            shape = (n, m) if kind == "fits" else [(n, 3 - m), (m, n), (n, m + 2)][rng.integers(3)]
+            gmap[(i, j)] = rng.standard_normal(shape)
+            if kind == "shape" and shape != (n, m):
+                faults.append(f"gain G_{i + 1}{j + 1} has shape {shape}, expected ({n}, {m})")
+        strays = [pairs[k] for k in perm[6:6 + int(rng.integers(0, 4))]]
+        for e in strays:
+            gmap[e] = rng.standard_normal((n, int(rng.integers(1, 3))))
+        if strays:
+            i, j = min(strays)
+            faults.append(f"gain for ({i + 1}, {j + 1}), which is not an edge of the spec")
+        keys = [list(gmap)[k] for k in rng.permutation(len(gmap))]
+        if parsed:
+            body = "".join(f"gain {i + 1} {j + 1}\n"
+                           + "".join(" ".join(map(repr, r)) + "\n" for r in gmap[(i, j)].tolist())
+                           for i, j in keys)
+            gains = parse_gains_document(f"recipe manual\nq {q}\nn {n}\n" + body).gain_set
+        else:
+            gains = {e: gmap[e] for e in keys}
+        if not faults:
+            assert closed_loop(spec, gains).system_matrix.shape == (q * n, q * n)
+            return
+        with pytest.raises(DimensionMismatch) as err:
+            closed_loop(spec, gains)
+        assert str(err.value) == faults[0]
 
     def test_discrete_embeds_epsilon(self):
         spec = ArraySpec(
@@ -221,6 +269,45 @@ class TestClosedLoopBits:
             got = closed_loop(spec, gmap, epsilon=epsilon).system_matrix
             want = laplacian_closed_loop(spec, gmap, epsilon)
         assert_same_bits(got, want)
+
+
+def mixed_shape_spec(rng, q, n, domain):
+    """Off-diagonal outputs of 1 to 3 rows in random insertion order, some
+    zero; in DT every mirror is equal, as alg2's eps_bar needs."""
+    pairs = [(i, j) for i in range(q) for j in range(q) if i != j]
+    cmap = {}
+    for k in rng.permutation(len(pairs))[:int(rng.integers(1, len(pairs) + 1))]:
+        i, j = pairs[k]
+        C = rng.standard_normal((int(rng.integers(1, 4)), n)) * (rng.random() < 0.9)
+        cmap[(i, j)] = cmap[(j, i)] if domain == "discrete" and (j, i) in cmap else C
+    if domain == "discrete":
+        cmap.update({(j, i): C for (i, j), C in list(cmap.items())})
+    A = random_neutrally_stable(rng, n, domain)
+    return ArraySpec(q=q, n=n, A=A, C=cmap, time_domain=domain)
+
+
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(2, 6), n=st.integers(1, 4),
+       recipe=st.sampled_from(["theorem1", "alg1", "alg2"]))
+@settings(max_examples=60, deadline=None)
+def test_one_psi_from_every_gains_source(seed, q, n, recipe):
+    # the recipe's GainSet, that set serialized and parsed back, and a plain
+    # map of its gains in shuffled order give Psi bit for bit
+    rng = np.random.default_rng(seed)
+    spec = mixed_shape_spec(rng, q, n, "discrete" if recipe == "alg2" else "continuous")
+    if recipe == "theorem1":
+        P = random_spd(rng, n)
+        gs = gains_theorem1(spec, P, verify_cl_detectability(spec, P), alpha=float(rng.uniform(0.5, 2)))
+    else:
+        gs = (gains_ct_neutral if recipe == "alg1" else gains_dt_neutral)(spec, check=False)
+    assert list(gs.gains) == list(spec.C)
+    parsed = parse_gains_document(serialize_gains_document(gs, q, n)).gain_set
+    keys = list(gs.gains)
+    shuffled = {keys[k]: gs.gains[keys[k]] for k in rng.permutation(len(keys))}
+    ebar = gs.eps_bar if gs.eps_bar is not None and np.isfinite(gs.eps_bar) else None
+    want = closed_loop(spec, gs).system_matrix
+    assert_same_bits(closed_loop(spec, parsed).system_matrix, want)
+    epsilon = None if recipe != "alg2" else (1.0 if ebar is None else ebar)
+    assert_same_bits(closed_loop(spec, shuffled, epsilon=epsilon).system_matrix, want)
 
 
 class TestSimulateCT:
@@ -828,6 +915,20 @@ class TestRhoSweep:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match=r"at alpha = 1e\+30[35]$"):
                 rho_sweep(ex.spec, P, alphas)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_rows_equal_a_per_edge_reference(self, name):
+        # the quotient of the per-edge weights P^-1 C' C, as rho_sweep forms it
+        ex = builtin_example(name)
+        spec, P, alphas = ex.spec, sweep_P(ex), [0.1, 1.0, 10.0]
+        q, n = spec.q, spec.n
+        W = np.array([np.linalg.solve(P, C.T) @ C for C in spec.C.values()])
+        V = np.kron(simulation.sync_complement_basis(q), np.eye(n))
+        coupling = V.T @ simulation.assemble_block_laplacian(spec.table.pairs, W, q) @ V
+        drift = np.kron(np.eye(q - 1), spec.A)
+        want = [(a, float(np.linalg.eigvals(drift - a * coupling).real.max())) for a in alphas]
+        got = rho_sweep(spec, P, alphas)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
 
     def test_ordering_follows_input(self):
         ex = builtin_example("chain5")

@@ -303,7 +303,7 @@ class TestGainsDocuments:
             (0, 1): rng.standard_normal((3, 1)),
             (1, 0): rng.standard_normal((3, 1)),
         }
-        gs = GainSet(gains=gains, recipe="theorem1", alpha=0.5)
+        gs = GainSet.of(gains, recipe="theorem1", alpha=0.5)
         text = serialize_gains_document(
             gs, q=2, n=3, P=np.eye(3),
             metadata={"cert_eps": 0.25, "cert_condition14": True},
@@ -321,7 +321,7 @@ class TestGainsDocuments:
         ) == text
 
     def test_eps_bar_and_epsilon(self):
-        gs = GainSet(gains={(0, 1): np.eye(2)}, recipe="alg2_dt", eps_bar=0.5)
+        gs = GainSet.of({(0, 1): np.eye(2)}, recipe="alg2_dt", eps_bar=0.5)
         text = serialize_gains_document(gs, q=2, n=2, epsilon=0.5)
         parsed = parse_gains_document(text)
         assert parsed.gain_set.eps_bar == 0.5
@@ -363,13 +363,13 @@ class TestMirroredBlocks:
         parsed = parse_spec_document(text)
         assert specs_equal(parsed.spec, spec)
         assert serialize_spec_document(parsed) == text
-        gs = GainSet(gains={e: M.T for e, M in spec.C.items()}, recipe="alg1_ct")
+        gs = GainSet.of({e: M.T for e, M in spec.C.items()}, recipe="alg1_ct")
         gtext = serialize_gains_document(gs, q=3, n=3, P=C)
         gparsed = parse_gains_document(gtext)
         assert serialize_gains_document(gparsed.gain_set, q=3, n=3, P=gparsed.P) == gtext
 
     def test_blocks_that_differ_only_in_the_sign_of_zero_are_written_apart(self):
-        gs = GainSet(gains={(0, 1): np.array([[0.0]]), (1, 0): np.array([[-0.0]])}, recipe="manual")
+        gs = GainSet.of({(0, 1): np.array([[0.0]]), (1, 0): np.array([[-0.0]])}, recipe="manual")
         text = serialize_gains_document(gs, q=2, n=1)
         assert text.endswith("gain 1 2\n0.0\ngain 2 1\n-0.0\n")
         G = parse_gains_document(text).gain_set.gains

@@ -275,7 +275,8 @@ def test_batched_pbh_equals_per_edge_loop(seed, n, domain):
     )
     want = {(0, k + 1): pbh_loop(Cs[p], A, suspect) for k, p in enumerate(order)}
     assert set(want.values()) == {True, False}
-    assert detectable_edges(spec, symmetric=False) == want
+    assert not spec.symmetric  # one-sided edges: every ordered pair is listed
+    assert detectable_edges(spec) == want
     assert [pbh_detectable(C, A, domain) for C in Cs] == [pbh_loop(C, A, suspect) for C in Cs]
 
 
@@ -399,7 +400,8 @@ def test_no_rank_test_runs_on_an_empty_boundary(monkeypatch):
     spec = ArraySpec(q=3, n=2, A=A, C={(0, 1): np.eye(2), (1, 2): np.array([[0.0, 1.0]])})
     calls = []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
-    assert detectable_edges(spec, symmetric=False) == {(0, 1): True, (1, 2): True}
+    assert not spec.symmetric
+    assert detectable_edges(spec) == {(0, 1): True, (1, 2): True}
     assert calls == []
 
 
@@ -407,7 +409,7 @@ def test_a_classification_of_the_other_domain_is_refused(rng):
     spec = random_symmetric_spec(rng, q=3, n=3)
     dt = classify_stability(spec.A, "discrete")
     with pytest.raises(ValueError):
-        detectable_edges(spec, True, dt)
+        detectable_edges(spec, dt)
     with pytest.raises(ValueError):
         neutral_split(spec.A, "continuous", dt)
     with pytest.raises(ValueError):
