@@ -183,8 +183,9 @@ class _Blocks:
         self._close(end, len(lines))
 
     def _read(self):
-        """Each block's array, from one float conversion over the distinct
-        blocks' tokens; a block with the lines of an earlier one gets a copy."""
+        """Each block's place in one float conversion over the distinct blocks'
+        tokens, which matrix and table read; a block with the lines of an
+        earlier one shares that place."""
         lines, index, keys, distinct, tokens, ragged = self._lines, {}, [], [], [], False
         for key, a, b in self._spans:
             if (d := index.setdefault(tuple(lines[a:b]), len(index))) == len(distinct):
