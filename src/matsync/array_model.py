@@ -34,11 +34,6 @@ def as_block(M):
     return M if ok else np.atleast_2d(np.asarray(M, dtype=float))
 
 
-def shape_groups(shapes):
-    """(shape, positions) per distinct shape, in order of first appearance."""
-    return [(s, np.array([k for k, t in enumerate(shapes) if t == s])) for s in dict.fromkeys(shapes)]
-
-
 def _keys(*pairs):
     """Each (i, j) row of (E, 2) arrays as one integer, by one radix for all."""
     lo = min(P.min(initial=0) for P in pairs)
@@ -46,56 +41,49 @@ def _keys(*pairs):
     return [(P[:, 0] - lo) * w + (P[:, 1] - lo) for P in pairs]
 
 
-def _match(key, order, want, want_order):
-    """The position in key of each of want, -1 for none: a merge of the two,
-    sorted by order and want_order."""
-    at = np.full(len(want), -1)
-    if len(key):
-        sk, sw = key[order], want[want_order]
-        pos = np.minimum(np.searchsorted(sk, sw), len(sk) - 1)
-        hit = sk[pos] == sw
-        at[want_order[hit]] = order[pos[hit]]
-    return at
-
-
 @dataclass(frozen=True)
 class EdgeTable:
     """A map of ordered pairs to blocks, a spec's outputs C_ij or its gains
     G_ij: their (E, 2) int ``pairs`` in insertion order, ``groups``, one
     (positions, stack) per block shape, ``where`` each position's (group,
-    row), ``order``, the positions in sorted pair order, ``mirror``, the
-    position of each (j, i) or -1, and ``norms`` (np.linalg.norm bit for
-    bit, when first read).  A per-edge computation is one numpy call per
-    group, bit-equal to one per block."""
+    row), ``order``, the positions in sorted pair order, and, when first
+    read, ``mirror``, the position of each (j, i) or -1, and ``norms``
+    (np.linalg.norm bit for bit).  A per-edge computation is one numpy call
+    per group, bit-equal to one per block."""
 
     pairs: np.ndarray
     groups: tuple
     where: np.ndarray
     order: np.ndarray
-    mirror: np.ndarray
 
     @classmethod
     def of(cls, cmap):
         """The table of a {pair: 2-D float array} map."""
-        mats = list(cmap.values())
-        groups = [(idx, np.array([mats[k] for k in idx]).reshape(len(idx), *shape))
-                  for shape, idx in shape_groups([M.shape for M in mats])]
-        return cls.stacked(np.array(list(cmap), dtype=np.int64).reshape(len(mats), 2), groups)
-
-    @classmethod
-    def stacked(cls, pairs, groups):
-        """The table of distinct (E, 2) pairs whose blocks the groups hold."""
-        where = np.zeros((len(pairs), 2), dtype=np.int64)
-        for g, (idx, _) in enumerate(groups):
+        mats, E = list(cmap.values()), len(cmap)
+        pairs = np.array(list(cmap), dtype=np.int64).reshape(E, 2)
+        shapes = [M.shape for M in mats]
+        groups, where = [], np.zeros((E, 2), dtype=np.int64)
+        for g, shape in enumerate(dict.fromkeys(shapes)):
+            idx = np.array([k for k, s in enumerate(shapes) if s == shape])
+            groups.append((idx, np.array([mats[k] for k in idx]).reshape(len(idx), *shape)))
             where[idx, 0], where[idx, 1] = g, np.arange(len(idx))
-        key, mkey = _keys(pairs, pairs[:, ::-1])
-        order = np.argsort(key)
-        return cls(pairs, tuple(groups), where, order, _match(key, order, mkey, np.argsort(mkey)))
+        (key,) = _keys(pairs)
+        return cls(pairs, tuple(groups), where, np.argsort(key))
 
-    def find(self, other):
-        """The position in this table of each pair of the other, -1 for none."""
-        key, want = _keys(self.pairs, other.pairs)
-        return _match(key, self.order, want, other.order)
+    def find(self, pairs):
+        """The position in this table of each (E, 2) pair, -1 for none: a
+        binary search of the table's sorted pairs for the pairs taken in
+        sorted order, which at E = 39,800 takes 2.5 ms with their argsort
+        and 7.4 ms without (one CPU)."""
+        key, want = _keys(self.pairs, pairs)
+        at = np.full(len(want), -1)
+        if len(key):
+            s = np.argsort(want)
+            pos = self.order[np.minimum(np.searchsorted(key, want[s], sorter=self.order), len(key) - 1)]
+            at[s] = np.where(key[pos] == want[s], pos, -1)
+        return at
+
+    mirror = functools.cached_property(lambda self: self.find(self.pairs[:, ::-1]))
 
     @functools.cached_property
     def norms(self):

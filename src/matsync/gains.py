@@ -257,7 +257,8 @@ def gains_theorem1(
     P = np.asarray(P, dtype=float)
     if not np.array_equal(cert.P, 0.5 * (P + P.T)):
         raise ValueError("the certificate is not of this P")
-    alpha = _alpha(spec, alpha)
+    if alpha is None:
+        alpha = max(1.0 / (2.0 * spec.q), 1.0)
     if alpha < 1.0 / (2.0 * spec.q) - 1e-15:
         warnings.warn(
             f"alpha = {alpha} is below the 1/(2q) = {1.0 / (2.0 * spec.q)} bound",
@@ -272,30 +273,21 @@ def gains_theorem1(
     )
 
 
-def _alpha(spec, alpha):
-    """theorem1's alpha, by default max(1/(2q), 1)."""
-    return max(1.0 / (2.0 * spec.q), 1.0) if alpha is None else alpha
-
-
 def _theorem1(P, alpha):
     """The theorem1 gains alpha P^-1 C' of a stack of outputs C."""
     return lambda S: alpha * np.linalg.solve(P, S.transpose(0, 2, 1))
 
 
-def _gain_table(spec, f):
-    """f(S) for each shape group's stack S of C_ij, in spec.table's layout;
-    overflow runs to inf silently."""
-    with np.errstate(over="ignore"):
-        return dataclasses.replace(spec.table, groups=tuple((idx, f(S)) for idx, S in spec.table.groups))
-
-
-def _gain_map(spec, f):
-    """_gain_table, refusing the first edge, in table order, whose gain is not finite."""
-    g = _gain_table(spec, f)
-    bad = [idx[~np.isfinite(G).all(axis=(1, 2))] for idx, G in g.groups]
-    k = min((b.min() for b in bad if len(b)), default=-1)
-    if k >= 0:
-        i, j = (g.pairs[k] + 1).tolist()
+def _gain_map(spec, f, finite=True):
+    """f(S) for each shape group's stack S of C_ij, in spec.table's layout.
+    Overflow runs to inf and inf * 0 to nan silently; with finite, the first
+    edge, in table order, whose gain is not finite is refused."""
+    t = spec.table
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = dataclasses.replace(t, groups=tuple((idx, f(S)) for idx, S in t.groups))
+    bad = [b.min() for idx, G in g.groups if finite and len(b := idx[~np.isfinite(G).all(axis=(1, 2))])]
+    if bad:
+        i, j = (g.pairs[min(bad)] + 1).tolist()
         raise MatsyncError(f"the gain of edge ({i}, {j}) is not finite")
     return g
 
@@ -376,9 +368,11 @@ def _theorem1_hypotheses(facts, force=False):
 
 
 def _theorem1_holds(facts, alpha=None):
-    """gains --recipe theorem1's decision: its hypotheses, then finite gains at alpha."""
-    P, _ = _theorem1_hypotheses(facts)
-    _gain_map(facts.spec, _theorem1(P, _alpha(facts.spec, alpha)))
+    """gains --recipe theorem1's decision: its hypotheses, then gains_theorem1
+    at alpha, with its warning left to gains."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        gains_theorem1(facts.spec, *_theorem1_hypotheses(facts), alpha)
 
 
 def _neutral_hypotheses(facts, domain, check=True):

@@ -62,7 +62,7 @@ import scipy.linalg as sla
 
 from .array_model import CONTINUOUS, ArraySpec, gamma_matrix, sync_complement_basis
 from .errors import DimensionMismatch, Diverged
-from .gains import GainSet, _gain_table, _theorem1
+from .gains import GainSet, _gain_map, _theorem1
 from .mwl import assemble_block_laplacian
 from .spectral import neutral_split
 
@@ -172,7 +172,7 @@ def _coupling_weights(spec, gains):
     spec.C order, with no gain or one of the wrong shape, and then the first
     gain, in sorted pair order, that is not an edge's."""
     t, n = spec.table, spec.n
-    at = gains.find(t)  # each edge's gain, -1 for none
+    at = gains.find(t.pairs)  # each edge's gain, -1 for none
     group = np.append(gains.where[:, 0], -1)  # each gain's group, -1 for none
     shapes = [G.shape[1:] for _, G in gains.groups]
     W, fault = np.empty((len(t.pairs), n, n)), len(t.pairs)
@@ -452,7 +452,7 @@ def rho_sweep(spec: ArraySpec, P: np.ndarray, alphas):
     # (Q'Q) (x) A = I (x) A exactly, so the drift needs no projection
     drift = np.kron(np.eye(q - 1), spec.A)
     # W_ij = G_ij C_ij of the theorem1 gains at alpha = 1: 1.0 P^-1 C_ij' is P^-1 C_ij' bit for bit
-    weights = _coupling_weights(spec, _gain_table(spec, _theorem1(P, 1.0)))
+    weights = _coupling_weights(spec, _gain_map(spec, _theorem1(P, 1.0), finite=False))
     coupling = V.T @ assemble_block_laplacian(spec.table.pairs, weights, q) @ V
     quotient = np.empty_like(coupling)  # drift - alpha coupling, for each alpha in turn
     out = []

@@ -15,7 +15,7 @@ tokens of the document's distinct blocks (numpy reads a token as float()
 does, bit for bit) and the row lengths and isfinite are checked, so the
 first fault in document order is raised with its line.  A block whose rows
 came before (the mirror C_ji of a symmetric C_ij) gets a copy of that array.
-A gains document's blocks are gathered into an EdgeTable, one call per shape.
+A gains document's blocks are stacked into its GainSet's EdgeTable.
 
 Serialization emits the matrices with full round-trip precision, so parse
 -> serialize -> parse is the identity on the in-memory spec.  Edge and gain
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .array_model import CONTINUOUS, DISCRETE, ArraySpec, EdgeTable, shape_groups
+from .array_model import CONTINUOUS, DISCRETE, ArraySpec
 from .builders import build_lc, build_mass_spring
 from .errors import DimensionMismatch, NonPositiveParameter, SpecParseError
 from .gains import GainSet
@@ -137,8 +137,7 @@ class _Blocks:
     bad row before a fault the loop raises is raised in its place."""
 
     def __init__(self):
-        # key -> line of its header; key -> (start, rows, width, first) of its numbers
-        self.lines, self._slots, self._vals = {}, {}, None
+        self.arrays, self.lines = {}, {}  # key -> its array, key -> line of its header
         self._spans, self._open, self._lines = [], None, []  # (key, a, b): lines a..b-1 hold its rows
 
     def __enter__(self):
@@ -183,9 +182,8 @@ class _Blocks:
         self._close(end, len(lines))
 
     def _read(self):
-        """Each block's place in one float conversion over the distinct blocks'
-        tokens, which matrix and table read; a block with the lines of an
-        earlier one shares that place."""
+        """Each block's array, from one float conversion over the distinct
+        blocks' tokens; a block with the lines of an earlier one gets a copy."""
         lines, index, keys, distinct, tokens, ragged = self._lines, {}, [], [], [], False
         for key, a, b in self._spans:
             if (d := index.setdefault(tuple(lines[a:b]), len(index))) == len(distinct):
@@ -204,35 +202,16 @@ class _Blocks:
                         msg = f"ragged matrix block {_block_name(key)}: row of length {len(row)}"
                         raise SpecParseError(f"{msg}, expected {width}", k + 1)
         ends = np.cumsum([r * w for *_, r, w in distinct]).tolist()
+        arrays = [vals[e - r * w:e].reshape(r, w) for e, (*_, r, w) in zip(ends, distinct)]
         for key, d in keys:
-            first, _, _, r, w = distinct[d]
-            if r:  # a block without rows gets no array
-                self._slots[key] = (ends[d] - r * w, r, w, key is first)
-        self._vals = vals
-
-    def _slot(self, key):
-        """_slots[key], None when the block is absent; an empty block is an error."""
-        if key in self.lines and key not in self._slots:
-            raise SpecParseError("matrix block has no rows", self.lines[key])
-        return self._slots.get(key)
+            if distinct[d][3]:  # a block without rows gets no array
+                self.arrays[key] = arrays[d] if key is distinct[d][0] else arrays[d].copy()
 
     def matrix(self, key):
-        """The block as an array, None when absent: a view of the numbers, or a
-        copy for a block with the lines of an earlier one."""
-        if (slot := self._slot(key)) is None:
-            return None
-        start, r, w, first = slot
-        M = self._vals[start:start + r * w].reshape(r, w)
-        return M if first else M.copy()
-
-    def table(self, kind, pairs):
-        """The EdgeTable of the ``kind I J`` blocks of the pairs, in their
-        order: each shape's blocks gathered from the numbers in one call."""
-        at = [self._slot((kind, e)) for e in pairs]
-        start = np.array([a[0] for a in at], dtype=np.int64)
-        groups = [(idx, self._vals[start[idx, None] + np.arange(r * w)].reshape(len(idx), r, w))
-                  for (r, w), idx in shape_groups([a[1:3] for a in at])]
-        return EdgeTable.stacked(np.array(pairs, dtype=np.int64).reshape(-1, 2), groups)
+        """The block as an array, None when absent; an empty block is an error."""
+        if key in self.lines and key not in self.arrays:
+            raise SpecParseError("matrix block has no rows", self.lines[key])
+        return self.arrays.get(key)
 
 
 _SPEC_SCALARS = {"q": int, "n": int, "alpha": float, "epsilon": float}
@@ -417,12 +396,12 @@ def parse_gains_document(text: str) -> GainsDocument:
     for need in ("q", "n"):
         if need not in scalars:
             raise SpecParseError(f"missing {need}")
-    table = blocks.table("gain", gain_headers)
+    gmap = {e: blocks.matrix(("gain", e)) for e in gain_headers}
     metadata = {k: v for k, v in scalars.items() if k.startswith("cert_") or k == "n1"}
     if cond14 is not None:
         metadata["cert_condition14"] = cond14
-    gain_set = GainSet(
-        table,
+    gain_set = GainSet.of(
+        gmap,
         recipe=recipe,
         alpha=scalars.get("alpha"),
         eps_bar=scalars.get("eps_bar"),

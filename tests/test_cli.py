@@ -643,12 +643,13 @@ NON_FINITE_GAINS = {
 
 @pytest.mark.parametrize("P,alpha,verdict", [
     ("1e-160", None, "false"), ("1e-150", None, "true"), ("1e-150", "1e10", "false"),
-    ("1e-150", "0.1", "true"),
+    ("1e-150", "0.1", "true"), ("1e-160", "0", "false"),
 ])
 def test_check_decides_theorem1_with_its_gains_at_the_document_alpha(P, alpha, verdict, tmp_path, capsys):
     # the certificate of each P holds, so the verdict is the finiteness of
-    # the gains alpha P^-1 C' at the document's alpha; an alpha below 1/(2q)
-    # draws the gains command's warning, and none from check
+    # the gains alpha P^-1 C' at the document's alpha (at alpha 0, 0 times
+    # an overflowed P^-1 C' is nan); an alpha below 1/(2q) draws the gains
+    # command's warning, and none from check
     spec = tmp_path / "s.spec"
     spec.write_text(TINY_P_SPEC.replace("1e-160", P) + ("" if alpha is None else f"alpha {alpha}\n"))
     with warnings.catch_warnings():
@@ -662,8 +663,9 @@ def test_check_decides_theorem1_with_its_gains_at_the_document_alpha(P, alpha, v
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run("gains", "--spec", str(spec), "--recipe", "theorem1") == (0 if verdict == "true" else 2)
-    assert [str(w.message) for w in caught] == (["alpha = 0.1 is below the 1/(2q) = 0.25 bound"]
-                                                if alpha == "0.1" else [])
+    low = alpha is not None and float(alpha) < 0.25
+    assert [str(w.message) for w in caught] == ([f"alpha = {float(alpha)} is below the 1/(2q) = 0.25 bound"]
+                                                if low else [])
 
 
 @pytest.mark.parametrize("name", sorted(NON_FINITE_GAINS))
