@@ -107,13 +107,15 @@ class EdgeTable:
 
     def gram(self, n, pre_transform=None):
         """(E, k, k) stack of the weights H'H, H = C or C @ pre_transform, in
-        table order: one batched matmul per group, bit-equal to H.T @ H."""
+        table order: one batched matmul per group, bit-equal to H.T @ H.  An
+        overflow runs to inf silently; the CL certificate refuses such a weight."""
         k = n if pre_transform is None else pre_transform.shape[1]
         out = np.empty((len(self.pairs), k, k))
         for idx, H in self.groups:
-            if pre_transform is not None:
-                H = H @ pre_transform
-            out[idx] = H.transpose(0, 2, 1) @ H
+            with np.errstate(over="ignore"):
+                if pre_transform is not None:
+                    H = H @ pre_transform
+                out[idx] = H.transpose(0, 2, 1) @ H
         return out
 
 

@@ -91,40 +91,9 @@ def _bool(b):
     return "true" if b else "false"
 
 
-# bundled builder examples: name -> (builder, its parameters)
-BUILDER_EXAMPLES = {
-    "mass_spring_demo": ("mass_spring", builders.MASS_SPRING_DEMO),
-    "lc_demo": ("lc", builders.LC_DEMO),
-}
-
-
 def cmd_example(args):
-    ex = builders.builtin_example(args.name)
-    if ex.name not in BUILDER_EXAMPLES:
-        doc = specdoc.SpecDocument(spec=ex.spec, P=ex.P)
-        _write(args.out, serialize_with_comment(doc, ex.description))
-        return EXIT_OK
-    builder, params = BUILDER_EXAMPLES[ex.name]
-    lines = [
-        f"# {ex.description}",
-        f"q {params['q']}",
-        f"time_domain {CONTINUOUS}",
-        f"builder {builder}",
-    ]
-    for key, value in params.items():
-        if isinstance(value, dict):  # edge -> coupling values
-            for (i, j), vals in sorted(value.items()):
-                lines.append(f"coupling {i + 1} {j + 1} " + " ".join(_fmt(v) for v in vals))
-        elif key != "q":
-            lines.append(f"{key} " + " ".join(_fmt(v) for v in value))
-    lines.append("variant transformed")
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, specdoc.serialize_example(builders.builtin_example(args.name)))
     return EXIT_OK
-
-
-def serialize_with_comment(doc, comment):
-    body = specdoc.serialize_spec_document(doc)
-    return f"# {comment}\n{body}" if comment else body
 
 
 def _load_spec_env(path):

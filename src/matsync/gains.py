@@ -98,7 +98,9 @@ def verify_cl_detectability(
 
     Infeasibility is reported in the certificate, never raised.  The edge
     matrices, A'P + PA and P are solved in one batched eigvalsh, each
-    bit-equal to its own call.
+    bit-equal to its own call.  An edge weight C_ij'C_ij that overflowed
+    proves nothing: no edge matrix is solved, eps is nan and the
+    certificate is infeasible.
     """
     A = spec.A
     P = 0.5 * (np.asarray(P, dtype=float) + np.asarray(P, dtype=float).T)
@@ -106,12 +108,13 @@ def verify_cl_detectability(
         strict_tol = default_strict_tol(A, P)
     X = A.T @ P + P @ A
     weights = _edge_weights(spec)
-    E = len(weights)
+    finite = np.isfinite(weights).all()
+    E = len(weights) if finite else 0
     stack = np.empty((E + 2, *X.shape))
-    np.subtract(weights, X, out=stack[:E])
+    np.subtract(weights[:E], X, out=stack[:E])
     stack[E], stack[E + 1] = X, P
     w = np.linalg.eigvalsh(stack)
-    eps = float(np.min(w[:E, 0], initial=np.inf))
+    eps = float(np.min(w[:E, 0], initial=np.inf)) if finite else np.nan
     sigma = float(w[E, -1])
     p_min = float(w[E + 1, 0])
     return CLDetectabilityCertificate(
@@ -160,19 +163,19 @@ def find_common_P(
     for at most MAX_ITERS steps with one restart seeded by SEARCH_SEED.
     Stops once f(P) < -margin, margin = max(1e-7, min_e lambda_min(C_e'C_e)/4);
     the returned certificate is always recomputed by verify_cl_detectability
-    with its default strict margin.  Raises Infeasible (carrying the
-    least-violating certificate) when the budget runs out.  cls, the
+    with its default strict margin.  Raises Infeasible carrying the
+    least-violating certificate (the first start's when no violation is a
+    number) when the budget runs out, and at once, carrying that of P = I,
+    when there is no edge or an edge weight is not finite.  cls, the
     continuous-time classify_stability(spec.A) (computed when None), carries
     the boundary eigenvalues and ||A||_2: passing it shares its one eig(A).
     """
     cls = _of_domain(cls, spec.A, CONTINUOUS)
     A = spec.A
     weights = _edge_weights(spec)
-    if not len(weights):
-        raise Infeasible(
-            "spec has no nonzero edges",
-            verify_cl_detectability(spec, np.eye(spec.n)),
-        )
+    if not len(weights) or not np.isfinite(weights).all():
+        why = "an edge weight C_ij'C_ij is not finite" if len(weights) else "spec has no nonzero edges"
+        raise Infeasible(why, verify_cl_detectability(spec, np.eye(spec.n)))
     n = spec.n
 
     # margin target: a fraction of what P -> 0 would achieve on full-rank
@@ -191,7 +194,7 @@ def find_common_P(
     for t in np.logspace(1, -3, 9):
         candidates.append(t * np.eye(n))
 
-    best_P, best_f = None, np.inf
+    best_P, best_f = candidates[0], np.inf  # kept while no violation is a number
     for P0 in candidates:
         f0, _ = _violation(A, P0, weights)
         if f0 < best_f:
@@ -212,7 +215,7 @@ def find_common_P(
                 if best_f < -margin:
                     break
                 gn2 = float(np.sum(g * g))
-                if gn2 <= 1e-30:
+                if not gn2 > 1e-30:  # or nan
                     break
                 # Polyak-style step towards a receding target under best_f
                 target = best_f - max(0.01 * (1.0 + abs(best_f)), 1e-3) / (1.0 + k / 200.0)
@@ -278,14 +281,14 @@ def _theorem1(P, alpha):
     return lambda S: alpha * np.linalg.solve(P, S.transpose(0, 2, 1))
 
 
-def _gain_map(spec, f, finite=True):
+def _gain_map(spec, f):
     """f(S) for each shape group's stack S of C_ij, in spec.table's layout.
-    Overflow runs to inf and inf * 0 to nan silently; with finite, the first
-    edge, in table order, whose gain is not finite is refused."""
+    Overflow runs to inf and inf * 0 to nan silently; then the first edge,
+    in table order, whose gain is not finite is refused."""
     t = spec.table
     with np.errstate(over="ignore", invalid="ignore"):
         g = dataclasses.replace(t, groups=tuple((idx, f(S)) for idx, S in t.groups))
-    bad = [b.min() for idx, G in g.groups if finite and len(b := idx[~np.isfinite(G).all(axis=(1, 2))])]
+    bad = [b.min() for idx, G in g.groups if len(b := idx[~np.isfinite(G).all(axis=(1, 2))])]
     if bad:
         i, j = (g.pairs[min(bad)] + 1).tolist()
         raise MatsyncError(f"the gain of edge ({i}, {j}) is not finite")

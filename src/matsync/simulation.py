@@ -441,8 +441,9 @@ def rho_sweep(spec: ArraySpec, P: np.ndarray, alphas):
     under any such coupling, so the rest of the spectrum is exactly
     eig(V' Psi V) with V = Q (x) I_n, Q from sync_complement_basis; rho is
     -inf for a single agent.  Returns [(alpha, rho), ...] in input order.
-    Raises OverflowError, naming alpha, when the quotient at an alpha has an
-    entry that does not fit a double.
+    A gain P^-1 C_ij^T that is not finite is refused, naming its edge, as
+    gains_theorem1 refuses it.  Raises OverflowError, naming alpha, when the
+    quotient at an alpha has an entry that does not fit a double.
     """
     P = np.asarray(P, dtype=float)
     q, n = spec.q, spec.n
@@ -452,7 +453,7 @@ def rho_sweep(spec: ArraySpec, P: np.ndarray, alphas):
     # (Q'Q) (x) A = I (x) A exactly, so the drift needs no projection
     drift = np.kron(np.eye(q - 1), spec.A)
     # W_ij = G_ij C_ij of the theorem1 gains at alpha = 1: 1.0 P^-1 C_ij' is P^-1 C_ij' bit for bit
-    weights = _coupling_weights(spec, _gain_map(spec, _theorem1(P, 1.0), finite=False))
+    weights = _coupling_weights(spec, _gain_map(spec, _theorem1(P, 1.0)))
     coupling = V.T @ assemble_block_laplacian(spec.table.pairs, weights, q) @ V
     quotient = np.empty_like(coupling)  # drift - alpha coupling, for each alpha in turn
     out = []

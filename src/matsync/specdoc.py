@@ -8,18 +8,21 @@ matrices, with a ``builder`` line, its parameter vectors (``masses`` and
 ``springs``, or ``capacitances`` and ``inductances``), ``coupling I J``
 lines and a ``variant`` (see the README).
 
-Each key but ``edge``, ``gain`` and ``coupling`` may appear once, and each
-ordered edge gets one ``edge``, ``gain`` or ``coupling`` line.  One pass
-over the lines records each block's rows; then one numpy call converts the
-tokens of the document's distinct blocks (numpy reads a token as float()
-does, bit for bit) and the row lengths and isfinite are checked, so the
-first fault in document order is raised with its line.  A block whose rows
-came before (the mirror C_ji of a symmetric C_ij) gets a copy of that array.
-A gains document's blocks are stacked into its GainSet's EdgeTable.
+One reader, ``_read``, reads both kinds by a grammar (_SPEC, _GAINS) that
+gives each key's rule: a scalar's type, the words it may take, a matrix
+block, a block per ordered pair, a builder vector or a coupling line.
+Block, pair and coupling keys repeat, one line per ordered edge; any other
+key appears once.  One pass over the lines records each block's rows; then
+one numpy call converts the tokens of the document's distinct blocks
+(numpy reads a token as float() does, bit for bit) and the row lengths and
+isfinite are checked, so the first fault in document order is raised with
+its line.  A block whose rows came before (the mirror C_ji of a symmetric
+C_ij) gets a copy of that array.
 
 Serialization emits the matrices with full round-trip precision, so parse
 -> serialize -> parse is the identity on the in-memory spec.  Edge and gain
 blocks are written in sorted pair order, each distinct one formatted once.
+The bundled examples, builder demos included, are written here too.
 
 A fault of a document, builder parameters the builders refuse included
 (named at the ``builder`` line), is a SpecParseError: the CLI prints it as
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .array_model import CONTINUOUS, DISCRETE, ArraySpec
-from .builders import build_lc, build_mass_spring
+from .builders import LC_DEMO, MASS_SPRING_DEMO, BuiltinExample, build_lc, build_mass_spring
 from .errors import DimensionMismatch, NonPositiveParameter, SpecParseError
 from .gains import GainSet
 
@@ -107,9 +110,9 @@ def _vector(tokens, bad, what, lineno):
     return vals
 
 
-def _scalar(kinds, key, value, lineno):
+def _scalar(kind, key, value, lineno):
     try:
-        x = kinds[key](value)
+        x = kind(value)
     except ValueError:
         raise SpecParseError(f"bad value for {key}: {value!r}", lineno)
     if not key.startswith("cert_") and not math.isfinite(x):  # a margin may be infinite
@@ -121,14 +124,16 @@ def _scalar(kinds, key, value, lineno):
 
 def _block_name(key):
     """A block key as the document writes its header: A, P, edge I J, gain I J."""
-    if isinstance(key, str):
-        return key
-    kind, (i, j) = key
-    return f"{kind} {i + 1} {j + 1}"
+    return key if isinstance(key, str) else f"{key[0]} {key[1][0] + 1} {key[1][1] + 1}"
 
 
-# keys that repeat: one line per edge, or a block that names its own duplicate
-_REPEATABLE = {"A", "P", "edge", "gain", "coupling"}
+# a grammar's statement rules, beside a scalar's type and a tuple of the two words a key takes
+_WORD = "word"          # any one word
+_BLOCK = "block"        # a matrix block: the key alone, then rows
+_PAIR = "pair"          # a block per ordered pair: `KEY I J`, then rows
+_VECTOR = "vector"      # a builder vector: the key, then numbers
+_COUPLING = "coupling"  # `coupling I J` and the edge's values, once per pair
+_REPEATS = (_BLOCK, _PAIR, _COUPLING)  # a block names its own duplicate
 
 
 class _Blocks:
@@ -138,6 +143,7 @@ class _Blocks:
 
     def __init__(self):
         self.arrays, self.lines = {}, {}  # key -> its array, key -> line of its header
+        self.stated = {}  # key that appears once -> line of its statement
         self._spans, self._open, self._lines = [], None, []  # (key, a, b): lines a..b-1 hold its rows
 
     def __enter__(self):
@@ -161,23 +167,23 @@ class _Blocks:
             raise SpecParseError("numeric row outside a matrix block", rows[0])
         self._open = None
 
-    def statements(self, text, keys):
-        """(line, tokens) of each line whose first token is in keys, once per
-        key outside _REPEATABLE.  Other lines with tokens are rows of the open
-        block, which closes before the next statement and at the end."""
+    def statements(self, text, grammar):
+        """(line, tokens) of each line whose first token is a key of grammar, once per
+        key whose rule does not repeat.  Other lines with tokens are rows of the
+        open block, which closes before the next statement and at the end."""
         lines = self._lines = text.splitlines()
         if "#" in text:
             lines[:] = [line.partition("#")[0] for line in lines]
-        heads, seen, end = {k[0] for k in keys}, set(), 0  # a line starting otherwise is a row
+        heads, stated, end = {k[0] for k in grammar}, self.stated, 0  # a line starting otherwise is a row
         for k in [k for k, line in enumerate(lines) if line.lstrip()[:1] in heads]:
-            if (tokens := lines[k].split())[0] not in keys:
+            if (tokens := lines[k].split())[0] not in grammar:
                 continue
             self._close(end, k)
             end = k + 1
-            if tokens[0] in seen:
+            if tokens[0] in stated:
                 raise SpecParseError(f"duplicate {tokens[0]}", k + 1)
-            if tokens[0] not in _REPEATABLE:
-                seen.add(tokens[0])
+            if grammar[tokens[0]] not in _REPEATS:
+                stated[tokens[0]] = k + 1
             yield k + 1, tokens
         self._close(end, len(lines))
 
@@ -214,12 +220,6 @@ class _Blocks:
         return self.arrays.get(key)
 
 
-_SPEC_SCALARS = {"q": int, "n": int, "alpha": float, "epsilon": float}
-_BUILDER_VECTORS = ("masses", "springs", "capacitances", "inductances")
-_SPEC_KEYS = {*_SPEC_SCALARS, *_BUILDER_VECTORS, *_REPEATABLE, "time_domain", "builder",
-              "variant"}
-
-
 def _edge_key(tokens, lineno, q):
     """The 0-based pair of a `KEY I J` line's tokens: two indices, and nothing more."""
     try:
@@ -231,69 +231,89 @@ def _edge_key(tokens, lineno, q):
     return (i - 1, j - 1)
 
 
-def parse_spec_document(text: str) -> SpecDocument:
-    scalars = {}
-    time_domain = None
-    builder = builder_line = None
-    builder_args = {"coupling": {}}
-    blocks = _Blocks()
-    edge_headers = []  # in document order, which is the order of spec.C
-
+def _read(text, grammar):
+    """(values, blocks) of a document read by grammar, key -> rule.  values
+    holds each once-key's value, each _PAIR key's pairs in document order
+    and the coupling map.  A statement with the wrong number of tokens is
+    an unrecognized line, but one whose key takes one of two words."""
+    values, blocks = {key: [] for key, rule in grammar.items() if rule is _PAIR}, _Blocks()
     with blocks:
-        for lineno, tokens in blocks.statements(text, _SPEC_KEYS):
+        for lineno, tokens in blocks.statements(text, grammar):
             key = tokens[0]
-            if key in _SPEC_SCALARS and len(tokens) == 2:
-                scalars[key] = _scalar(_SPEC_SCALARS, key, tokens[1], lineno)
-            elif key == "time_domain":
-                if len(tokens) != 2 or tokens[1] not in (CONTINUOUS, DISCRETE):
-                    raise SpecParseError(
-                        f"time_domain must be {CONTINUOUS} or {DISCRETE}", lineno
-                    )
-                time_domain = tokens[1]
-            elif key in ("A", "P") and len(tokens) == 1:
-                blocks.open(key, lineno)
-            elif key == "edge":
-                if "q" not in scalars:
-                    raise SpecParseError("q must appear before the first edge", lineno)
-                e = _edge_key(tokens, lineno, scalars["q"])
-                blocks.open(("edge", e), lineno)
-                edge_headers.append(e)
-            elif key == "builder":
-                if len(tokens) != 2 or tokens[1] not in ("mass_spring", "lc"):
-                    raise SpecParseError("builder must be mass_spring or lc", lineno)
-                builder, builder_line = tokens[1], lineno
-            elif key in _BUILDER_VECTORS:
-                builder_args[key] = _vector(tokens[1:], f"bad {key} vector", key, lineno)
-            elif key == "coupling":
-                if "q" not in scalars:
+            rule = grammar[key]
+            if rule is _PAIR:  # the statement a large document repeats
+                if "q" not in values:
+                    raise SpecParseError(f"q must appear before the first {key}", lineno)
+                e = _edge_key(tokens, lineno, values["q"])
+                blocks.open((key, e), lineno)
+                values[key].append(e)
+            elif isinstance(rule, tuple):
+                if len(tokens) != 2 or tokens[1] not in rule:
+                    raise SpecParseError(f"{key} must be {rule[0]} or {rule[1]}", lineno)
+                values[key] = tokens[1]
+            elif rule is _VECTOR:
+                values[key] = _vector(tokens[1:], f"bad {key} vector", key, lineno)
+            elif rule is _COUPLING:
+                if "q" not in values:
                     raise SpecParseError("q must appear before coupling lines", lineno)
-                e = _edge_key(tokens[:3], lineno, scalars["q"])
-                if e in builder_args["coupling"]:
+                e = _edge_key(tokens[:3], lineno, values["q"])
+                if e in (coupling := values.setdefault(key, {})):
                     raise SpecParseError(f"duplicate coupling ({e[0] + 1}, {e[1] + 1})", lineno)
-                builder_args["coupling"][e] = _vector(
-                    tokens[3:], "coupling line needs edge values", "coupling values", lineno
-                )
-            elif key == "variant":
-                if len(tokens) != 2 or tokens[1] not in ("raw", "transformed"):
-                    raise SpecParseError("variant must be raw or transformed", lineno)
-                builder_args["variant"] = tokens[1]
+                coupling[e] = _vector(tokens[3:], "coupling line needs edge values",
+                                      "coupling values", lineno)
+            elif rule is _BLOCK and len(tokens) == 1:
+                blocks.open(key, lineno)
+            elif rule is _WORD and len(tokens) == 2:
+                values[key] = tokens[1]
+            elif rule in (int, float) and len(tokens) == 2:
+                values[key] = _scalar(rule, key, tokens[1], lineno)
             else:
                 raise SpecParseError(f"unrecognized line {' '.join(tokens)!r}", lineno)
+    return values, blocks
 
-    if "q" not in scalars:
+
+# builder -> (its function, the vectors it takes before the coupling map and q)
+_BUILDERS = {
+    "mass_spring": (build_mass_spring, ("masses", "springs")),
+    "lc": (build_lc, ("capacitances", "inductances")),
+}
+_SPEC = {
+    "q": int, "n": int, "alpha": float, "epsilon": float,
+    "time_domain": (CONTINUOUS, DISCRETE), "A": _BLOCK, "P": _BLOCK, "edge": _PAIR,
+    "builder": tuple(_BUILDERS), "coupling": _COUPLING, "variant": ("raw", "transformed"),
+    **{v: _VECTOR for _, vectors in _BUILDERS.values() for v in vectors},
+}
+_GAINS = {
+    "recipe": _WORD, "q": int, "n": int, "n1": int, "alpha": float, "epsilon": float,
+    "eps_bar": float, "cert_eps": float, "cert_sigma": float, "cert_lambda2": float,
+    "cert_delta": float, "cert_condition14": _WORD, "P": _BLOCK, "gain": _PAIR,
+}
+
+
+def parse_spec_document(text: str) -> SpecDocument:
+    values, blocks = _read(text, _SPEC)
+    if "q" not in values:
         raise SpecParseError("missing q")
-    q = scalars["q"]
-    time_domain = time_domain or CONTINUOUS
+    time_domain = values.get("time_domain", CONTINUOUS)
+    edge_headers = values["edge"]  # in document order, which is the order of spec.C
 
-    if builder is not None:
+    if "builder" in values:
         if blocks.matrix("A") is not None or edge_headers:
             raise SpecParseError("builder blocks exclude explicit A / edge matrices")
-        spec = _materialize_builder(builder, builder_args, q, builder_line)
+        kind = values["builder"]
+        build, vectors = _BUILDERS[kind]
+        try:
+            built = build(*(values[v] for v in vectors), values.get("coupling", {}), values["q"])
+        except KeyError as missing:
+            raise SpecParseError(f"builder {kind} is missing {missing.args[0]}", blocks.stated["builder"])
+        except (DimensionMismatch, NonPositiveParameter) as e:
+            raise SpecParseError(str(e), blocks.stated["builder"]) from e
+        spec = built.raw.spec if values.get("variant") == "raw" else built.transformed.spec
     else:
         A = blocks.matrix("A")
         if A is None:
             raise SpecParseError("missing matrix A")
-        n = scalars.get("n", A.shape[1])
+        n = values.get("n", A.shape[1])
         if A.shape != (n, n):
             raise SpecParseError(f"A has shape {A.shape}, expected ({n}, {n})", blocks.lines["A"])
         cmap = {e: blocks.matrix(("edge", e)) for e in edge_headers}
@@ -301,39 +321,15 @@ def parse_spec_document(text: str) -> SpecDocument:
             if C.shape[1] != n:
                 msg = f"edge {i + 1} {j + 1} has {C.shape[1]} columns, expected {n}"
                 raise SpecParseError(msg, blocks.lines[("edge", (i, j))])
-        spec = ArraySpec(q=q, n=n, A=A, C=cmap, time_domain=time_domain)
+        spec = ArraySpec(q=values["q"], n=n, A=A, C=cmap, time_domain=time_domain)
 
-    if builder is not None and time_domain == DISCRETE:
+    if "builder" in values and time_domain == DISCRETE:
         raise SpecParseError("builder arrays are continuous-time")
     P = blocks.matrix("P")
     if P is not None and P.shape != (spec.n, spec.n):
         msg = f"P has shape {P.shape}, expected ({spec.n}, {spec.n})"
         raise SpecParseError(msg, blocks.lines["P"])
-    return SpecDocument(
-        spec=spec,
-        P=P,
-        alpha=scalars.get("alpha"),
-        epsilon=scalars.get("epsilon"),
-    )
-
-
-def _materialize_builder(kind, args, q, lineno):
-    coupling = args["coupling"]
-    variant = args.get("variant", "transformed")
-    try:
-        if kind == "mass_spring":
-            built = build_mass_spring(
-                args["masses"], args["springs"], coupling, q
-            )
-        else:
-            built = build_lc(
-                args["capacitances"], args["inductances"], coupling, q
-            )
-    except KeyError as missing:
-        raise SpecParseError(f"builder {kind} is missing {missing.args[0]}", lineno)
-    except (DimensionMismatch, NonPositiveParameter) as e:
-        raise SpecParseError(str(e), lineno) from e
-    return built.raw.spec if variant == "raw" else built.transformed.spec
+    return SpecDocument(spec, P, values.get("alpha"), values.get("epsilon"))
 
 
 def serialize_spec_document(doc: SpecDocument) -> str:
@@ -349,81 +345,20 @@ def serialize_spec_document(doc: SpecDocument) -> str:
     return "\n".join(out) + "\n"
 
 
-_GAINS_SCALARS = {
-    "q": int,
-    "n": int,
-    "n1": int,
-    "alpha": float,
-    "epsilon": float,
-    "eps_bar": float,
-    "cert_eps": float,
-    "cert_sigma": float,
-    "cert_lambda2": float,
-    "cert_delta": float,
-}
-_GAINS_KEYS = {*_GAINS_SCALARS, "recipe", "cert_condition14", "P", "gain"}
-
-
 def parse_gains_document(text: str) -> GainsDocument:
-    scalars = {}
-    recipe = None
-    cond14 = None
-    blocks = _Blocks()
-    gain_headers = []
-
-    with blocks:
-        for lineno, tokens in blocks.statements(text, _GAINS_KEYS):
-            key = tokens[0]
-            if key == "recipe" and len(tokens) == 2:
-                recipe = tokens[1]
-            elif key == "cert_condition14" and len(tokens) == 2:
-                cond14 = tokens[1] == "true"
-            elif key in _GAINS_SCALARS and len(tokens) == 2:
-                scalars[key] = _scalar(_GAINS_SCALARS, key, tokens[1], lineno)
-            elif key == "P" and len(tokens) == 1:
-                blocks.open("P", lineno)
-            elif key == "gain":
-                if "q" not in scalars:
-                    raise SpecParseError("q must appear before the first gain", lineno)
-                e = _edge_key(tokens, lineno, scalars["q"])
-                gain_headers.append(e)
-                blocks.open(("gain", e), lineno)
-            else:
-                raise SpecParseError(f"unrecognized line {' '.join(tokens)!r}", lineno)
-
-    if recipe is None:
-        raise SpecParseError("missing recipe")
-    for need in ("q", "n"):
-        if need not in scalars:
+    values, blocks = _read(text, _GAINS)
+    for need in ("recipe", "q", "n"):
+        if need not in values:
             raise SpecParseError(f"missing {need}")
-    gmap = {e: blocks.matrix(("gain", e)) for e in gain_headers}
-    metadata = {k: v for k, v in scalars.items() if k.startswith("cert_") or k == "n1"}
-    if cond14 is not None:
-        metadata["cert_condition14"] = cond14
-    gain_set = GainSet.of(
-        gmap,
-        recipe=recipe,
-        alpha=scalars.get("alpha"),
-        eps_bar=scalars.get("eps_bar"),
-    )
-    return GainsDocument(
-        gain_set=gain_set,
-        q=scalars["q"],
-        n=scalars["n"],
-        epsilon=scalars.get("epsilon"),
-        P=blocks.matrix("P"),
-        metadata=metadata,
-    )
+    metadata = {k: v == "true" if k == "cert_condition14" else v
+                for k, v in values.items() if k.startswith("cert_") or k == "n1"}
+    gains = {e: blocks.matrix(("gain", e)) for e in values["gain"]}
+    gain_set = GainSet.of(gains, values["recipe"], alpha=values.get("alpha"), eps_bar=values.get("eps_bar"))
+    return GainsDocument(gain_set, values["q"], values["n"], values.get("epsilon"), blocks.matrix("P"), metadata)
 
 
-def serialize_gains_document(
-    gain_set: GainSet,
-    q: int,
-    n: int,
-    epsilon: float | None = None,
-    P: np.ndarray | None = None,
-    metadata: dict | None = None,
-) -> str:
+def serialize_gains_document(gain_set: GainSet, q: int, n: int, epsilon: float | None = None,
+                             P: np.ndarray | None = None, metadata: dict | None = None) -> str:
     out = [f"recipe {gain_set.recipe}", f"q {q}", f"n {n}"]
     if gain_set.alpha is not None:
         out.append(f"alpha {_fmt(gain_set.alpha)}")
@@ -442,3 +377,24 @@ def serialize_gains_document(
         out += ["P", _fmt_matrix(P)]
     out += _table_blocks("gain", gain_set.table)
     return "\n".join(out) + "\n"
+
+
+# the bundled builder demos, written as builder statements: name -> (builder, its parameters)
+_BUILDER_EXAMPLES = {"mass_spring_demo": ("mass_spring", MASS_SPRING_DEMO), "lc_demo": ("lc", LC_DEMO)}
+
+
+def serialize_example(ex: BuiltinExample) -> str:
+    """The document of a bundled example, headed by its description as a
+    comment: a builder demo as its builder statements, any other as matrices."""
+    if ex.name not in _BUILDER_EXAMPLES:
+        body = serialize_spec_document(SpecDocument(spec=ex.spec, P=ex.P))
+        return f"# {ex.description}\n{body}" if ex.description else body
+    kind, params = _BUILDER_EXAMPLES[ex.name]
+    out = [f"# {ex.description}", f"q {params['q']}", f"time_domain {CONTINUOUS}", f"builder {kind}"]
+    for key, value in params.items():
+        if isinstance(value, dict):  # edge -> coupling values
+            out += [f"coupling {i + 1} {j + 1} " + " ".join(map(_fmt, vals))
+                    for (i, j), vals in sorted(value.items())]
+        elif key != "q":
+            out.append(f"{key} " + " ".join(map(_fmt, value)))
+    return "\n".join(out + ["variant transformed"]) + "\n"

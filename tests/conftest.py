@@ -27,6 +27,11 @@ SINGULAR_P_SPEC = (
 # P passes the certificate, but P^-1 C' overflows: theorem1's gains are not finite
 TINY_P_SPEC = "q 2\nn 1\nA\n-1.0\nedge 1 2\n1e154\nedge 2 1\n1e154\nP\n1e-160\n"
 
+# each C_ij'C_ij overflows to inf: the CL certificate can prove nothing of it
+OVERFLOWING_WEIGHTS_SPEC = (
+    "q 2\nn 2\nA\n0.5 0.0\n0.0 0.5\nedge 1 2\n1e155 1e155\nedge 2 1\n1e155 1e155\n"
+)
+
 
 def assert_exit_contract(command, rc, out, err):
     """The CLI's outcome rule: exit 1 goes with an `error: ` line on stderr,

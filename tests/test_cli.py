@@ -18,6 +18,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from conftest import (
     CT_ILL_SPLIT_SPEC,
     DT_ILL_SPLIT_SPEC,
+    OVERFLOWING_WEIGHTS_SPEC,
     SINGULAR_P_SPEC,
     TINY_P_SPEC,
     assert_exit_contract,
@@ -636,8 +637,10 @@ def test_help_exits_0(capsys):
 
 NON_FINITE_GAINS = {
     # alpha overflows the product; P^-1 C' overflows inside the solve, silently
-    "alpha": (None, ["--alpha", "1e308"]),
-    "tiny_P": (TINY_P_SPEC, []),
+    "alpha": (None, ["gains", "--recipe", "theorem1", "--alpha", "1e308"]),
+    "tiny_P": (TINY_P_SPEC, ["gains", "--recipe", "theorem1"]),
+    # the unit gains the sweep scales are not finite: no alpha is to blame
+    "tiny_P_sweep": (TINY_P_SPEC, ["sweep"]),
 }
 
 
@@ -670,17 +673,35 @@ def test_check_decides_theorem1_with_its_gains_at_the_document_alpha(P, alpha, v
 
 @pytest.mark.parametrize("name", sorted(NON_FINITE_GAINS))
 def test_non_finite_gains_exit_2(name, chain5_spec, tmp_path, capsys):
-    text, options = NON_FINITE_GAINS[name]
+    text, (command, *options) = NON_FINITE_GAINS[name]
     spec, out = chain5_spec, tmp_path / "g.gains"
     if text is not None:
         spec = tmp_path / "s.spec"
         spec.write_text(text)
-    rc = run("gains", "--spec", str(spec), "--recipe", "theorem1", *options, "--out", str(out))
+    rc = run(command, "--spec", str(spec), *options, "--out", str(out))
     captured = capsys.readouterr()
     assert rc == 2
-    assert_exit_contract("gains", rc, captured.out, captured.err)
+    assert_exit_contract(command, rc, captured.out, captured.err)
     assert "edge (1, 2) is not finite" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["check"], ""),
+    (["gains", "--recipe", "theorem1"], "hypothesis failed: CL-detectability not established\n"),
+    (["sweep", "--points", "1"], "hypothesis failed: CL-detectability certificate missing\n"),
+], ids=["check", "gains", "sweep"])
+def test_overflowing_edge_weights_are_never_proven(argv, err, tmp_path, capsys):
+    spec = tmp_path / "s.spec"
+    spec.write_text(OVERFLOWING_WEIGHTS_SPEC)
+    rc = run(argv[0], "--spec", str(spec), *argv[1:])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (2, err)
+    assert_exit_contract(argv[0], rc, captured.out, captured.err)
+    if argv[0] == "check":
+        lines = captured.out.splitlines()
+        for line in ("cl_feasible false", "eps nan", "assumption_cl_detectability false"):
+            assert line in lines
 
 
 def test_console_entry_point(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    OVERFLOWING_WEIGHTS_SPEC,
     random_complete_cl_spec,
     random_neutrally_stable,
     random_symmetric_spec,
@@ -13,6 +14,7 @@ from conftest import (
 import matsync.array_model as array_model
 import matsync.gains as gains_module
 from matsync.spectral import detectable_edges
+from matsync.specdoc import parse_spec_document
 from matsync import (
     ArraySpec,
     Infeasible,
@@ -66,6 +68,16 @@ class TestVerifyCLDetectability:
         cert = verify_cl_detectability(spec, np.eye(1))
         assert cert.eps == np.inf
 
+    def test_overflowing_weight_is_never_proven_nor_solved(self, monkeypatch):
+        spec = parse_spec_document(OVERFLOWING_WEIGHTS_SPEC).spec
+        assert np.isinf(spec.weights).all()
+        finite = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: finite.append(np.isfinite(a).all()) or eigvalsh(a))
+        cert = verify_cl_detectability(spec, np.eye(2))
+        assert finite == [True]
+        assert not cert.feasible and np.isnan(cert.eps) and cert.sigma == 1.0
+
 
 class TestFindCommonP:
     def test_chain5_search_feasible_and_reverified(self):
@@ -100,6 +112,21 @@ class TestFindCommonP:
             find_common_P(spec)
         assert exc.value.certificate is not None
         assert not exc.value.certificate.feasible
+
+    def test_overflowing_weight_is_infeasible_before_any_search(self, monkeypatch):
+        monkeypatch.setattr(gains_module, "_violation", None)
+        with pytest.raises(Infeasible) as exc:
+            find_common_P(parse_spec_document(OVERFLOWING_WEIGHTS_SPEC).spec)
+        cert = exc.value.certificate
+        assert not cert.feasible and np.isnan(cert.eps) and np.array_equal(cert.P, np.eye(2))
+
+    def test_a_certificate_when_every_violation_is_nan(self, monkeypatch):
+        # A is unstable, so the first start is the identity
+        spec = ArraySpec(q=2, n=1, A=[[1.0]], C={(0, 1): [[1.0]], (1, 0): [[1.0]]})
+        monkeypatch.setattr(gains_module, "_violation", lambda A, P, W: (np.nan, np.full(P.shape, np.nan)))
+        with pytest.raises(Infeasible) as exc:
+            find_common_P(spec)
+        assert np.array_equal(exc.value.certificate.P, np.eye(1))
 
     def test_deterministic(self):
         spec = builtin_example("chain5").spec

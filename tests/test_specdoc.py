@@ -498,3 +498,63 @@ def test_generated_documents_round_trip_and_faults_name_their_line(seed):
         parse_spec_document("\n".join(lines) + "\n")
     assert exc.value.line == line
     assert message in str(exc.value)
+
+
+# every rule of both grammars, one row per way a statement can fault:
+# (document kind, text with "/" for newlines, the exact message)
+STATEMENT_FAULTS = [
+    # integer and float scalars
+    ("spec", "q x", "line 1: bad value for q: 'x'"),
+    ("spec", "q 2 / n 0", "line 2: n must be >= 1, got 0"),
+    ("spec", "n 1 2", "line 1: unrecognized line 'n 1 2'"),
+    ("spec", "q 2 / alpha inf", "line 2: alpha must be finite"),
+    ("spec", "q 2 / epsilon", "line 2: unrecognized line 'epsilon'"),
+    ("gains", "recipe r / q 2 / n 1 / n1 1.5", "line 4: bad value for n1: '1.5'"),
+    ("gains", "recipe r / eps_bar nan", "line 2: eps_bar must be finite"),
+    ("gains", "recipe r / cert_eps x", "line 2: bad value for cert_eps: 'x'"),
+    # a word out of two
+    ("spec", "q 2 / time_domain", "line 2: time_domain must be continuous or discrete"),
+    ("spec", "q 2 / builder", "line 2: builder must be mass_spring or lc"),
+    ("spec", "q 2 / variant odd", "line 2: variant must be raw or transformed"),
+    ("spec", "q 2 / builder lc / builder lc", "line 3: duplicate builder"),
+    # any one word
+    ("gains", "recipe", "line 1: unrecognized line 'recipe'"),
+    ("gains", "recipe a b", "line 1: unrecognized line 'recipe a b'"),
+    ("gains", "recipe r / cert_condition14", "line 2: unrecognized line 'cert_condition14'"),
+    ("gains", "recipe r / recipe r", "line 2: duplicate recipe"),
+    ("gains", "n 1", "missing recipe"),
+    ("gains", "recipe r / n 1", "missing q"),
+    ("gains", "recipe r / q 2", "missing n"),
+    # matrix blocks
+    ("spec", "q 2 / A x", "line 2: unrecognized line 'A x'"),
+    ("spec", "q 2 / n 1 / A / 0.0 / P 1", "line 5: unrecognized line 'P 1'"),
+    ("gains", "recipe r / P 1", "line 2: unrecognized line 'P 1'"),
+    ("spec", "q 2 / n 1 / A", "line 3: matrix block has no rows"),
+    ("spec", "q 2 / n 1 / A / 0.0 / A / 0.0", "line 5: duplicate matrix block A"),
+    # a block per ordered pair; the other kind's pair key is a row
+    ("spec", "n 1 / edge 1 2 / 1.0 / q 2", "line 2: q must appear before the first edge"),
+    ("gains", "recipe r / gain 1 2 / 1.0 / q 2", "line 2: q must appear before the first gain"),
+    ("spec", "q 2 / n 1 / A / 0.0 / edge 1 3 / 1.0", "line 5: edge (1, 3) invalid for q=2"),
+    ("gains", "recipe r / q 2 / n 1 / gain 1 2", "line 4: matrix block has no rows"),
+    ("spec", "q 2 / n 1 / A / 0.0 / gain 1 2 / 1.0 / q 3", "line 5: unrecognized line 'gain 1 2'"),
+    ("gains", "recipe r / q 2 / n 1 / edge 1 2 / 1.0", "line 4: unrecognized line 'edge 1 2'"),
+    # builder vectors
+    ("spec", "q 2 / masses", "line 2: bad masses vector"),
+    ("spec", "q 2 / springs 1.0 x", "line 2: bad springs vector"),
+    ("spec", "q 2 / capacitances 1.0 nan", "line 2: capacitances must be finite"),
+    ("spec", "q 2 / inductances 1.0 / inductances 2.0", "line 3: duplicate inductances"),
+    # coupling lines
+    ("spec", "coupling 1 2 1.0 / q 2", "line 1: q must appear before coupling lines"),
+    ("spec", "q 2 / coupling 1 2", "line 2: coupling line needs edge values"),
+    ("spec", "q 2 / coupling 1 2 1.0 / coupling 1 2 1.0", "line 3: duplicate coupling (1, 2)"),
+    ("spec", "q 2 / coupling 1 2 inf", "line 2: coupling values must be finite"),
+    ("spec", "q 2 / coupling 2 2 1.0", "line 2: edge (2, 2) invalid for q=2"),
+]
+
+
+@pytest.mark.parametrize("kind, text, message", STATEMENT_FAULTS)
+def test_every_statement_fault_keeps_its_message_and_line(kind, text, message):
+    parse = parse_spec_document if kind == "spec" else parse_gains_document
+    with pytest.raises(SpecParseError) as exc:
+        parse("\n".join(text.split(" / ")) + "\n")
+    assert str(exc.value) == message
