@@ -131,8 +131,10 @@ class ArraySpec:
     Each fact below is computed once, when first read, and every layer reads
     it here: ``table``, the EdgeTable of ``C``; ``nonzero``, its outputs of
     Frobenius norm above ``edge_tol``; ``edges``, their pairs, sorted;
-    ``weights``; ``symmetric`` (validate_spec), ``graph`` (build_graph) and
-    ``connected`` (is_connected of the graph).
+    ``weights``; ``symmetric`` (validate_spec), ``graph`` (build_graph),
+    ``connected`` (is_connected of the graph) and ``lambda2``; ``stability``
+    (classify_stability of ``A`` in the spec's time domain, its one
+    ``eig(A)``) and ``detectable`` (detectable_edges).
     """
 
     q: int
@@ -166,6 +168,16 @@ class ArraySpec:
     symmetric = functools.cached_property(lambda self: validate_spec(self))
     graph = functools.cached_property(lambda self: build_graph(self))
     connected = functools.cached_property(lambda self: is_connected(self.graph))
+    stability = functools.cached_property(lambda self: spectral.classify_stability(self.A, self.time_domain))
+    detectable = functools.cached_property(lambda self: spectral.detectable_edges(self, self.stability))
+
+    @functools.cached_property
+    def lambda2(self):
+        """normalized_laplacian(graph).lambda2; 0.0 when the graph is directed or disconnected."""
+        try:
+            return normalized_laplacian(self.graph).lambda2
+        except (NotConnected, NotSymmetric):
+            return 0.0
 
 
 @dataclass(frozen=True)
@@ -282,3 +294,7 @@ def normalized_laplacian(g: NetworkGraph) -> NormalizedGraphLaplacian:
     if eigs[1] <= thresh:
         raise NotConnected("graph is disconnected: zero eigenvalue has multiplicity > 1")
     return NormalizedGraphLaplacian(gamma=gamma, lambda2=float(eigs[1]))
+
+
+# last: spectral imports this module, and ArraySpec's stability reads it
+from . import spectral  # noqa: E402

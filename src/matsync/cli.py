@@ -1,9 +1,11 @@
 """Command-line front end: check, gains, simulate, sweep, example.
 
 Each ``assumption_*`` line of ``check`` is its recipe's own verdict: true
-exactly when ``gains --recipe`` would pass that recipe's hypotheses, decided
-by the same code in ``gains`` (theorem1 for ``assumption_cl_detectability``,
-alg1 and alg2 for ``assumption_neutral_ct`` and ``_dt``).
+exactly when ``gains --recipe`` exits 0, since both run the one call
+``gains.synthesize`` (theorem1 for ``assumption_cl_detectability``, alg1 and
+alg2 for ``assumption_neutral_ct`` and ``_dt``).  A verdict covers the whole
+recipe: its hypotheses, finite gains and, for alg2, ``eps_bar``'s refusal of
+a reduced Laplacian that is asymmetric or not finite.
 
 Exit codes: 0 success; 1 with ``error: ...`` on stderr for a usage error,
 an unreadable file, a bad option or any malformed document (builder
@@ -25,11 +27,12 @@ import functools
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import builders, gains as gainsmod, simulation, specdoc
-from .array_model import CONTINUOUS, DISCRETE
+from .array_model import CONTINUOUS
 from .errors import (
     DimensionMismatch,
     Diverged,
@@ -112,86 +115,67 @@ def _load_spec_env(path):
     return dataclasses.replace(doc, spec=spec), tol
 
 
-def _holds(hypotheses, *args):
-    """Whether a recipe's hypothesis path from gains runs without refusing."""
-    try:
-        hypotheses(*args)
-    except MatsyncError:
-        return False
+# each recipe's line in the check report, after "assumption_"
+ASSUMPTIONS = {"theorem1": "cl_detectability", "alg1": "neutral_ct", "alg2": "neutral_dt"}
+
+
+def _verdict(recipe, facts, alpha):
+    """Whether gains --recipe exits 0: synthesize runs without refusing,
+    with its warning left to gains."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            gainsmod.synthesize(recipe, facts, alpha)
+        except MatsyncError:
+            return False
     return True
 
 
 def cmd_check(args):
     doc, tol = _load_spec_env(args.spec)
     spec = doc.spec
-    ct = spec.time_domain == CONTINUOUS
     facts = gainsmod._Facts(spec, doc.P, tol)
-    cls = facts.classified(spec.time_domain)
+    cls = spec.stability
     lines = [
         f"q {spec.q}", f"n {spec.n}", f"time_domain {spec.time_domain}",
         f"symmetric {_bool(spec.symmetric)}", f"connected {_bool(spec.connected)}",
         f"complete {_bool(spec.graph.is_complete())}",
         f"stability {spec.time_domain} {cls.kind}", f"marginal_count {cls.marginal_count}",
-        *(f"detectable {i + 1} {j + 1} {_bool(ok)}" for (i, j), ok in facts.detectable.items()),
+        *(f"detectable {i + 1} {j + 1} {_bool(ok)}" for (i, j), ok in spec.detectable.items()),
     ]
-    # each assumption line is its recipe's own verdict
-    assumption_cl = False
-    if ct:
-        assumption_cl = _holds(gainsmod._theorem1_holds, facts, doc.alpha)
-        if _holds(gainsmod._gate, spec):
-            cert = facts.certificate
-            c14 = gainsmod._condition14(cert, spec.graph)
-            if c14.lambda2:
-                lines.append(f"lambda2 {_fmt(c14.lambda2)}")
-            lines += [f"cl_feasible {_bool(cert.feasible)}", f"eps {_fmt(cert.eps)}",
-                      f"sigma {_fmt(cert.sigma)}"]
-            if cert.feasible and c14.lambda2:
-                lines += [f"condition14_delta {_fmt(c14.delta)}",
-                          f"condition14_holds {_bool(c14.holds)}"]
-        lines.append(f"assumption_cl_detectability {_bool(assumption_cl)}")
-    assumption_neutral = _holds(gainsmod._neutral_hypotheses, facts, spec.time_domain)
-    lines.append(f"assumption_neutral_{'ct' if ct else 'dt'} {_bool(assumption_neutral)}")
+    verdicts = {recipe: _verdict(recipe, facts, doc.alpha)
+                for recipe, domain in gainsmod.RECIPES.items() if domain == spec.time_domain}
+    if "theorem1" in verdicts and spec.symmetric and spec.connected:
+        cert = facts.certificate
+        c14 = gainsmod._condition14(cert, spec)
+        if c14.lambda2:
+            lines.append(f"lambda2 {_fmt(c14.lambda2)}")
+        lines += [f"cl_feasible {_bool(cert.feasible)}", f"eps {_fmt(cert.eps)}",
+                  f"sigma {_fmt(cert.sigma)}"]
+        if cert.feasible and c14.lambda2:
+            lines += [f"condition14_delta {_fmt(c14.delta)}",
+                      f"condition14_holds {_bool(c14.holds)}"]
+    lines += [f"assumption_{ASSUMPTIONS[recipe]} {_bool(ok)}" for recipe, ok in verdicts.items()]
     _write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK if assumption_cl or assumption_neutral else EXIT_HYPOTHESIS
+    return EXIT_OK if any(verdicts.values()) else EXIT_HYPOTHESIS
 
 
 def cmd_gains(args):
     doc, tol = _load_spec_env(args.spec)
     spec = doc.spec
-    ct = args.recipe != "alg2"
-    if ct != (spec.time_domain == CONTINUOUS):
-        raise MatsyncError(f"{args.recipe} applies to {CONTINUOUS if ct else DISCRETE} time")
-
-    if args.recipe == "theorem1":
-        facts = gainsmod._Facts(spec, doc.P, tol)
-        P, cert = gainsmod._theorem1_hypotheses(facts, args.force)
-        alpha = args.alpha if args.alpha is not None else doc.alpha
-        gs = gainsmod.gains_theorem1(spec, P, cert, alpha)
-        c14 = gs.certificate[1]
-        metadata = {
-            "cert_eps": cert.eps,
-            "cert_sigma": cert.sigma,
-            "cert_lambda2": c14.lambda2,
-            "cert_delta": c14.delta,
-            "cert_condition14": c14.holds,
-        }
-        text = specdoc.serialize_gains_document(
-            gs, spec.q, spec.n, P=P, metadata=metadata
-        )
+    alpha = args.alpha if args.alpha is not None else doc.alpha
+    gs = gainsmod.synthesize(args.recipe, gainsmod._Facts(spec, doc.P, tol), alpha, args.force)
+    if gs.recipe == gainsmod.RECIPE_THEOREM1:
+        cert, c14 = gs.certificate
+        metadata = {"cert_eps": cert.eps, "cert_sigma": cert.sigma, "cert_lambda2": c14.lambda2,
+                    "cert_delta": c14.delta, "cert_condition14": c14.holds}
+        fields = {"P": cert.P if doc.P is None else doc.P, "metadata": metadata}
     else:
-        synth = gainsmod.gains_ct_neutral if ct else gainsmod.gains_dt_neutral
-        gs = synth(spec, check=not args.force)
-        metadata = {"n1": gs.certificate.n1}
-        epsilon = None
-        if not ct:
-            epsilon = args.epsilon if args.epsilon is not None else doc.epsilon
-            if epsilon is None and np.isfinite(gs.eps_bar):
-                epsilon = gs.eps_bar
-        text = specdoc.serialize_gains_document(
-            gs, spec.q, spec.n, epsilon=epsilon, metadata=metadata
-        )
-
-    _write(args.out, text)
+        fields = {"metadata": {"n1": gs.certificate.n1}}
+    if gs.recipe == gainsmod.RECIPE_ALG2_DT:
+        epsilon = args.epsilon if args.epsilon is not None else doc.epsilon
+        fields["epsilon"] = gs.eps_bar if epsilon is None and np.isfinite(gs.eps_bar) else epsilon
+    _write(args.out, specdoc.serialize_gains_document(gs, spec.q, spec.n, **fields))
     return EXIT_OK
 
 
@@ -289,7 +273,7 @@ def make_parser():
 
     p = sub.add_parser("gains", help="synthesize coupling gains")
     p.add_argument("--spec", required=True)
-    p.add_argument("--recipe", required=True, choices=["theorem1", "alg1", "alg2"])
+    p.add_argument("--recipe", required=True, choices=list(gainsmod.RECIPES))
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--force", action="store_true",

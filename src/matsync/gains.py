@@ -10,7 +10,8 @@ Three recipes are implemented:
 
 A recipe maps each shape group's stack of C_ij in ``spec.table`` to a stack
 of G_ij, one numpy call per group: a GainSet holds that EdgeTable, and its
-``gains`` mapping, for tests and scripts, is derived from it.
+``gains`` mapping, for tests and scripts, is derived from it.  ``synthesize``
+runs a recipe by its ``RECIPES`` name, hypotheses first, for the CLI.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .array_model import CONTINUOUS, DISCRETE, ArraySpec, EdgeTable, as_block, normalized_laplacian
+from .array_model import CONTINUOUS, DISCRETE, ArraySpec, EdgeTable, as_block
 from .errors import (
     Infeasible,
     MatsyncError,
@@ -34,12 +35,13 @@ from .errors import (
     SingularP,
 )
 from .mwl import laplacian_from_outputs
-from .spectral import STABLE, StabilityClass, _of_domain, classify_stability, detectable_edges
-from .spectral import neutral_split
+from .spectral import STABLE, StabilityClass, _of_domain, neutral_split
 
 RECIPE_THEOREM1 = "theorem1"
 RECIPE_ALG1_CT = "alg1_ct"
 RECIPE_ALG2_DT = "alg2_dt"
+# the recipes `gains --recipe` and synthesize name -> the time domain each applies to
+RECIPES = {RECIPE_THEOREM1: CONTINUOUS, "alg1": CONTINUOUS, "alg2": DISCRETE}
 
 # find_common_P: spectrum of P in [P_FLOOR, P_CEIL], step budget, restart seed
 P_FLOOR, P_CEIL = 1e-6, 1e6
@@ -252,9 +254,9 @@ def gains_theorem1(
 
     cert is the CL-detectability certificate of P, as verify_cl_detectability
     or find_common_P gives it (its P is (P + P')/2); it is attached with its
-    condition (14) report at the lambda2 of ``spec.graph``, not computed
-    again.  alpha defaults to max(1/(2q), 1); smaller values are allowed (the
-    bound is sufficient, not necessary) but draw a warning.  A gain that is
+    condition (14) report at ``spec.lambda2``, not computed again.  alpha
+    defaults to max(1/(2q), 1); smaller values are allowed (the bound is
+    sufficient, not necessary) but draw a warning.  A gain that is
     not finite, from an alpha or a P^-1 too large, is refused.
     """
     P = np.asarray(P, dtype=float)
@@ -272,7 +274,7 @@ def gains_theorem1(
         _gain_map(spec, _theorem1(P, alpha)),
         recipe=RECIPE_THEOREM1,
         alpha=float(alpha),
-        certificate=(cert, _condition14(cert, spec.graph)),
+        certificate=(cert, _condition14(cert, spec)),
     )
 
 
@@ -300,34 +302,26 @@ def _require_invertible(P):
         raise SingularP("P is singular to working precision")
 
 
-def _condition14(cert, graph):
-    """condition14 at the graph's lambda2, failing when it has none."""
-    try:
-        return condition14(cert, normalized_laplacian(graph).lambda2)
-    except (NotConnected, NotSymmetric):
+def _condition14(cert, spec):
+    """condition14 at the spec's lambda2, failing when its graph has none."""
+    if not spec.lambda2:
         return Condition14Report(lambda2=0.0, delta=-np.inf, holds=False)
+    return condition14(cert, spec.lambda2)
+
+
+def _stability(spec, domain):
+    """spec.stability when of domain, else None: classified where it is used."""
+    return spec.stability if spec.time_domain == domain else None
 
 
 class _Facts:
-    """What the recipes' hypotheses read beyond the spec's own structural
-    facts (``spec.symmetric``, ``.graph``, ``.connected``): A's spectrum, the
-    document's P (None: search for one) and the strict margin tol (None: the
-    default).  Each is computed once, when first read, so `check`, which
-    reads them all, decides each hypothesis as `gains` does, at no extra cost."""
+    """The document's CL certificate: of its P, else of a searched one (P
+    None), at the strict margin tol (None: the default).  It is computed
+    once, when first read, so `check`, which reports it, and its theorem1
+    verdict share it."""
 
     def __init__(self, spec, P=None, tol=None):
         self.spec, self.P, self.tol = spec, P, tol
-        self._classified = {}
-
-    def classified(self, domain):
-        """classify_stability(A, domain)."""
-        if domain not in self._classified:
-            self._classified[domain] = classify_stability(self.spec.A, domain)
-        return self._classified[domain]
-
-    @functools.cached_property
-    def detectable(self):
-        return detectable_edges(self.spec, self.classified(self.spec.time_domain))
 
     @functools.cached_property
     def certificate(self):
@@ -336,7 +330,7 @@ class _Facts:
         spec, P, tol = self.spec, self.P, self.tol
         if P is None:
             try:
-                cert = find_common_P(spec, self.classified(CONTINUOUS))
+                cert = find_common_P(spec, _stability(spec, CONTINUOUS))
             except Infeasible as e:
                 cert = e.certificate
             if tol is None:
@@ -353,52 +347,57 @@ def _gate(spec):
         raise NotConnected("graph is not connected")
 
 
-def _theorem1_hypotheses(facts, force=False):
-    """(P, certificate) for gains_theorem1 once the gate holds, the certificate
-    is feasible and P, the document's or else the searched one, is invertible.
+def synthesize(recipe: str, facts: _Facts, alpha: float | None = None, force: bool = False) -> GainSet:
+    """The gains of recipe, a RECIPES name, once its hypotheses hold.
 
-    force skips the gate and keeps an infeasible P from the document, never a
-    failed search's; that P passes only a tol margin it meets.
+    A spec of the other time domain is refused first, then each hypothesis
+    in order, then gains that are not finite (and, for alg2, a reduced Laplacian eps_bar
+    refuses), each by a MatsyncError: whether this returns is both `check`'s
+    assumption line for the recipe and `gains --recipe`'s exit code.
+    theorem1 reads the certificate of facts, a _Facts, and takes alpha.
+    force skips the gate and the PBH tests, and theorem1 then keeps an
+    infeasible P from the document, never a failed search's; that P passes
+    only a tol margin it meets.
     """
+    spec, domain = facts.spec, RECIPES[recipe]
+    if spec.time_domain != domain:
+        raise MatsyncError(f"{recipe} applies to {domain} time")
+    if recipe != RECIPE_THEOREM1:
+        return (gains_ct_neutral if domain == CONTINUOUS else gains_dt_neutral)(spec, check=not force)
     if not force:
-        _gate(facts.spec)
+        _gate(spec)
     cert = facts.certificate
     if not cert.feasible and (facts.P is None or not force):
         raise Infeasible("CL-detectability not established", cert)
-    P = cert.P if facts.P is None else facts.P
-    _require_invertible(P)
-    return P, cert
+    return gains_theorem1(spec, cert.P if facts.P is None else facts.P, cert, alpha)
 
 
-def _theorem1_holds(facts, alpha=None):
-    """gains --recipe theorem1's decision: its hypotheses, then gains_theorem1
-    at alpha, with its warning left to gains."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        gains_theorem1(facts.spec, *_theorem1_hypotheses(facts), alpha)
-
-
-def _neutral_hypotheses(facts, domain, check=True):
-    """neutral_split(A, domain), which refuses an A that is not neutrally stable
-    or a basis [U W] too ill-conditioned to use.  With check, the gate comes
-    first, and afterwards every edge must be PBH detectable.
+def _neutral(spec, domain, check):
+    """The split and the gains M C_ij' of domain's neutral recipe, M = U U'
+    (continuous) or U Q U' (discrete, Q the marginal block).  neutral_split
+    refuses an A that is not neutrally stable or a basis [U W] too
+    ill-conditioned to use; with check, the gate comes first, and afterwards
+    every edge must be PBH detectable.  No marginal part gives exact zeros.
     """
     if check:
-        _gate(facts.spec)
-    split = neutral_split(facts.spec.A, domain, facts.classified(domain))
+        _gate(spec)
+    split = neutral_split(spec.A, domain, _stability(spec, domain))
     if check:
-        for (i, j), ok in facts.detectable.items():
+        for (i, j), ok in spec.detectable.items():
             if not ok:
                 raise NotDetectable(i, j)
-    return split
+    U, n1 = split.U, split.n1
+    M = U @ U.T if domain == CONTINUOUS else U @ split.marginal_block @ U.T
+
+    def gains(S):
+        return M @ S.transpose(0, 2, 1) if n1 else np.zeros((len(S), len(M), S.shape[1]))
+    return split, _gain_map(spec, gains)
 
 
 def gains_ct_neutral(spec: ArraySpec, check: bool = True) -> GainSet:
     """Continuous-time neutral-stability recipe: G_ij = U U^T C_ij^T."""
-    split = _neutral_hypotheses(_Facts(spec), CONTINUOUS, check)
-    M = split.U @ split.U.T
-    return GainSet(_gain_map(spec, lambda S: _neutral_gains(M, S, split.n1)),
-                   recipe=RECIPE_ALG1_CT, certificate=split)
+    split, gains = _neutral(spec, CONTINUOUS, check)
+    return GainSet(gains, recipe=RECIPE_ALG1_CT, certificate=split)
 
 
 def gains_dt_neutral(spec: ArraySpec, check: bool = True) -> GainSet:
@@ -407,23 +406,20 @@ def gains_dt_neutral(spec: ArraySpec, check: bool = True) -> GainSet:
     Also computes eps_bar from the Laplacian of the reduced weights
     H_ij = C_ij U, the largest coupling step the theorem licenses.
     """
-    split = _neutral_hypotheses(_Facts(spec), DISCRETE, check)
-    M = split.U @ split.marginal_block @ split.U.T
-    gains = _gain_map(spec, lambda S: _neutral_gains(M, S, split.n1))
+    split, gains = _neutral(spec, DISCRETE, check)
     ebar = eps_bar(laplacian_from_outputs(spec, pre_transform=split.U)) if split.n1 else np.inf
     return GainSet(gains, recipe=RECIPE_ALG2_DT, eps_bar=float(ebar), certificate=split)
-
-
-def _neutral_gains(M, S, n1):
-    """M C' for each C of the stack S, exact zeros when there is no marginal part."""
-    return M @ S.transpose(0, 2, 1) if n1 else np.zeros((len(S), len(M), S.shape[1]))
 
 
 def eps_bar(L: np.ndarray) -> float:
     """Largest eps with L >= eps L^2 for symmetric PSD L: 1/lambda_max(L).
 
-    Returns +inf for the zero Laplacian (any step works).
+    Returns +inf for the zero Laplacian (any step works).  A Laplacian
+    with an entry that is not finite, from reduced weights that overflowed,
+    is refused before any norm or eigensolve.
     """
+    if not np.isfinite(L).all():
+        raise MatsyncError("eps_bar requires a finite Laplacian")
     scale = np.linalg.norm(L)
     if np.linalg.norm(L - L.T) > LAPLACIAN_SYM_TOL * max(scale, 1.0):
         raise NotSymmetric("eps_bar requires a symmetric Laplacian")

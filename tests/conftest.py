@@ -32,6 +32,25 @@ OVERFLOWING_WEIGHTS_SPEC = (
     "q 2\nn 2\nA\n0.5 0.0\n0.0 0.5\nedge 1 2\n1e155 1e155\nedge 2 1\n1e155 1e155\n"
 )
 
+# a neutral CT drift whose alg1 gains U U' C' overflow: alg1 refuses them
+CT_OVERFLOWING_GAINS_SPEC = (
+    "q 2\nn 2\nA\n0.0 4.0\n-0.25 0.0\nedge 1 2\n1.7e308 1.7e308\nedge 2 1\n1.7e308 1.7e308\n"
+)
+
+# a DT rotation whose reduced weights H'H, H = C U, overflow: alg2's gains are
+# finite, but eps_bar refuses the Laplacian of inf weights
+DT_OVERFLOWING_WEIGHTS_SPEC = (
+    "q 2\nn 2\ntime_domain discrete\nA\n0.0 1.0\n-1.0 0.0\n"
+    "edge 1 2\n1e155 1e155\nedge 2 1\n1e155 1e155\n"
+)
+
+# mirrors equal only under MATSYNC_TOL=1e-5: the spec is symmetric, but the
+# reduced Laplacian of its stored outputs is not, and eps_bar refuses it
+DT_NEAR_MIRROR_SPEC = (
+    "q 2\nn 2\ntime_domain discrete\nA\n0.0 1.0\n-1.0 0.0\n"
+    "edge 1 2\n1.0 0.0\nedge 2 1\n1.000001 0.0\n"
+)
+
 
 def assert_exit_contract(command, rc, out, err):
     """The CLI's outcome rule: exit 1 goes with an `error: ` line on stderr,

@@ -17,7 +17,10 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import (
     CT_ILL_SPLIT_SPEC,
+    CT_OVERFLOWING_GAINS_SPEC,
     DT_ILL_SPLIT_SPEC,
+    DT_NEAR_MIRROR_SPEC,
+    DT_OVERFLOWING_WEIGHTS_SPEC,
     OVERFLOWING_WEIGHTS_SPEC,
     SINGULAR_P_SPEC,
     TINY_P_SPEC,
@@ -639,6 +642,8 @@ NON_FINITE_GAINS = {
     # alpha overflows the product; P^-1 C' overflows inside the solve, silently
     "alpha": (None, ["gains", "--recipe", "theorem1", "--alpha", "1e308"]),
     "tiny_P": (TINY_P_SPEC, ["gains", "--recipe", "theorem1"]),
+    # alg1's U U' C' overflows
+    "neutral_ct": (CT_OVERFLOWING_GAINS_SPEC, ["gains", "--recipe", "alg1"]),
     # the unit gains the sweep scales are not finite: no alpha is to blame
     "tiny_P_sweep": (TINY_P_SPEC, ["sweep"]),
 }
@@ -686,22 +691,26 @@ def test_non_finite_gains_exit_2(name, chain5_spec, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, err", [
-    (["check"], ""),
-    (["gains", "--recipe", "theorem1"], "hypothesis failed: CL-detectability not established\n"),
-    (["sweep", "--points", "1"], "hypothesis failed: CL-detectability certificate missing\n"),
-], ids=["check", "gains", "sweep"])
-def test_overflowing_edge_weights_are_never_proven(argv, err, tmp_path, capsys):
+@pytest.mark.parametrize("text, argv, err, lines", [
+    (OVERFLOWING_WEIGHTS_SPEC, ["check"], "",
+     ("cl_feasible false", "eps nan", "assumption_cl_detectability false")),
+    (OVERFLOWING_WEIGHTS_SPEC, ["gains", "--recipe", "theorem1"],
+     "hypothesis failed: CL-detectability not established\n", ()),
+    (OVERFLOWING_WEIGHTS_SPEC, ["sweep", "--points", "1"],
+     "hypothesis failed: CL-detectability certificate missing\n", ()),
+    # alg2's reduced weights H'H overflow: eps_bar refuses the inf Laplacian
+    (DT_OVERFLOWING_WEIGHTS_SPEC, ["check"], "", ("assumption_neutral_dt false",)),
+    (DT_OVERFLOWING_WEIGHTS_SPEC, ["gains", "--recipe", "alg2"],
+     "hypothesis failed: eps_bar requires a finite Laplacian\n", ()),
+], ids=["check", "gains", "sweep", "dt_check", "dt_gains"])
+def test_overflowing_edge_weights_are_never_proven(text, argv, err, lines, tmp_path, capsys):
     spec = tmp_path / "s.spec"
-    spec.write_text(OVERFLOWING_WEIGHTS_SPEC)
+    spec.write_text(text)
     rc = run(argv[0], "--spec", str(spec), *argv[1:])
     captured = capsys.readouterr()
     assert (rc, captured.err) == (2, err)
     assert_exit_contract(argv[0], rc, captured.out, captured.err)
-    if argv[0] == "check":
-        lines = captured.out.splitlines()
-        for line in ("cl_feasible false", "eps nan", "assumption_cl_detectability false"):
-            assert line in lines
+    assert set(lines) <= set(captured.out.splitlines())
 
 
 def test_console_entry_point(tmp_path):
@@ -1010,15 +1019,9 @@ def agreement_documents(draw):
     return "\n".join(lines) + "\n"
 
 
-@given(agreement_documents())
-@example(DT_ILL_SPLIT_SPEC)
-@example(CT_ILL_SPLIT_SPEC)
-@example(SINGULAR_P_SPEC)
-@example(TINY_P_SPEC)
-@settings(max_examples=50, deadline=None)
-def test_check_assumptions_are_the_recipes_exit_codes(tmp_path_factory, text):
-    # each assumption_* line of `check` is true exactly when its recipe exits 0
-    d = tmp_path_factory.mktemp("agreement")
+def assert_check_is_the_recipes(d, text):
+    """Each assumption_* line of `check` on text is true exactly when its
+    recipe exits 0, and `check` exits 0 when one of them does."""
     (d / "a.spec").write_text(text)
     spec, out = str(d / "a.spec"), str(d / "out")
     with contextlib.redirect_stderr(io.StringIO()):
@@ -1035,6 +1038,28 @@ def test_check_assumptions_are_the_recipes_exit_codes(tmp_path_factory, text):
     assert set(exits.values()) <= {0, 2}
     assert {k: report[k] for k in exits} == {k: "true" if v == 0 else "false" for k, v in exits.items()}
     assert rc == (0 if 0 in exits.values() else 2)
+    return report, exits
+
+
+@given(agreement_documents())
+@example(DT_ILL_SPLIT_SPEC)
+@example(CT_ILL_SPLIT_SPEC)
+@example(SINGULAR_P_SPEC)
+@example(TINY_P_SPEC)
+@example(CT_OVERFLOWING_GAINS_SPEC)
+@example(DT_OVERFLOWING_WEIGHTS_SPEC)
+@settings(max_examples=50, deadline=None)
+def test_check_assumptions_are_the_recipes_exit_codes(tmp_path_factory, text):
+    assert_check_is_the_recipes(tmp_path_factory.mktemp("agreement"), text)
+
+
+def test_check_assumption_is_the_recipes_exit_code_under_the_env_tolerance(tmp_path, monkeypatch):
+    # MATSYNC_TOL=1e-5 makes the near mirrors equal, so the gate passes; alg2
+    # then refuses the asymmetric reduced Laplacian, and so must check
+    monkeypatch.setenv("MATSYNC_TOL", "1e-5")
+    report, exits = assert_check_is_the_recipes(tmp_path, DT_NEAR_MIRROR_SPEC)
+    assert report["symmetric"] == "true"
+    assert exits == {"assumption_neutral_dt": 2}
 
 
 def write_spec(path, spec):
@@ -1195,8 +1220,8 @@ def test_commands_without_the_gate_validate_no_spec(argv, ms_spec, tmp_path, mon
 
 
 def test_each_command_decides_each_structural_fact_at_most_once(tmp_path, monkeypatch):
-    # the spec caches its symmetry, graph and connectivity: a command that
-    # reads them decides each once, MATSYNC_TOL's spec included
+    # the spec caches its symmetry, graph, connectivity and lambda2: a command
+    # that reads them decides each once, MATSYNC_TOL's spec included
     spec = random_complete_cl_spec(np.random.default_rng(0), q=20, n=2)
     path, gains = write_spec(tmp_path / "cl20.spec", spec), str(tmp_path / "g.gains")
     assert run("gains", "--spec", str(path), "--recipe", "theorem1", "--out", gains) == 0
@@ -1212,13 +1237,13 @@ def test_each_command_decides_each_structural_fact_at_most_once(tmp_path, monkey
     for key, argv in commands.items():
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("validate_spec", "build_graph", "is_connected"):
+            for name in ("validate_spec", "build_graph", "is_connected", "normalized_laplacian"):
                 f = getattr(array_model, name)
                 mp.setattr(array_model, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
             assert run(argv[0], "--spec", str(path), *argv[1:], "--out", str(tmp_path / "out")) == 0
         counts[key] = sorted(calls)
-    every = ["build_graph", "is_connected", "validate_spec"]
+    every = ["build_graph", "is_connected", "normalized_laplacian", "validate_spec"]
     assert counts == {
-        "check": every, "gains": every, "gains --force": ["build_graph"],
+        "check": every, "gains": every, "gains --force": ["build_graph", "normalized_laplacian"],
         "sweep": [], "simulate": ["build_graph"],
     }

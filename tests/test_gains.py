@@ -18,6 +18,7 @@ from matsync.specdoc import parse_spec_document
 from matsync import (
     ArraySpec,
     Infeasible,
+    MatsyncError,
     NotConnected,
     NotDetectable,
     NotSymmetric,
@@ -301,6 +302,14 @@ class TestEpsBar:
     def test_asymmetric_rejected(self, rng):
         L = build_laplacian({(0, 1): [[1.0]], (1, 0): [[3.0]]}, q=2)
         with pytest.raises(NotSymmetric):
+            eps_bar(L)
+
+    def test_non_finite_rejected_before_any_solve(self, monkeypatch):
+        # inf weights make an inf - inf Laplacian: refused, not sent to eigvalsh
+        L = build_laplacian({(0, 1): [[np.inf]], (1, 0): [[np.inf]]}, q=2)
+        for name in ("norm", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **k: pytest.fail(name))
+        with pytest.raises(MatsyncError, match="eps_bar requires a finite Laplacian"):
             eps_bar(L)
 
 
