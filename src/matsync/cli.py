@@ -7,8 +7,13 @@ alg2 for ``assumption_neutral_ct`` and ``_dt``).  A verdict covers the whole
 recipe: its hypotheses, finite gains and, for alg2, ``eps_bar``'s refusal of
 a reduced Laplacian that is asymmetric or not finite.
 
-Exit codes: 0 success; 1 with ``error: ...`` on stderr for a usage error,
-an unreadable file, a bad option or any malformed document (builder
+Each value has one source: ``gains --alpha`` is theorem1's, ``simulate
+--step`` continuous time's (DEFAULT_STEP without it), and the discrete-time
+coupling step is the gains document's ``epsilon`` line (eps_bar, unless edited).
+
+Exit codes: 0 success; 1 with ``error: ...`` on stderr for a usage error
+(an option the command does not read included), an unreadable file, a bad
+option or any malformed document (builder
 parameters and gains that do not fit the spec included); 2 with
 ``hypothesis failed: ...`` (``check`` prints its report and nothing on
 stderr); 3 divergence.  Only
@@ -49,26 +54,25 @@ EXIT_HYPOTHESIS = 2
 EXIT_DIVERGED = 3
 
 
-# float options: name -> whether it must also be > 0
-FLOAT_OPTIONS = {
-    "alpha": False, "epsilon": False, "horizon": True, "step": True,
-    "alpha_min": True, "alpha_max": True,
-}
+# the step of a continuous-time simulate run without --step
+DEFAULT_STEP = 1e-3
+# the rule of a float option that must be > 0
+POSITIVE = (float, "finite and > 0", lambda x: math.isfinite(x) and x > 0.0)
 
 
-def _check_options(args):
-    """Reject a non-finite float option, a non-positive one that must be > 0,
-    and a sweep of fewer than one point."""
-    if getattr(args, "points", 1) < 1:
-        raise SpecParseError(f"--points must be >= 1, got {args.points}")
-    for name, positive in FLOAT_OPTIONS.items():
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        if not math.isfinite(value) or (positive and value <= 0.0):
-            need = "finite and > 0" if positive else "finite"
-            flag = "--" + name.replace("_", "-")
+def _add_number(p, flag, rule, **kwargs):
+    """Add an option argparse reads by rule, (type, need, test): text the type
+    cannot read is argparse's error naming the type, and a value failing the
+    test a SpecParseError naming flag, which argparse passes on to main."""
+    kind, need, ok = rule
+
+    def read(text):
+        if not ok(value := kind(text)):
             raise SpecParseError(f"{flag} must be {need}, got {value!r}")
+        return value
+
+    read.__name__ = kind.__name__
+    p.add_argument(flag, type=read, **kwargs)
 
 
 def _write(path, data):
@@ -161,6 +165,8 @@ def cmd_check(args):
 
 
 def cmd_gains(args):
+    if args.alpha is not None and args.recipe != gainsmod.RECIPE_THEOREM1:
+        raise SpecParseError(f"--alpha applies to --recipe {gainsmod.RECIPE_THEOREM1}")
     doc, tol = _load_spec_env(args.spec)
     spec = doc.spec
     alpha = args.alpha if args.alpha is not None else doc.alpha
@@ -172,9 +178,8 @@ def cmd_gains(args):
         fields = {"P": cert.P if doc.P is None else doc.P, "metadata": metadata}
     else:
         fields = {"metadata": {"n1": gs.certificate.n1}}
-    if gs.recipe == gainsmod.RECIPE_ALG2_DT:
-        epsilon = args.epsilon if args.epsilon is not None else doc.epsilon
-        fields["epsilon"] = gs.eps_bar if epsilon is None and np.isfinite(gs.eps_bar) else epsilon
+    if gs.recipe == gainsmod.RECIPE_ALG2_DT and np.isfinite(gs.eps_bar):
+        fields["epsilon"] = gs.eps_bar
     _write(args.out, specdoc.serialize_gains_document(gs, spec.q, spec.n, **fields))
     return EXIT_OK
 
@@ -187,34 +192,31 @@ def cmd_simulate(args):
         raise SpecParseError(
             f"gains are for q={gdoc.q}, n={gdoc.n}; spec has q={spec.q}, n={spec.n}"
         )
-    if args.seed < 0:
-        raise SpecParseError(f"--seed must be >= 0, got {args.seed}")
     ct = spec.time_domain == CONTINUOUS
-    if ct and args.horizon < args.step:
-        raise SpecParseError(
-            f"--horizon {args.horizon!r} is shorter than --step {args.step!r}"
-        )
-    steps = args.horizon / args.step if ct else max(1, round(args.horizon))
+    if not ct and args.step is not None:
+        raise SpecParseError("--step applies to continuous time")
+    h = DEFAULT_STEP if args.step is None else args.step
+    if ct and args.horizon < h:
+        raise SpecParseError(f"--horizon {args.horizon!r} is shorter than --step {h!r}")
+    steps = args.horizon / h if ct else max(1, round(args.horizon))
     if steps > simulation.MAX_STEPS:
         raise SpecParseError(
             f"--horizon {args.horizon!r} needs {steps:.3g} steps; "
             f"at most {simulation.MAX_STEPS} fit"
         )
-    epsilon = args.epsilon if args.epsilon is not None else gdoc.epsilon
     try:
-        cl = simulation.closed_loop(spec, gdoc.gain_set, epsilon=epsilon)
+        cl = simulation.closed_loop(spec, gdoc.gain_set, epsilon=gdoc.epsilon)
     except DimensionMismatch as e:  # a missing gain, one of the wrong shape or one off the edges
         raise SpecParseError(str(e)) from e
     rng = np.random.default_rng(args.seed)
     x0 = rng.standard_normal(spec.q * spec.n)
     try:
         if ct:
-            trace = simulation.simulate_ct(cl, x0, T=args.horizon, h=args.step)
+            trace = simulation.simulate_ct(cl, x0, T=args.horizon, h=h)
         else:
             trace = simulation.simulate_dt(cl, x0, K=steps)
-    except Diverged as e:
-        _write(args.out, trace_csv(e.trace, "diverged"))
-        return EXIT_DIVERGED
+    except Diverged as e:  # its trace ends before the crossing, and its verdict is diverged
+        trace = e.trace
     verdict = trace.verdict()
     _write(args.out, trace_csv(trace, verdict))
     return EXIT_DIVERGED if verdict == "diverged" else EXIT_OK
@@ -274,8 +276,7 @@ def make_parser():
     p = sub.add_parser("gains", help="synthesize coupling gains")
     p.add_argument("--spec", required=True)
     p.add_argument("--recipe", required=True, choices=list(gainsmod.RECIPES))
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
+    _add_number(p, "--alpha", (float, "finite", math.isfinite), help="theorem1 only")
     p.add_argument("--force", action="store_true",
                    help="emit gains even when a hypothesis fails")
     p.add_argument("--out", default=None)
@@ -283,18 +284,17 @@ def make_parser():
     p = sub.add_parser("simulate", help="integrate the closed loop from a seeded x0")
     p.add_argument("--spec", required=True)
     p.add_argument("--gains", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=float, default=100.0,
-                   help="final time (CT) or step count (DT)")
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--epsilon", type=float, default=None)
+    _add_number(p, "--seed", (int, ">= 0", lambda k: k >= 0), default=0)
+    _add_number(p, "--horizon", POSITIVE, default=100.0,
+                help="final time (CT) or step count (DT)")
+    _add_number(p, "--step", POSITIVE, help=f"continuous time only (default {DEFAULT_STEP})")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("sweep", help="closed-loop spectral abscissa vs coupling")
     p.add_argument("--spec", required=True)
-    p.add_argument("--alpha-min", type=float, default=0.1)
-    p.add_argument("--alpha-max", type=float, default=100.0)
-    p.add_argument("--points", type=int, default=50)
+    _add_number(p, "--alpha-min", POSITIVE, default=0.1)
+    _add_number(p, "--alpha-max", POSITIVE, default=100.0)
+    _add_number(p, "--points", (int, ">= 1", lambda k: k >= 1), default=50)
     p.add_argument("--out", default=None)
     return parser
 
@@ -308,7 +308,6 @@ def _parser():
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        _check_options(args)
         # looked up at call time, so a replaced cli.cmd_* is the one that runs
         return globals()[f"cmd_{args.command}"](args)
     except (SpecParseError, OSError) as e:

@@ -284,10 +284,8 @@ def _step(table, x0, points, cap_sq):
     states from the last state of the product before.  A block of up to
     POWER_TABLE_CELLS // len(table) products is written into one buffer,
     reused for the whole run, and then tested against the cap and copied to
-    the kept rows at once.  Returns (indices, rows, k).  k is None when every
-    state stays within the cap.  Otherwise state k is the first past it, and
-    the rows are those the stride of `points` keeps among states 0..k-1, plus
-    state k-1.
+    the kept rows at once.  Returns (indices, rows, None) when every state
+    stays within the cap, and (None, None, k) when state k is the first past it.
     """
     qn, width = len(x0), len(table)
     B = width // qn
@@ -312,17 +310,11 @@ def _step(table, x0, points, cap_sq):
         X = Y[:m + 1].reshape(-1, qn)[B - 1:B + last - base]  # X[s] is state base + s
         # nan or inf in a row makes its norm nan or inf, so this also catches them
         within = np.einsum("ij,ij->i", X[1:], X[1:]) <= cap_sq
-        end = len(within) if within.all() else int(within.argmin())  # X[end + 1] is past the cap
-        stop = np.searchsorted(indices, base + end, side="right")
+        if not within.all():  # X[i + 1] is the first past the cap, i = argmin
+            return None, None, base + int(within.argmin()) + 1
+        stop = np.searchsorted(indices, base + len(within), side="right")
         rows[kept:stop] = X[indices[kept:stop] - base]
         kept = stop
-        if end < len(within):
-            k = base + end + 1
-            if (k - 1) % stride:
-                rows[kept] = X[end]
-                indices[kept] = k - 1
-                kept += 1
-            return indices[:kept], rows[:kept], k
         Y[0, -qn:] = Y[m, -qn:]
     return indices, rows, None
 
@@ -332,8 +324,9 @@ def _iterate(cl, step_matrix, x0, points, h):
 
     The trace keeps every stride-th state and the last, stride =
     ceil(points / MAX_TRACE_ROWS), so memory is bounded for any horizon.  A
-    diverged trace keeps the states before the crossing by the same rule,
-    applied to their own count.
+    diverged run is stepped again up to the crossing, through the same
+    products and so the same states, and its trace keeps the states before
+    the crossing by the same rule, applied to their own count.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     qn = cl.spec.q * cl.spec.n
@@ -343,12 +336,11 @@ def _iterate(cl, step_matrix, x0, points, h):
     with np.errstate(over="ignore", invalid="ignore"):
         table = _power_table(step_matrix)
         indices, rows, k = _step(table, x0, points, cap_sq)
-        if k is not None and _stride(k) != _stride(points):
-            # the same products again, so the same states, kept at the shorter stride
+        if k is not None:
             indices, rows, _ = _step(table, x0, k, cap_sq)
+    trace = _trace(cl, indices * h, rows, bounded=k is None)
     if k is None:
-        return _trace(cl, indices * h, rows, bounded=True)
-    trace = _trace(cl, indices * h, rows, bounded=False)
+        return trace
     raise Diverged(f"state norm exceeded the divergence cap at t = {k * h:g}", trace)
 
 

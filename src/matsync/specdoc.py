@@ -48,7 +48,6 @@ class SpecDocument:
     spec: ArraySpec
     P: np.ndarray | None = None
     alpha: float | None = None
-    epsilon: float | None = None
 
 
 @dataclass(frozen=True)
@@ -278,7 +277,7 @@ _BUILDERS = {
     "lc": (build_lc, ("capacitances", "inductances")),
 }
 _SPEC = {
-    "q": int, "n": int, "alpha": float, "epsilon": float,
+    "q": int, "n": int, "alpha": float,
     "time_domain": (CONTINUOUS, DISCRETE), "A": _BLOCK, "P": _BLOCK, "edge": _PAIR,
     "builder": tuple(_BUILDERS), "coupling": _COUPLING, "variant": ("raw", "transformed"),
     **{v: _VECTOR for _, vectors in _BUILDERS.values() for v in vectors},
@@ -323,13 +322,17 @@ def parse_spec_document(text: str) -> SpecDocument:
                 raise SpecParseError(msg, blocks.lines[("edge", (i, j))])
         spec = ArraySpec(q=values["q"], n=n, A=A, C=cmap, time_domain=time_domain)
 
-    if "builder" in values and time_domain == DISCRETE:
-        raise SpecParseError("builder arrays are continuous-time")
+    if time_domain == DISCRETE:
+        if "builder" in values:
+            raise SpecParseError("builder arrays are continuous-time")
+        for key, line in (("alpha", blocks.stated.get("alpha")), ("P", blocks.lines.get("P"))):
+            if line:  # theorem1's inputs, which nothing reads in discrete time
+                raise SpecParseError(f"{key} applies to continuous time", line)
     P = blocks.matrix("P")
     if P is not None and P.shape != (spec.n, spec.n):
         msg = f"P has shape {P.shape}, expected ({spec.n}, {spec.n})"
         raise SpecParseError(msg, blocks.lines["P"])
-    return SpecDocument(spec, P, values.get("alpha"), values.get("epsilon"))
+    return SpecDocument(spec, P, values.get("alpha"))
 
 
 def serialize_spec_document(doc: SpecDocument) -> str:
@@ -337,8 +340,6 @@ def serialize_spec_document(doc: SpecDocument) -> str:
     out = [f"q {spec.q}", f"n {spec.n}", f"time_domain {spec.time_domain}"]
     if doc.alpha is not None:
         out.append(f"alpha {_fmt(doc.alpha)}")
-    if doc.epsilon is not None:
-        out.append(f"epsilon {_fmt(doc.epsilon)}")
     out += ["A", _fmt_matrix(spec.A), *_table_blocks("edge", spec.table)]
     if doc.P is not None:
         out += ["P", _fmt_matrix(doc.P)]

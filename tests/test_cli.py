@@ -610,6 +610,38 @@ def test_bad_number_option_exits_1(
     assert not out.exists()
 
 
+# name -> (bundled example or spec text, command, the recipe of the gains
+# simulate reads, options after --spec (and --gains), the option the message names)
+DROPPED_OPTIONS = {
+    "gains_alg1_alpha_epsilon": ("mass_spring_demo", "gains", None,
+                                 ["--recipe", "alg1", "--alpha", "3", "--epsilon", "5"], "--epsilon"),
+    "gains_alg1_alpha": ("mass_spring_demo", "gains", None, ["--recipe", "alg1", "--alpha", "3"], "--alpha"),
+    "gains_alg2_alpha": (rotation_spec_text(), "gains", None, ["--recipe", "alg2", "--alpha", "3"], "--alpha"),
+    "gains_theorem1_epsilon": ("chain5", "gains", None, ["--recipe", "theorem1", "--epsilon", "5"], "--epsilon"),
+    "simulate_ct_epsilon": ("mass_spring_demo", "simulate", "alg1", ["--horizon", "1", "--epsilon", "7"], "--epsilon"),
+    "simulate_dt_step": (rotation_spec_text(), "simulate", "alg2", ["--horizon", "10", "--step", "0.37"], "--step"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DROPPED_OPTIONS))
+def test_an_option_the_command_does_not_read_exits_1(name, tmp_path, capsys):
+    spec_src, command, recipe, options, flag = DROPPED_OPTIONS[name]
+    spec, gains, out = tmp_path / "s.spec", tmp_path / "g.gains", tmp_path / "out.txt"
+    if "\n" in spec_src:
+        spec.write_text(spec_src)
+    else:
+        assert run("example", spec_src, "--out", str(spec)) == 0
+    argv = [command, "--spec", str(spec)]
+    if recipe is not None:
+        assert run("gains", "--spec", str(spec), "--recipe", recipe, "--out", str(gains)) == 0
+        argv += ["--gains", str(gains)]
+    capsys.readouterr()
+    assert run(*argv, *options, "--out", str(out)) == 1
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("error: ") and flag in first
+    assert not out.exists()
+
+
 def test_dt_step_count_beyond_int64_exits_1(tmp_path, capsys):
     spec, gains, out = tmp_path / "rot.spec", tmp_path / "g.gains", tmp_path / "t.csv"
     spec.write_text(rotation_spec_text())

@@ -34,7 +34,6 @@ class TestSpecRoundTrip:
         assert specs_equal(parsed.spec, ex.spec)
         assert np.array_equal(parsed.P, ex.P)
         assert parsed.alpha == 1.25
-        assert parsed.epsilon is None
         # serialize again: byte-identical
         assert serialize_spec_document(parsed) == text
 
@@ -44,10 +43,9 @@ class TestSpecRoundTrip:
             q=2, n=3, A=rng.standard_normal((3, 3)), C={(0, 1): C, (1, 0): C},
             time_domain="discrete",
         )
-        doc = SpecDocument(spec=spec, epsilon=rng.standard_normal())
+        doc = SpecDocument(spec=spec)
         parsed = parse_spec_document(serialize_spec_document(doc))
         assert specs_equal(parsed.spec, spec)
-        assert parsed.epsilon == doc.epsilon
 
     def test_one_based_indices(self):
         text = """
@@ -549,6 +547,11 @@ STATEMENT_FAULTS = [
     ("spec", "q 2 / coupling 1 2 1.0 / coupling 1 2 1.0", "line 3: duplicate coupling (1, 2)"),
     ("spec", "q 2 / coupling 1 2 inf", "line 2: coupling values must be finite"),
     ("spec", "q 2 / coupling 2 2 1.0", "line 2: edge (2, 2) invalid for q=2"),
+    # theorem1's inputs, which nothing reads in discrete time
+    ("spec", "q 2 / n 1 / alpha 3.0 / time_domain discrete / A / 1.0 / edge 1 2 / 1.0 / edge 2 1 / 1.0",
+     "line 3: alpha applies to continuous time"),
+    ("spec", "q 2 / n 1 / time_domain discrete / A / 1.0 / P / 1.0 / edge 1 2 / 1.0 / edge 2 1 / 1.0",
+     "line 6: P applies to continuous time"),
 ]
 
 
