@@ -2,34 +2,44 @@
 
 Trajectories are integrated with the classical 4th-order Runge-Kutta
 method at a fixed step.  For the linear closed loop the RK4 update is the
-degree-4 Taylor polynomial of exp(h Psi), so the step matrix R is formed
-once.  It equals stepping the stage equations in exact arithmetic only;
-the two round differently.
+degree-4 Taylor polynomial of exp(h Psi), in Horner's form x <- x + hPsi(x +
+(hPsi/2)(x + (hPsi/3)(x + (hPsi/4) x))).  simulate_ct applies it by one of
+two products per run: the dense path forms the step matrix R once
+(rk4_step_matrix) and steps x <- R x; the stage path forms no R and runs
+the four stages on each state, each one sparse product with Psi.  The two
+are equal in exact arithmetic only; the stage path's traces stay within
+TRACE_RTOL ||x_row|| of R's (tested).
 
-A run steps by products of a power table.  The powers [R; R^2; ...; R^B]
-are stacked once per run, with B = max(1, POWER_TABLE_CELLS // qn^2), so B
-depends on the state size alone, and each product of the table with the
-last state of the product before gives the next B states.  The states match
-those of one product per step to rounding, not bit for bit; at qn >= 182,
-B = 1 and the products are the same.  The products are made in blocks of up
-to POWER_TABLE_CELLS // (B qn), each written into one buffer that the run
-reuses.  The divergence cap is then tested on every state of the block, so
-the first state past it is found exactly, and the kept rows are copied out,
-once per block: at B = 1 a state costs one np.matmul call into its row of
-the buffer, and the bookkeeping runs once per block, not once per state.
+A dense run steps by products of a power table.  The powers [R; R^2; ...;
+R^B] are stacked once per run, with B = max(1, POWER_TABLE_CELLS // qn^2),
+so B depends on the state size alone, and each product of the table with
+the last state of the product before gives the next B states.  The states
+match those of one product per step to rounding, not bit for bit; at qn >=
+182, B = 1 and the products are the same.  The stage path gives one state
+per product.  The products are made in blocks of up to POWER_TABLE_CELLS //
+(B qn), each written into one buffer that the run reuses.  The divergence
+cap is then tested on every state of the block, so the first state past it
+is found exactly, and the kept rows are copied out, once per block: at B = 1
+a state costs one np.matmul call into its row of the buffer, and the
+bookkeeping runs once per block, not once per state.
 closed_loop takes every gains source as an EdgeTable, forms W_ij = G_ij C_ij
 one group at a time, as rho_sweep does, and Psi in the qn x qn array of
 L_W that assemble_block_laplacian returns, with no temporary of that size.
 
 Psi has the graph's block pattern: an n x n block on the diagonal and one
-per edge.  simulate_ct counts, from the edge table, the multiply-adds of
-rk4_step_matrix's three Horner products done row by row in CSR (Gustavson,
-ACM TOMS 4, 1978, as scipy.sparse does them), and hands it Psi as a
-scipy.sparse.csr_array when CSR_FMA_COST times that count is below the
-3 (qn)^3 of the dense GEMMs.  Otherwise rk4_step_matrix works in four
-dense arrays of Psi's size.  Chains take the CSR products from q = 54 on
-and random trees from q ~ 70-90; stars, complete graphs and the bundled
-examples keep the dense ones.
+per edge, n^2 (q + E) entries for the E pairs of the spec's edge table.
+simulate_ct takes the stage path when four stages, each STAGE_CALL_COST for
+its call and copy plus STAGE_FMA_COST per entry, cost less than the (qn)^2
+multiply-adds of R x: pattern and sizes decide, never the horizon.  At
+n = 4, chains, rings and trees take the stages from q = 83 on; complete
+graphs, small arrays and the bundled examples step R.  The stage path
+gathers Psi's CSR from the diagonal and edge blocks in O(nnz), bit-equal to
+csr_array(Psi).  Each stage is one call of scipy's private
+scipy.sparse._sparsetools.csr_matvec, the kernel psi @ x calls, which adds
+A x into a buffer that already holds x: no allocation per step, and ~3.3 us
+a call at q = 100 against ~6 us for psi @ x.  A scipy release that changes
+the kernel fails test_private_csr_matvec_adds_into_its_output by name; CI
+pins scipy 1.17.1.
 
 The trace metrics take the kept rows in blocks of about METRIC_BLOCK_CELLS
 floats, each copied agent-major to shape (q, n, rows) so that every
@@ -85,13 +95,11 @@ PRUNE_MIN_AGENTS = 16
 # floats in the stacked step-matrix powers (unless R is larger), and about as
 # many in a block of their products
 POWER_TABLE_CELLS = 1 << 16
-# a CSR multiply-add of scipy.sparse against one FMA of a dense single-thread
-# GEMM: the time of rk4_step_matrix in CSR over that in dense, times the dense
-# count over the CSR count, was 170-205 on chains and random trees at q = 50
-# and 100, n = 4, where the two take about the same time (q = 50) or CSR
-# 2-3x less (q = 100); 90 on stars and 35-60 on complete graphs, which the
-# count keeps dense anyway
-CSR_FMA_COST = 200
+# one RK4 stage on a CSR Psi in multiply-adds of the dense product R x
+# (single-thread BLAS, one CPU): ~1.8 us for the call and the copy of x and
+# ~0.5 ns a nonzero, against ~0.14 ns a multiply-add of R x at qn = 120-400
+STAGE_CALL_COST = 13_000
+STAGE_FMA_COST = 3.6
 
 
 @dataclass(frozen=True)
@@ -277,17 +285,17 @@ def _power_table(step_matrix):
     return table
 
 
-def _step(table, x0, points, cap_sq):
-    """Step x <- R x through `points` states, keeping every stride-th and the last.
+def _step(advance, x0, points, cap_sq, width):
+    """Step from x0 through `points` states, keeping every stride-th and the last.
 
-    `table` is _power_table(R): each product table @ x gives the next B
-    states from the last state of the product before.  A block of up to
-    POWER_TABLE_CELLS // len(table) products is written into one buffer,
-    reused for the whole run, and then tested against the cap and copied to
-    the kept rows at once.  Returns (indices, rows, None) when every state
-    stays within the cap, and (None, None, k) when state k is the first past it.
+    advance(x, out) writes the next `width` values, B = width // qn states,
+    into out from x, the last state of the product before.  A block of up to
+    POWER_TABLE_CELLS // width products is written into one buffer, reused
+    for the whole run, and then tested against the cap and copied to the
+    kept rows at once.  Returns (indices, rows, None) when every state stays
+    within the cap, and (None, None, k) when state k is the first past it.
     """
-    qn, width = len(x0), len(table)
+    qn = len(x0)
     B = width // qn
     stride = _stride(points)
     last = points - 1
@@ -302,11 +310,11 @@ def _step(table, x0, points, cap_sq):
     Y = np.empty((per_block + 1, width))
     Y[0, -qn:] = x0
     for base in range(0, last, per_block * B):
-        # every product uses the whole table, so each state comes from the same
-        # product whatever the horizon; states past `last` are dropped
+        # every product gives the same states, so each state comes from the
+        # same product whatever the horizon; states past `last` are dropped
         m = min(per_block, -(-(last - base) // B))
         for p in range(m):
-            np.matmul(table, Y[p, -qn:], out=Y[p + 1])
+            advance(Y[p, -qn:], Y[p + 1])
         X = Y[:m + 1].reshape(-1, qn)[B - 1:B + last - base]  # X[s] is state base + s
         # nan or inf in a row makes its norm nan or inf, so this also catches them
         within = np.einsum("ij,ij->i", X[1:], X[1:]) <= cap_sq
@@ -319,14 +327,16 @@ def _step(table, x0, points, cap_sq):
     return indices, rows, None
 
 
-def _iterate(cl, step_matrix, x0, points, h):
-    """Step x <- R x from x0 for `points` states h apart; raises Diverged past the cap.
+def _iterate(cl, step, x0, points, h):
+    """Step from x0 for `points` states h apart; raises Diverged past the cap.
 
-    The trace keeps every stride-th state and the last, stride =
-    ceil(points / MAX_TRACE_ROWS), so memory is bounded for any horizon.  A
-    diverged run is stepped again up to the crossing, through the same
-    products and so the same states, and its trace keeps the states before
-    the crossing by the same rule, applied to their own count.
+    `step` is a step matrix R, stepped x <- R x through _power_table(R), or an
+    advance(x, out) that writes the next state, as _stages makes.  The trace
+    keeps every stride-th state and the last, stride = ceil(points /
+    MAX_TRACE_ROWS), so memory is bounded for any horizon.  A diverged run is
+    stepped again up to the crossing, through the same products and so the
+    same states, and its trace keeps the states before the crossing by the
+    same rule, applied to their own count.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     qn = cl.spec.q * cl.spec.n
@@ -334,10 +344,13 @@ def _iterate(cl, step_matrix, x0, points, h):
         raise DimensionMismatch(f"x0 has length {x0.shape[0]}, expected {qn}")
     cap_sq = (BOUND_CAP_FACTOR * max(np.linalg.norm(x0), 1e-300)) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
-        table = _power_table(step_matrix)
-        indices, rows, k = _step(table, x0, points, cap_sq)
+        width = qn
+        if isinstance(step, np.ndarray):
+            table = _power_table(step)
+            step, width = (lambda x, out: np.matmul(table, x, out=out)), len(table)
+        indices, rows, k = _step(step, x0, points, cap_sq, width)
         if k is not None:
-            indices, rows, _ = _step(table, x0, k, cap_sq)
+            indices, rows, _ = _step(step, x0, k, cap_sq, width)
     trace = _trace(cl, indices * h, rows, bounded=k is None)
     if k is None:
         return trace
@@ -350,46 +363,14 @@ def _add_identity(M):
     M += 0.0
 
 
-def _csr_is_cheaper(pairs, q):
-    """Whether rk4_step_matrix's three Horner products cost less in CSR.
-
-    S, the q x q 0/1 block pattern of hPsi, has the diagonal and the (E, 2)
-    pairs.  Before product k = 1, 2, 3, R has the pattern of S^k.  A
-    row-wise CSR product hPsi R takes, for each block (i, j) of hPsi, n^3
-    multiply-adds per block of block row j of R: n^3 1'S S^k 1 in all, the
-    column counts of S dotted with the row counts of S^k.  The dense GEMMs
-    take 3 (qn)^3.  The count stops once it is past that budget.
-    """
-    S = np.eye(q)
-    S[pairs[:, 0], pairs[:, 1]] = 1.0
-    into, reach, count = S.sum(axis=0), S, 0.0
-    for k in range(3):
-        count += into @ reach.sum(axis=1)  # integers, exact in float64
-        if CSR_FMA_COST * count >= 3 * q**3:
-            return False
-        if k < 2:
-            reach = np.minimum(S @ reach, 1.0)
-    return True
-
-
-def rk4_step_matrix(system_matrix, h: float) -> np.ndarray:
+def rk4_step_matrix(system_matrix: np.ndarray, h: float) -> np.ndarray:
     """I + h Psi + ... + (h Psi)^4 / 24, the classical RK4 update for x' = Psi x.
 
     Horner's rule, R = I + hPsi/4 and then R <- I + (hPsi/k) R for k = 3, 2,
-    1.  A dense Psi is worked in four arrays of its size: hPsi, hPsi/k and
-    the two R's, each product written into the one not being read.  A
-    scipy.sparse CSR Psi is worked in CSR, whose products skip the zero
-    blocks, and R is returned dense; the two round differently.
+    1, on a dense Psi, in four arrays of its size: hPsi, hPsi/k and the two
+    R's, each product written into the one not being read.
     """
     hA = h * system_matrix
-    if not isinstance(hA, np.ndarray):
-        from scipy.sparse import eye_array
-
-        eye = eye_array(hA.shape[0], format="csr")
-        R = hA / 4 + eye
-        for k in (3, 2, 1):
-            R = (hA / k) @ R + eye
-        return R.toarray()
     R, term, other = np.divide(hA, 4), np.empty_like(hA), np.empty_like(hA)
     _add_identity(R)
     for k in (3, 2, 1):
@@ -400,23 +381,61 @@ def rk4_step_matrix(system_matrix, h: float) -> np.ndarray:
     return R
 
 
+def _csr_psi(cl):
+    """Psi as a scipy.sparse.csr_array, gathered in O(nnz) from its diagonal
+    blocks and the edge table's: a BSR of those n x n blocks in row-major
+    block order, then tocsr and eliminate_zeros, bit-equal to csr_array(Psi)."""
+    from scipy.sparse import bsr_array
+
+    q, n = cl.spec.q, cl.spec.n
+    pairs = cl.spec.table.pairs
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # assemble_block_laplacian skips these
+    i, j = (np.append(np.arange(q), pairs[:, k]) for k in (0, 1))
+    s = np.lexsort((j, i))
+    i, j = i[s], j[s]
+    blocks = cl.system_matrix.reshape(q, n, q, n)[i, :, j]  # blocks[k] is block (i[k], j[k])
+    # int32 indices, as csr_array(Psi) has them
+    j, indptr = j.astype(np.int32), np.searchsorted(i, np.arange(q + 1)).astype(np.int32)
+    psi = bsr_array((blocks, j, indptr), shape=(q * n, q * n)).tocsr()
+    psi.eliminate_zeros()
+    return psi
+
+
+def _stages(psi, h):
+    """advance(x, out): out <- x + hPsi(x + (hPsi/2)(x + (hPsi/3)(x + (hPsi/4) x)))
+    for a CSR Psi, each stage one csr_matvec into a buffer that holds x."""
+    from scipy.sparse._sparsetools import csr_matvec
+
+    qn = psi.shape[0]
+    hA = h * psi.data
+    stages = [hA / k for k in (4, 3, 2, 1)]
+    a, b = np.empty(qn), np.empty(qn)
+
+    def advance(x, out):
+        v = x
+        for data, y in zip(stages, (a, b, a, out)):
+            y[:] = x
+            csr_matvec(qn, qn, psi.indptr, psi.indices, data, v, y)
+            v = y
+
+    return advance
+
+
 def simulate_ct(cl: ClosedLoop, x0, T: float = 100.0, h: float = 1e-3) -> SimTrace:
     """Fixed-step RK4 integration of the continuous-time closed loop.
 
-    The step matrix is formed from Psi in CSR when _csr_is_cheaper says so
-    for the spec's edge table, and from the dense Psi otherwise.
+    Steps the RK4 stages on a CSR Psi when the operation count of the module
+    docstring says they cost less than R x, and R otherwise.
     """
     if h <= 0.0 or T < h:
         raise ValueError(f"need 0 < h <= T, got h={h}, T={T}")
     if not T / h <= MAX_STEPS:
         raise ValueError(f"need T / h <= {MAX_STEPS}, got {T / h}")
     steps = int(round(T / h))
-    psi = cl.system_matrix
-    if _csr_is_cheaper(cl.spec.table.pairs, cl.spec.q):
-        from scipy.sparse import csr_array
-
-        psi = csr_array(psi)
-    return _iterate(cl, rk4_step_matrix(psi, h), x0, steps + 1, h)
+    q, n, E = cl.spec.q, cl.spec.n, len(cl.spec.table.pairs)
+    if 4 * (STAGE_CALL_COST + STAGE_FMA_COST * n * n * (q + E)) < (q * n) ** 2:
+        return _iterate(cl, _stages(_csr_psi(cl), h), x0, steps + 1, h)
+    return _iterate(cl, rk4_step_matrix(cl.system_matrix, h), x0, steps + 1, h)
 
 
 def simulate_dt(cl: ClosedLoop, x0, K: int) -> SimTrace:

@@ -85,9 +85,12 @@ def mass_spring_chain(q):
 
 # at qn = 200 the stepper's power table holds R alone (B = 1)
 WIDE_CHAIN_SPEC = mass_spring_chain(50)
-# the shortest chain whose RK4 step matrix simulate_ct forms in CSR; recorded
-# from the dense products, so the trace gate compares the two
+# a q = 54 chain, below the stage path's crossover: simulate_ct steps it by
+# the dense R, the products its record was made from
 SPARSE_STEP_CHAIN_SPEC = mass_spring_chain(54)
+# a q = 100 chain, which simulate_ct steps by the RK4 stages on a CSR Psi;
+# recorded from a step matrix, so the trace gate compares the stages with R
+STAGE_CHAIN_SPEC = mass_spring_chain(100)
 
 # name -> (bundled example or spec text, gains argv or gains text, simulate argv, to stdout)
 CASES = {
@@ -120,6 +123,10 @@ CASES = {
     "mass_spring_chain54_sparse_step": (
         SPARSE_STEP_CHAIN_SPEC, ["--recipe", "alg1"],
         ["--seed", "8", "--horizon", "2", "--step", "0.01"], False,
+    ),
+    "mass_spring_chain100_stages": (
+        STAGE_CHAIN_SPEC, ["--recipe", "alg1"],
+        ["--seed", "9", "--horizon", "3", "--step", "0.01"], False,
     ),
 }
 

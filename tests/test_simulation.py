@@ -1143,16 +1143,18 @@ def test_rk4_step_matrix_is_degree_four_taylor():
     assert np.allclose(R, expected, atol=1e-14)
 
 
-def graph_loop(pairs, q, n, seed):
+def graph_loop(pairs, q, n, seed, gain=None):
     """A closed loop on the undirected pairs with natural gains: Psi = I (x) A - L_W,
-    A skew and L_W PSD, so the exact flow never grows."""
+    A skew and L_W PSD, so the exact flow never grows.  Gains gain * C_ij'
+    with a negative gain make Psi = I (x) A + |gain| L_W, which grows."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, n))
     cmap = {}
     for i, j in pairs:
         cmap[(i, j)] = cmap[(j, i)] = rng.standard_normal((n, n)) / n
     spec = ArraySpec(q=q, n=n, A=X - X.T, C=cmap)
-    return closed_loop(spec, natural_gains(spec))
+    gains = natural_gains(spec)
+    return closed_loop(spec, gains if gain is None else {e: gain * G for e, G in gains.items()})
 
 
 def graph_pairs(kind, q, seed=0):
@@ -1177,71 +1179,67 @@ def spy_step_matrix(mp):
     return seen
 
 
-def rk4_rounding_bound(psi, h):
-    """8 (m + 4) u (1 + ||hPsi||_1)^4, m the most nonzeros in a row of Psi.
-
-    To first order (Higham, Accuracy and Stability, 2002, sec. 3.5), each
-    Horner step I + (hPsi/k) R rounds within (m + 4) u |I + |hPsi/k| |R||: a
-    product sums at most m nonzero terms, whatever order a dense or a CSR
-    kernel takes, hPsi/k is rounded twice and the identity once.  Four steps
-    with || |R| ||_1 <= (1 + ||hPsi||_1)^4 put each branch within half the
-    bound of the exact R in the 1-norm, which bounds every entry.
-    """
-    m = int(np.diff(psi.indptr).max())
-    u = np.finfo(float).eps / 2
-    return 8 * (m + 4) * u * (1 + h * sla.norm(psi.toarray(), 1)) ** 4
+def run_to_end(run):
+    """(trace, None) of a run that returns, (its trace, the message) of one that diverges."""
+    try:
+        return run(), None
+    except Diverged as exc:
+        return exc.trace, str(exc)
 
 
-# the smallest q whose pattern the rule sends to CSR: 54 for chains and 55
-# for rings; random trees cross over between q ~ 70 and 90, so they are
-# drawn from q = 100, where every one of 1000 seeds went to CSR
-CSR_FROM_Q = {"chain": 54, "ring": 55, "tree": 100}
-
-
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=15, deadline=None)
 @given(
-    kind=st.sampled_from(sorted(CSR_FROM_Q)),
-    size=st.floats(0.0, 1.0),
+    kind=st.sampled_from(["chain", "ring", "star", "tree"]),
+    q=st.integers(3, 150),
     n=st.integers(1, 4),
     h=st.sampled_from([1e-3, 1e-2, 0.1]),
+    diverging=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(kind="chain", size=0.0, n=4, h=0.1, seed=0)
-def test_csr_step_matrix_matches_dense_within_rounding(kind, size, n, h, seed):
-    q = CSR_FROM_Q[kind] + round(size * (150 - CSR_FROM_Q[kind]))
-    cl = graph_loop(graph_pairs(kind, q, seed), q, n, seed)
-    psi = csr_array(cl.system_matrix)
-    R, dense = rk4_step_matrix(psi, h), rk4_step_matrix(cl.system_matrix, h)
-    assert type(R) is np.ndarray and R.dtype == np.float64 and R.shape == dense.shape
-    assert np.abs(R - dense).max() <= rk4_rounding_bound(psi, h)
+@example(kind="chain", q=150, n=4, h=0.1, diverging=False, seed=0)
+@example(kind="tree", q=100, n=4, h=1e-2, diverging=True, seed=1)
+def test_stage_path_matches_dense_step_matrix(kind, q, n, h, diverging, seed):
+    # the diverging gain set, -0.1 C_ij' / h, puts h Psi's growing modes near 0.1-1,
+    # so most runs cross the cap well inside the horizon
+    cl = graph_loop(graph_pairs(kind, q, seed), q, n, seed, gain=-0.1 / h if diverging else None)
     x0 = np.random.default_rng(seed).standard_normal(q * n)
-    with pytest.MonkeyPatch.context() as mp:
-        seen = spy_step_matrix(mp)
-        trace = simulate_ct(cl, x0, T=10 * h, h=h)
-    assert [type(psi) for psi, _ in seen] == [csr_array]
-    want = simulation._iterate(cl, dense, x0, 11, h)
-    assert np.array_equal(trace.times, want.times)
-    assert row_deviation(trace.states, want.states) <= TRACE_RTOL
+    points = 200
+    got, got_msg = run_to_end(lambda: simulation._iterate(
+        cl, simulation._stages(simulation._csr_psi(cl), h), x0, points, h))
+    want, want_msg = run_to_end(lambda: simulation._iterate(
+        cl, rk4_step_matrix(cl.system_matrix, h), x0, points, h))
+    # the same kept rows, verdict and, on a crossing, the same step
+    assert np.array_equal(got.times, want.times)
+    assert (got.bounded, got.verdict(), got_msg) == (want.bounded, want.verdict(), want_msg)
+    assert row_deviation(got.states, want.states) <= TRACE_RTOL
     norms = np.linalg.norm(want.states, axis=1)
-    assert (np.abs(trace.sync_error - want.sync_error) <= TRACE_RTOL * norms).all()
-    assert (np.abs(trace.disagreement - want.disagreement) <= TRACE_RTOL * norms**2).all()
-
-
-@pytest.mark.parametrize("kind, q, csr", [
-    ("star", 100, False), ("complete", 30, False), ("chain", 100, True), ("tree", 100, True),
-    # the crossovers of CSR_FROM_Q; the golden case mass_spring_chain54_sparse_step
-    # is a q = 54 chain
-    ("chain", 53, False), ("chain", 54, True), ("ring", 54, False), ("ring", 55, True),
-])
-def test_step_matrix_branch_follows_the_operation_count(kind, q, csr):
-    cl = graph_loop(graph_pairs(kind, q), q, 2, seed=q)
+    assert (np.abs(got.sync_error - want.sync_error) <= TRACE_RTOL * norms).all()
+    assert (np.abs(got.disagreement - want.disagreement) <= TRACE_RTOL * norms**2).all()
+    # simulate_ct runs one of the two, bit for bit: the stages when it forms no R
     with pytest.MonkeyPatch.context() as mp:
         seen = spy_step_matrix(mp)
-        simulate_ct(cl, np.ones(2 * q), T=0.01, h=0.01)
-    [(psi, R)] = seen
-    assert isinstance(psi, csr_array) == csr
-    if not csr:
-        assert_same_bits(R, rk4_horner_from_identity(cl.system_matrix, 0.01))
+        trace, _ = run_to_end(lambda: simulate_ct(cl, x0, T=(points - 1) * h, h=h))
+    assert_same_bits(trace.states, (want if seen else got).states)
+
+
+@pytest.mark.parametrize("kind, q, stages", [
+    ("star", 100, True), ("complete", 30, False), ("chain", 100, True), ("tree", 100, True),
+    # the golden case mass_spring_chain54_sparse_step is an n = 4 chain
+    ("chain", 53, False), ("chain", 54, False), ("ring", 54, False), ("ring", 55, False),
+    # at n = 4 the rule crosses over at q = 83 for chains, rings and trees
+    ("chain", 82, False), ("chain", 83, True), ("ring", 82, False), ("ring", 83, True),
+    ("tree", 82, False), ("tree", 83, True),
+])
+def test_step_matrix_branch_follows_the_operation_count(kind, q, stages):
+    cl = graph_loop(graph_pairs(kind, q), q, 4, seed=q)
+    with pytest.MonkeyPatch.context() as mp:
+        seen = spy_step_matrix(mp)
+        simulate_ct(cl, np.ones(4 * q), T=0.01, h=0.01)
+    assert (seen == []) == stages
+    if not stages:
+        [(psi, R)] = seen
+        assert psi is cl.system_matrix
+        assert_same_bits(R, rk4_horner_from_identity(psi, 0.01))
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -1256,20 +1254,59 @@ def test_bundled_examples_keep_the_dense_step_matrix(name):
     assert_same_bits(R, rk4_horner_from_identity(psi, 0.1))
 
 
-def test_csr_step_matrix_peaks_below_two_squares():
-    # the CSR products of a q = 100 chain hold a few hundred kB; R comes back
-    # as one dense qn x qn array
-    q, n = 100, 4
-    psi = graph_loop(graph_pairs("chain", q), q, n, seed=1).system_matrix
+@pytest.mark.parametrize("kind", ["chain", "ring", "star", "tree"])
+def test_stage_path_allocates_no_square_while_stepping(kind):
+    # q = 150, n = 4: one qn x qn array is 2.9 MB.  The stage path holds
+    # Psi's CSR and its four scaled copies (~0.3 MB), the block buffer
+    # (0.5 MB), 101 kept rows (0.5 MB) and the metric blocks
+    q, n = 150, 4
+    cl = graph_loop(graph_pairs(kind, q), q, n, seed=2)
     square = 8 * (q * n) ** 2
-    tracemalloc.start()
-    try:
-        start, _ = tracemalloc.get_traced_memory()
-        rk4_step_matrix(csr_array(psi), 0.01)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - start <= 2 * square
+    with pytest.MonkeyPatch.context() as mp:
+        seen = spy_step_matrix(mp)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            simulate_ct(cl, np.ones(q * n), T=1.0, h=0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert seen == []
+    assert peak - start < square
+
+
+@pytest.mark.parametrize("kind, q", [("chain", 40), ("tree", 60), ("star", 30), ("complete", 12)])
+def test_csr_psi_gather_equals_csr_array(kind, q, rng):
+    loops = [graph_loop(graph_pairs(kind, q, seed=q), q, 3, seed=q)]
+    # exact zeros, +0.0 and -0.0, inside the blocks and one zero output
+    loops.append(closed_loop(*random_sparse_array(rng, q, 3, "continuous")))
+    for cl in loops:
+        got, want = simulation._csr_psi(cl), csr_array(cl.system_matrix)
+        assert got.indptr.dtype == want.indptr.dtype == np.int32
+        assert got.indices.dtype == want.indices.dtype == np.int32
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert_same_bits(got.data, want.data)
+
+
+def test_private_csr_matvec_adds_into_its_output(rng):
+    # the stage path calls scipy.sparse._sparsetools.csr_matvec, the kernel
+    # behind psi @ x: into a y that holds x it must add A x, and into a zeroed
+    # y it must give psi @ x bit for bit, on the int32 index arrays scipy builds
+    from scipy.sparse._sparsetools import csr_matvec
+
+    psi = simulation._csr_psi(graph_loop(graph_pairs("tree", 30, seed=3), 30, 3, seed=3))
+    assert psi.indptr.dtype == psi.indices.dtype == np.int32
+    x, y = rng.standard_normal(90), np.zeros(90)
+    csr_matvec(90, 90, psi.indptr, psi.indices, psi.data, x, y)
+    assert_same_bits(y, psi @ x)
+    # small integers: every product and sum is exact, so x + A x has one value
+    A = csr_array(rng.integers(-3, 4, (90, 90)) * (rng.random((90, 90)) < 0.1)).astype(float)
+    assert A.indptr.dtype == A.indices.dtype == np.int32
+    x = rng.integers(-5, 6, 90).astype(float)
+    y = x.copy()
+    csr_matvec(90, 90, A.indptr, A.indices, A.data, x, y)
+    assert_same_bits(y, x + A @ x)
 
 
 def test_dense_step_matrix_imports_no_scipy_sparse():
