@@ -9,7 +9,7 @@ a reduced Laplacian that is asymmetric or not finite.
 
 Each value has one source: ``gains --alpha`` is theorem1's, ``simulate
 --step`` continuous time's (DEFAULT_STEP without it), and the discrete-time
-coupling step is the gains document's ``epsilon`` line (eps_bar, unless edited).
+coupling step is the gains document's ``epsilon`` line, else its ``eps_bar``.
 
 Exit codes: 0 success; 1 with ``error: ...`` on stderr for a usage error
 (an option the command does not read included), an unreadable file, a bad
@@ -178,8 +178,6 @@ def cmd_gains(args):
         fields = {"P": cert.P if doc.P is None else doc.P, "metadata": metadata}
     else:
         fields = {"metadata": {"n1": gs.certificate.n1}}
-    if gs.recipe == gainsmod.RECIPE_ALG2_DT and np.isfinite(gs.eps_bar):
-        fields["epsilon"] = gs.eps_bar
     _write(args.out, specdoc.serialize_gains_document(gs, spec.q, spec.n, **fields))
     return EXIT_OK
 
@@ -198,7 +196,9 @@ def cmd_simulate(args):
     h = DEFAULT_STEP if args.step is None else args.step
     if ct and args.horizon < h:
         raise SpecParseError(f"--horizon {args.horizon!r} is shorter than --step {h!r}")
-    steps = args.horizon / h if ct else max(1, round(args.horizon))
+    if not ct and args.horizon != round(args.horizon):
+        raise SpecParseError(f"--horizon {args.horizon!r} is not a whole number of steps")
+    steps = args.horizon / h if ct else round(args.horizon)
     if steps > simulation.MAX_STEPS:
         raise SpecParseError(
             f"--horizon {args.horizon!r} needs {steps:.3g} steps; "
@@ -286,7 +286,7 @@ def make_parser():
     p.add_argument("--gains", required=True)
     _add_number(p, "--seed", (int, ">= 0", lambda k: k >= 0), default=0)
     _add_number(p, "--horizon", POSITIVE, default=100.0,
-                help="final time (CT) or step count (DT)")
+                help="final time (CT) or whole step count (DT)")
     _add_number(p, "--step", POSITIVE, help=f"continuous time only (default {DEFAULT_STEP})")
     p.add_argument("--out", default=None)
 

@@ -1,9 +1,10 @@
 """Matrix-weighted Laplacian assembly; every function returns plain arrays.
 
-assemble_block_laplacian is the one place that lays out the blocks, and
-every matrix-weighted Laplacian of the package is its array, the closed
-loop's included.  With symmetric PSD weights the result is symmetric PSD;
-the stacked all-ones directions are in the null space even for asymmetric
+laplacian_blocks is the one layout of L_W: its q diagonal blocks and one
+block per off-diagonal edge.  Every dense matrix-weighted Laplacian of the
+package, and the closed loop's dense array, is scatter_blocks of such a
+block list.  With symmetric PSD weights the result is symmetric PSD; the
+stacked all-ones directions are in the null space even for asymmetric
 weights.
 """
 
@@ -15,23 +16,37 @@ from .array_model import ArraySpec
 from .errors import DimensionMismatch
 
 
-def assemble_block_laplacian(pairs: np.ndarray, W: np.ndarray, q: int) -> np.ndarray:
-    """The qn x qn matrix-weighted Laplacian of the (E, n, n) weights W on
-    the (E, 2) pairs of a spec's edge table, as the scalar weighted Laplacian
-    lays out its entries: block (i, j) is 0.0 - W_ij, block (i, i) is 0.0
-    plus agent i's W_ij in edge order (one np.add.at, over L's flat entries,
-    where it is fastest), every other entry is 0.0, and diagonal pairs are
-    skipped.  Bit-equal to subtracting and adding the blocks one at a time."""
+def laplacian_blocks(pairs: np.ndarray, W: np.ndarray, q: int):
+    """L_W of the (E, n, n) weights W on the (E, 2) pairs of a spec's edge
+    table as (rows, cols, blocks), blocks[k] being block (rows[k], cols[k]):
+    the q diagonal blocks first, then one per off-diagonal pair in edge
+    order.  Block (i, i) is 0.0 plus agent i's W_ij in edge order (one
+    np.add.at over flat entries, where it is fastest), block (i, j) is
+    0.0 - W_ij, and diagonal pairs are skipped."""
     n = W.shape[-1]
-    N = q * n
-    L = np.zeros((N, N))
-    blocks = L.reshape(q, n, q, n).transpose(0, 2, 1, 3)  # a view: blocks[i, j] is block (i, j)
-    off = pairs[:, 0] != pairs[:, 1]
-    i, j, W = pairs[off, 0], pairs[off, 1], W[off]
-    blocks[i, j] = 0.0 - W
-    block = (np.arange(n)[:, None] * N + np.arange(n)).ravel()  # block (0, 0) in L.flat
-    np.add.at(L.reshape(-1), ((i * (N + 1) * n)[:, None] + block).ravel(), W.reshape(-1))
-    return L
+    if not (off := pairs[:, 0] != pairs[:, 1]).all():
+        pairs, W = pairs[off], W[off]
+    i, j = pairs.T
+    blocks = np.zeros((q + len(W), n, n))
+    np.add.at(blocks[:q].reshape(-1), ((i * n * n)[:, None] + np.arange(n * n)).ravel(), W.reshape(-1))
+    np.subtract(0.0, W, out=blocks[q:])
+    d = np.arange(q)
+    return np.concatenate((d, i)), np.concatenate((d, j)), blocks
+
+
+def scatter_blocks(rows, cols, blocks, q, fill=None) -> np.ndarray:
+    """The qn x qn array of block (rows[k], cols[k]) = blocks[k], with the
+    n x n fill in every other block (0.0 without one)."""
+    n = blocks.shape[-1]
+    M = np.zeros((q * n, q * n)) if fill is None else np.tile(fill, (q, q))
+    M.reshape(q, n, q, n).transpose(0, 2, 1, 3)[rows, cols] = blocks  # a view: [i, j] is block (i, j)
+    return M
+
+
+def assemble_block_laplacian(pairs: np.ndarray, W: np.ndarray, q: int) -> np.ndarray:
+    """The qn x qn matrix-weighted Laplacian of laplacian_blocks, 0.0 off its
+    blocks: bit-equal to subtracting and adding the blocks one at a time."""
+    return scatter_blocks(*laplacian_blocks(pairs, W, q), q)
 
 
 def build_laplacian(Q: dict, q: int, n: int | None = None) -> np.ndarray:

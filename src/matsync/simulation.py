@@ -10,36 +10,35 @@ the four stages on each state, each one sparse product with Psi.  The two
 are equal in exact arithmetic only; the stage path's traces stay within
 TRACE_RTOL ||x_row|| of R's (tested).
 
-A dense run steps by products of a power table.  The powers [R; R^2; ...;
-R^B] are stacked once per run, with B = max(1, POWER_TABLE_CELLS // qn^2),
-so B depends on the state size alone, and each product of the table with
-the last state of the product before gives the next B states.  The states
-match those of one product per step to rounding, not bit for bit; at qn >=
-182, B = 1 and the products are the same.  The stage path gives one state
-per product.  The products are made in blocks of up to POWER_TABLE_CELLS //
-(B qn), each written into one buffer that the run reuses.  The divergence
-cap is then tested on every state of the block, so the first state past it
-is found exactly, and the kept rows are copied out, once per block: at B = 1
-a state costs one np.matmul call into its row of the buffer, and the
-bookkeeping runs once per block, not once per state.
 closed_loop takes every gains source as an EdgeTable, forms W_ij = G_ij C_ij
-one group at a time, as rho_sweep does, and Psi in the qn x qn array of
-L_W that assemble_block_laplacian returns, with no temporary of that size.
+one group at a time, as rho_sweep does, and keeps Psi as the blocks of
+mwl.laplacian_blocks: one n x n block per agent and one per edge, n^2 (q +
+E) entries for the E pairs of the spec's edge table.  Its dense qn x qn
+array is made on first read, by the dense path and simulate_dt only.
 
-Psi has the graph's block pattern: an n x n block on the diagonal and one
-per edge, n^2 (q + E) entries for the E pairs of the spec's edge table.
-simulate_ct takes the stage path when four stages, each STAGE_CALL_COST for
-its call and copy plus STAGE_FMA_COST per entry, cost less than the (qn)^2
-multiply-adds of R x: pattern and sizes decide, never the horizon.  At
-n = 4, chains, rings and trees take the stages from q = 83 on; complete
-graphs, small arrays and the bundled examples step R.  The stage path
-gathers Psi's CSR from the diagonal and edge blocks in O(nnz), bit-equal to
-csr_array(Psi).  Each stage is one call of scipy's private
-scipy.sparse._sparsetools.csr_matvec, the kernel psi @ x calls, which adds
-A x into a buffer that already holds x: no allocation per step, and ~3.3 us
-a call at q = 100 against ~6 us for psi @ x.  A scipy release that changes
-the kernel fails test_private_csr_matvec_adds_into_its_output by name; CI
-pins scipy 1.17.1.
+A dense run steps by products of a power table [R; R^2; ...; R^B], stacked
+once per run with B = max(1, POWER_TABLE_CELLS // qn^2), so B depends on the
+state size alone: each product of the table with the last state of the
+product before gives the next B states.  They match one product per step
+to rounding, not bit for bit, while qn <= 181; from qn = 182 on B = 1.  The
+products are made in blocks of up to POWER_TABLE_CELLS // (B qn), each
+written into one buffer that the run reuses.  The divergence cap is then
+tested on every state of the block, so the first state past it is found
+exactly, and the kept rows are copied out: the bookkeeping runs once per
+block, not once per state.
+
+simulate_ct takes the stage path, one state per product, when four stages,
+each STAGE_CALL_COST for its call and copy plus STAGE_FMA_COST per entry,
+cost less than the (qn)^2 multiply-adds of R x: pattern and sizes decide,
+never the horizon.  At n = 4, chains, rings and trees take the stages from
+q = 83 on; complete graphs, small arrays and the bundled examples step R.
+The stage path builds Psi's CSR from the stored blocks in O(nnz), bit-equal
+to csr_array(Psi), and forms no qn x qn array.  Each stage is one call of
+scipy's private scipy.sparse._sparsetools.csr_matvec, the kernel psi @ x
+calls, which adds A x into a buffer that already holds x: no allocation per
+step, and ~3.3 us a call at q = 100 against ~6 us for psi @ x.  A scipy
+release that changes the kernel fails
+test_private_csr_matvec_adds_into_its_output by name; CI pins scipy 1.17.1.
 
 The trace metrics take the kept rows in blocks of about METRIC_BLOCK_CELLS
 floats, each copied agent-major to shape (q, n, rows) so that every
@@ -66,6 +65,7 @@ mapped pages, and no temporary of the trace's full size is made.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -73,7 +73,7 @@ import scipy.linalg as sla
 from .array_model import CONTINUOUS, ArraySpec, gamma_matrix, sync_complement_basis
 from .errors import DimensionMismatch, Diverged
 from .gains import GainSet, _gain_map, _theorem1
-from .mwl import assemble_block_laplacian
+from .mwl import assemble_block_laplacian, laplacian_blocks, scatter_blocks
 from .spectral import neutral_split
 
 CONVERGED_RATIO = 1e-4
@@ -131,10 +131,19 @@ class SimTrace:
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    system_matrix: np.ndarray  # qn x qn
+    """Psi (CT) or M (DT) as its q + E blocks: blocks[k] is block (rows[k],
+    cols[k]) and fill (n x n) every other block.  The dense qn x qn array and
+    the q x q normalized graph Laplacian Gamma are made on first read."""
     spec: ArraySpec
-    epsilon: float | None      # discrete-time coupling step; None in CT
-    gamma: np.ndarray          # q x q normalized graph Laplacian matrix
+    epsilon: float | None  # discrete-time coupling step; None in CT
+    rows: np.ndarray
+    cols: np.ndarray
+    blocks: np.ndarray
+    fill: np.ndarray
+
+    system_matrix = cached_property(
+        lambda self: scatter_blocks(self.rows, self.cols, self.blocks, self.spec.q, self.fill))
+    gamma = cached_property(lambda self: gamma_matrix(self.spec.graph))
 
 
 def closed_loop(spec: ArraySpec, gains, epsilon: float | None = None) -> ClosedLoop:
@@ -147,7 +156,7 @@ def closed_loop(spec: ArraySpec, gains, epsilon: float | None = None) -> ClosedL
     when it carries one.
     """
     gs = gains if isinstance(gains, GainSet) else GainSet.of(gains)
-    q, n, A, t = spec.q, spec.n, spec.A, spec.table
+    q, A = spec.q, spec.A
     W = _coupling_weights(spec, gs.table)
     if spec.time_domain == CONTINUOUS:
         scale, eps_used = 1.0, None  # 1.0 * X is X bit for bit
@@ -156,22 +165,14 @@ def closed_loop(spec: ArraySpec, gains, epsilon: float | None = None) -> ClosedL
             ebar = gs.eps_bar
             epsilon = ebar if ebar is not None and np.isfinite(ebar) else 1.0
         scale = eps_used = float(epsilon)
-
-    # Psi = (I (x) A) - scale L_W in L_W's own array, bit for bit: x - y is
-    # (-y) + x and (-s) y is -(s y); the blocks of I (x) A are A on the
-    # diagonal and 0.0 * A off it
-    psi = assemble_block_laplacian(t.pairs, W, q)
-    psi *= -scale
-    blocks = psi.reshape(q, n, q, n).transpose(0, 2, 1, 3)  # a view: blocks[i, j] is block (i, j)
-    d = np.arange(q)
-    diag = blocks[d, d]
-    blocks += 0.0 * A
-    blocks[d, d] = diag + A
-
-    return ClosedLoop(
-        system_matrix=psi, spec=spec, epsilon=eps_used,
-        gamma=gamma_matrix(spec.graph),
-    )
+    # Psi = (I (x) A) - scale L_W block by block, bit for bit: x - y is (-y) + x
+    # and (-s) y is -(s y); the blocks of I (x) A are A on the diagonal and
+    # 0.0 * A off it, the fill included
+    rows, cols, blocks = laplacian_blocks(spec.table.pairs, W, q)
+    blocks *= -scale
+    blocks[:q] += A
+    blocks[q:] += 0.0 * A
+    return ClosedLoop(spec, eps_used, rows, cols, blocks, fill=0.0 * -scale + 0.0 * A)
 
 
 def _coupling_weights(spec, gains):
@@ -216,10 +217,7 @@ def _candidates(T, out):
 
     The anchor is the agent farthest from the block centroid in any row; its
     squared distances are summed as _pair_loop sums them.  The bound and its
-    slack are those of the module docstring: the relative slack covers the
-    rounding of the n + 3 operations behind each side, the absolute one
-    subnormal squares, and a nan or overflowed radius is never below out.
-    """
+    slack are the module docstring's; a side rounds through n + 3 operations."""
     with np.errstate(over="ignore", invalid="ignore"):
         d = T - T.mean(axis=0)
         np.square(d, out=d)
@@ -249,16 +247,7 @@ def _metrics(cl, states):
 
 
 def _trace(cl, times, states, bounded):
-    sync, dis = _metrics(cl, states)
-    return SimTrace(
-        times=times,
-        states=states,
-        sync_error=sync,
-        disagreement=dis,
-        bounded=bounded,
-        q=cl.spec.q,
-        n=cl.spec.n,
-    )
+    return SimTrace(times, states, *_metrics(cl, states), bounded, cl.spec.q, cl.spec.n)
 
 
 def _stride(points):
@@ -382,21 +371,16 @@ def rk4_step_matrix(system_matrix: np.ndarray, h: float) -> np.ndarray:
 
 
 def _csr_psi(cl):
-    """Psi as a scipy.sparse.csr_array, gathered in O(nnz) from its diagonal
-    blocks and the edge table's: a BSR of those n x n blocks in row-major
-    block order, then tocsr and eliminate_zeros, bit-equal to csr_array(Psi)."""
+    """Psi as a scipy.sparse.csr_array of its stored blocks in O(nnz): a BSR
+    of them in row-major block order, then tocsr and eliminate_zeros,
+    bit-equal to csr_array(Psi) wherever the fill is zero."""
     from scipy.sparse import bsr_array
 
     q, n = cl.spec.q, cl.spec.n
-    pairs = cl.spec.table.pairs
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # assemble_block_laplacian skips these
-    i, j = (np.append(np.arange(q), pairs[:, k]) for k in (0, 1))
-    s = np.lexsort((j, i))
-    i, j = i[s], j[s]
-    blocks = cl.system_matrix.reshape(q, n, q, n)[i, :, j]  # blocks[k] is block (i[k], j[k])
+    s = np.argsort(cl.rows * q + cl.cols)
     # int32 indices, as csr_array(Psi) has them
-    j, indptr = j.astype(np.int32), np.searchsorted(i, np.arange(q + 1)).astype(np.int32)
-    psi = bsr_array((blocks, j, indptr), shape=(q * n, q * n)).tocsr()
+    j, indptr = cl.cols[s].astype(np.int32), np.searchsorted(cl.rows[s], np.arange(q + 1)).astype(np.int32)
+    psi = bsr_array((cl.blocks[s], j, indptr), shape=(q * n, q * n)).tocsr()
     psi.eliminate_zeros()
     return psi
 
@@ -439,7 +423,8 @@ def simulate_ct(cl: ClosedLoop, x0, T: float = 100.0, h: float = 1e-3) -> SimTra
 
 
 def simulate_dt(cl: ClosedLoop, x0, K: int) -> SimTrace:
-    """Exact iteration x(k+1) = M x(k) of the discrete-time closed loop."""
+    """x(k+1) = M x(k) of the discrete-time closed loop, stepped by the dense
+    power table: equal to one product per step only to rounding at qn <= 181."""
     if not 1 <= K <= MAX_STEPS:
         raise ValueError(f"need 1 <= K <= {MAX_STEPS}, got {K}")
     return _iterate(cl, cl.system_matrix, x0, K + 1, 1.0)

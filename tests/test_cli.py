@@ -166,7 +166,10 @@ class TestGains:
         doc = parse_gains_document(read(out))
         # oracle: L has weights U'C'CU with U U' = I here, eigenvalues {0, 2}
         assert doc.gain_set.eps_bar == pytest.approx(0.5, abs=1e-12)
-        assert doc.epsilon == pytest.approx(0.5, abs=1e-12)
+        # eps_bar is written once, and the closed loop steps at it
+        spec_doc = parse_spec_document(read(spec))
+        assert doc.epsilon is None
+        assert closed_loop(spec_doc.spec, doc.gain_set).epsilon == doc.gain_set.eps_bar
 
     def test_recipe_domain_mismatch(self, ms_spec, capsys):
         assert run("gains", "--spec", str(ms_spec), "--recipe", "alg2") == 2
@@ -620,6 +623,8 @@ DROPPED_OPTIONS = {
     "gains_theorem1_epsilon": ("chain5", "gains", None, ["--recipe", "theorem1", "--epsilon", "5"], "--epsilon"),
     "simulate_ct_epsilon": ("mass_spring_demo", "simulate", "alg1", ["--horizon", "1", "--epsilon", "7"], "--epsilon"),
     "simulate_dt_step": (rotation_spec_text(), "simulate", "alg2", ["--horizon", "10", "--step", "0.37"], "--step"),
+    # a discrete-time horizon counts whole steps
+    "simulate_dt_fractional_horizon": (rotation_spec_text(), "simulate", "alg2", ["--horizon", "2.5"], "--horizon"),
 }
 
 

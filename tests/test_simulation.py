@@ -1143,8 +1143,8 @@ def test_rk4_step_matrix_is_degree_four_taylor():
     assert np.allclose(R, expected, atol=1e-14)
 
 
-def graph_loop(pairs, q, n, seed, gain=None):
-    """A closed loop on the undirected pairs with natural gains: Psi = I (x) A - L_W,
+def graph_array(pairs, q, n, seed, gain=None):
+    """(spec, gains) on the undirected pairs with natural gains: Psi = I (x) A - L_W,
     A skew and L_W PSD, so the exact flow never grows.  Gains gain * C_ij'
     with a negative gain make Psi = I (x) A + |gain| L_W, which grows."""
     rng = np.random.default_rng(seed)
@@ -1154,7 +1154,12 @@ def graph_loop(pairs, q, n, seed, gain=None):
         cmap[(i, j)] = cmap[(j, i)] = rng.standard_normal((n, n)) / n
     spec = ArraySpec(q=q, n=n, A=X - X.T, C=cmap)
     gains = natural_gains(spec)
-    return closed_loop(spec, gains if gain is None else {e: gain * G for e, G in gains.items()})
+    return spec, gains if gain is None else {e: gain * G for e, G in gains.items()}
+
+
+def graph_loop(pairs, q, n, seed, gain=None):
+    """The closed loop of graph_array."""
+    return closed_loop(*graph_array(pairs, q, n, seed, gain))
 
 
 def graph_pairs(kind, q, seed=0):
@@ -1254,20 +1259,22 @@ def test_bundled_examples_keep_the_dense_step_matrix(name):
     assert_same_bits(R, rk4_horner_from_identity(psi, 0.1))
 
 
-@pytest.mark.parametrize("kind", ["chain", "ring", "star", "tree"])
-def test_stage_path_allocates_no_square_while_stepping(kind):
-    # q = 150, n = 4: one qn x qn array is 2.9 MB.  The stage path holds
-    # Psi's CSR and its four scaled copies (~0.3 MB), the block buffer
-    # (0.5 MB), 101 kept rows (0.5 MB) and the metric blocks
-    q, n = 150, 4
-    cl = graph_loop(graph_pairs(kind, q), q, n, seed=2)
+@pytest.mark.parametrize("kind, q", [("chain", 150), ("ring", 150), ("star", 150), ("tree", 150),
+                                     ("chain", 600)], ids=["chain", "ring", "star", "tree", "chain600"])
+def test_stage_path_allocates_no_square_while_stepping(kind, q):
+    # from closed_loop on.  q = 150, n = 4: one qn x qn array is 2.9 MB.  The
+    # stage path holds Psi's blocks, its CSR and four scaled copies (~0.3 MB),
+    # the block buffer (0.5 MB), 101 kept rows (0.5 MB) and the metric blocks;
+    # at q = 600 the square is 46.1 MB and the q x q Gamma 2.9 MB
+    n = 4
+    spec, gains = graph_array(graph_pairs(kind, q), q, n, seed=2)
     square = 8 * (q * n) ** 2
     with pytest.MonkeyPatch.context() as mp:
         seen = spy_step_matrix(mp)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            simulate_ct(cl, np.ones(q * n), T=1.0, h=0.01)
+            simulate_ct(closed_loop(spec, gains), np.ones(q * n), T=1.0, h=0.01)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
