@@ -4,15 +4,16 @@ An array is ``q`` copies of ``xdot = A x`` (or ``x+ = A x``) where system
 ``i`` measures ``C_ij (x_j - x_i)`` for every neighbour ``j``.  The sparsity
 pattern of the output-matrix map induces the network graph and its
 normalized Laplacian, whose algebraic connectivity drives the coupling
-condition of the CL-detectability synthesis route.  A spec's EdgeTable,
-built once, holds its pairs, norms, mirrors and outputs stacked per shape,
-and every per-edge step of every layer reads it; a GainSet's gains are an
-EdgeTable too.
+condition of the CL-detectability synthesis route.  A spec's ``C`` is its
+EdgeTable, built once: it holds the pairs, norms, mirrors and outputs
+stacked per shape, maps each pair to a view of its block, and every per-edge
+step of every layer reads it; a GainSet's gains are an EdgeTable too.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,16 +23,8 @@ from .errors import NotConnected, NotSymmetric
 EDGE_TOL = 1e-12  # default edge_tol: C blocks of Frobenius norm at most this are absent; C_ij, C_ji this close are equal
 NULL_TOL = 1e-9  # lambda2 of Gamma below this * max(lambda_max, 1/q) is zero
 
-F64 = np.dtype(float)
-
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
-
-
-def as_block(M):
-    """M as a 2-D float64 array; a parsed document's block is one already."""
-    ok = type(M) is np.ndarray and M.ndim == 2 and M.dtype is F64
-    return M if ok else np.atleast_2d(np.asarray(M, dtype=float))
 
 
 def _keys(*pairs):
@@ -42,14 +35,14 @@ def _keys(*pairs):
 
 
 @dataclass(frozen=True)
-class EdgeTable:
-    """A map of ordered pairs to blocks, a spec's outputs C_ij or its gains
-    G_ij: their (E, 2) int ``pairs`` in insertion order, ``groups``, one
+class EdgeTable(Mapping):
+    """A map of ordered pairs to views of blocks, a spec's outputs C_ij or its
+    gains G_ij: their (E, 2) int ``pairs`` in insertion order, ``groups``, one
     (positions, stack) per block shape, ``where`` each position's (group,
     row), ``order``, the positions in sorted pair order, and, when first
-    read, ``mirror``, the position of each (j, i) or -1, and ``norms``
-    (np.linalg.norm bit for bit).  A per-edge computation is one numpy call
-    per group, bit-equal to one per block."""
+    read, the index of ``table[(i, j)]``, ``mirror``, the position of each
+    (j, i) or -1, and ``norms`` (np.linalg.norm bit for bit).  A per-edge
+    computation is one numpy call per group, bit-equal to one per block."""
 
     pairs: np.ndarray
     groups: tuple
@@ -57,18 +50,37 @@ class EdgeTable:
     order: np.ndarray
 
     @classmethod
-    def of(cls, cmap):
-        """The table of a {pair: 2-D float array} map."""
-        mats, E = list(cmap.values()), len(cmap)
-        pairs = np.array(list(cmap), dtype=np.int64).reshape(E, 2)
-        shapes = [M.shape for M in mats]
-        groups, where = [], np.zeros((E, 2), dtype=np.int64)
-        for g, shape in enumerate(dict.fromkeys(shapes)):
-            idx = np.array([k for k, s in enumerate(shapes) if s == shape])
-            groups.append((idx, np.array([mats[k] for k in idx]).reshape(len(idx), *shape)))
+    def stacked(cls, pairs, shapes, take):
+        """The table of E pairs and their (E, 2) block shapes: a group per shape, in
+        order of first appearance, whose float64 stack is take(its positions)."""
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        shapes = np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
+        kind = shapes[:, 0] * (shapes[:, 1].max(initial=0) + 1) + shapes[:, 1]
+        groups, where = [], np.zeros((len(pairs), 2), dtype=np.int64)
+        for g, k in enumerate(dict.fromkeys(kind.tolist())):
+            idx = np.flatnonzero(kind == k)
+            groups.append((idx, take(idx)))
             where[idx, 0], where[idx, 1] = g, np.arange(len(idx))
         (key,) = _keys(pairs)
         return cls(pairs, tuple(groups), where, np.argsort(key))
+
+    @classmethod
+    def of(cls, cmap):
+        """The table of a {pair: block} mapping, each block as a 2-D float64 array."""
+        mats = [np.atleast_2d(np.asarray(M, dtype=float)) for M in cmap.values()]
+        return cls.stacked(list(cmap), [M.shape for M in mats], lambda idx: np.array([mats[k] for k in idx]))
+
+    _index = functools.cached_property(lambda self: dict(zip(self, self.where.tolist())))
+
+    def __getitem__(self, pair):
+        g, r = self._index[pair]
+        return self.groups[g][1][r]
+
+    def __iter__(self):
+        return map(tuple, self.pairs.tolist())
+
+    def __len__(self):
+        return len(self.pairs)
 
     def find(self, pairs):
         """The position in this table of each (E, 2) pair, -1 for none: a
@@ -123,35 +135,36 @@ class EdgeTable:
 class ArraySpec:
     """Shared dynamics ``A`` plus the edge output-matrix map ``C``.
 
-    ``C`` maps 0-based ordered pairs ``(i, j)`` to ``m_ij x n`` arrays.  The
+    ``C`` maps 0-based ordered pairs ``(i, j)`` to ``m_ij x n`` arrays, held
+    as an EdgeTable, ``table``, which a given mapping is stacked into.  The
     map may be asymmetric (``C_ij != C_ji``); such specs are accepted and
     flagged ``symmetric = False`` rather than rejected, since the asymmetric
     counterexample has to be representable.
 
     Each fact below is computed once, when first read, and every layer reads
-    it here: ``table``, the EdgeTable of ``C``; ``nonzero``, its outputs of
-    Frobenius norm above ``edge_tol``; ``edges``, their pairs, sorted;
-    ``weights``; ``symmetric`` (validate_spec), ``graph`` (build_graph),
-    ``connected`` (is_connected of the graph) and ``lambda2``; ``stability``
-    (classify_stability of ``A`` in the spec's time domain, its one
-    ``eig(A)``) and ``detectable`` (detectable_edges).
+    it here: ``nonzero``, the outputs of Frobenius norm above ``edge_tol``;
+    ``edges``, their pairs, sorted; ``weights``; ``symmetric``
+    (validate_spec), ``graph`` (build_graph), ``connected`` (is_connected of
+    the graph) and ``lambda2``; ``stability`` (classify_stability of ``A``
+    in the spec's time domain, its one ``eig(A)``) and ``detectable``
+    (detectable_edges).
     """
 
     q: int
     n: int
     A: np.ndarray
-    C: dict = field(default_factory=dict)
+    C: EdgeTable = field(default_factory=dict)
     time_domain: str = CONTINUOUS
     edge_tol: float = EDGE_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        cmap = {(int(i), int(j)): as_block(M) for (i, j), M in self.C.items()}
-        object.__setattr__(self, "C", cmap)
+        if not isinstance(self.C, EdgeTable):
+            object.__setattr__(self, "C", EdgeTable.of(self.C))
         if self.time_domain not in (CONTINUOUS, DISCRETE):
             raise ValueError(f"unknown time domain {self.time_domain!r}")
 
-    table = functools.cached_property(lambda self: EdgeTable.of(self.C))
+    table = property(lambda self: self.C)
     nonzero = functools.cached_property(lambda self: self.table.norms > self.edge_tol)
 
     @functools.cached_property

@@ -8,8 +8,10 @@ recipe: its hypotheses, finite gains and, for alg2, ``eps_bar``'s refusal of
 a reduced Laplacian that is asymmetric or not finite.
 
 Each value has one source: ``gains --alpha`` is theorem1's, ``simulate
---step`` continuous time's (DEFAULT_STEP without it), and the discrete-time
-coupling step is the gains document's ``epsilon`` line, else its ``eps_bar``.
+--step`` continuous time's (DEFAULT_STEP without it), ``sweep --alpha-max``
+a sweep's of more than one point (DEFAULT_ALPHA_MAX without it), and the
+discrete-time coupling step is the gains document's ``epsilon`` line, else
+its ``eps_bar``.
 
 Exit codes: 0 success; 1 with ``error: ...`` on stderr for a usage error
 (an option the command does not read included), an unreadable file, a bad
@@ -56,6 +58,8 @@ EXIT_DIVERGED = 3
 
 # the step of a continuous-time simulate run without --step
 DEFAULT_STEP = 1e-3
+# the last alpha of a sweep of more than one point without --alpha-max
+DEFAULT_ALPHA_MAX = 100.0
 # the rule of a float option that must be > 0
 POSITIVE = (float, "finite and > 0", lambda x: math.isfinite(x) and x > 0.0)
 
@@ -223,6 +227,8 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
+    if args.points == 1 and args.alpha_max is not None:
+        raise SpecParseError("--alpha-max applies to --points above 1")
     doc, tol = _load_spec_env(args.spec)
     spec = doc.spec
     if spec.time_domain != CONTINUOUS:
@@ -234,9 +240,8 @@ def cmd_sweep(args):
     if args.points == 1:
         alphas = np.array([args.alpha_min])
     else:
-        alphas = np.logspace(
-            np.log10(args.alpha_min), np.log10(args.alpha_max), args.points
-        )
+        alpha_max = DEFAULT_ALPHA_MAX if args.alpha_max is None else args.alpha_max
+        alphas = np.logspace(np.log10(args.alpha_min), np.log10(alpha_max), args.points)
     try:
         results = simulation.rho_sweep(spec, cert.P, alphas)
     except OverflowError as e:  # an alpha too large for the quotient's entries
@@ -293,7 +298,7 @@ def make_parser():
     p = sub.add_parser("sweep", help="closed-loop spectral abscissa vs coupling")
     p.add_argument("--spec", required=True)
     _add_number(p, "--alpha-min", POSITIVE, default=0.1)
-    _add_number(p, "--alpha-max", POSITIVE, default=100.0)
+    _add_number(p, "--alpha-max", POSITIVE, help=f"with --points above 1 (default {DEFAULT_ALPHA_MAX})")
     _add_number(p, "--points", (int, ">= 1", lambda k: k >= 1), default=50)
     p.add_argument("--out", default=None)
     return parser

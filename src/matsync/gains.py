@@ -9,23 +9,22 @@ Three recipes are implemented:
   together with the largest coupling step eps_bar = 1/lambda_max(L).
 
 A recipe maps each shape group's stack of C_ij in ``spec.table`` to a stack
-of G_ij, one numpy call per group: a GainSet holds that EdgeTable, and its
-``gains`` mapping, for tests and scripts, is derived from it.  ``synthesize``
-runs a recipe by its ``RECIPES`` name, hypotheses first, for the CLI.
+of G_ij, one numpy call per group: a GainSet holds that EdgeTable, which is
+also its ``gains`` mapping.  ``synthesize`` runs a recipe by its ``RECIPES``
+name, hypotheses first, for the CLI.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import types
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .array_model import CONTINUOUS, DISCRETE, ArraySpec, EdgeTable, as_block
+from .array_model import CONTINUOUS, DISCRETE, ArraySpec, EdgeTable
 from .errors import (
     Infeasible,
     MatsyncError,
@@ -79,14 +78,9 @@ class GainSet:
     @classmethod
     def of(cls, gains, recipe="manual", **fields):
         """The GainSet of a plain (i, j) -> G_ij mapping."""
-        return cls(EdgeTable.of({e: as_block(G) for e, G in dict(gains).items()}), recipe, **fields)
+        return cls(EdgeTable.of(gains), recipe, **fields)
 
-    @functools.cached_property
-    def gains(self):
-        """(i, j) -> G_ij, read-only, in table order."""
-        t = self.table
-        blocks = [t.groups[g][1][r] for g, r in t.where.tolist()]
-        return types.MappingProxyType(dict(zip(map(tuple, t.pairs.tolist()), blocks)))
+    gains = property(lambda self: self.table)
 
 
 def default_strict_tol(A, P):

@@ -16,8 +16,8 @@ key appears once.  One pass over the lines records each block's rows; then
 one numpy call converts the tokens of the document's distinct blocks
 (numpy reads a token as float() does, bit for bit) and the row lengths and
 isfinite are checked, so the first fault in document order is raised with
-its line.  A block whose rows came before (the mirror C_ji of a symmetric
-C_ij) gets a copy of that array.
+its line.  Edge or gain blocks are stacked into an EdgeTable by one take
+per block shape from the converted numbers; A and P get arrays of their own.
 
 Serialization emits the matrices with full round-trip precision, so parse
 -> serialize -> parse is the identity on the in-memory spec.  Edge and gain
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .array_model import CONTINUOUS, DISCRETE, ArraySpec
+from .array_model import CONTINUOUS, DISCRETE, ArraySpec, EdgeTable
 from .builders import LC_DEMO, MASS_SPRING_DEMO, BuiltinExample, build_lc, build_mass_spring
 from .errors import DimensionMismatch, NonPositiveParameter, SpecParseError
 from .gains import GainSet
@@ -141,7 +141,7 @@ class _Blocks:
     bad row before a fault the loop raises is raised in its place."""
 
     def __init__(self):
-        self.arrays, self.lines = {}, {}  # key -> its array, key -> line of its header
+        self.arrays, self.lines = {}, {}  # A or P -> its array, key -> line of its header
         self.stated = {}  # key that appears once -> line of its statement
         self._spans, self._open, self._lines = [], None, []  # (key, a, b): lines a..b-1 hold its rows
 
@@ -187,36 +187,46 @@ class _Blocks:
         self._close(end, len(lines))
 
     def _read(self):
-        """Each block's array, from one float conversion over the distinct
-        blocks' tokens; a block with the lines of an earlier one gets a copy."""
+        """The numbers of the distinct blocks, from one float conversion, and
+        where each block's are; A and P get arrays of their own."""
         lines, index, keys, distinct, tokens, ragged = self._lines, {}, [], [], [], False
         for key, a, b in self._spans:
             if (d := index.setdefault(tuple(lines[a:b]), len(index))) == len(distinct):
                 lens = [len(r) for r in map(str.split, lines[a:b]) if r]
-                distinct.append((key, a, b, len(lens), lens[0] if lens else 0))
-                ragged |= lens.count(distinct[d][4]) < len(lens)
+                distinct.append((key, a, b, len(tokens), len(lens), lens[0] if lens else 0))
+                ragged |= lens.count(distinct[d][5]) < len(lens)
                 tokens += " ".join(lines[a:b]).split()
             keys.append((key, d))
         vals = None if ragged else _numbers(tokens)
         if vals is None or not np.isfinite(vals).all():  # raise at the first bad row
-            for key, a, b, _, width in distinct:
+            for key, a, b, *_, width in distinct:
                 for k in (k for k in range(a, b) if lines[k].strip()):
                     if not np.isfinite(row := _row(lines[k], k + 1)).all():
                         raise SpecParseError("numbers in a matrix block must be finite", k + 1)
                     if len(row) != width:
                         msg = f"ragged matrix block {_block_name(key)}: row of length {len(row)}"
                         raise SpecParseError(f"{msg}, expected {width}", k + 1)
-        ends = np.cumsum([r * w for *_, r, w in distinct]).tolist()
-        arrays = [vals[e - r * w:e].reshape(r, w) for e, (*_, r, w) in zip(ends, distinct)]
-        for key, d in keys:
-            if distinct[d][3]:  # a block without rows gets no array
-                self.arrays[key] = arrays[d] if key is distinct[d][0] else arrays[d].copy()
+        self._vals, self._keys = vals, keys
+        self._at = np.array([d[3:] for d in distinct], dtype=np.int64).reshape(-1, 3)  # start, rows, cols
+        self.arrays = {key: self._take(self._at[[d]])[0]  # a block without rows gets none
+                       for key, d in keys if type(key) is str and distinct[d][4]}
+
+    def _take(self, at):
+        """The stack of the blocks of one shape at rows (start, rows, columns) of the numbers."""
+        return self._vals[at[:, :1] + np.arange(at[0, 1] * at[0, 2])].reshape(len(at), *at[0, 1:])
 
     def matrix(self, key):
-        """The block as an array, None when absent; an empty block is an error."""
+        """The A or P block as an array, None when absent; an empty block is an error."""
         if key in self.lines and key not in self.arrays:
             raise SpecParseError("matrix block has no rows", self.lines[key])
         return self.arrays.get(key)
+
+    def table(self, kind, pairs):
+        """The EdgeTable of the kind's blocks, at pairs in document order; an empty block is an error."""
+        at = self._at[[d for key, d in self._keys if key[0] == kind]]  # A and P are one letter
+        if len(empty := np.flatnonzero(at[:, 1] == 0)):
+            raise SpecParseError("matrix block has no rows", self.lines[(kind, pairs[empty[0]])])
+        return EdgeTable.stacked(pairs, at[:, 1:], lambda idx: self._take(at[idx]))
 
 
 def _edge_key(tokens, lineno, q):
@@ -315,12 +325,12 @@ def parse_spec_document(text: str) -> SpecDocument:
         n = values.get("n", A.shape[1])
         if A.shape != (n, n):
             raise SpecParseError(f"A has shape {A.shape}, expected ({n}, {n})", blocks.lines["A"])
-        cmap = {e: blocks.matrix(("edge", e)) for e in edge_headers}
-        for (i, j), C in cmap.items():
-            if C.shape[1] != n:
-                msg = f"edge {i + 1} {j + 1} has {C.shape[1]} columns, expected {n}"
-                raise SpecParseError(msg, blocks.lines[("edge", (i, j))])
-        spec = ArraySpec(q=values["q"], n=n, A=A, C=cmap, time_domain=time_domain)
+        C = blocks.table("edge", edge_headers)
+        if wide := [(idx[0], S.shape[2]) for idx, S in C.groups if S.shape[2] != n]:
+            k, width = min(wide)  # the first in document order
+            msg = f"edge {C.pairs[k, 0] + 1} {C.pairs[k, 1] + 1} has {width} columns, expected {n}"
+            raise SpecParseError(msg, blocks.lines[("edge", edge_headers[k])])
+        spec = ArraySpec(q=values["q"], n=n, A=A, C=C, time_domain=time_domain)
 
     if time_domain == DISCRETE:
         if "builder" in values:
@@ -353,8 +363,8 @@ def parse_gains_document(text: str) -> GainsDocument:
             raise SpecParseError(f"missing {need}")
     metadata = {k: v == "true" if k == "cert_condition14" else v
                 for k, v in values.items() if k.startswith("cert_") or k == "n1"}
-    gains = {e: blocks.matrix(("gain", e)) for e in values["gain"]}
-    gain_set = GainSet.of(gains, values["recipe"], alpha=values.get("alpha"), eps_bar=values.get("eps_bar"))
+    gains = blocks.table("gain", values["gain"])
+    gain_set = GainSet(gains, values["recipe"], alpha=values.get("alpha"), eps_bar=values.get("eps_bar"))
     return GainsDocument(gain_set, values["q"], values["n"], values.get("epsilon"), blocks.matrix("P"), metadata)
 
 

@@ -625,6 +625,8 @@ DROPPED_OPTIONS = {
     "simulate_dt_step": (rotation_spec_text(), "simulate", "alg2", ["--horizon", "10", "--step", "0.37"], "--step"),
     # a discrete-time horizon counts whole steps
     "simulate_dt_fractional_horizon": (rotation_spec_text(), "simulate", "alg2", ["--horizon", "2.5"], "--horizon"),
+    # a one-point sweep is at --alpha-min only
+    "sweep_one_point_alpha_max": ("chain5", "sweep", None, ["--points", "1", "--alpha-max", "5"], "--alpha-max"),
 }
 
 
@@ -1217,16 +1219,17 @@ def test_theorem1_gains_verify_their_P_once(tmp_path):
 
 def test_env_tolerance_builds_the_edge_table_once(tmp_path, monkeypatch):
     # MATSYNC_TOL changes only the spec's edge_tol, so each command stacks
-    # the edge outputs once, for the spec that carries it
+    # the edge outputs once, when it parses them, and the spec that carries
+    # the tolerance holds that table
     spec = random_complete_cl_spec(np.random.default_rng(0), q=6, n=3)
     path = write_spec(tmp_path / "cl6.spec", spec)
     monkeypatch.setenv("MATSYNC_TOL", "1e-12")
-    of = EdgeTable.of.__func__
+    stacked = EdgeTable.stacked.__func__
     counts = {}
     for argv in (["check"], ["gains", "--recipe", "theorem1"], ["sweep", "--points", "2"]):
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(EdgeTable, "of", classmethod(lambda cls, cmap: calls.append(1) or of(cls, cmap)))
+            mp.setattr(EdgeTable, "stacked", classmethod(lambda cls, *a: calls.append(1) or stacked(cls, *a)))
             out = str(tmp_path / "out")
             assert run(argv[0], "--spec", str(path), *argv[1:], "--out", out) == 0
         counts[argv[0]] = len(calls)

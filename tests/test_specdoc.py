@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matsync import ArraySpec, SpecParseError, builtin_example, build_mass_spring
+from matsync.array_model import EdgeTable
 from matsync.gains import GainSet
 from matsync.specdoc import (
     GainsDocument,
@@ -374,6 +377,24 @@ class TestMirroredBlocks:
         assert not np.signbit(G[(0, 1)][0, 0]) and np.signbit(G[(1, 0)][0, 0])
 
 
+def test_an_edge_map_is_held_once():
+    # a parsed document's edge or gain map is its table, whose blocks are
+    # views of the stacks; a new tolerance or a plain dict keeps no other form
+    spec = parse_spec_document("q 3\nn 2\nA\n0.0 1.0\n-1.0 0.0\nedge 1 2\n1.0 0.0\nedge 2 1\n1.0 0.0\n"
+                               "edge 2 3\n1.0 0.0\n0.0 1.0\nedge 3 2\n1.0 0.0\n0.0 1.0\n").spec
+    gs = parse_gains_document("recipe manual\nq 3\nn 2\ngain 1 2\n1.0\n2.0\ngain 2 1\n1.0 2.0\n"
+                              "gain 2 3\n3.0\n4.0\n").gain_set
+    assert spec.C is spec.table and gs.gains is gs.table
+    for t in (spec.C, gs.gains):
+        assert len(t.groups) == 2
+        assert all(np.shares_memory(t[e], t.groups[g][1]) for e, (g, _) in zip(t, t.where.tolist()))
+    assert dataclasses.replace(spec, edge_tol=1e-9).table is spec.table
+    plain = ArraySpec(q=2, n=1, A=np.zeros((1, 1)), C={(0, 1): [[1.0]], (1, 0): [[1.0]]})
+    assert type(plain.C) is EdgeTable
+    for held in (spec, gs, plain):
+        assert not any(isinstance(v, dict) for v in vars(held).values())
+
+
 def _digits(draw, lo, hi):
     return "".join(draw(st.lists(st.sampled_from("0123456789"), min_size=lo, max_size=hi)))
 
@@ -449,6 +470,15 @@ def generated_document(rng):
     return lines, rows, headers
 
 
+def same_table(a, b):
+    """Whether two EdgeTables hold the same pairs, layout and stacks, bit for bit."""
+    return (all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("pairs", "where", "order"))
+            and len(a.groups) == len(b.groups)
+            and all(np.array_equal(i, j) and S.shape == T.shape
+                    and np.array_equal(S.view(np.uint64), T.view(np.uint64))
+                    for (i, S), (j, T) in zip(a.groups, b.groups)))
+
+
 def spec_bits(spec):
     return (spec.q, spec.n, spec.time_domain, spec.A.tobytes(),
             {e: (C.shape, C.tobytes()) for e, C in spec.C.items()})
@@ -468,6 +498,12 @@ def test_generated_documents_round_trip_and_faults_name_their_line(seed):
     again = parse_spec_document(out).spec
     assert spec_bits(again) == spec_bits(spec)
     assert serialize_spec_document(SpecDocument(spec=again)) == out
+    # the parser's stacks are the mapping path's, bit for bit, for edge and
+    # gain blocks alike
+    gs = GainSet.of({e: C.T for e, C in spec.C.items()})
+    gains = parse_gains_document(serialize_gains_document(gs, q=spec.q, n=spec.n)).gain_set
+    for parsed in (spec.table, again.table, gains.table):
+        assert same_table(parsed, EdgeTable.of(dict(parsed)))
 
     # one fault at a random row or edge header: it is the one reported
     kind = rng.choice(["nan", "word", "ragged", "header"])
@@ -534,6 +570,10 @@ STATEMENT_FAULTS = [
     ("gains", "recipe r / gain 1 2 / 1.0 / q 2", "line 2: q must appear before the first gain"),
     ("spec", "q 2 / n 1 / A / 0.0 / edge 1 3 / 1.0", "line 5: edge (1, 3) invalid for q=2"),
     ("gains", "recipe r / q 2 / n 1 / gain 1 2", "line 4: matrix block has no rows"),
+    ("spec", "q 2 / n 1 / A / 0.0 / edge 1 2 / 1.0 / edge 2 1", "line 7: matrix block has no rows"),
+    # two edges of the wrong width, in two shape groups: the first in document order
+    ("spec", "q 3 / n 2 / A / 0 0 / 0 0 / edge 1 2 / 1.0 0.0 / edge 2 1 / 1.0 2.0 3.0 / 4.0 5.0 6.0"
+             " / edge 1 3 / 1.0 2.0 3.0", "line 8: edge 2 1 has 3 columns, expected 2"),
     ("spec", "q 2 / n 1 / A / 0.0 / gain 1 2 / 1.0 / q 3", "line 5: unrecognized line 'gain 1 2'"),
     ("gains", "recipe r / q 2 / n 1 / edge 1 2 / 1.0", "line 4: unrecognized line 'edge 1 2'"),
     # builder vectors
